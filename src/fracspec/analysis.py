@@ -55,7 +55,6 @@ class ConvergenceStudy:
     """Ordered error reports for one problem and parameter set."""
 
     problem_id: str
-    parameters: dict
     reports: tuple[ErrorReport, ...]
 
     def __post_init__(self):
@@ -152,50 +151,48 @@ class StudyRequest:
                 )
 
 
-def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
-    """Solve at every resolution and collect error reports, smallest N first.
+def _run_study(problem_id: str, resolutions, solve_at, errors_of) -> ConvergenceStudy:
+    """Solve at every (N, M) in order, timing the solve alone, and collect error reports.
 
     Any member failure aborts the study; the completed reports travel on the
     raised StudyError so partial progress is never silently discarded.
     """
-    n_values = tuple(sorted(request.n_values))
+    done: list[ErrorReport] = []
+
+    def member(i: int) -> ErrorReport:
+        n, m = resolutions[i]
+        start = time.perf_counter()
+        sol = solve_at(n, m)
+        runtime = (time.perf_counter() - start) * 1e3
+        linf, l2 = errors_of(sol)
+        return ErrorReport(n_modes=n, m_modes=m, linf_error=linf, l2_error=l2, runtime_ms=runtime)
+
+    try:
+        for _, report in map_indexed(member, len(resolutions)):
+            done.append(report)
+    except Exception as exc:
+        partial = ConvergenceStudy(problem_id, tuple(done))
+        raise StudyError(f"study member failed: {exc}", partial=partial) from exc
+    return ConvergenceStudy(problem_id, tuple(done))
+
+
+def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
+    """Solve at every resolution and collect error reports, smallest N first."""
     problem = request.problem
     exact = request.exact
     if exact is None:
         ref = self_convergence_reference(problem, request.ref_n, request.alpha)
         exact = ref.evaluate
-
     b = problem.transform.b_psi
-    done: list[ErrorReport] = []
-
-    def member(i: int) -> ErrorReport:
-        n = n_values[i]
-        start = time.perf_counter()
-        sol = solve(problem, TimeBasis(request.alpha, n, (0.0, b)))
-        runtime = (time.perf_counter() - start) * 1e3
-        return ErrorReport(
-            n_modes=n,
-            linf_error=error_linf(sol, exact, request.linf_grid),
-            l2_error=error_l2(sol, exact, problem.transform, request.weighted_l2),
-            runtime_ms=runtime,
-        )
-
-    try:
-        for _, report in map_indexed(member, len(n_values)):
-            done.append(report)
-    except Exception as exc:
-        partial = ConvergenceStudy(request.problem_id, _params_of(problem), tuple(done))
-        raise StudyError(f"study member failed: {exc}", partial=partial) from exc
-    return ConvergenceStudy(request.problem_id, _params_of(problem), tuple(done))
-
-
-def _params_of(problem: TimeProblem) -> dict:
-    return {
-        "delta": problem.delta.delta,
-        "r": problem.transform.r,
-        "lambda": problem.lam,
-        "T": problem.transform.horizon_T,
-    }
+    return _run_study(
+        request.problem_id,
+        [(n, None) for n in sorted(request.n_values)],
+        lambda n, _: solve(problem, TimeBasis(request.alpha, n, (0.0, b))),
+        lambda sol: (
+            error_linf(sol, exact, request.linf_grid),
+            error_l2(sol, exact, problem.transform, request.weighted_l2),
+        ),
+    )
 
 
 def pde_errors_at_final_time(sol, exact, grid_n: int = 33) -> tuple[float, float]:
@@ -224,32 +221,12 @@ def run_pde_convergence_study(
 
     if len(n_values) != len(m_values):
         raise DomainError("need matching N and M lists (equal length)")
-    done: list[ErrorReport] = []
     b = problem.transform.b_psi
-
-    def member(i: int) -> ErrorReport:
-        n, m = n_values[i], m_values[i]
-        start = time.perf_counter()
-        sol = solve_spacetime(
+    return _run_study(
+        problem_id,
+        list(zip(n_values, m_values)),
+        lambda n, m: solve_spacetime(
             problem, TimeBasis(alpha, n, (0.0, b)), SpatialBasis(m, problem.dimension), quad_guard
-        )
-        runtime = (time.perf_counter() - start) * 1e3
-        linf, l2 = pde_errors_at_final_time(sol, exact)
-        return ErrorReport(n_modes=n, m_modes=m, linf_error=linf, l2_error=l2, runtime_ms=runtime)
-
-    try:
-        for _, report in map_indexed(member, len(n_values)):
-            done.append(report)
-    except Exception as exc:
-        partial = ConvergenceStudy(problem_id, _params_of_pde(problem), tuple(done))
-        raise StudyError(f"study member failed: {exc}", partial=partial) from exc
-    return ConvergenceStudy(problem_id, _params_of_pde(problem), tuple(done))
-
-
-def _params_of_pde(problem) -> dict:
-    return {
-        "delta": problem.delta.delta,
-        "r": problem.transform.r,
-        "T": problem.transform.horizon_T,
-        "dimension": problem.dimension,
-    }
+        ),
+        lambda sol: pde_errors_at_final_time(sol, exact),
+    )

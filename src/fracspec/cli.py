@@ -103,41 +103,43 @@ def _read_config(path: str) -> dict:
     return settings
 
 
-_CONFIG_KEYS = {
-    "problem",
-    "delta",
-    "gamma",
-    "lambda",
-    "T",
-    "N",
-    "M",
-    "ref-N",
-    "quad-guard",
-    "alpha",
-    "out",
-    "weighted-l2",
-}
+# Settings taken from a --key flag or a config-file key=value line:
+# (key, dest in the parsed and merged settings, help).
+_SETTINGS = (
+    ("problem", "problem", "problem id from the catalog (see list-problems)"),
+    ("delta", "delta", "fractional order in (0,1)"),
+    ("gamma", "gamma", "rescaling exponent, written '1' or '1/r'; " + GAMMA_GUIDE),
+    ("lambda", "lam", "reaction coefficient (> 0), default 1"),
+    ("T", "T", "time horizon, default 2"),
+    ("N", "N", "time modes; convergence accepts '2,4,8' or '4:40:2'"),
+    ("M", "M", "space degree (PDE); same list syntax for convergence"),
+    ("ref-N", "ref_n", "reference resolution when no exact solution"),
+    ("quad-guard", "quad_guard", "extra quadrature points, default 8"),
+    ("alpha", "alpha", "basis parameter (> -1), default 0; solution-invariant"),
+    ("out", "out", "CSV output path (default: stdout)"),
+    (
+        "weighted-l2",
+        "weighted_l2",
+        "report the L2 error in the rescaled variable against the map weight",
+    ),
+)
+# On/off settings: a bare flag, or 1/true/yes in the config file.
+_SWITCHES = {"weighted-l2"}
 
 
 def _merge(args: argparse.Namespace, config: dict) -> dict:
     """Effective settings: flag > config file > catalog default (applied later)."""
+    keys = {key for key, _, _ in _SETTINGS}
     for key in config:
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise CliError(f"unknown config key {key!r}")
-    merged = {
-        "problem": args.problem if args.problem is not None else config.get("problem"),
-        "delta": args.delta if args.delta is not None else config.get("delta"),
-        "gamma": args.gamma if args.gamma is not None else config.get("gamma"),
-        "lam": args.lam if args.lam is not None else config.get("lambda"),
-        "T": args.T if args.T is not None else config.get("T"),
-        "N": args.N if args.N is not None else config.get("N"),
-        "M": args.M if args.M is not None else config.get("M"),
-        "ref_n": args.ref_N if args.ref_N is not None else config.get("ref-N"),
-        "quad_guard": args.quad_guard if args.quad_guard is not None else config.get("quad-guard"),
-        "alpha": args.alpha if args.alpha is not None else config.get("alpha"),
-        "out": args.out if args.out is not None else config.get("out"),
-        "weighted_l2": args.weighted_l2 or config.get("weighted-l2", "") in ("1", "true", "yes"),
-    }
+    merged = {}
+    for key, dest, _ in _SETTINGS:
+        flag = getattr(args, dest)
+        if key in _SWITCHES:
+            merged[dest] = flag or config.get(key, "") in ("1", "true", "yes")
+        else:
+            merged[dest] = flag if flag is not None else config.get(key)
     return merged
 
 
@@ -263,15 +265,21 @@ def _cmd_solve_ode(eff) -> int:
     return EXIT_OK
 
 
-def _require_default_reaction(eff):
-    if eff["lam"] is not None:
-        raise CliError("the subdiffusion problem has a fixed reaction coefficient; drop --lambda")
+def _reject_scalar_settings(eff):
+    """Reject the scalar-only settings, which the subdiffusion problem would ignore."""
+    for flag, given, reason in (
+        ("--lambda", eff["lam"] is not None, "has a fixed reaction coefficient"),
+        ("--weighted-l2", eff["weighted_l2"], "reports only final-time grid errors"),
+        ("--ref-N", eff["ref_n"] is not None, "is measured against its exact solution"),
+    ):
+        if given:
+            raise CliError(f"the subdiffusion problem {reason}; drop {flag}")
 
 
 def _cmd_convergence(eff) -> int:
     entry = eff["entry"]
     if entry.kind == "pde-power":
-        _require_default_reaction(eff)
+        _reject_scalar_settings(eff)
         problem, exact = build_pde_problem(entry, eff["delta"], eff["r"], eff["T"])
         n_values = _parse_resolutions(str(eff["N_raw"])) if eff["N_raw"] else (entry.default_n,)
         m_values = _parse_resolutions(str(eff["M_raw"])) if eff["M_raw"] else (entry.default_m,)
@@ -308,7 +316,7 @@ def _cmd_solve_pde(eff) -> int:
     entry = eff["entry"]
     if entry.kind != "pde-power":
         raise CliError("solve-pde needs a space-time problem (example4)")
-    _require_default_reaction(eff)
+    _reject_scalar_settings(eff)
     problem, exact = build_pde_problem(entry, eff["delta"], eff["r"], eff["T"])
     n = _to_int({"N": eff["N_raw"]}, "N", minimum=1) or entry.default_n
     m = _to_int({"M": eff["M_raw"]}, "M", minimum=2) or entry.default_m
@@ -359,24 +367,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--problem", help="problem id from the catalog (see list-problems)")
-        p.add_argument("--delta", help="fractional order in (0,1)")
-        p.add_argument("--gamma", help="rescaling exponent, written '1' or '1/r'; " + GAMMA_GUIDE)
-        p.add_argument("--lambda", dest="lam", help="reaction coefficient (> 0), default 1")
-        p.add_argument("--T", help="time horizon, default 2")
-        p.add_argument("--N", help="time modes; convergence accepts '2,4,8' or '4:40:2'")
-        p.add_argument("--M", help="space degree (PDE); same list syntax for convergence")
-        p.add_argument("--ref-N", dest="ref_N", help="reference resolution when no exact solution")
-        p.add_argument("--quad-guard", dest="quad_guard", help="extra quadrature points, default 8")
-        p.add_argument("--alpha", help="basis parameter (> -1), default 0; solution-invariant")
-        p.add_argument("--out", help="CSV output path (default: stdout)")
+        for key, dest, help_text in _SETTINGS:
+            action = "store_true" if key in _SWITCHES else "store"
+            p.add_argument("--" + key, dest=dest, action=action, help=help_text)
         p.add_argument("--config", help="key=value config file; flags take precedence")
-        p.add_argument(
-            "--weighted-l2",
-            dest="weighted_l2",
-            action="store_true",
-            help="report the L2 error in the rescaled variable against the map weight",
-        )
 
     for name, help_text in (
         ("solve-ode", "solve a scalar problem and write s,u CSV"),

@@ -20,6 +20,7 @@ __all__ = [
     "FracOrder",
     "PowerSum",
     "gamma_fn",
+    "caputo_coef",
     "caputo_power",
     "transform_sample",
     "transform_inverse",
@@ -94,12 +95,17 @@ def transform_inverse(spec: TransformSpec, t: float) -> float:
     return float(t) ** spec.r
 
 
+def caputo_coef(sigma: float, delta: float) -> float:
+    """Gamma(sigma+1)/Gamma(sigma+1-delta): D^delta s^sigma = coef * s^(sigma-delta)."""
+    return gamma_fn(sigma + 1.0) / gamma_fn(sigma + 1.0 - delta)
+
+
 def caputo_power(delta: FracOrder, sigma: float, s: float) -> float:
     """Caputo derivative of s^sigma: Gamma(sigma+1)/Gamma(sigma+1-delta) s^(sigma-delta)."""
     if not sigma > 0:
         raise DomainError(f"power exponent must be positive, got {sigma}")
     d = delta.delta
-    coef = gamma_fn(sigma + 1.0) / gamma_fn(sigma + 1.0 - d)
+    coef = caputo_coef(sigma, d)
     if s == 0.0:
         if sigma > d:
             return 0.0
@@ -133,8 +139,7 @@ class PowerSum:
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape)
         for c, e in self.terms:
-            coef = gamma_fn(e + 1.0) / gamma_fn(e + 1.0 - delta.delta)
-            out = out + c * coef * s ** (e - delta.delta)
+            out = out + c * caputo_coef(e, delta.delta) * s ** (e - delta.delta)
         return float(out) if out.ndim == 0 else out
 
     def rescaled_powers(self, spec: TransformSpec) -> tuple[tuple[float, float], ...]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailureError
-from .frac_ops import FracOrder, PowerSum, TransformSpec, gamma_fn
+from .frac_ops import FracOrder, PowerSum, TransformSpec, caputo_coef, gamma_fn
 from .orthopoly import (
     JacobiIndex,
     TimeBasis,
@@ -101,7 +101,7 @@ class TimeProblem:
         d, lam, r = self.delta, self.lam, self.transform.r
         terms = []
         for c, e in self.exact.terms:
-            terms.append((c * gamma_fn(e + 1.0) / gamma_fn(e + 1.0 - d.delta), r * (e - d.delta)))
+            terms.append((c * caputo_coef(e, d.delta), r * (e - d.delta)))
             terms.append((lam * c, r * e))
         return tuple(terms)
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import DomainError, NumericalFailureError
-from .frac_ops import FracOrder, TransformSpec, gamma_fn
+from .frac_ops import FracOrder, TransformSpec, caputo_coef
 from .ode_solver import (
     assemble_load,
     assemble_load_powers,
@@ -61,13 +61,9 @@ class SpatialBasis:
 
 @dataclass(frozen=True)
 class SpaceMatrices:
-    """Spatial Galerkin matrices: stiffness is the identity, mass is B."""
+    """Spatial Galerkin matrices: the stiffness is the identity, so only the mass B is kept."""
 
     B: np.ndarray
-
-    @property
-    def A(self) -> np.ndarray:
-        return np.eye(self.B.shape[0])
 
 
 def space_mass_matrix(m_modes: int) -> SpaceMatrices:
@@ -131,9 +127,9 @@ def manufactured_sine_power(delta, transform: TransformSpec, sigma: float, dimen
     if not sigma > 0:
         raise DomainError(f"power exponent must be positive, got {sigma}")
     r = transform.r
-    caputo_coef = gamma_fn(sigma + 1.0) / gamma_fn(sigma + 1.0 - delta.delta)
     reaction = dimension * math.pi**2 + 1.0
-    time_powers = ((caputo_coef, r * (sigma - delta.delta)), (reaction, r * sigma))
+    caputo = caputo_coef(sigma, delta.delta)
+    time_powers = ((caputo, r * (sigma - delta.delta)), (reaction, r * sigma))
     factors = tuple(lambda x: np.sin(math.pi * np.asarray(x, dtype=float)) for _ in range(dimension))
     rhs = SeparableRHS(space_factors=factors, time_powers=time_powers)
     problem = PDEProblem(delta, transform, rhs, dimension)
@@ -162,6 +158,30 @@ class SpaceTimeSolution:
         return evaluate_spacetime(self, *grids)
 
 
+# einsum letters, one per spatial axis: source and target of a mode product,
+# quadrature node, evaluation point.  Axis 0 of every tensor is time ("n").
+_IN, _OUT, _QUAD, _EVAL = "kl", "pq", "ij", "ab"
+
+
+def _mode_product(T: np.ndarray, mats, transpose: bool = False) -> np.ndarray:
+    """Apply mats[i] along spatial axis i of T (axis i + 1); None leaves an axis alone.
+
+    Each axis is contracted with the first index of its matrix, or with the
+    second when transpose is set.
+    """
+    d = T.ndim - 1
+    src, dst = (_OUT, _IN) if transpose else (_IN, _OUT)
+    specs, operands, out = ["n" + src[:d]], [T], "n"
+    for i, mat in enumerate(mats):
+        if mat is None:
+            out += src[i]
+        else:
+            specs.append(_IN[i] + _OUT[i])
+            operands.append(mat)
+            out += dst[i]
+    return np.einsum(",".join(specs) + "->" + out, *operands, optimize=True)
+
+
 def _space_rule(m_modes: int, quad_guard: int):
     return gauss_jacobi_rule(JacobiIndex(0.0, 0.0), m_modes + quad_guard, (-1.0, 1.0))
 
@@ -185,6 +205,7 @@ def assemble_spacetime_load(
     rule = _space_rule(space_basis.m_modes, quad_guard)
     phi = legendre_phi_table(space_basis.m_modes, rule.nodes)
     wphi = phi * rule.weights
+    axes = _IN[:d]
 
     if isinstance(problem.rhs, SeparableRHS):
         rhs = problem.rhs
@@ -192,29 +213,19 @@ def assemble_spacetime_load(
             raise DomainError("separable source needs one spatial factor per dimension")
         ft = _time_load_1d(time_basis, problem.transform, rhs, quad_guard)
         vecs = [wphi @ np.asarray(Xf(rule.nodes), dtype=float) for Xf in rhs.space_factors]
-        if d == 1:
-            return np.einsum("n,k->nk", ft, vecs[0])
-        return np.einsum("n,k,l->nkl", ft, vecs[0], vecs[1])
+        return np.einsum(",".join(["n", *axes]) + "->n" + axes, ft, *vecs)
 
     # Generic callable f(x[, y], t): tensorized quadrature.
-    f = problem.rhs
     r = problem.transform.r
     b = time_basis.interval[1]
     n_tq = time_basis.n_modes + 2 * quad_guard
     trule = gauss_jacobi_rule(JacobiIndex(0.0, float(r - 1)), n_tq, (0.0, b))
     jt = gjp_table(time_basis, trule.nodes) * (r * trule.weights)
-    x = rule.nodes
-    if d == 1:
-        vals = np.asarray(f(x[:, None], trule.nodes[None, :]), dtype=float)
-        if np.any(np.isnan(vals)):
-            raise ValueError("right-hand side returned NaN at a quadrature node")
-        return np.einsum("nm,ki,im->nk", jt, wphi, vals, optimize=True)
-    vals = np.asarray(
-        f(x[:, None, None], x[None, :, None], trule.nodes[None, None, :]), dtype=float
-    )
+    vals = np.asarray(problem.rhs(*np.ix_(*([rule.nodes] * d), trule.nodes)), dtype=float)
     if np.any(np.isnan(vals)):
         raise ValueError("right-hand side returned NaN at a quadrature node")
-    return np.einsum("nm,ki,lj,ijm->nkl", jt, wphi, wphi, vals, optimize=True)
+    specs = ["nm", *(_IN[i] + _QUAD[i] for i in range(d)), _QUAD[:d] + "m"]
+    return np.einsum(",".join(specs) + "->n" + axes, jt, *([wphi] * d), vals, optimize=True)
 
 
 def solve_spacetime(
@@ -247,16 +258,12 @@ def solve_spacetime(
         raise NumericalFailureError("spatial mass matrix lost positive definiteness")
 
     F = assemble_spacetime_load(problem, time_basis, space_basis, quad_guard)
-    K = space_basis.n_funcs
-    if d == 1:
-        fhat = F @ E
-        mus = lam
-        nus = np.ones_like(lam)
-    else:
-        fhat = np.einsum("nkl,kp,lq->npq", F, E, E, optimize=True).reshape(N, K * K)
-        mus = np.outer(lam, lam).ravel()
-        nus = np.add.outer(lam, lam).ravel()
-
+    # Eigenmode (p, q, ...) has mu = prod_i lam_i and nu = sum_i prod_{j != i} lam_j.
+    lams = np.meshgrid(*([lam] * d), indexing="ij")
+    ones = np.ones_like(lams[0])
+    mus = math.prod(lams, start=ones).ravel()
+    nus = sum(math.prod(lams[:i] + lams[i + 1:], start=ones) for i in range(d)).ravel()
+    fhat = _mode_product(F, [E] * d).reshape(N, -1)
     vhat = np.empty_like(fhat)
 
     def solve_mode(idx: int):
@@ -267,20 +274,11 @@ def solve_spacetime(
     for idx, w in map_indexed(solve_mode, mus.size):
         vhat[:, idx] = w
 
-    if d == 1:
-        V = vhat @ E.T
-        resid_tensor = S @ V @ B + M @ V + M @ V @ B - F
-    else:
-        vhat = vhat.reshape(N, K, K)
-        V = np.einsum("npq,kp,lq->nkl", vhat, E, E, optimize=True)
-        VB2 = np.einsum("npq,pk,ql->nkl", V, B, B, optimize=True)
-        VIB = np.einsum("npq,ql->npl", V, B, optimize=True)
-        VBI = np.einsum("npq,pk->nkq", V, B, optimize=True)
-        resid_tensor = (
-            np.einsum("mn,n...->m...", S, VB2)
-            + np.einsum("mn,n...->m...", M, VIB + VBI + VB2)
-            - F
-        )
+    V = _mode_product(vhat.reshape(F.shape), [E] * d, transpose=True)
+    # Operator: S x B^d + M x (sum_i B^d with identity on axis i) + M x B^d.
+    VB = _mode_product(V, [B] * d)
+    lap = sum(_mode_product(V, [None if j == i else B for j in range(d)]) for i in range(d))
+    resid_tensor = np.einsum("mn,n...->m...", S, VB) + np.einsum("mn,n...->m...", M, lap + VB) - F
     f_scale = np.max(np.abs(F))
     residual = float(np.max(np.abs(resid_tensor)))
     if f_scale > 0 and residual > 1e-10 * f_scale:
@@ -309,6 +307,5 @@ def evaluate_spacetime(sol: SpaceTimeSolution, *grids) -> np.ndarray:
     t = s ** (1.0 / sol.transform.r)
     jt = gjp_table(sol.time_basis, t)
     tables = [legendre_phi_table(sol.space_basis.m_modes, x) for x in xs]
-    if d == 1:
-        return np.einsum("nk,ka,nb->ab", sol.V, tables[0], jt, optimize=True)
-    return np.einsum("nkl,ka,lb,nc->abc", sol.V, tables[0], tables[1], jt, optimize=True)
+    specs = ["n" + _IN[:d], *(_IN[i] + _EVAL[i] for i in range(d)), "nc"]
+    return np.einsum(",".join(specs) + "->" + _EVAL[:d] + "c", sol.V, *tables, jt, optimize=True)

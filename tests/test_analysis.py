@@ -214,7 +214,7 @@ def test_resolution_ordering_enforced():
         ErrorReport(4, 1e-4, 1e-4, 1.0),
     )
     with pytest.raises(DomainError):
-        ConvergenceStudy("x", {}, rows)
+        ConvergenceStudy("x", rows)
 
 
 # ---------------------------------------------------------------------------

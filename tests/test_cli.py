@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracspec.cli import main
+from fracspec.cli import _build_parser, _merge, _read_config, main
 
 
 def run_cli(capsys, *argv):
@@ -251,12 +251,23 @@ def test_solve_pde_on_scalar_problem_exits_2(capsys):
     assert code == 2
 
 
-def test_solve_pde_rejects_reaction_override(capsys):
+@pytest.mark.parametrize("command", ["solve-pde", "convergence"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lambda", "0.2"], "reaction"),
+        (["--weighted-l2"], "--weighted-l2"),
+        (["--ref-N", "99"], "--ref-N"),
+    ],
+    ids=["lambda", "weighted-l2", "ref-N"],
+)
+def test_solve_pde_rejects_reaction_override(capsys, command, flags, message):
+    # scalar-only settings would be silently ignored by the space-time commands
     code, _, stderr = run_cli(
-        capsys, "solve-pde", "--problem", "example4", "--N", "4", "--M", "4", "--lambda", "0.2"
+        capsys, command, "--problem", "example4", "--N", "4", "--M", "4", *flags
     )
     assert code == 2
-    assert "reaction" in stderr
+    assert message in stderr
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +288,57 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "problem=example1" in header
 
 
+# (config key, merged setting, value in the config file, value on the --key flag)
+VALUE_SETTINGS = [
+    ("problem", "problem", "example1", "example3"),
+    ("delta", "delta", "0.9", "0.1"),
+    ("gamma", "gamma", "1/5", "1/6"),
+    ("lambda", "lam", "2.0", "3.0"),
+    ("T", "T", "1.5", "2.5"),
+    ("N", "N", "4", "6"),
+    ("M", "M", "8", "10"),
+    ("ref-N", "ref_n", "40", "50"),
+    ("quad-guard", "quad_guard", "4", "6"),
+    ("alpha", "alpha", "0.5", "1.0"),
+    ("out", "out", "a.csv", "b.csv"),
+]
+
+
+def merged_settings(argv, config):
+    return _merge(_build_parser().parse_args(argv), config)
+
+
+@pytest.mark.parametrize(
+    "key, dest, file_value, flag_value", VALUE_SETTINGS, ids=[c[0] for c in VALUE_SETTINGS]
+)
+def test_setting_from_config_file_and_flag(tmp_path, key, dest, file_value, flag_value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={file_value}\n", encoding="utf-8")
+    config = _read_config(str(cfg))
+    assert merged_settings(["convergence"], config)[dest] == file_value
+    assert merged_settings(["convergence", "--" + key, flag_value], config)[dest] == flag_value
+
+
+@pytest.mark.parametrize("value, on", [("1", True), ("true", True), ("yes", True), ("no", False)])
+def test_weighted_l2_from_config_file_and_flag(tmp_path, value, on):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"weighted-l2={value}\n", encoding="utf-8")
+    config = _read_config(str(cfg))
+    assert merged_settings(["convergence"], config)["weighted_l2"] is on
+    assert merged_settings(["convergence", "--weighted-l2"], config)["weighted_l2"] is True
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nonsense=1\n", encoding="utf-8")
     code, _, stderr = run_cli(capsys, "solve-ode", "--config", str(cfg))
     assert code == 2
     assert "nonsense" in stderr
+    # --config names the file; it is not itself a setting the file can hold
+    cfg.write_text("config=other.cfg\n", encoding="utf-8")
+    code, _, stderr = run_cli(capsys, "solve-ode", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key 'config'" in stderr
 
 
 def test_config_file_missing(tmp_path, capsys):
