@@ -3,7 +3,9 @@
 The singular problem in physical time s is rescaled by s = t^(1/gamma)
 (gamma = 1/r), solved with a boundary-adapted Jacobi basis in the new
 variable, and mapped back.  Subpackages: orthogonal polynomials and rules
-(orthopoly), fractional operators and oracles (frac_ops), the scalar solver
+(orthopoly; polynomials are evaluated as tables over all degrees at once),
+fractional operators and oracles (frac_ops; the map and its inverse are
+TransformSpec.psi and TransformSpec.psi_inverse), the scalar solver
 (ode_solver), the space-time subdiffusion solver (pde_solver), error and
 convergence tooling (analysis), the benchmark catalog (problems) and the
 command line (cli).
@@ -17,8 +19,6 @@ from .frac_ops import (
     caputo_power,
     psi_caputo_numeric,
     psi_integral_numeric,
-    transform_inverse,
-    transform_sample,
 )
 from .ode_solver import TimeProblem, TimeSolution, evaluate, solve
 from .orthopoly import (
@@ -28,8 +28,6 @@ from .orthopoly import (
     gauss_jacobi_rule,
     gjp_deriv,
     gjp_eval,
-    jacobi_eval,
-    legendre_phi,
 )
 from .pde_solver import (
     PDEProblem,
@@ -53,8 +51,6 @@ __all__ = [
     "caputo_power",
     "psi_caputo_numeric",
     "psi_integral_numeric",
-    "transform_inverse",
-    "transform_sample",
     "TimeProblem",
     "TimeSolution",
     "evaluate",
@@ -65,8 +61,6 @@ __all__ = [
     "gauss_jacobi_rule",
     "gjp_deriv",
     "gjp_eval",
-    "jacobi_eval",
-    "legendre_phi",
     "PDEProblem",
     "SpatialBasis",
     "SpaceTimeSolution",

@@ -112,7 +112,7 @@ def error_l2(
     if weighted:
         b = transform.b_psi
         t, w = _composite_gl(0.0, b, L2_PANELS, L2_POINTS_PER_PANEL)
-        s = t**transform.r
+        s = transform.psi(t)
         diff = sol.evaluate(s) - np.asarray(exact(s), dtype=float)
         return float(np.sqrt(np.sum(w * transform.psi_prime(t) * diff * diff)))
     s, w = _composite_gl(0.0, transform.horizon_T, L2_PANELS, L2_POINTS_PER_PANEL)

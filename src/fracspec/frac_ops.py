@@ -19,21 +19,13 @@ __all__ = [
     "TransformSpec",
     "FracOrder",
     "PowerSum",
-    "gamma_fn",
     "caputo_coef",
     "caputo_power",
-    "transform_sample",
-    "transform_inverse",
     "adaptive_quad",
     "psi_caputo_numeric",
     "psi_integral_numeric",
     "psi_rl_numeric",
 ]
-
-
-def gamma_fn(x: float) -> float:
-    """Euler Gamma via the C library's Lanczos-type implementation."""
-    return math.gamma(x)
 
 
 @dataclass(frozen=True)
@@ -62,7 +54,17 @@ class TransformSpec:
         return self.horizon_T ** (1.0 / self.r)
 
     def psi(self, t):
+        """Physical time s = t^r of rescaled time t."""
         return np.asarray(t, dtype=float) ** self.r if not np.isscalar(t) else float(t) ** self.r
+
+    def psi_inverse(self, s):
+        """Rescaled time t = s^(1/r) of physical times s in [0, T]; DomainError outside."""
+        s = np.asarray(s, dtype=float)
+        T = self.horizon_T
+        outside = (s < 0) | (s > T * (1 + 1e-12))
+        if np.any(outside):
+            raise DomainError(f"time {s[outside].flat[0]} outside [0, {T}]")
+        return s ** (1.0 / self.r)
 
     def psi_prime(self, t):
         t = np.asarray(t, dtype=float)
@@ -81,23 +83,9 @@ class FracOrder:
             raise DomainError(f"delta must lie in (0,1), got {self.delta}")
 
 
-def transform_sample(spec: TransformSpec, s: float) -> float:
-    """Map physical time s in [0, T] to the rescaled variable t = s^gamma."""
-    if s < 0:
-        raise DomainError(f"s must be nonnegative, got {s}")
-    return float(s) ** (1.0 / spec.r)
-
-
-def transform_inverse(spec: TransformSpec, t: float) -> float:
-    """Inverse map t -> t^r = s."""
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    return float(t) ** spec.r
-
-
 def caputo_coef(sigma: float, delta: float) -> float:
     """Gamma(sigma+1)/Gamma(sigma+1-delta): D^delta s^sigma = coef * s^(sigma-delta)."""
-    return gamma_fn(sigma + 1.0) / gamma_fn(sigma + 1.0 - delta)
+    return math.gamma(sigma + 1.0) / math.gamma(sigma + 1.0 - delta)
 
 
 def caputo_power(delta: FracOrder, sigma: float, s: float) -> float:
@@ -141,10 +129,6 @@ class PowerSum:
         for c, e in self.terms:
             out = out + c * caputo_coef(e, delta.delta) * s ** (e - delta.delta)
         return float(out) if out.ndim == 0 else out
-
-    def rescaled_powers(self, spec: TransformSpec) -> tuple[tuple[float, float], ...]:
-        """t-side monomials of s -> sum c s^e under s = t^r (constant excluded)."""
-        return tuple((c, e * spec.r) for c, e in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +349,8 @@ def psi_caputo_numeric(spec, delta: FracOrder, v, t: float, tol: float, v_prime=
         z = t - u ** (1.0 / p)
         return _kernel_ratio(spec, t, z) ** (-d) * dv(z)
 
-    val, _ = adaptive_quad(g, 0.0, t**p, tol * p * gamma_fn(1.0 - d))
-    return val / (p * gamma_fn(1.0 - d))
+    val, _ = adaptive_quad(g, 0.0, t**p, tol * p * math.gamma(1.0 - d))
+    return val / (p * math.gamma(1.0 - d))
 
 
 def psi_integral_numeric(spec, delta: FracOrder, v, t: float, tol: float):
@@ -382,8 +366,8 @@ def psi_integral_numeric(spec, delta: FracOrder, v, t: float, tol: float):
         z = t - u ** (1.0 / d)
         return spec.psi_prime(z) * _kernel_ratio(spec, t, z) ** (d - 1.0) * v(z)
 
-    val, _ = adaptive_quad(g, 0.0, t**d, tol * d * gamma_fn(d))
-    return val / (d * gamma_fn(d))
+    val, _ = adaptive_quad(g, 0.0, t**d, tol * d * math.gamma(d))
+    return val / (d * math.gamma(d))
 
 
 def psi_rl_numeric(spec, delta: FracOrder, v, t: float, tol: float):
@@ -402,8 +386,8 @@ def psi_rl_numeric(spec, delta: FracOrder, v, t: float, tol: float):
             z = tt - u ** (1.0 / p)
             return spec.psi_prime(z) * _kernel_ratio(spec, tt, z) ** (-d) * v(z)
 
-        val, _ = adaptive_quad(g, 0.0, tt**p, 1e-3 * tol * p * gamma_fn(p))
-        return val / (p * gamma_fn(p))
+        val, _ = adaptive_quad(g, 0.0, tt**p, 1e-3 * tol * p * math.gamma(p))
+        return val / (p * math.gamma(p))
 
     # Step balances O(h^4) truncation (the integral's high t-derivatives grow
     # near the endpoints) against quadrature noise amplified by 1/h; nearby
@@ -429,8 +413,8 @@ def _right_caputo_numeric(spec, delta: FracOrder, w_prime, t: float, tol: float)
         z = t + u ** (1.0 / p)
         return _kernel_ratio_right(spec, t, z) ** (-d) * w_prime(z)
 
-    val, _ = adaptive_quad(g, 0.0, (b - t) ** p, tol * p * gamma_fn(1.0 - d))
-    return -val / (p * gamma_fn(1.0 - d))
+    val, _ = adaptive_quad(g, 0.0, (b - t) ** p, tol * p * math.gamma(1.0 - d))
+    return -val / (p * math.gamma(1.0 - d))
 
 
 def _right_rl_numeric(spec, delta: FracOrder, w, t: float, tol: float):
@@ -445,8 +429,8 @@ def _right_rl_numeric(spec, delta: FracOrder, w, t: float, tol: float):
             z = tt + u ** (1.0 / p)
             return spec.psi_prime(z) * _kernel_ratio_right(spec, tt, z) ** (-d) * w(z)
 
-        val, _ = adaptive_quad(g, 0.0, (b - tt) ** p, 1e-3 * tol * p * gamma_fn(p))
-        return val / (p * gamma_fn(p))
+        val, _ = adaptive_quad(g, 0.0, (b - tt) ** p, 1e-3 * tol * p * math.gamma(p))
+        return val / (p * math.gamma(p))
 
     h = min(2e-3 * b, 0.1 * t, 0.1 * (b - t))
     if h <= 0:

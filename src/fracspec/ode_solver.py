@@ -9,12 +9,13 @@ factor ((1-tau^r)/(1-tau))^(-delta) is sampled pointwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalFailureError
-from .frac_ops import FracOrder, PowerSum, TransformSpec, caputo_coef, gamma_fn
+from .frac_ops import FracOrder, PowerSum, TransformSpec, caputo_coef
 from .orthopoly import (
     JacobiIndex,
     TimeBasis,
@@ -31,6 +32,7 @@ __all__ = [
     "assemble_mass",
     "assemble_load",
     "assemble_load_powers",
+    "assemble_time_load",
     "assemble_system",
     "solve",
     "evaluate",
@@ -76,21 +78,13 @@ class TimeProblem:
         return cls(delta, lam, transform, source=g, phi=phi)
 
     def source_transformed(self):
-        """Homogenized right-hand side f(t) = g(t^r) - lam*phi."""
-        r, lam, phi = self.transform.r, self.lam, self.phi
-        if self.exact is not None:
-            u = self.exact
-
-            def f(t):
-                s = np.asarray(t, dtype=float) ** r
-                return u.caputo(self.delta, s) + lam * (u(s) - phi)
-
-            return f
-        g = self.source
+        """Homogenized right-hand side f(t) = g(t^r) - lam*phi, or None if `exact` is given."""
+        if self.source is None:
+            return None
+        g, psi, lam, phi = self.source, self.transform.psi, self.lam, self.phi
 
         def f(t):
-            s = np.asarray(t, dtype=float) ** r
-            return np.asarray(g(s), dtype=float) - lam * phi
+            return np.asarray(g(psi(t)), dtype=float) - lam * phi
 
         return f
 
@@ -171,7 +165,7 @@ def assemble_stiffness(
     core = (jac_outer * w) @ K.T  # (m, n)
 
     n_idx = np.arange(1, n_modes + 1, dtype=float)
-    pref = 4.0 * n_idx * T ** (1.0 - d) * r / gamma_fn(1.0 - d)
+    pref = 4.0 * n_idx * T ** (1.0 - d) * r / math.gamma(1.0 - d)
     return core * pref[None, :]
 
 
@@ -225,18 +219,32 @@ def assemble_load_powers(
     return out
 
 
+def assemble_time_load(
+    basis: TimeBasis, transform: TransformSpec, power_terms, f, quad_guard: int
+) -> np.ndarray:
+    """Load of a t-side source given either as (coef, power) monomials or as a callable f.
+
+    Monomials load exactly, one rule per power; a callable is sampled on the
+    (0, r-1) rule of N + 2*quad_guard points.
+    """
+    if power_terms is not None:
+        return assemble_load_powers(basis, transform, power_terms)
+    return assemble_load(basis, transform, f, basis.n_modes + 2 * quad_guard)
+
+
 def assemble_system(
     problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8
 ) -> AssembledSystem:
     """Assemble S, M, F for the problem; manufactured power sources load exactly."""
-    n_modes = basis.n_modes
-    S = assemble_stiffness(basis, problem.delta, problem.transform, n_modes + quad_guard)
+    S = assemble_stiffness(basis, problem.delta, problem.transform, basis.n_modes + quad_guard)
     M = assemble_mass(basis, problem.transform)
-    power_terms = problem.source_power_terms()
-    if power_terms is not None:
-        F = assemble_load_powers(basis, problem.transform, power_terms)
-    else:
-        F = assemble_load(basis, problem.transform, problem.source_transformed(), n_modes + 2 * quad_guard)
+    F = assemble_time_load(
+        basis,
+        problem.transform,
+        problem.source_power_terms(),
+        problem.source_transformed(),
+        quad_guard,
+    )
     return AssembledSystem(S, M, F)
 
 
@@ -270,12 +278,7 @@ def solve(problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8) -> TimeSo
 
 def evaluate(sol: TimeSolution, s_points) -> np.ndarray:
     """Evaluate u_N(s) = phi + sum_n v_n j_n(s^gamma) on points in [0, T]."""
-    s = np.atleast_1d(np.asarray(s_points, dtype=float))
-    T = sol.transform.horizon_T
-    if np.any(s < 0) or np.any(s > T * (1 + 1e-12)):
-        bad = s[(s < 0) | (s > T * (1 + 1e-12))][0]
-        raise DomainError(f"evaluation point {bad} outside [0, {T}]")
-    t = s ** (1.0 / sol.transform.r)
+    t = sol.transform.psi_inverse(np.atleast_1d(s_points))
     table = gjp_table(sol.basis, t)
     vals = sol.phi_offset + sol.coeffs @ table
     return vals

@@ -19,16 +19,12 @@ __all__ = [
     "JacobiIndex",
     "QuadratureRule",
     "TimeBasis",
-    "jacobi_eval",
-    "jacobi_deriv",
     "jacobi_table",
     "jacobi_weight_integral",
     "gauss_jacobi_rule",
     "gjp_eval",
     "gjp_deriv",
     "gjp_table",
-    "gjp_deriv_table",
-    "legendre_phi",
     "legendre_phi_table",
 ]
 
@@ -57,8 +53,11 @@ def jacobi_weight_integral(idx: JacobiIndex) -> float:
 def jacobi_table(idx: JacobiIndex, n_max: int, x) -> np.ndarray:
     """Values of J^{a,b}_0..J^{a,b}_{n_max} at x, shape (n_max+1, len(x)).
 
-    Three-term recurrence; stable for the parameter ranges used here.
+    Three-term recurrence; stable for the parameter ranges used here.  |x| > 1
+    is permitted but is extrapolation.
     """
+    if n_max < 0:
+        raise DomainError(f"polynomial degree must be >= 0, got {n_max}")
     a, b = idx.alpha, idx.beta
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((n_max + 1, x.size))
@@ -74,27 +73,6 @@ def jacobi_table(idx: JacobiIndex, n_max: int, x) -> np.ndarray:
         a4 = 2 * (n + a) * (n + b) * (c + 2)
         out[n + 1] = ((a2 + a3 * x) * out[n] - a4 * out[n - 1]) / a1
     return out
-
-
-def jacobi_eval(idx: JacobiIndex, n: int, x):
-    """Evaluate J^{a,b}_n(x).  |x| > 1 is permitted but is extrapolation."""
-    if n < 0:
-        raise DomainError(f"polynomial degree must be >= 0, got {n}")
-    table = jacobi_table(idx, n, x)
-    vals = table[n]
-    return float(vals[0]) if np.isscalar(x) else vals
-
-
-def jacobi_deriv(idx: JacobiIndex, n: int, x):
-    """d/dx J^{a,b}_n(x) = (n+a+b+1)/2 * J^{a+1,b+1}_{n-1}(x)."""
-    if n < 0:
-        raise DomainError(f"polynomial degree must be >= 0, got {n}")
-    if n == 0:
-        return 0.0 if np.isscalar(x) else np.zeros_like(np.asarray(x, dtype=float))
-    shifted = JacobiIndex(idx.alpha + 1, idx.beta + 1)
-    factor = 0.5 * (n + idx.alpha + idx.beta + 1)
-    val = jacobi_eval(shifted, n - 1, x)
-    return factor * val
 
 
 @dataclass(frozen=True)
@@ -124,10 +102,6 @@ class QuadratureRule:
                 f"weight sum {weights.sum():.17g} disagrees with closed form {total:.17g}"
             )
 
-    @property
-    def n_points(self) -> int:
-        return self.nodes.size
-
 
 def _jacobi_recurrence(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the symmetric Jacobi matrix, n x n."""
@@ -145,8 +119,15 @@ def _jacobi_recurrence(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarr
     return diag, off
 
 
-def _gauss_weights(idx: JacobiIndex, n: int, nodes: np.ndarray) -> np.ndarray:
-    """Closed-form Gauss-Jacobi weights at exact nodes of J^{a,b}_n."""
+def _value_and_slope(idx: JacobiIndex, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J^{a,b}_n(x) and its derivative (n+a+b+1)/2 * J^{a+1,b+1}_{n-1}(x), for n >= 1."""
+    shifted = JacobiIndex(idx.alpha + 1, idx.beta + 1)
+    slope = 0.5 * (n + idx.alpha + idx.beta + 1) * jacobi_table(shifted, n - 1, x)[n - 1]
+    return jacobi_table(idx, n, x)[n], slope
+
+
+def _gauss_weights(idx: JacobiIndex, n: int, nodes: np.ndarray, dpn: np.ndarray) -> np.ndarray:
+    """Closed-form Gauss-Jacobi weights at exact nodes of J^{a,b}_n, given J^{a,b}_n' there."""
     a, b = idx.alpha, idx.beta
     logc = (
         (a + b + 1) * math.log(2.0)
@@ -155,7 +136,6 @@ def _gauss_weights(idx: JacobiIndex, n: int, nodes: np.ndarray) -> np.ndarray:
         - math.lgamma(n + 1)
         - math.lgamma(n + a + b + 1)
     )
-    dpn = jacobi_deriv(idx, n, nodes)
     return math.exp(logc) / ((1.0 - nodes * nodes) * dpn * dpn)
 
 
@@ -181,20 +161,20 @@ def gauss_jacobi_rule(
     nodes = np.sort(nodes)
     # Newton polish: a couple of steps reach the attainable floor.
     for _ in range(4):
-        p = jacobi_eval(idx, n, nodes)
-        dp = jacobi_deriv(idx, n, nodes)
+        p, dp = _value_and_slope(idx, n, nodes)
         step = p / dp
         nodes = nodes - step
         if np.max(np.abs(step)) < 1e-15:
             break
-    residual = np.abs(jacobi_eval(idx, n, nodes) / jacobi_deriv(idx, n, nodes))
+    p, dp = _value_and_slope(idx, n, nodes)
+    residual = np.abs(p / dp)
     if np.max(residual) > 1e-13:
         raise NumericalFailureError(
             f"Newton refinement stalled, max node residual {np.max(residual):.3e}",
             estimate=nodes,
             error_bound=float(np.max(residual)),
         )
-    weights = _gauss_weights(idx, n, nodes)
+    weights = _gauss_weights(idx, n, nodes, dp)
     half = 0.5 * (hi - lo)
     mapped = lo + half * (nodes + 1.0)
     mapped_w = weights * half ** (a + b + 1)
@@ -241,20 +221,12 @@ def gjp_table(basis: TimeBasis, t) -> np.ndarray:
     return (1.0 + x) * jac
 
 
-def gjp_deriv_table(basis: TimeBasis, t) -> np.ndarray:
-    """Values of j_1'..j_N' at t, shape (N, len(t))."""
-    lo, hi = basis.interval
-    x = np.atleast_1d(basis.to_reference(t))
-    jac = jacobi_table(JacobiIndex(basis.alpha + 1.0, 0.0), basis.n_modes - 1, x)
-    n = np.arange(1, basis.n_modes + 1, dtype=float)[:, None]
-    return (2.0 * n / (hi - lo)) * jac
-
-
 def gjp_eval(basis: TimeBasis, n: int, t):
     """j_n(t) = (1 + x(t)) J^{alpha,1}_{n-1}(x(t))."""
     _check_mode(basis, n)
     x = basis.to_reference(t)
-    val = (1.0 + x) * jacobi_eval(JacobiIndex(basis.alpha, 1.0), n - 1, x)
+    jac = jacobi_table(JacobiIndex(basis.alpha, 1.0), n - 1, x)[n - 1].reshape(np.shape(x))
+    val = (1.0 + x) * jac
     return float(val) if np.isscalar(t) else val
 
 
@@ -263,17 +235,9 @@ def gjp_deriv(basis: TimeBasis, n: int, t):
     _check_mode(basis, n)
     lo, hi = basis.interval
     x = basis.to_reference(t)
-    val = (2.0 * n / (hi - lo)) * jacobi_eval(JacobiIndex(basis.alpha + 1.0, 0.0), n - 1, x)
+    jac = jacobi_table(JacobiIndex(basis.alpha + 1.0, 0.0), n - 1, x)[n - 1].reshape(np.shape(x))
+    val = (2.0 * n / (hi - lo)) * jac
     return float(val) if np.isscalar(t) else val
-
-
-def legendre_phi(k: int, x):
-    """Dirichlet Legendre combination c_k (L_k - L_{k+2}); zero at x = +-1."""
-    if k < 0:
-        raise DomainError(f"mode index must be >= 0, got {k}")
-    table = legendre_phi_table(k + 2, x)
-    vals = table[k]
-    return float(vals[0]) if np.isscalar(x) else vals
 
 
 def legendre_phi_table(m_modes: int, x) -> np.ndarray:

@@ -17,13 +17,7 @@ from scipy.linalg import eigh
 
 from .errors import DomainError, NumericalFailureError
 from .frac_ops import FracOrder, TransformSpec, caputo_coef
-from .ode_solver import (
-    assemble_load,
-    assemble_load_powers,
-    assemble_mass,
-    assemble_stiffness,
-    solve_linear,
-)
+from .ode_solver import assemble_mass, assemble_stiffness, assemble_time_load, solve_linear
 from .orthopoly import JacobiIndex, TimeBasis, gauss_jacobi_rule, gjp_table, legendre_phi_table
 from .parallel import map_indexed
 
@@ -186,14 +180,6 @@ def _space_rule(m_modes: int, quad_guard: int):
     return gauss_jacobi_rule(JacobiIndex(0.0, 0.0), m_modes + quad_guard, (-1.0, 1.0))
 
 
-def _time_load_1d(time_basis: TimeBasis, transform: TransformSpec, rhs: SeparableRHS, quad_guard: int):
-    if rhs.time_powers is not None:
-        return assemble_load_powers(time_basis, transform, rhs.time_powers)
-    return assemble_load(
-        time_basis, transform, rhs.time_callable, time_basis.n_modes + 2 * quad_guard
-    )
-
-
 def assemble_spacetime_load(
     problem: PDEProblem,
     time_basis: TimeBasis,
@@ -211,7 +197,9 @@ def assemble_spacetime_load(
         rhs = problem.rhs
         if len(rhs.space_factors) != d:
             raise DomainError("separable source needs one spatial factor per dimension")
-        ft = _time_load_1d(time_basis, problem.transform, rhs, quad_guard)
+        ft = assemble_time_load(
+            time_basis, problem.transform, rhs.time_powers, rhs.time_callable, quad_guard
+        )
         vecs = [wphi @ np.asarray(Xf(rule.nodes), dtype=float) for Xf in rhs.space_factors]
         return np.einsum(",".join(["n", *axes]) + "->n" + axes, ft, *vecs)
 
@@ -301,11 +289,7 @@ def evaluate_spacetime(sol: SpaceTimeSolution, *grids) -> np.ndarray:
     for x in xs:
         if np.any(np.abs(x) > 1.0 + 1e-12):
             raise DomainError("spatial points must lie in [-1, 1]")
-    T = sol.transform.horizon_T
-    if np.any(s < 0) or np.any(s > T * (1 + 1e-12)):
-        raise DomainError(f"time points must lie in [0, {T}]")
-    t = s ** (1.0 / sol.transform.r)
-    jt = gjp_table(sol.time_basis, t)
+    jt = gjp_table(sol.time_basis, sol.transform.psi_inverse(s))
     tables = [legendre_phi_table(sol.space_basis.m_modes, x) for x in xs]
     specs = ["n" + _IN[:d], *(_IN[i] + _EVAL[i] for i in range(d)), "nc"]
     return np.einsum(",".join(specs) + "->" + _EVAL[:d] + "c", sol.V, *tables, jt, optimize=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_jacobi
+from scipy.special import eval_jacobi, eval_legendre
 
 from fracspec.errors import DomainError, NumericalFailureError
 from fracspec.orthopoly import (
@@ -16,9 +16,8 @@ from fracspec.orthopoly import (
     gjp_deriv,
     gjp_eval,
     gjp_table,
-    jacobi_eval,
+    jacobi_table,
     jacobi_weight_integral,
-    legendre_phi,
     legendre_phi_table,
 )
 
@@ -29,18 +28,18 @@ from fracspec.orthopoly import (
 
 
 def test_jacobi_degree_zero_is_one():
-    assert jacobi_eval(JacobiIndex(0, 0), 0, 0.37) == 1.0
+    assert jacobi_table(JacobiIndex(0, 0), 0, 0.37)[0] == [1.0]
 
 
 def test_legendre_p2_hand_value():
     # P_2(x) = (3x^2 - 1)/2 by the recurrence
-    assert jacobi_eval(JacobiIndex(0, 0), 2, 0.5) == pytest.approx(-0.125, abs=1e-15)
+    assert jacobi_table(JacobiIndex(0, 0), 2, 0.5)[2] == pytest.approx([-0.125], abs=1e-15)
 
 
 def test_jacobi_right_endpoint_binomial():
     # J^{a,b}_n(1) = binom(n + a, n)
-    assert jacobi_eval(JacobiIndex(1, 1), 1, 1.0) == pytest.approx(2.0, abs=1e-15)
-    assert jacobi_eval(JacobiIndex(2, 0), 3, 1.0) == pytest.approx(math.comb(5, 3), rel=1e-14)
+    assert jacobi_table(JacobiIndex(1, 1), 1, 1.0)[1] == pytest.approx([2.0], abs=1e-15)
+    assert jacobi_table(JacobiIndex(2, 0), 3, 1.0)[3] == pytest.approx([math.comb(5, 3)], rel=1e-14)
 
 
 def test_jacobi_rejects_bad_index():
@@ -49,7 +48,7 @@ def test_jacobi_rejects_bad_index():
     with pytest.raises(DomainError):
         JacobiIndex(0.0, -1.5)
     with pytest.raises(DomainError):
-        jacobi_eval(JacobiIndex(0, 0), -1, 0.0)
+        jacobi_table(JacobiIndex(0, 0), -1, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -60,9 +59,9 @@ def test_jacobi_rejects_bad_index():
     x=st.floats(-1.0, 1.0),
 )
 def test_jacobi_matches_scipy(a, b, n, x):
-    ours = jacobi_eval(JacobiIndex(a, b), n, x)
+    ours = jacobi_table(JacobiIndex(a, b), n, x)[n]
     ref = eval_jacobi(n, a, b, x)
-    assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
+    assert ours == pytest.approx([ref], rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +261,12 @@ def test_gjp_spans_polynomials_vanishing_at_origin():
 
 
 def test_phi_boundary_zeros_exact():
-    for k in range(6):
-        assert legendre_phi(k, 1.0) == 0.0
-        assert legendre_phi(k, -1.0) == 0.0
+    assert np.all(legendre_phi_table(7, [-1.0, 1.0]) == 0.0)
 
 
 def test_phi_center_value():
     # L_0(0) = 1, L_2(0) = -1/2
-    assert legendre_phi(0, 0.0) == pytest.approx(3.0 / (2.0 * math.sqrt(6.0)), rel=1e-15)
+    assert legendre_phi_table(2, 0.0)[0] == pytest.approx([3.0 / (2.0 * math.sqrt(6.0))], rel=1e-15)
 
 
 def test_phi_table_shape_and_consistency():
@@ -277,8 +274,8 @@ def test_phi_table_shape_and_consistency():
     table = legendre_phi_table(6, x)
     assert table.shape == (5, 11)
     for k in range(5):
-        assert table[k] == pytest.approx(legendre_phi(k, x), abs=1e-15)
+        want = (eval_legendre(k, x) - eval_legendre(k + 2, x)) / math.sqrt(4 * k + 6)
+        assert table[k] == pytest.approx(want, abs=1e-15)
+        assert np.array_equal(legendre_phi_table(k + 2, x)[k], table[k])
     with pytest.raises(DomainError):
         legendre_phi_table(1, x)
-    with pytest.raises(DomainError):
-        legendre_phi(-1, 0.0)
