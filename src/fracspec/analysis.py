@@ -16,7 +16,6 @@ from .errors import DomainError, StudyError
 from .frac_ops import TransformSpec
 from .ode_solver import TimeProblem, TimeSolution, solve
 from .orthopoly import TimeBasis
-from .parallel import map_indexed
 
 __all__ = [
     "ErrorReport",
@@ -120,10 +119,12 @@ def error_l2(
     return float(np.sqrt(np.sum(w * diff * diff)))
 
 
-def self_convergence_reference(problem: TimeProblem, n_ref: int, alpha: float = 0.0) -> TimeSolution:
+def self_convergence_reference(
+    problem: TimeProblem, n_ref: int, alpha: float = 0.0, quad_guard: int = 8
+) -> TimeSolution:
     """High-resolution solve used as a surrogate exact solution."""
     basis = TimeBasis(alpha, n_ref, (0.0, problem.transform.b_psi))
-    return solve(problem, basis)
+    return solve(problem, basis, quad_guard)
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ class StudyRequest:
     ref_n: int | None = None
     alpha: float = 0.0
     weighted_l2: bool = False
-    linf_grid: int = LINF_GRID
+    quad_guard: int = 8
 
     def __post_init__(self):
         if len(self.n_values) == 0:
@@ -158,18 +159,15 @@ def _run_study(problem_id: str, resolutions, solve_at, errors_of) -> Convergence
     raised StudyError so partial progress is never silently discarded.
     """
     done: list[ErrorReport] = []
-
-    def member(i: int) -> ErrorReport:
-        n, m = resolutions[i]
-        start = time.perf_counter()
-        sol = solve_at(n, m)
-        runtime = (time.perf_counter() - start) * 1e3
-        linf, l2 = errors_of(sol)
-        return ErrorReport(n_modes=n, m_modes=m, linf_error=linf, l2_error=l2, runtime_ms=runtime)
-
     try:
-        for _, report in map_indexed(member, len(resolutions)):
-            done.append(report)
+        for n, m in resolutions:
+            start = time.perf_counter()
+            sol = solve_at(n, m)
+            runtime = (time.perf_counter() - start) * 1e3
+            linf, l2 = errors_of(sol)
+            done.append(
+                ErrorReport(n_modes=n, m_modes=m, linf_error=linf, l2_error=l2, runtime_ms=runtime)
+            )
     except Exception as exc:
         partial = ConvergenceStudy(problem_id, tuple(done))
         raise StudyError(f"study member failed: {exc}", partial=partial) from exc
@@ -181,29 +179,31 @@ def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
     problem = request.problem
     exact = request.exact
     if exact is None:
-        ref = self_convergence_reference(problem, request.ref_n, request.alpha)
+        ref = self_convergence_reference(problem, request.ref_n, request.alpha, request.quad_guard)
         exact = ref.evaluate
     b = problem.transform.b_psi
     return _run_study(
         request.problem_id,
         [(n, None) for n in sorted(request.n_values)],
-        lambda n, _: solve(problem, TimeBasis(request.alpha, n, (0.0, b))),
+        lambda n, _: solve(problem, TimeBasis(request.alpha, n, (0.0, b)), request.quad_guard),
         lambda sol: (
-            error_linf(sol, exact, request.linf_grid),
+            error_linf(sol, exact),
             error_l2(sol, exact, problem.transform, request.weighted_l2),
         ),
     )
 
 
 def pde_errors_at_final_time(sol, exact, grid_n: int = 33) -> tuple[float, float]:
-    """Grid max error and spatial L2 error at s = T for a 2-d solution."""
+    """Grid max error and spatial L2 error at s = T for a space-time solution."""
     T = sol.transform.horizon_T
+    d = sol.space_basis.dimension
     xg = np.linspace(-1.0, 1.0, grid_n)
-    diff = sol.evaluate(xg, xg, [T]) - exact(xg, xg, [T])
+    diff = sol.evaluate(*([xg] * d), [T]) - exact(*([xg] * d), [T])
     linf = float(np.max(np.abs(diff)))
     xq, wq = np.polynomial.legendre.leggauss(40)
-    dq = sol.evaluate(xq, xq, [T]) - exact(xq, xq, [T])
-    l2 = float(np.sqrt(np.einsum("a,b,abc->", wq, wq, dq * dq)))
+    dq = sol.evaluate(*([xq] * d), [T]) - exact(*([xq] * d), [T])
+    axes = "ab"[:d]  # one letter per spatial axis; the trailing "c" is the single time point
+    l2 = float(np.sqrt(np.einsum(",".join(axes) + "," + axes + "c->", *([wq] * d), dq * dq)))
     return linf, l2
 
 

@@ -114,7 +114,7 @@ _SETTINGS = (
     ("N", "N", "time modes; convergence accepts '2,4,8' or '4:40:2'"),
     ("M", "M", "space degree (PDE); same list syntax for convergence"),
     ("ref-N", "ref_n", "reference resolution when no exact solution"),
-    ("quad-guard", "quad_guard", "extra quadrature points, default 8"),
+    ("quad-guard", "quad_guard", "extra quadrature points (at least 2), default 8"),
     ("alpha", "alpha", "basis parameter (> -1), default 0; solution-invariant"),
     ("out", "out", "CSV output path (default: stdout)"),
     (
@@ -180,7 +180,7 @@ def _effective(settings: dict):
     r = None
     if settings.get("gamma") is not None:
         r = _parse_gamma(str(settings["gamma"]))
-    quad_guard = _to_int(settings, "quad_guard", minimum=0)
+    quad_guard = _to_int(settings, "quad_guard", minimum=2)
     return {
         "entry": entry,
         "delta": delta,
@@ -305,6 +305,7 @@ def _cmd_convergence(eff) -> int:
         ref_n=ref_n,
         alpha=eff["alpha"],
         weighted_l2=eff["weighted_l2"],
+        quad_guard=eff["quad_guard"],
     )
     study = run_convergence_study(request)
     console = _header_lines(entry, eff, {"N": list(n_values), "ref_N": ref_n})

@@ -10,6 +10,8 @@ of B into independent N x N time solves, one per spatial eigenmode.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,6 @@ from .errors import DomainError, NumericalFailureError
 from .frac_ops import FracOrder, TransformSpec, caputo_coef
 from .ode_solver import assemble_mass, assemble_stiffness, assemble_time_load, solve_linear
 from .orthopoly import JacobiIndex, TimeBasis, gauss_jacobi_rule, gjp_table, legendre_phi_table
-from .parallel import map_indexed
 
 __all__ = [
     "SpatialBasis",
@@ -216,6 +217,21 @@ def assemble_spacetime_load(
     return np.einsum(",".join(specs) + "->n" + axes, jt, *([wphi] * d), vals, optimize=True)
 
 
+def _thread_count() -> int:
+    """Worker threads for the eigenmode solves, from FRACSPEC_THREADS.
+
+    Unset, 1 or not an integer: one, so the modes are solved in a plain loop;
+    0: one thread per CPU.
+    """
+    try:
+        n = int(os.environ.get("FRACSPEC_THREADS", ""))
+    except ValueError:
+        return 1
+    if n == 0:
+        return os.cpu_count() or 1
+    return max(1, n)
+
+
 def solve_spacetime(
     problem: PDEProblem,
     time_basis: TimeBasis,
@@ -259,7 +275,14 @@ def solve_spacetime(
         w, _ = solve_linear(mu * S + (nu + mu) * M, fhat[:, idx])
         return w
 
-    for idx, w in map_indexed(solve_mode, mus.size):
+    workers = _thread_count()
+    if workers > 1:
+        # map returns the columns in mode order, whatever order the threads finish in.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            cols = list(pool.map(solve_mode, range(mus.size)))
+    else:
+        cols = map(solve_mode, range(mus.size))
+    for idx, w in enumerate(cols):
         vhat[:, idx] = w
 
     V = _mode_product(vhat.reshape(F.shape), [E] * d, transpose=True)

@@ -188,9 +188,14 @@ def test_study_validation():
         StudyRequest("x", example3_problem(), (4,))  # no exact, no reference
 
 
-def test_study_member_failure_flags_partial_results(monkeypatch):
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_study_member_failure_flags_partial_results(monkeypatch, threads):
     import fracspec.analysis as analysis_mod
 
+    if threads is None:
+        monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FRACSPEC_THREADS", threads)
     real_solve = analysis_mod.solve
 
     def failing_solve(problem, basis, quad_guard=8):
@@ -206,6 +211,21 @@ def test_study_member_failure_flags_partial_results(monkeypatch):
         run_convergence_study(request)
     assert info.value.partial is not None
     assert [r.n_modes for r in info.value.partial.reports] == [2, 4]
+
+
+def test_study_passes_quad_guard_to_reference_and_members(monkeypatch):
+    import fracspec.analysis as analysis_mod
+
+    real_solve = analysis_mod.solve
+    guards = []
+
+    def recording_solve(problem, basis, quad_guard=8):
+        guards.append(quad_guard)
+        return real_solve(problem, basis, quad_guard)
+
+    monkeypatch.setattr(analysis_mod, "solve", recording_solve)
+    run_convergence_study(StudyRequest("x", example2a_problem(), (2, 4), ref_n=20, quad_guard=3))
+    assert guards == [3, 3, 3]  # the reference, then N = 2 and N = 4
 
 
 def test_resolution_ordering_enforced():
@@ -270,6 +290,22 @@ def test_pde_study_rows_and_errors():
     assert errs[2] < errs[1] < errs[0]
     with pytest.raises(DomainError):
         run_pde_convergence_study("example4", prob, exact, (12,), (6, 8))
+
+
+def test_pde_study_in_one_dimension():
+    from fracspec.pde_solver import SpatialBasis, manufactured_sine_power, solve_spacetime
+
+    spec = TransformSpec(5, 2.0)
+    prob, exact = manufactured_sine_power(0.5, spec, 0.6, dimension=1)
+    study = run_pde_convergence_study("sine1d", prob, exact, (12, 12, 12), (6, 8, 10))
+    errs = [r.linf_error for r in study.reports]
+    assert errs[2] < errs[1] < errs[0]
+    sol = solve_spacetime(prob, TimeBasis(0.0, 12, (0.0, spec.b_psi)), SpatialBasis(10, 1))
+    linf, l2 = pde_errors_at_final_time(sol, exact)
+    xg = np.linspace(-1.0, 1.0, 33)
+    assert linf == np.max(np.abs(sol.evaluate(xg, [2.0]) - exact(xg, [2.0])))
+    assert (linf, l2) == (study.reports[2].linf_error, study.reports[2].l2_error)
+    assert 0.0 <= l2 <= 2.0 * linf
 
 
 def test_pde_errors_helper_matches_direct_evaluation():

@@ -99,6 +99,11 @@ def test_negative_lambda_exits_2(capsys):
     code, _, stderr = run_cli(capsys, "solve-ode", "--problem", "example1", "--lambda", "-1")
     assert code == 2
     assert "lambda" in stderr
+    # The stiffness rule needs at least two points beyond N.
+    for guard in ("0", "1"):
+        code, _, stderr = run_cli(capsys, "solve-ode", "--problem", "example1", "--quad-guard", guard)
+        assert code == 2
+        assert "quad_guard must be at least 2" in stderr
 
 
 def test_help_exits_zero_and_documents_gamma_choice(capsys):
@@ -153,6 +158,25 @@ def test_convergence_example1_two_rows(tmp_path, capsys):
         cells = row.split(",")
         assert float(cells[1]) <= 1e-13
         assert float(cells[2]) <= 1e-13
+
+
+def test_convergence_passes_quad_guard_to_reference_and_members(capsys, monkeypatch):
+    import fracspec.analysis as analysis_mod
+
+    real_solve = analysis_mod.solve
+    guards = []
+
+    def recording_solve(problem, basis, quad_guard=8):
+        guards.append(quad_guard)
+        return real_solve(problem, basis, quad_guard)
+
+    monkeypatch.setattr(analysis_mod, "solve", recording_solve)
+    code, _, _ = run_cli(
+        capsys, "convergence", "--problem", "example3", "--N", "4,8", "--ref-N", "16",
+        "--quad-guard", "3",
+    )
+    assert code == 0
+    assert guards == [3, 3, 3]
 
 
 def test_convergence_rows_ordered_by_resolution(tmp_path, capsys):

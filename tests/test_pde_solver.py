@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import fracspec.pde_solver as pde_mod
 from fracspec.errors import DomainError
 from fracspec.frac_ops import FracOrder, PowerSum, TransformSpec, adaptive_quad
 from fracspec.ode_solver import TimeProblem, assemble_mass, assemble_stiffness, solve
@@ -223,6 +225,38 @@ def test_tensor_residual_bound_is_enforced_and_recorded():
     assert sol.residual >= 0.0
     # solve_spacetime raises if residual > 1e-10 * max|F|; reaching here
     # means the bound held, and it is carried on the solution object
+
+
+def test_thread_count_env(monkeypatch):
+    monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
+    assert pde_mod._thread_count() == 1
+    monkeypatch.setenv("FRACSPEC_THREADS", "3")
+    assert pde_mod._thread_count() == 3
+    monkeypatch.setenv("FRACSPEC_THREADS", "0")
+    assert pde_mod._thread_count() >= 1
+    monkeypatch.setenv("FRACSPEC_THREADS", "garbage")
+    assert pde_mod._thread_count() == 1
+
+
+def test_threaded_solve_is_bit_identical(monkeypatch):
+    tb, sb = bases(10, 10)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    real_solve_linear = pde_mod.solve_linear
+    on_main = []
+
+    def recording_solve_linear(A, b):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real_solve_linear(A, b)
+
+    monkeypatch.setattr(pde_mod, "solve_linear", recording_solve_linear)
+    monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
+    seq = solve_spacetime(prob, tb, sb).V
+    assert on_main == [True] * 81
+    on_main.clear()
+    monkeypatch.setenv("FRACSPEC_THREADS", "4")
+    par = solve_spacetime(prob, tb, sb).V
+    assert on_main == [False] * 81
+    assert np.array_equal(seq, par)
 
 
 def test_manufactured_2d_paper_size():
