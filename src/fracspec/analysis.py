@@ -49,6 +49,15 @@ class ErrorReport:
             raise DomainError("errors must be nonnegative")
 
 
+def _require_increasing(resolutions):
+    """Each (N, M) must grow in one entry and shrink in none; M is None for scalar studies."""
+    pairs = [(n, m if m is not None else 0) for n, m in resolutions]
+    for (n0, m0), (n1, m1) in zip(pairs, pairs[1:]):
+        increasing = (n1 > n0 and m1 >= m0) or (m1 > m0 and n1 >= n0)
+        if not increasing:
+            raise DomainError("resolutions must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class ConvergenceStudy:
     """Ordered error reports for one problem and parameter set."""
@@ -57,11 +66,7 @@ class ConvergenceStudy:
     reports: tuple[ErrorReport, ...]
 
     def __post_init__(self):
-        pairs = [(r.n_modes, r.m_modes if r.m_modes is not None else 0) for r in self.reports]
-        for (n0, m0), (n1, m1) in zip(pairs, pairs[1:]):
-            increasing = (n1 > n0 and m1 >= m0) or (m1 > m0 and n1 >= n0)
-            if not increasing:
-                raise DomainError("resolutions must be strictly increasing")
+        _require_increasing([(r.n_modes, r.m_modes) for r in self.reports])
 
     def csv_rows(self) -> list[str]:
         with_m = any(r.m_modes is not None for r in self.reports)
@@ -155,9 +160,11 @@ class StudyRequest:
 def _run_study(problem_id: str, resolutions, solve_at, errors_of) -> ConvergenceStudy:
     """Solve at every (N, M) in order, timing the solve alone, and collect error reports.
 
-    Any member failure aborts the study; the completed reports travel on the
+    The order of the resolutions is checked before the first solve.  Any
+    member failure aborts the study; the completed reports travel on the
     raised StudyError so partial progress is never silently discarded.
     """
+    _require_increasing(resolutions)
     done: list[ErrorReport] = []
     try:
         for n, m in resolutions:

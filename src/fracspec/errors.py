@@ -9,13 +9,15 @@ class NumericalFailureError(RuntimeError):
     """A numerical procedure failed to converge.
 
     Carries the best available estimate and its error bound so callers can
-    inspect how close the computation got before giving up.
+    inspect how close the computation got before giving up.  A failure in a
+    stacked computation also carries the stack index of the failing item.
     """
 
-    def __init__(self, message, estimate=None, error_bound=None):
+    def __init__(self, message, estimate=None, error_bound=None, index=None):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+        self.index = index
 
 
 class StudyError(RuntimeError):

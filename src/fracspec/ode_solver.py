@@ -248,25 +248,66 @@ def assemble_system(
     return AssembledSystem(S, M, F)
 
 
-def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dense LU solve with a condition guard and one refinement step."""
+def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """Dense LU solve with a condition guard and one refinement step.
+
+    A is one matrix (n, n) or a stack (..., n, n).  F is (..., n), one
+    right-hand side per matrix, or (..., n, k), k right-hand sides sharing
+    each matrix.  Every matrix is guarded once; if any fails, the error names
+    the first failing system in stack order (`NumericalFailureError.index`).
+    Each right-hand side is solved and refined as its own single-vector
+    system, so a stack gives the same bits as one call per system.
+
+    Returns the solution, shaped like F, and the max-norm residual of each
+    right-hand side: a float for one matrix and one vector, else an array
+    of F's shape without its n axis.
+    """
     cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericalFailureError(f"system condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    x = np.linalg.solve(A, F)
-    scale = np.max(np.abs(F)) if F.size else 0.0
-    residual = np.max(np.abs(A @ x - F))
-    if scale > 0 and residual > 1e-12 * scale:
-        x = x + np.linalg.solve(A, F - A @ x)
-        residual = np.max(np.abs(A @ x - F))
-    return x, float(residual)
+    passed = np.isfinite(cond) & (cond <= COND_LIMIT)
+    if not np.all(passed):
+        index = tuple(int(i) for i in np.unravel_index(np.argmin(passed), np.shape(cond)))
+        where = f" at system {index} of the stack" if index else ""
+        raise NumericalFailureError(
+            f"system condition estimate {cond[index]:.3e} exceeds {COND_LIMIT:.0e}{where}",
+            estimate=float(cond[index]),
+            index=index,
+        )
+    columns = F.ndim == A.ndim
+    if columns:
+        # (..., n, k) -> (..., k, n): one system per column, matrix broadcast over k.
+        A = A[..., None, :, :]
+        F = np.moveaxis(F, -1, -2)
+    b = F[..., None]
+    x = np.linalg.solve(A, b)
+    r = A @ x - b
+    residual = np.asarray(np.max(np.abs(r), axis=(-2, -1)))
+    scale = np.max(np.abs(b), axis=(-2, -1), initial=0.0)
+    refine = (scale > 0) & (residual > 1e-12 * scale)
+    if np.any(refine):
+        A_refine = np.broadcast_to(A, x.shape[:-1] + A.shape[-1:])[refine]
+        # -r is F - A x bit for bit.
+        x[refine] += np.linalg.solve(A_refine, -r[refine])
+        residual[refine] = np.max(np.abs(A_refine @ x[refine] - b[refine]), axis=(-2, -1))
+    x = x[..., 0]
+    if columns:
+        x = np.moveaxis(x, -1, -2)
+    if residual.ndim == 0:
+        return x, float(residual)
+    return x, residual
 
 
 def solve(problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8) -> TimeSolution:
     """Solve (S + lam*M) v = F and package the coefficients."""
     system = assemble_system(problem, basis, quad_guard)
     A = system.S + problem.lam * system.M
-    coeffs, residual = solve_linear(A, system.F)
+    try:
+        coeffs, residual = solve_linear(A, system.F)
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(
+            f"linear solve failed (delta={problem.delta.delta}, r={problem.transform.r}, "
+            f"N={basis.n_modes}): {exc}",
+            estimate=exc.estimate,
+        ) from exc
     return TimeSolution(
         coeffs=coeffs,
         basis=basis,

@@ -9,6 +9,7 @@ of B into independent N x N time solves, one per spatial eigenmode.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -262,28 +263,48 @@ def solve_spacetime(
         raise NumericalFailureError("spatial mass matrix lost positive definiteness")
 
     F = assemble_spacetime_load(problem, time_basis, space_basis, quad_guard)
-    # Eigenmode (p, q, ...) has mu = prod_i lam_i and nu = sum_i prod_{j != i} lam_j.
-    lams = np.meshgrid(*([lam] * d), indexing="ij")
-    ones = np.ones_like(lams[0])
-    mus = math.prod(lams, start=ones).ravel()
-    nus = sum(math.prod(lams[:i] + lams[i + 1:], start=ones) for i in range(d)).ravel()
     fhat = _mode_product(F, [E] * d).reshape(N, -1)
     vhat = np.empty_like(fhat)
+    K = lam.size
+    where = f"delta={problem.delta.delta}, r={problem.transform.r}, N={N}, M={space_basis.m_modes}"
 
-    def solve_mode(idx: int):
-        mu, nu = mus[idx], nus[idx]
-        w, _ = solve_linear(mu * S + (nu + mu) * M, fhat[:, idx])
-        return w
+    def solve_batch(head: tuple):
+        """Solve the sorted multi-indices head + (q,), q >= head[-1], in one stacked call.
 
+        Eigenmode (i_1, ..., i_d) has mu = prod_i lam_i and nu = sum_i prod_{j != i} lam_j,
+        both symmetric in the indices, so all orderings of a sorted multi-index share
+        one matrix: it is guarded once and gets one right-hand side column per ordering
+        (a repeated index repeats a column).  Returns the flat mode index of each
+        column and the solutions, shaped (modes, N, orderings).
+        """
+        modes = np.array([head + (q,) for q in range(head[-1] if head else 0, K)])
+        perms = itertools.permutations(range(d))
+        orders = np.stack([np.ravel_multi_index(modes[:, p].T, (K,) * d) for p in perms], axis=-1)
+        lams = [lam[modes[:, i]] for i in range(d)]
+        ones = np.ones(len(modes))
+        mu = math.prod(lams, start=ones)[:, None, None]
+        nu = sum(math.prod(lams[:i] + lams[i + 1:], start=ones) for i in range(d))[:, None, None]
+        try:
+            w, _ = solve_linear(mu * S + (nu + mu) * M, np.moveaxis(fhat[:, orders], 0, 1))
+        except NumericalFailureError as exc:
+            mode = tuple(int(i) for i in modes[exc.index[0]])
+            raise NumericalFailureError(
+                f"eigenmode solve failed at mode {mode} ({where}): {exc}", estimate=exc.estimate
+            ) from exc
+        return orders, w
+
+    # One batch per sorted leading multi-index: K batches for d = 2, one for d = 1.
+    heads = itertools.combinations_with_replacement(range(K), d - 1)
     workers = _thread_count()
     if workers > 1:
-        # map returns the columns in mode order, whatever order the threads finish in.
+        # map yields the batches, and raises the first failure, in batch order,
+        # whatever order the threads finish in.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            cols = list(pool.map(solve_mode, range(mus.size)))
+            batches = list(pool.map(solve_batch, heads))
     else:
-        cols = map(solve_mode, range(mus.size))
-    for idx, w in enumerate(cols):
-        vhat[:, idx] = w
+        batches = map(solve_batch, heads)
+    for orders, w in batches:
+        vhat[:, orders] = np.moveaxis(w, 1, 0)
 
     V = _mode_product(vhat.reshape(F.shape), [E] * d, transpose=True)
     # Operator: S x B^d + M x (sum_i B^d with identity on axis i) + M x B^d.
@@ -294,7 +315,7 @@ def solve_spacetime(
     residual = float(np.max(np.abs(resid_tensor)))
     if f_scale > 0 and residual > 1e-10 * f_scale:
         raise NumericalFailureError(
-            f"tensor residual {residual:.3e} exceeds 1e-10 * |F| = {1e-10 * f_scale:.3e}"
+            f"tensor residual {residual:.3e} exceeds 1e-10 * |F| = {1e-10 * f_scale:.3e} ({where})"
         )
     return SpaceTimeSolution(V, time_basis, space_basis, problem.transform, residual)
 

@@ -292,6 +292,40 @@ def test_pde_study_rows_and_errors():
         run_pde_convergence_study("example4", prob, exact, (12,), (6, 8))
 
 
+def test_pde_study_rejects_unordered_resolutions_before_solving(monkeypatch):
+    import fracspec.pde_solver as pde_mod
+
+    real_solve_spacetime = pde_mod.solve_spacetime
+    calls = []
+
+    def counting_solve_spacetime(*args, **kwargs):
+        calls.append(args)
+        return real_solve_spacetime(*args, **kwargs)
+
+    monkeypatch.setattr(pde_mod, "solve_spacetime", counting_solve_spacetime)
+    prob, exact = pde_mod.manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
+    with pytest.raises(DomainError, match="resolutions must be strictly increasing"):
+        run_pde_convergence_study("example4", prob, exact, (10, 6), (10, 6))
+    assert calls == []
+
+
+def test_scalar_study_rejects_repeated_resolution_before_solving(monkeypatch):
+    import fracspec.analysis as analysis_mod
+
+    real_solve = analysis_mod.solve
+    calls = []
+
+    def counting_solve(problem, basis, quad_guard=8):
+        calls.append(basis.n_modes)
+        return real_solve(problem, basis, quad_guard)
+
+    monkeypatch.setattr(analysis_mod, "solve", counting_solve)
+    request = StudyRequest("x", example1_problem(), (4, 4), exact=PowerSum(((1.0, 2.0),)))
+    with pytest.raises(DomainError, match="resolutions must be strictly increasing"):
+        run_convergence_study(request)
+    assert calls == []
+
+
 def test_pde_study_in_one_dimension():
     from fracspec.pde_solver import SpatialBasis, manufactured_sine_power, solve_spacetime
 

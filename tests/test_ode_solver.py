@@ -381,3 +381,66 @@ def test_solve_linear_guards_condition():
     A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
     with pytest.raises(NumericalFailureError):
         solve_linear(A, np.array([1.0, 2.0]))
+
+
+def mixed_stack(rng, n=10):
+    """Three well-conditioned matrices and three scaled Hilbert matrices, interleaved."""
+    from scipy.linalg import hilbert
+
+    well = [rng.standard_normal((n, n)) + n * np.eye(n) for _ in range(3)]
+    ill = [hilbert(n) * s for s in (1.0, 2.0, 3.0)]
+    return np.stack([m for pair in zip(well, ill) for m in pair])
+
+
+def needs_refinement(A, b):
+    return np.max(np.abs(A @ np.linalg.solve(A, b) - b)) > 1e-12 * np.max(np.abs(b))
+
+
+def test_stacked_solve_linear_is_bit_identical_to_per_matrix_calls(rng):
+    A = mixed_stack(rng)
+    n = A.shape[-1]
+
+    # One right-hand side per matrix, stack shape (2, 3).
+    F = rng.standard_normal((6, n))
+    refined = [needs_refinement(A[i], F[i]) for i in range(6)]
+    assert any(refined) and not all(refined)
+    x, res = solve_linear(A.reshape(2, 3, n, n), F.reshape(2, 3, n))
+    assert x.shape == (2, 3, n) and res.shape == (2, 3)
+    for i in range(6):
+        xi, ri = solve_linear(A[i], F[i])
+        assert type(ri) is float
+        assert np.array_equal(x.reshape(6, n)[i], xi)
+        assert res.reshape(6)[i] == ri
+
+    # Two right-hand sides sharing each matrix.
+    F = rng.standard_normal((6, n, 2))
+    refined = [needs_refinement(A[i], F[i, :, k]) for i in range(6) for k in range(2)]
+    assert any(refined) and not all(refined)
+    x, res = solve_linear(A, F)
+    assert x.shape == (6, n, 2) and res.shape == (6, 2)
+    for i in range(6):
+        for k in range(2):
+            xi, ri = solve_linear(A[i], F[i, :, k])
+            assert np.array_equal(x[i, :, k], xi)
+            assert res[i, k] == ri
+
+
+def test_stacked_solve_linear_reports_first_bad_system(rng):
+    A = mixed_stack(rng)[:4].copy()
+    n = A.shape[-1]
+    A[1] = np.ones((n, n))
+    A[3] = np.ones((n, n))
+    with pytest.raises(NumericalFailureError, match=r"at system \(1,\) of the stack") as info:
+        solve_linear(A, rng.standard_normal((4, n)))
+    assert info.value.index == (1,)
+    with pytest.raises(NumericalFailureError) as info:
+        solve_linear(A.reshape(2, 2, n, n), rng.standard_normal((2, 2, n, 3)))
+    assert info.value.index == (0, 1)
+    assert info.value.estimate > 1e14
+
+
+def test_guard_failure_names_the_parameters():
+    spec = TransformSpec(7, 2.0)
+    prob = TimeProblem.manufactured(PowerSum(((1.0, math.sqrt(2.0) / 2.0),)), 0.2, 1.0, spec)
+    with pytest.raises(NumericalFailureError, match=r"delta=0\.2, r=7, N=80\): system condition"):
+        solve(prob, basis_for(spec, 80))

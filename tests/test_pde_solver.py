@@ -1,13 +1,16 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+import fracspec.ode_solver as ode_mod
 import fracspec.pde_solver as pde_mod
-from fracspec.errors import DomainError
+from fracspec.errors import DomainError, NumericalFailureError
 from fracspec.frac_ops import FracOrder, PowerSum, TransformSpec, adaptive_quad
-from fracspec.ode_solver import TimeProblem, assemble_mass, assemble_stiffness, solve
+from fracspec.ode_solver import TimeProblem, assemble_mass, assemble_stiffness, solve, solve_linear
 from fracspec.orthopoly import TimeBasis, gjp_eval, legendre_phi_table
 from fracspec.pde_solver import (
     PDEProblem,
@@ -238,9 +241,25 @@ def test_thread_count_env(monkeypatch):
     assert pde_mod._thread_count() == 1
 
 
+def per_mode_reference(prob, tb, sb):
+    """V by one solve_linear per eigenmode in row-major order, the unbatched loop."""
+    d, N = prob.dimension, tb.n_modes
+    S = assemble_stiffness(tb, prob.delta, prob.transform, N + 8)
+    M = assemble_mass(tb, prob.transform)
+    lam, E = eigh(space_mass_matrix(sb.m_modes).B)
+    F = assemble_spacetime_load(prob, tb, sb)
+    lams = np.meshgrid(*([lam] * d), indexing="ij")
+    ones = np.ones_like(lams[0])
+    mus = math.prod(lams, start=ones).ravel()
+    nus = sum(math.prod(lams[:i] + lams[i + 1:], start=ones) for i in range(d)).ravel()
+    fhat = pde_mod._mode_product(F, [E] * d).reshape(N, -1)
+    vhat = np.empty_like(fhat)
+    for idx in range(mus.size):
+        vhat[:, idx], _ = solve_linear(mus[idx] * S + (nus[idx] + mus[idx]) * M, fhat[:, idx])
+    return pde_mod._mode_product(vhat.reshape(F.shape), [E] * d, transpose=True)
+
+
 def test_threaded_solve_is_bit_identical(monkeypatch):
-    tb, sb = bases(10, 10)
-    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
     real_solve_linear = pde_mod.solve_linear
     on_main = []
 
@@ -249,14 +268,66 @@ def test_threaded_solve_is_bit_identical(monkeypatch):
         return real_solve_linear(A, b)
 
     monkeypatch.setattr(pde_mod, "solve_linear", recording_solve_linear)
+    for d, calls in ((1, 1), (2, 9)):  # one stacked call per leading index: K = 9 for d = 2
+        tb, sb = bases(10, 10, d)
+        prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=d)
+        reference = per_mode_reference(prob, tb, sb)
+        on_main.clear()
+        monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
+        seq = solve_spacetime(prob, tb, sb).V
+        assert on_main == [True] * calls
+        on_main.clear()
+        monkeypatch.setenv("FRACSPEC_THREADS", "4")
+        par = solve_spacetime(prob, tb, sb).V
+        assert on_main == [False] * calls
+        assert np.array_equal(seq, reference)
+        assert np.array_equal(par, reference)
+
+
+def test_guard_failure_names_first_failing_mode(monkeypatch):
+    tb, sb = bases(6, 6)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    S = assemble_stiffness(tb, prob.delta, SPEC5, 6 + 8)
+    M = assemble_mass(tb, SPEC5)
+    lam, _ = eigh(space_mass_matrix(6).B)
+    K = lam.size
+    conds = np.array(
+        [[np.linalg.cond(lam[p] * lam[q] * S + (lam[p] + lam[q] + lam[p] * lam[q]) * M)
+          for q in range(K)] for p in range(K)]
+    )
+    limit = np.median(conds)
+    first = next((p, q) for p in range(K) for q in range(K) if conds[p, q] > limit)
+    monkeypatch.setattr(ode_mod, "COND_LIMIT", limit)
+    messages = []
+    for threads in (None, "2"):
+        if threads is None:
+            monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FRACSPEC_THREADS", threads)
+        with pytest.raises(NumericalFailureError) as info:
+            solve_spacetime(prob, tb, sb)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(
+        f"eigenmode solve failed at mode {first} (delta=0.5, r=5, N=6, M=6): system condition"
+    )
+
+
+def test_mode_solves_never_hold_the_full_stack(monkeypatch):
+    # All K^2 mode matrices at once would take K^2 N^2 8 bytes; the batches hold
+    # at most K of them.  The whole solve peaks near half that size here.
     monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
-    seq = solve_spacetime(prob, tb, sb).V
-    assert on_main == [True] * 81
-    on_main.clear()
-    monkeypatch.setenv("FRACSPEC_THREADS", "4")
-    par = solve_spacetime(prob, tb, sb).V
-    assert on_main == [False] * 81
-    assert np.array_equal(seq, par)
+    tb, sb = bases(20, 40)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    solve_spacetime(prob, tb, sb)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        solve_spacetime(prob, tb, sb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    K, N = sb.n_funcs, tb.n_modes
+    assert peak < K * K * N * N * 8
 
 
 def test_manufactured_2d_paper_size():
