@@ -183,6 +183,7 @@ def _effective(settings: dict):
     quad_guard = _to_int(settings, "quad_guard", minimum=2)
     return {
         "entry": entry,
+        "given": {key for key, dest, _ in _SETTINGS if settings.get(dest) not in (None, False)},
         "delta": delta,
         "r": r,
         "lam": lam,
@@ -236,6 +237,20 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _reject_unread(command: str, eff):
+    """Exit 2 on a setting, given by flag or config key, that this run never reads."""
+    entry, ode = eff["entry"], command == "solve-ode"
+    pid, pde, exact = entry.problem_id, entry.kind == "pde-power", entry.has_exact
+    for key, unread, reason in (
+        ("lambda", pde, "the subdiffusion problem has a fixed reaction coefficient"),
+        ("M", not pde, f"{pid} is a scalar problem, with no space degree"),
+        ("ref-N", pde or exact or ode, f"{command} uses no reference solution for {pid}"),
+        ("weighted-l2", pde or ode and not exact, f"{command} has no weighted L2 error for {pid}"),
+    ):
+        if unread and key in eff["given"]:
+            raise CliError(f"{reason}; drop --{key}")
+
+
 def _cmd_solve_ode(eff) -> int:
     entry = eff["entry"]
     if entry.kind == "pde-power":
@@ -265,21 +280,9 @@ def _cmd_solve_ode(eff) -> int:
     return EXIT_OK
 
 
-def _reject_scalar_settings(eff):
-    """Reject the scalar-only settings, which the subdiffusion problem would ignore."""
-    for flag, given, reason in (
-        ("--lambda", eff["lam"] is not None, "has a fixed reaction coefficient"),
-        ("--weighted-l2", eff["weighted_l2"], "reports only final-time grid errors"),
-        ("--ref-N", eff["ref_n"] is not None, "is measured against its exact solution"),
-    ):
-        if given:
-            raise CliError(f"the subdiffusion problem {reason}; drop {flag}")
-
-
 def _cmd_convergence(eff) -> int:
     entry = eff["entry"]
     if entry.kind == "pde-power":
-        _reject_scalar_settings(eff)
         problem, exact = build_pde_problem(entry, eff["delta"], eff["r"], eff["T"])
         n_values = _parse_resolutions(str(eff["N_raw"])) if eff["N_raw"] else (entry.default_n,)
         m_values = _parse_resolutions(str(eff["M_raw"])) if eff["M_raw"] else (entry.default_m,)
@@ -317,7 +320,6 @@ def _cmd_solve_pde(eff) -> int:
     entry = eff["entry"]
     if entry.kind != "pde-power":
         raise CliError("solve-pde needs a space-time problem (example4)")
-    _reject_scalar_settings(eff)
     problem, exact = build_pde_problem(entry, eff["delta"], eff["r"], eff["T"])
     n = _to_int({"N": eff["N_raw"]}, "N", minimum=1) or entry.default_n
     m = _to_int({"M": eff["M_raw"]}, "M", minimum=2) or entry.default_m
@@ -392,6 +394,7 @@ def main(argv=None) -> int:
     try:
         config = _read_config(args.config) if args.config else {}
         eff = _effective(_merge(args, config))
+        _reject_unread(args.command, eff)
         if args.command == "solve-ode":
             return _cmd_solve_ode(eff)
         if args.command == "convergence":
@@ -412,3 +415,7 @@ def main(argv=None) -> int:
 
 def entry():  # pragma: no cover - thin wrapper
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

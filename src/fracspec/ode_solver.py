@@ -184,7 +184,11 @@ def assemble_mass(basis: TimeBasis, transform: TransformSpec) -> np.ndarray:
 
 
 def assemble_load(basis: TimeBasis, transform: TransformSpec, f, quad_n: int) -> np.ndarray:
-    """Load F_m = (f, j_m) against psi'(t) dt by the (0, r-1) Gauss-Jacobi rule."""
+    """Load F_m = (f, j_m) against psi'(t) dt by the (0, r-1) Gauss-Jacobi rule.
+
+    f may return leading axes, with time last: values of shape (..., nodes)
+    give a load of shape (N, ...), one time load per leading index.
+    """
     r = transform.r
     b = basis.interval[1]
     rule = gauss_jacobi_rule(JacobiIndex(0.0, float(r - 1)), quad_n, (0.0, b))
@@ -192,7 +196,8 @@ def assemble_load(basis: TimeBasis, transform: TransformSpec, f, quad_n: int) ->
     if np.any(np.isnan(vals)):
         raise ValueError("right-hand side returned NaN at a quadrature node")
     table = gjp_table(basis, rule.nodes)
-    return r * (table @ (rule.weights * vals))
+    wv = np.moveaxis(rule.weights * vals, -1, 0)
+    return r * (table @ wv.reshape(quad_n, -1)).reshape(table.shape[:1] + wv.shape[1:])
 
 
 def assemble_load_powers(
@@ -251,16 +256,16 @@ def assemble_system(
 def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Dense LU solve with a condition guard and one refinement step.
 
-    A is one matrix (n, n) or a stack (..., n, n).  F is (..., n), one
-    right-hand side per matrix, or (..., n, k), k right-hand sides sharing
-    each matrix.  Every matrix is guarded once; if any fails, the error names
-    the first failing system in stack order (`NumericalFailureError.index`).
-    Each right-hand side is solved and refined as its own single-vector
-    system, so a stack gives the same bits as one call per system.
+    F is (..., n), and A, (n, n) or a stack (..., n, n), broadcasts against
+    F's stack axes: a matrix shared by k right-hand sides is passed once, as
+    A[..., None, :, :] against F of shape (..., k, n), and is guarded once.
+    A guard failure names the first failing matrix in stack order
+    (`NumericalFailureError.index`).  Each right-hand side is solved and
+    refined as its own single-vector system, so a stack gives the same bits
+    as one call per system.
 
-    Returns the solution, shaped like F, and the max-norm residual of each
-    right-hand side: a float for one matrix and one vector, else an array
-    of F's shape without its n axis.
+    Returns the solution and the max-norm residual of each right-hand side:
+    a float for one matrix and one vector, else an array of F's stack shape.
     """
     cond = np.linalg.cond(A)
     passed = np.isfinite(cond) & (cond <= COND_LIMIT)
@@ -272,11 +277,6 @@ def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.n
             estimate=float(cond[index]),
             index=index,
         )
-    columns = F.ndim == A.ndim
-    if columns:
-        # (..., n, k) -> (..., k, n): one system per column, matrix broadcast over k.
-        A = A[..., None, :, :]
-        F = np.moveaxis(F, -1, -2)
     b = F[..., None]
     x = np.linalg.solve(A, b)
     r = A @ x - b
@@ -289,8 +289,6 @@ def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.n
         x[refine] += np.linalg.solve(A_refine, -r[refine])
         residual[refine] = np.max(np.abs(A_refine @ x[refine] - b[refine]), axis=(-2, -1))
     x = x[..., 0]
-    if columns:
-        x = np.moveaxis(x, -1, -2)
     if residual.ndim == 0:
         return x, float(residual)
     return x, residual
@@ -298,13 +296,14 @@ def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.n
 
 def solve(problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8) -> TimeSolution:
     """Solve (S + lam*M) v = F and package the coefficients."""
-    system = assemble_system(problem, basis, quad_guard)
-    A = system.S + problem.lam * system.M
+    stage = "assembly"
     try:
-        coeffs, residual = solve_linear(A, system.F)
+        system = assemble_system(problem, basis, quad_guard)
+        stage = "linear solve"
+        coeffs, residual = solve_linear(system.S + problem.lam * system.M, system.F)
     except NumericalFailureError as exc:
         raise NumericalFailureError(
-            f"linear solve failed (delta={problem.delta.delta}, r={problem.transform.r}, "
+            f"{stage} failed (delta={problem.delta.delta}, r={problem.transform.r}, "
             f"N={basis.n_modes}): {exc}",
             estimate=exc.estimate,
         ) from exc

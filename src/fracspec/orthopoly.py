@@ -89,18 +89,24 @@ class QuadratureRule:
         nodes, weights = self.nodes, self.weights
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        rule = _rule_name(self.index, nodes.size)
         if not np.all(np.diff(nodes) > 0):
-            raise NumericalFailureError("quadrature nodes are not strictly increasing")
+            raise NumericalFailureError(f"{rule}: nodes are not strictly increasing")
         if not (nodes[0] > lo and nodes[-1] < hi):
-            raise NumericalFailureError("quadrature nodes escaped the open interval")
+            raise NumericalFailureError(f"{rule}: nodes escaped the open interval")
         if not np.all(weights > 0):
-            raise NumericalFailureError("quadrature weights are not all positive")
+            raise NumericalFailureError(f"{rule}: weights are not all positive")
         scale = (0.5 * (hi - lo)) ** (self.index.alpha + self.index.beta + 1)
         total = jacobi_weight_integral(self.index) * scale
         if abs(weights.sum() - total) > 1e-12 * max(total, 1.0):
             raise NumericalFailureError(
-                f"weight sum {weights.sum():.17g} disagrees with closed form {total:.17g}"
+                f"{rule}: weight sum {weights.sum():.17g} disagrees with closed form {total:.17g}"
             )
+
+
+def _rule_name(idx: JacobiIndex, n: int) -> str:
+    """How a failure names its rule."""
+    return f"Gauss-Jacobi rule (alpha={idx.alpha}, beta={idx.beta}, n={n})"
 
 
 def _jacobi_recurrence(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +163,7 @@ def gauss_jacobi_rule(
     try:
         nodes, _ = eigh_tridiagonal(diag, off)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NumericalFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
+        raise NumericalFailureError(f"{_rule_name(idx, n)}: eigensolve failed: {exc}") from exc
     nodes = np.sort(nodes)
     # Newton polish: a couple of steps reach the attainable floor.
     for _ in range(4):
@@ -170,7 +176,7 @@ def gauss_jacobi_rule(
     residual = np.abs(p / dp)
     if np.max(residual) > 1e-13:
         raise NumericalFailureError(
-            f"Newton refinement stalled, max node residual {np.max(residual):.3e}",
+            f"{_rule_name(idx, n)}: Newton stalled, max node residual {np.max(residual):.3e}",
             estimate=nodes,
             error_bound=float(np.max(residual)),
         )

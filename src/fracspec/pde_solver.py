@@ -9,6 +9,7 @@ of B into independent N x N time solves, one per spatial eigenmode.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -154,32 +155,15 @@ class SpaceTimeSolution:
         return evaluate_spacetime(self, *grids)
 
 
-# einsum letters, one per spatial axis: source and target of a mode product,
-# quadrature node, evaluation point.  Axis 0 of every tensor is time ("n").
-_IN, _OUT, _QUAD, _EVAL = "kl", "pq", "ij", "ab"
+def _mode_product(T: np.ndarray, mats) -> np.ndarray:
+    """Contract spatial axis i of T (axis i + 1) with the first index of mats[i].
 
-
-def _mode_product(T: np.ndarray, mats, transpose: bool = False) -> np.ndarray:
-    """Apply mats[i] along spatial axis i of T (axis i + 1); None leaves an axis alone.
-
-    Each axis is contracted with the first index of its matrix, or with the
-    second when transpose is set.
+    None leaves that axis alone.  Axis 0 of T is time and is never touched.
     """
-    d = T.ndim - 1
-    src, dst = (_OUT, _IN) if transpose else (_IN, _OUT)
-    specs, operands, out = ["n" + src[:d]], [T], "n"
     for i, mat in enumerate(mats):
-        if mat is None:
-            out += src[i]
-        else:
-            specs.append(_IN[i] + _OUT[i])
-            operands.append(mat)
-            out += dst[i]
-    return np.einsum(",".join(specs) + "->" + out, *operands, optimize=True)
-
-
-def _space_rule(m_modes: int, quad_guard: int):
-    return gauss_jacobi_rule(JacobiIndex(0.0, 0.0), m_modes + quad_guard, (-1.0, 1.0))
+        if mat is not None:
+            T = np.moveaxis(np.tensordot(T, mat, axes=(i + 1, 0)), -1, i + 1)
+    return T
 
 
 def assemble_spacetime_load(
@@ -190,10 +174,8 @@ def assemble_spacetime_load(
 ) -> np.ndarray:
     """Load tensor f_{n,k[,l]} = (f, phi_k [phi_l] j_n) over the space-time cylinder."""
     d = problem.dimension
-    rule = _space_rule(space_basis.m_modes, quad_guard)
-    phi = legendre_phi_table(space_basis.m_modes, rule.nodes)
-    wphi = phi * rule.weights
-    axes = _IN[:d]
+    rule = gauss_jacobi_rule(JacobiIndex(0.0, 0.0), space_basis.m_modes + quad_guard, (-1.0, 1.0))
+    wphi = legendre_phi_table(space_basis.m_modes, rule.nodes) * rule.weights
 
     if isinstance(problem.rhs, SeparableRHS):
         rhs = problem.rhs
@@ -203,19 +185,14 @@ def assemble_spacetime_load(
             time_basis, problem.transform, rhs.time_powers, rhs.time_callable, quad_guard
         )
         vecs = [wphi @ np.asarray(Xf(rule.nodes), dtype=float) for Xf in rhs.space_factors]
-        return np.einsum(",".join(["n", *axes]) + "->n" + axes, ft, *vecs)
+        return functools.reduce(np.multiply.outer, vecs, ft)
 
-    # Generic callable f(x[, y], t): tensorized quadrature.
-    r = problem.transform.r
-    b = time_basis.interval[1]
-    n_tq = time_basis.n_modes + 2 * quad_guard
-    trule = gauss_jacobi_rule(JacobiIndex(0.0, float(r - 1)), n_tq, (0.0, b))
-    jt = gjp_table(time_basis, trule.nodes) * (r * trule.weights)
-    vals = np.asarray(problem.rhs(*np.ix_(*([rule.nodes] * d), trule.nodes)), dtype=float)
-    if np.any(np.isnan(vals)):
-        raise ValueError("right-hand side returned NaN at a quadrature node")
-    specs = ["nm", *(_IN[i] + _QUAD[i] for i in range(d)), _QUAD[:d] + "m"]
-    return np.einsum(",".join(specs) + "->n" + axes, jt, *([wphi] * d), vals, optimize=True)
+    # Generic callable f(x[, y], t): time load at every spatial node, then space.
+    nodes, rhs = rule.nodes, problem.rhs
+    ft = assemble_time_load(
+        time_basis, problem.transform, None, lambda t: rhs(*np.ix_(*[nodes] * d, t)), quad_guard
+    )
+    return _mode_product(ft, [wphi.T] * d)
 
 
 def _thread_count() -> int:
@@ -249,33 +226,38 @@ def solve_spacetime(
     if space_basis.dimension != d:
         raise DomainError("spatial basis dimension disagrees with the problem")
     N = time_basis.n_modes
-    S = assemble_stiffness(time_basis, problem.delta, problem.transform, N + quad_guard)
-    M = assemble_mass(time_basis, problem.transform)
+    where = f"delta={problem.delta.delta}, r={problem.transform.r}, N={N}, M={space_basis.m_modes}"
+    try:
+        S = assemble_stiffness(time_basis, problem.delta, problem.transform, N + quad_guard)
+        M = assemble_mass(time_basis, problem.transform)
+        F = assemble_spacetime_load(problem, time_basis, space_basis, quad_guard)
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(
+            f"assembly failed ({where}): {exc}", estimate=exc.estimate
+        ) from exc
     B = space_mass_matrix(space_basis.m_modes).B
     try:
         lam, E = eigh(B)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NumericalFailureError(f"eigendecomposition of B failed: {exc}") from exc
-    ortho_defect = np.max(np.abs(E.T @ E - np.eye(E.shape[0])))
-    if ortho_defect > 1e-12:
-        raise NumericalFailureError(f"eigenvector orthonormality defect {ortho_defect:.3e}")
+        raise NumericalFailureError(f"eigendecomposition of B failed ({where}): {exc}") from exc
+    defect = np.max(np.abs(E.T @ E - np.eye(E.shape[0])))
+    if defect > 1e-12:
+        raise NumericalFailureError(f"eigenvector orthonormality defect {defect:.3e} ({where})")
     if lam.min() <= 0:
-        raise NumericalFailureError("spatial mass matrix lost positive definiteness")
+        raise NumericalFailureError(f"spatial mass matrix lost positive definiteness ({where})")
 
-    F = assemble_spacetime_load(problem, time_basis, space_basis, quad_guard)
     fhat = _mode_product(F, [E] * d).reshape(N, -1)
     vhat = np.empty_like(fhat)
     K = lam.size
-    where = f"delta={problem.delta.delta}, r={problem.transform.r}, N={N}, M={space_basis.m_modes}"
 
     def solve_batch(head: tuple):
         """Solve the sorted multi-indices head + (q,), q >= head[-1], in one stacked call.
 
         Eigenmode (i_1, ..., i_d) has mu = prod_i lam_i and nu = sum_i prod_{j != i} lam_j,
         both symmetric in the indices, so all orderings of a sorted multi-index share
-        one matrix: it is guarded once and gets one right-hand side column per ordering
-        (a repeated index repeats a column).  Returns the flat mode index of each
-        column and the solutions, shaped (modes, N, orderings).
+        one matrix: it is guarded once and gets one right-hand side per ordering (a
+        repeated index repeats a right-hand side).  Returns the flat mode index of
+        each right-hand side, (modes, orderings), and the solutions, (modes, orderings, N).
         """
         modes = np.array([head + (q,) for q in range(head[-1] if head else 0, K)])
         perms = itertools.permutations(range(d))
@@ -284,8 +266,9 @@ def solve_spacetime(
         ones = np.ones(len(modes))
         mu = math.prod(lams, start=ones)[:, None, None]
         nu = sum(math.prod(lams[:i] + lams[i + 1:], start=ones) for i in range(d))[:, None, None]
+        A = mu * S + (nu + mu) * M
         try:
-            w, _ = solve_linear(mu * S + (nu + mu) * M, np.moveaxis(fhat[:, orders], 0, 1))
+            w, _ = solve_linear(A[:, None], fhat.T[orders])
         except NumericalFailureError as exc:
             mode = tuple(int(i) for i in modes[exc.index[0]])
             raise NumericalFailureError(
@@ -304,13 +287,13 @@ def solve_spacetime(
     else:
         batches = map(solve_batch, heads)
     for orders, w in batches:
-        vhat[:, orders] = np.moveaxis(w, 1, 0)
+        vhat.T[orders] = w
 
-    V = _mode_product(vhat.reshape(F.shape), [E] * d, transpose=True)
+    V = _mode_product(vhat.reshape(F.shape), [E.T] * d)
     # Operator: S x B^d + M x (sum_i B^d with identity on axis i) + M x B^d.
     VB = _mode_product(V, [B] * d)
     lap = sum(_mode_product(V, [None if j == i else B for j in range(d)]) for i in range(d))
-    resid_tensor = np.einsum("mn,n...->m...", S, VB) + np.einsum("mn,n...->m...", M, lap + VB) - F
+    resid_tensor = np.tensordot(S, VB, axes=1) + np.tensordot(M, lap + VB, axes=1) - F
     f_scale = np.max(np.abs(F))
     residual = float(np.max(np.abs(resid_tensor)))
     if f_scale > 0 and residual > 1e-10 * f_scale:
@@ -335,5 +318,6 @@ def evaluate_spacetime(sol: SpaceTimeSolution, *grids) -> np.ndarray:
             raise DomainError("spatial points must lie in [-1, 1]")
     jt = gjp_table(sol.time_basis, sol.transform.psi_inverse(s))
     tables = [legendre_phi_table(sol.space_basis.m_modes, x) for x in xs]
-    specs = ["n" + _IN[:d], *(_IN[i] + _EVAL[i] for i in range(d)), "nc"]
-    return np.einsum(",".join(specs) + "->" + _EVAL[:d] + "c", sol.V, *tables, jt, optimize=True)
+    # Time first: the few evaluation times shrink V before the spatial products.
+    values = _mode_product(np.tensordot(jt, sol.V, axes=(0, 0)), tables)
+    return np.moveaxis(values, 0, -1)

@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fracspec
 from fracspec.cli import _build_parser, _merge, _read_config, main
 
 
@@ -294,6 +300,45 @@ def test_solve_pde_rejects_reaction_override(capsys, command, flags, message):
     assert message in stderr
 
 
+@pytest.mark.parametrize(
+    "argv, setting, line",
+    [
+        (["solve-ode", "--problem", "example1", "--N", "4"], ["--M", "8"], "M=8"),
+        (["convergence", "--problem", "example1", "--N", "2,4"], ["--M", "9"], "M=9"),
+        (["solve-ode", "--problem", "example1"], ["--ref-N", "99"], "ref-N=99"),
+        (["convergence", "--problem", "example1", "--N", "2,4"], ["--ref-N", "60"], "ref-N=60"),
+        (["solve-ode", "--problem", "example3"], ["--weighted-l2"], "weighted-l2=yes"),
+    ],
+    ids=["solve-ode-M", "convergence-M", "solve-ode-ref-N", "exact-ref-N", "no-exact-weighted-l2"],
+)
+def test_unread_setting_exits_2(tmp_path, capsys, argv, setting, line):
+    # a setting the run never reads would be silently ignored
+    code, stdout, stderr = run_cli(capsys, *argv, *setting)
+    assert (code, stdout) == (2, "")
+    assert f"drop {setting[0]}" in stderr
+    # the same setting from a config file is refused the same way
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    code, _, stderr = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert f"drop {setting[0]}" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv, solve",
+    [
+        (["solve-ode", "--problem", "example1"], "(delta=0.99, r=1, N=40)"),
+        (["solve-pde", "--problem", "example4", "--M", "6"], "(delta=0.99, r=5, N=40, M=6)"),
+    ],
+    ids=["solve-ode", "solve-pde"],
+)
+def test_rule_failure_names_the_rule_and_the_solve(capsys, argv, solve):
+    code, _, stderr = run_cli(capsys, *argv, "--delta", "0.99", "--N", "40")
+    assert code == 3
+    assert f"assembly failed {solve}: Gauss-Jacobi rule (alpha=-0.99, beta=0.0, n=48)" in stderr
+    assert "weight sum" in stderr
+
+
 # ---------------------------------------------------------------------------
 # config file and catalog
 # ---------------------------------------------------------------------------
@@ -376,3 +421,19 @@ def test_list_problems(capsys):
     for pid in ("example1", "example2a", "example2b", "example3", "example4"):
         assert pid in stdout
     assert "gamma" in stdout
+
+
+def test_module_runs_as_a_script():
+    src = pathlib.Path(fracspec.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fracspec.cli", "list-problems"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0
+    assert "example4" in done.stdout
+    done = subprocess.run(
+        [sys.executable, "-m", "fracspec.cli", "solve-ode", "--problem", "nonexistent"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2

@@ -174,6 +174,25 @@ def test_load_power_terms_singular_weight_at_unit_r():
     assert np.max(np.abs(F - F_oracle)) <= 1e-8 * max(1.0, np.abs(F_oracle).max())
 
 
+def test_load_with_leading_axes_stacks_the_scalar_loads():
+    spec = TransformSpec(5, 2.0)
+    basis = basis_for(spec, 12)
+    sources = [np.sin, np.cos, lambda t: t**2.5, lambda t: np.exp(-t)]
+
+    def stacked(t):
+        return np.stack([f(t) for f in sources]).reshape(2, 2, -1)
+
+    F = assemble_load(basis, spec, stacked, 28)
+    assert F.shape == (12, 2, 2)
+    for j, f in enumerate(sources):
+        one = assemble_load(basis, spec, f, 28)
+        # A matrix product and a matrix-vector product may round differently.
+        assert np.max(np.abs(F.reshape(12, 4)[:, j] - one)) <= 8e-16 * np.max(np.abs(one))
+    # One leading index of length one gives the scalar load bit for bit.
+    single = assemble_load(basis, spec, lambda t: np.sin(t)[None], 28)
+    assert np.array_equal(single[:, 0], assemble_load(basis, spec, np.sin, 28))
+
+
 def test_load_rejects_nan_source():
     spec = TransformSpec(1, 2.0)
     with pytest.raises(ValueError):
@@ -412,16 +431,16 @@ def test_stacked_solve_linear_is_bit_identical_to_per_matrix_calls(rng):
         assert np.array_equal(x.reshape(6, n)[i], xi)
         assert res.reshape(6)[i] == ri
 
-    # Two right-hand sides sharing each matrix.
-    F = rng.standard_normal((6, n, 2))
-    refined = [needs_refinement(A[i], F[i, :, k]) for i in range(6) for k in range(2)]
+    # Two right-hand sides sharing each matrix: A broadcasts over a length-1 axis.
+    F = rng.standard_normal((6, 2, n))
+    refined = [needs_refinement(A[i], F[i, k]) for i in range(6) for k in range(2)]
     assert any(refined) and not all(refined)
-    x, res = solve_linear(A, F)
-    assert x.shape == (6, n, 2) and res.shape == (6, 2)
+    x, res = solve_linear(A[:, None], F)
+    assert x.shape == (6, 2, n) and res.shape == (6, 2)
     for i in range(6):
         for k in range(2):
-            xi, ri = solve_linear(A[i], F[i, :, k])
-            assert np.array_equal(x[i, :, k], xi)
+            xi, ri = solve_linear(A[i], F[i, k])
+            assert np.array_equal(x[i, k], xi)
             assert res[i, k] == ri
 
 
@@ -434,8 +453,8 @@ def test_stacked_solve_linear_reports_first_bad_system(rng):
         solve_linear(A, rng.standard_normal((4, n)))
     assert info.value.index == (1,)
     with pytest.raises(NumericalFailureError) as info:
-        solve_linear(A.reshape(2, 2, n, n), rng.standard_normal((2, 2, n, 3)))
-    assert info.value.index == (0, 1)
+        solve_linear(A.reshape(2, 2, n, n)[:, :, None], rng.standard_normal((2, 2, 3, n)))
+    assert info.value.index == (0, 1, 0)
     assert info.value.estimate > 1e14
 
 

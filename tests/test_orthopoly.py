@@ -131,6 +131,58 @@ def test_rule_exactness_against_beta_moments(a, b, n):
         assert abs(got - want) <= 1e-13 * max(abs(want), total_mass)
 
 
+# (delta, r, sigma) of the catalog problems (sigma None: no power source), plus
+# the delta = 9/10 runs of scripts/run_convergence_suite.py.
+_SOLVER_SETTINGS = (
+    (0.5, 1, 2.0),
+    (0.2, 5, 0.6),
+    (0.2, 7, math.sqrt(2.0) / 2.0),
+    (0.5, 6, None),
+    (0.5, 5, 0.6),
+    (0.9, 8, 0.6),
+    (0.9, 7, math.sqrt(2.0) / 2.0),
+)
+
+
+def _solver_families():
+    """Jacobi indices of every rule family the solvers build at those settings.
+
+    Stiffness inner (-delta, 0) and outer (0, (1-delta)r+1); mass and callable
+    load (0, r-1); per-power load (0, p+r-1) for the powers p = r(sigma-delta)
+    and r*sigma of a manufactured source.
+    """
+    pairs = set()
+    for delta, r, sigma in _SOLVER_SETTINGS:
+        pairs |= {(-delta, 0.0), (0.0, (1.0 - delta) * r + 1.0), (0.0, float(r - 1))}
+        if sigma is not None:
+            pairs |= {(0.0, p + r - 1.0) for p in (r * (sigma - delta), r * sigma)}
+    return sorted(pairs)
+
+
+_REFUSED = pytest.mark.xfail(raises=NumericalFailureError, strict=True)
+
+
+def _envelope_cases():
+    """Each family at n up to 96 (N = 80 plus twice the default guard of 8).
+
+    The weight-sum check refuses (-0.9, 0) at n = 96, and (-0.99, 0), from
+    delta = 0.99, at n = 40 (N = 32).
+    """
+    cases = [(a, b, n) for a, b in _solver_families() for n in (8, 48, 96)]
+    cases = [pytest.param(*c, marks=_REFUSED) if c == (-0.9, 0.0, 96) else c for c in cases]
+    return cases + [pytest.param(-0.99, 0.0, 40, marks=_REFUSED)]
+
+
+@pytest.mark.parametrize("a, b, n", _envelope_cases())
+def test_rule_envelope_of_solver_families(a, b, n):
+    # Every Jacobi polynomial of degree 1..2n-1 but the n-th (zero at the nodes)
+    # integrates to zero against the weight, relative to the integral of its size.
+    rule = gauss_jacobi_rule(JacobiIndex(a, b), n, (0.0, 1.0))
+    table = jacobi_table(JacobiIndex(a, b), 2 * n - 1, 2.0 * rule.nodes - 1.0)
+    table = np.delete(table, [0, n], axis=0)
+    assert np.all(np.abs(table @ rule.weights) <= 1e-12 * (np.abs(table) @ rule.weights))
+
+
 def test_rule_affine_mapping():
     # weights scale by ((hi-lo)/2)^(a+b+1), nodes map affinely
     idx = JacobiIndex(-0.4, 2.0)

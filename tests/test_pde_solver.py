@@ -65,6 +65,30 @@ def test_b_structure():
 
 
 # ---------------------------------------------------------------------------
+# Mode product
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mode_product_matches_einsum(rng, d):
+    sizes = (4, 5, 6)[:d]
+    T = rng.standard_normal((3, *sizes))
+    mats = [rng.standard_normal((k, k + 2)) for k in sizes]
+    src, dst = "ijk"[:d], "pqr"[:d]
+    spec = ",".join(["n" + src, *(a + b for a, b in zip(src, dst))]) + "->n" + dst
+
+    def assert_matches(got, expected):
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    assert_matches(pde_mod._mode_product(T, mats), np.einsum(spec, T, *mats))
+    # None leaves its axis alone.
+    pairs = [a + b for a, b in zip(src[1:], dst[1:])]
+    skip = ",".join(["n" + src, *pairs]) + "->n" + src[0] + dst[1:]
+    assert_matches(pde_mod._mode_product(T, [None, *mats[1:]]), np.einsum(skip, T, *mats[1:]))
+
+
+# ---------------------------------------------------------------------------
 # Load assembly
 # ---------------------------------------------------------------------------
 
@@ -256,7 +280,7 @@ def per_mode_reference(prob, tb, sb):
     vhat = np.empty_like(fhat)
     for idx in range(mus.size):
         vhat[:, idx], _ = solve_linear(mus[idx] * S + (nus[idx] + mus[idx]) * M, fhat[:, idx])
-    return pde_mod._mode_product(vhat.reshape(F.shape), [E] * d, transpose=True)
+    return pde_mod._mode_product(vhat.reshape(F.shape), [E.T] * d)
 
 
 def test_threaded_solve_is_bit_identical(monkeypatch):
