@@ -33,6 +33,8 @@ __all__ = [
 LINF_GRID = 1001
 L2_PANELS = 20
 L2_POINTS_PER_PANEL = 10
+# The panel rule depends on nothing but its size, so it is built once.
+_L2_PANEL_RULE = np.polynomial.legendre.leggauss(L2_POINTS_PER_PANEL)
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,10 @@ class ConvergenceStudy:
         return rows
 
 
-def _composite_gl(lo: float, hi: float, panels: int, per_panel: int):
-    x0, w0 = np.polynomial.legendre.leggauss(per_panel)
-    edges = np.linspace(lo, hi, panels + 1)
+def _composite_gl(lo: float, hi: float):
+    """L2_PANELS equal panels of (lo, hi), each with the L2_POINTS_PER_PANEL-point Gauss-Legendre rule."""
+    x0, w0 = _L2_PANEL_RULE
+    edges = np.linspace(lo, hi, L2_PANELS + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
@@ -116,11 +119,11 @@ def error_l2(
     transform = transform if transform is not None else sol.transform
     if weighted:
         b = transform.b_psi
-        t, w = _composite_gl(0.0, b, L2_PANELS, L2_POINTS_PER_PANEL)
+        t, w = _composite_gl(0.0, b)
         s = transform.psi(t)
         diff = sol.evaluate(s) - np.asarray(exact(s), dtype=float)
         return float(np.sqrt(np.sum(w * transform.psi_prime(t) * diff * diff)))
-    s, w = _composite_gl(0.0, transform.horizon_T, L2_PANELS, L2_POINTS_PER_PANEL)
+    s, w = _composite_gl(0.0, transform.horizon_T)
     diff = sol.evaluate(s) - np.asarray(exact(s), dtype=float)
     return float(np.sqrt(np.sum(w * diff * diff)))
 

@@ -65,14 +65,31 @@ def jacobi_table(idx: JacobiIndex, n_max: int, x) -> np.ndarray:
     if n_max == 0:
         return out
     out[1] = 0.5 * (a + b + 2) * x + 0.5 * (a - b)
+    a1, a2, a3, a4 = _recurrence_coefficients(a, b, np.arange(1.0, n_max))
+    body = out[2:]
+    np.multiply(a3[:, None], x, out=body)
+    body += a2[:, None]
+    tmp = np.empty(x.size)
     for n in range(1, n_max):
-        c = 2 * n + a + b
-        a1 = 2 * (n + 1) * (n + a + b + 1) * c
-        a2 = (c + 1) * (a * a - b * b)
-        a3 = c * (c + 1) * (c + 2)
-        a4 = 2 * (n + a) * (n + b) * (c + 2)
-        out[n + 1] = ((a2 + a3 * x) * out[n] - a4 * out[n - 1]) / a1
+        row = out[n + 1]
+        row *= out[n]
+        row -= np.multiply(a4[n - 1], out[n - 1], out=tmp)
+        row /= a1[n - 1]
     return out
+
+
+def _recurrence_coefficients(a: float, b: float, n: np.ndarray) -> tuple[np.ndarray, ...]:
+    """a1..a4 of J_{n+1} = ((a2 + a3 x) J_n - a4 J_{n-1}) / a1, one entry per degree in n.
+
+    Every Jacobi evaluation here uses these, in this operation order, so the
+    table rows and the rule kernel agree bit for bit.
+    """
+    c = 2 * n + a + b
+    a1 = 2 * (n + 1) * (n + a + b + 1) * c
+    a2 = (c + 1) * (a * a - b * b)
+    a3 = c * (c + 1) * (c + 2)
+    a4 = 2 * (n + a) * (n + b) * (c + 2)
+    return a1, a2, a3, a4
 
 
 @dataclass(frozen=True)
@@ -125,11 +142,40 @@ def _jacobi_recurrence(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarr
     return diag, off
 
 
-def _value_and_slope(idx: JacobiIndex, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J^{a,b}_n(x) and its derivative (n+a+b+1)/2 * J^{a+1,b+1}_{n-1}(x), for n >= 1."""
-    shifted = JacobiIndex(idx.alpha + 1, idx.beta + 1)
-    slope = 0.5 * (n + idx.alpha + idx.beta + 1) * jacobi_table(shifted, n - 1, x)[n - 1]
-    return jacobi_table(idx, n, x)[n], slope
+def _rule_recurrence(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point coefficients that run J^{a,b} and J^{a+1,b+1} side by side to degree n.
+
+    The points are laid out flat: the first n carry the family (a, b), the
+    last n the family (a+1, b+1).  Returns the degree-1 row's slope and
+    intercept, shape (2, 2n), and a1..a4 of the steps to degrees 2..n,
+    shape (4, n-1, 2n).
+    """
+    families = ((a, b), (a + 1, b + 1))
+    first = [[0.5 * (f + g + 2) for f, g in families], [0.5 * (f - g) for f, g in families]]
+    steps = np.arange(1.0, n)
+    rec = np.stack([_recurrence_coefficients(f, g, steps) for f, g in families], axis=2)
+    return np.repeat(first, n, axis=1), np.repeat(rec, n, axis=2)
+
+
+def _last_rows(first: np.ndarray, rec: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The last two rows of the recurrence that first and rec describe, at x.
+
+    Only two rows are kept.  Elementwise these are jacobi_table's IEEE
+    operations, so the rows have jacobi_table's bits.
+    """
+    a1s, a2s, a3s, a4s = rec
+    lin = a3s * x
+    lin += a2s
+    p0 = np.ones(x.size)
+    p1 = first[0] * x + first[1]
+    tmp = np.empty(x.size)
+    for a1, a2_a3x, a4 in zip(a1s, lin, a4s):
+        np.multiply(a4, p0, out=tmp)
+        np.multiply(a2_a3x, p1, out=p0)
+        p0 -= tmp
+        p0 /= a1
+        p0, p1 = p1, p0
+    return p0, p1
 
 
 def _gauss_weights(idx: JacobiIndex, n: int, nodes: np.ndarray, dpn: np.ndarray) -> np.ndarray:
@@ -161,25 +207,31 @@ def gauss_jacobi_rule(
     a, b = idx.alpha, idx.beta
     diag, off = _jacobi_recurrence(a, b, n)
     try:
+        # The eigenvectors are discarded, but eigvals_only=True takes another
+        # LAPACK path whose nodes differ in their last bits, and the solvers'
+        # answers are sensitive to the rules at that level.
         nodes, _ = eigh_tridiagonal(diag, off)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NumericalFailureError(f"{_rule_name(idx, n)}: eigensolve failed: {exc}") from exc
     nodes = np.sort(nodes)
+    # J^{a,b}_n' = (n+a+b+1)/2 * J^{a+1,b+1}_{n-1}
+    first, rec = _rule_recurrence(a, b, n)
+    scale = 0.5 * (n + a + b + 1)
     # Newton polish: a couple of steps reach the attainable floor.
     for _ in range(4):
-        p, dp = _value_and_slope(idx, n, nodes)
-        step = p / dp
+        prev, last = _last_rows(first, rec, np.tile(nodes, 2))
+        step = last[:n] / (scale * prev[n:])
         nodes = nodes - step
-        if np.max(np.abs(step)) < 1e-15:
+        residual = np.max(np.abs(step))
+        if residual < 1e-15:
             break
-    p, dp = _value_and_slope(idx, n, nodes)
-    residual = np.abs(p / dp)
-    if np.max(residual) > 1e-13:
+    if residual > 1e-13:
         raise NumericalFailureError(
-            f"{_rule_name(idx, n)}: Newton stalled, max node residual {np.max(residual):.3e}",
+            f"{_rule_name(idx, n)}: Newton stalled, max node residual {residual:.3e}",
             estimate=nodes,
-            error_bound=float(np.max(residual)),
+            error_bound=float(residual),
         )
+    dp = scale * _last_rows(first[:, n:], rec[:, :, n:], nodes)[0]
     weights = _gauss_weights(idx, n, nodes, dp)
     half = 0.5 * (hi - lo)
     mapped = lo + half * (nodes + 1.0)

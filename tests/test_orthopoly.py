@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_jacobi, eval_legendre
 
+from fracspec import orthopoly
 from fracspec.errors import DomainError, NumericalFailureError
 from fracspec.orthopoly import (
     JacobiIndex,
@@ -181,6 +182,106 @@ def test_rule_envelope_of_solver_families(a, b, n):
     table = jacobi_table(JacobiIndex(a, b), 2 * n - 1, 2.0 * rule.nodes - 1.0)
     table = np.delete(table, [0, n], axis=0)
     assert np.all(np.abs(table @ rule.weights) <= 1e-12 * (np.abs(table) @ rule.weights))
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracle: the straightforward table-based algorithm
+# ---------------------------------------------------------------------------
+
+
+def _oracle_jacobi_table(a, b, n_max, x):
+    """The three-term recurrence written out one row at a time."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((n_max + 1, x.size))
+    out[0] = 1.0
+    if n_max == 0:
+        return out
+    out[1] = 0.5 * (a + b + 2) * x + 0.5 * (a - b)
+    for n in range(1, n_max):
+        c = 2 * n + a + b
+        a1 = 2 * (n + 1) * (n + a + b + 1) * c
+        a2 = (c + 1) * (a * a - b * b)
+        a3 = c * (c + 1) * (c + 2)
+        a4 = 2 * (n + a) * (n + b) * (c + 2)
+        out[n + 1] = ((a2 + a3 * x) * out[n] - a4 * out[n - 1]) / a1
+    return out
+
+
+def _oracle_value_and_slope(a, b, n, x):
+    value = _oracle_jacobi_table(a, b, n, x)[n]
+    slope = 0.5 * (n + a + b + 1) * _oracle_jacobi_table(a + 1, b + 1, n - 1, x)[n - 1]
+    return value, slope
+
+
+def _oracle_rule(a, b, n, interval):
+    """Golub-Welsch nodes, at most four Newton steps on full tables, a full re-evaluation."""
+    lo, hi = interval
+    nodes = np.sort(orthopoly.eigh_tridiagonal(*orthopoly._jacobi_recurrence(a, b, n))[0])
+    for _ in range(4):
+        p, dp = _oracle_value_and_slope(a, b, n, nodes)
+        step = p / dp
+        nodes = nodes - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    p, dp = _oracle_value_and_slope(a, b, n, nodes)
+    if np.max(np.abs(p / dp)) > 1e-13:
+        raise NumericalFailureError("Newton stalled")
+    idx = JacobiIndex(a, b)
+    weights = orthopoly._gauss_weights(idx, n, nodes, dp)
+    half = 0.5 * (hi - lo)
+    return QuadratureRule(lo + half * (nodes + 1.0), weights * half ** (a + b + 1), (lo, hi), idx)
+
+
+def _build(build, *args):
+    try:
+        return build(*args)
+    except NumericalFailureError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("a, b", _solver_families())
+def test_rule_bits_match_table_oracle(a, b):
+    for n in range(1, 121):
+        want = _build(_oracle_rule, a, b, n, (0.0, 1.0))
+        got = _build(gauss_jacobi_rule, JacobiIndex(a, b), n, (0.0, 1.0))
+        if isinstance(want, type):
+            assert got is want, (n, got)
+        else:
+            assert np.array_equal(got.nodes, want.nodes), n
+            assert np.array_equal(got.weights, want.weights), n
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.9, 0.0), (0.0, 4.649747468305833), (1.5, -0.3)])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 17, 97])
+def test_jacobi_table_bits_match_row_loop(a, b, n_max):
+    x = np.random.default_rng(n_max).uniform(-1.1, 1.1, 53)
+    assert np.array_equal(jacobi_table(JacobiIndex(a, b), n_max, x), _oracle_jacobi_table(a, b, n_max, x))
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.5, 0.0), (0.0, 6.6000000000000005), (1.5, -0.3)])
+@pytest.mark.parametrize("n", [1, 2, 3, 30])
+def test_fused_rule_rows_match_table_rows(a, b, n):
+    # Points 0..n-1 carry J^{a,b}, points n..2n-1 carry J^{a+1,b+1}.
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    first, rec = orthopoly._rule_recurrence(a, b, n)
+    prev, last = orthopoly._last_rows(first, rec, np.tile(x, 2))
+    value = jacobi_table(JacobiIndex(a, b), n, x)
+    shifted = jacobi_table(JacobiIndex(a + 1, b + 1), n, x)
+    assert np.array_equal(prev, np.concatenate([value[n - 1], shifted[n - 1]]))
+    assert np.array_equal(last, np.concatenate([value[n], shifted[n]]))
+    slope_prev, _ = orthopoly._last_rows(first[:, n:], rec[:, :, n:], x)
+    assert np.array_equal(slope_prev, shifted[n - 1])
+
+
+def test_rule_refuses_when_newton_stalls(monkeypatch):
+    # Nodes shifted outside (-1, 1) converge too slowly for four Newton steps.
+    eigh = orthopoly.eigh_tridiagonal
+    monkeypatch.setattr(orthopoly, "eigh_tridiagonal", lambda d, e: (eigh(d, e)[0] + 2.0, None))
+    with pytest.raises(NumericalFailureError) as info:
+        gauss_jacobi_rule(JacobiIndex(-0.5, 0.0), 12, (0.0, 1.0))
+    message = str(info.value)
+    assert message.startswith("Gauss-Jacobi rule (alpha=-0.5, beta=0.0, n=12): Newton stalled")
+    assert info.value.error_bound > 1e-13
 
 
 def test_rule_affine_mapping():
