@@ -29,28 +29,30 @@ def write(study, name):
     print(f"{name}: final Linf {final.linf_error:.3e}, L2 {final.l2_error:.3e}")
 
 
-def power_study(sigma, r, delta, ns, name):
-    problem = TimeProblem.manufactured(PowerSum(((1.0, sigma),)), delta, 1.0, TransformSpec(r, 2.0))
-    study = run_convergence_study(
-        StudyRequest(name, problem, tuple(ns), exact=PowerSum(((1.0, sigma),)))
-    )
-    write(study, f"{name}.csv")
-
-
-def main():
-    # rational power, the two rescalings
-    power_study(0.6, 5, 0.2, range(2, 21, 2), "power3_5_gamma1_5_delta1_5")
-    power_study(0.6, 8, 0.9, range(2, 21, 2), "power3_5_gamma1_8_delta9_10")
-    # irrational power
-    for delta, tag in ((0.2, "1_5"), (0.9, "9_10")):
-        power_study(math.sqrt(2.0) / 2.0, 7, delta, range(4, 41, 2), f"power_irr_gamma1_7_delta{tag}")
+def scalar_studies():
+    """The scalar studies of the suite, in run order, as (CSV name, StudyRequest) pairs."""
+    studies = []
+    # rational power, the two rescalings; irrational power
+    for sigma, r, delta, ns, name in (
+        (0.6, 5, 0.2, range(2, 21, 2), "power3_5_gamma1_5_delta1_5"),
+        (0.6, 8, 0.9, range(2, 21, 2), "power3_5_gamma1_8_delta9_10"),
+        (math.sqrt(2.0) / 2.0, 7, 0.2, range(4, 41, 2), "power_irr_gamma1_7_delta1_5"),
+        (math.sqrt(2.0) / 2.0, 7, 0.9, range(4, 41, 2), "power_irr_gamma1_7_delta9_10"),
+    ):
+        exact = PowerSum(((1.0, sigma),))
+        problem = TimeProblem.manufactured(exact, delta, 1.0, TransformSpec(r, 2.0))
+        studies.append((f"{name}.csv", StudyRequest(name, problem, tuple(ns), exact=exact)))
     # unknown solution: rescaled vs classical
     for r, tag in ((6, "gamma1_6"), (1, "gamma1")):
         problem = TimeProblem.from_source(np.sin, 0.5, 1.0, TransformSpec(r, 2.0))
-        study = run_convergence_study(
-            StudyRequest("sin_source", problem, tuple(range(4, 31, 2)), ref_n=60)
-        )
-        write(study, f"sin_source_{tag}.csv")
+        request = StudyRequest("sin_source", problem, tuple(range(4, 31, 2)), ref_n=60)
+        studies.append((f"sin_source_{tag}.csv", request))
+    return studies
+
+
+def main():
+    for name, request in scalar_studies():
+        write(run_convergence_study(request), name)
     # 2-d subdiffusion: sweep M at fixed N, then N at fixed M
     problem, exact = manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
     ms = list(range(4, 21, 2))

@@ -290,10 +290,17 @@ def solve_spacetime(
         vhat.T[orders] = w
 
     V = _mode_product(vhat.reshape(F.shape), [E.T] * d)
+    del fhat, vhat  # dead from here on; freed before the residual's temporaries
     # Operator: S x B^d + M x (sum_i B^d with identity on axis i) + M x B^d.
+    # Accumulated in place, in the order of S VB + M ((lap_0 + lap_1 + ...) + VB) - F.
     VB = _mode_product(V, [B] * d)
-    lap = sum(_mode_product(V, [None if j == i else B for j in range(d)]) for i in range(d))
-    resid_tensor = np.tensordot(S, VB, axes=1) + np.tensordot(M, lap + VB, axes=1) - F
+    lap = np.zeros_like(V)
+    for i in range(d):
+        lap += _mode_product(V, [None if j == i else B for j in range(d)])
+    lap += VB
+    resid_tensor = np.tensordot(S, VB, axes=1)
+    resid_tensor += np.tensordot(M, lap, axes=1)
+    resid_tensor -= F
     f_scale = np.max(np.abs(F))
     residual = float(np.max(np.abs(resid_tensor)))
     if f_scale > 0 and residual > 1e-10 * f_scale:

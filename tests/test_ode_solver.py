@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_load_vector, oracle_mass_matrix, oracle_stiffness_matrix
+import fracspec.ode_solver as ode_mod
 from fracspec.errors import DomainError, NumericalFailureError
 from fracspec.frac_ops import FracOrder, PowerSum, TransformSpec
 from fracspec.ode_solver import (
@@ -402,6 +405,21 @@ def test_solve_linear_guards_condition():
         solve_linear(A, np.array([1.0, 2.0]))
 
 
+def test_exactly_singular_matrix_has_infinite_estimate():
+    A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(NumericalFailureError, match="estimate inf exceeds") as info:
+        solve_linear(A, np.ones(3))
+    assert info.value.estimate == math.inf
+
+
+def test_matrix_with_nan_entry_is_refused():
+    A = np.eye(4)
+    A[2, 1] = np.nan
+    with pytest.raises(NumericalFailureError) as info:
+        solve_linear(A, np.ones(4))
+    assert info.value.estimate == math.inf
+
+
 def mixed_stack(rng, n=10):
     """Three well-conditioned matrices and three scaled Hilbert matrices, interleaved."""
     from scipy.linalg import hilbert
@@ -456,6 +474,49 @@ def test_stacked_solve_linear_reports_first_bad_system(rng):
         solve_linear(A.reshape(2, 2, n, n)[:, :, None], rng.standard_normal((2, 2, 3, n)))
     assert info.value.index == (0, 1, 0)
     assert info.value.estimate > 1e14
+
+
+def test_condition_estimates_bracket_the_one_norm_condition_number(rng, monkeypatch):
+    # With the limit at zero every matrix is refused, which exposes its estimate.
+    # The Hager-Higham estimate is a lower bound on kappa_1 and rarely 10x below
+    # it; the upper slack covers inv's own error of about kappa*eps on Hilbert(10).
+    monkeypatch.setattr(ode_mod, "COND_LIMIT", 0.0)
+    A = mixed_stack(rng)
+    for a in A:
+        kappa1 = np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1)
+        with pytest.raises(NumericalFailureError) as info:
+            solve_linear(a, np.ones(len(a)))
+        assert kappa1 / 10 <= info.value.estimate <= kappa1 * (1 + 1e-3)
+
+
+def test_shared_matrix_is_factored_once(rng, monkeypatch):
+    calls = []
+    real_getrf = ode_mod.lapack.dgetrf
+
+    def counting_getrf(a):
+        calls.append(a.shape)
+        return real_getrf(a)
+
+    monkeypatch.setattr(ode_mod.lapack, "dgetrf", counting_getrf)
+    A = mixed_stack(rng)
+    k, n = A.shape[:2]
+    solve_linear(A[:, None], rng.standard_normal((k, 2, n)))
+    assert calls == [(n, n)] * k
+
+
+def test_every_scalar_setting_of_the_convergence_suite_answers():
+    # The guard refuses a few settings that the SVD condition number let through
+    # (delta=0.1, r=6, N=50 among them); the suite's own settings must not be among them.
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_convergence_suite.py"
+    spec = importlib.util.spec_from_file_location("run_convergence_suite", path)
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    studies = suite.scalar_studies()
+    assert len(studies) == 6
+    for _, request in studies:
+        for n in request.n_values + ((request.ref_n,) if request.ref_n else ()):
+            sol = solve(request.problem, basis_for(request.problem.transform, n))
+            assert np.all(np.isfinite(sol.coeffs))
 
 
 def test_guard_failure_names_the_parameters():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, lapack
 
 import fracspec.ode_solver as ode_mod
 import fracspec.pde_solver as pde_mod
@@ -308,6 +308,14 @@ def test_threaded_solve_is_bit_identical(monkeypatch):
         assert np.array_equal(par, reference)
 
 
+def lapack_cond_estimate(A):
+    """LAPACK's 1-norm condition estimate of A (getrf, then gecon): what the solve guard bounds."""
+    lu, _, info = lapack.dgetrf(A)
+    assert info == 0
+    rcond, _ = lapack.dgecon(lu, np.linalg.norm(A, 1), norm="1")
+    return 1.0 / rcond
+
+
 def test_guard_failure_names_first_failing_mode(monkeypatch):
     tb, sb = bases(6, 6)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
@@ -316,10 +324,12 @@ def test_guard_failure_names_first_failing_mode(monkeypatch):
     lam, _ = eigh(space_mass_matrix(6).B)
     K = lam.size
     conds = np.array(
-        [[np.linalg.cond(lam[p] * lam[q] * S + (lam[p] + lam[q] + lam[p] * lam[q]) * M)
+        [[lapack_cond_estimate(lam[p] * lam[q] * S + (lam[p] + lam[q] + lam[p] * lam[q]) * M)
           for q in range(K)] for p in range(K)]
     )
-    limit = np.median(conds)
+    # A limit between the two middle distinct estimates, so that about half the modes fail.
+    distinct = np.unique(conds)
+    limit = math.sqrt(distinct[distinct.size // 2 - 1] * distinct[distinct.size // 2])
     first = next((p, q) for p in range(K) for q in range(K) if conds[p, q] > limit)
     monkeypatch.setattr(ode_mod, "COND_LIMIT", limit)
     messages = []
