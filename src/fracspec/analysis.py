@@ -185,13 +185,32 @@ def _run_study(problem_id: str, resolutions, solve_at, errors_of) -> Convergence
     return ConvergenceStudy(problem_id, tuple(done))
 
 
+def _values_per_points(f):
+    """f, evaluating each distinct point array once and handing back read-only values."""
+    values = {}
+
+    def cached(s):
+        s = np.asarray(s, dtype=float)
+        key = (s.shape, s.tobytes())
+        if key not in values:
+            values[key] = np.asarray(f(s), dtype=float)
+            values[key].flags.writeable = False
+        return values[key]
+
+    return cached
+
+
 def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
-    """Solve at every resolution and collect error reports, smallest N first."""
+    """Solve at every resolution and collect error reports, smallest N first.
+
+    A self-convergence reference is solved once, and evaluated once per
+    distinct set of error points, for the whole study.
+    """
     problem = request.problem
     exact = request.exact
     if exact is None:
         ref = self_convergence_reference(problem, request.ref_n, request.alpha, request.quad_guard)
-        exact = ref.evaluate
+        exact = _values_per_points(ref.evaluate)
     b = problem.transform.b_psi
     return _run_study(
         request.problem_id,

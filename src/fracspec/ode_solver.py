@@ -194,8 +194,8 @@ def assemble_load(basis: TimeBasis, transform: TransformSpec, f, quad_n: int) ->
     b = basis.interval[1]
     rule = gauss_jacobi_rule(JacobiIndex(0.0, float(r - 1)), quad_n, (0.0, b))
     vals = np.asarray(f(rule.nodes), dtype=float)
-    if np.any(np.isnan(vals)):
-        raise ValueError("right-hand side returned NaN at a quadrature node")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("right-hand side returned NaN or inf at a quadrature node")
     table = gjp_table(basis, rule.nodes)
     wv = np.moveaxis(rule.weights * vals, -1, 0)
     return r * (table @ wv.reshape(quad_n, -1)).reshape(table.shape[:1] + wv.shape[1:])
@@ -254,50 +254,74 @@ def assemble_system(
     return AssembledSystem(S, M, F)
 
 
+def _stack_failure(message: str, flat: int, shape: tuple, estimate=None) -> NumericalFailureError:
+    """The failure of system number `flat` of a stack of the given shape, named by its index."""
+    index = tuple(int(j) for j in np.unravel_index(flat, shape))
+    where = f" at system {index} of the stack" if index else ""
+    return NumericalFailureError(f"{message}{where}", estimate=estimate, index=index)
+
+
 def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Dense LU solve with a condition guard and one refinement step.
 
     F is (..., n), and A, (n, n) or a stack (..., n, n), broadcasts against
     F's stack axes: a matrix shared by k right-hand sides is passed once, as
-    A[..., None, :, :] against F of shape (..., k, n), and is guarded once.
-    The guard is LAPACK's 1-norm condition estimate (getrf, then gecon: the
-    Hager-Higham estimator) of each matrix of A's own stack, never of the
-    broadcast copies; a failure names the first failing matrix in stack
-    order (`NumericalFailureError.index`).  Each right-hand side is solved
-    and refined as its own single-vector system, so a stack gives the same
-    bits as one call per system.
+    A[..., None, :, :] against F of shape (..., k, n).  Each matrix of A's own
+    stack, never a broadcast copy, is LU-factored once by LAPACK's getrf, and
+    that one factorisation serves the guard, the solves and the refinement.
+    The guard is the 1-norm condition estimate of the factors (gecon: the
+    Hager-Higham estimator); a failure names the first failing matrix in
+    stack order (`NumericalFailureError.index`).  Each right-hand side is
+    solved as a single vector (getrs), and refined once through the same
+    factors when its residual exceeds 1e-12 |b|, so a stack gives the same
+    bits as one call per system.  A non-finite solution or residual is
+    refused, naming the first such system of the broadcast stack.
 
     Returns the solution and the max-norm residual of each right-hand side:
-    a float for one matrix and one vector, else an array of F's stack shape.
+    a float for one matrix and one vector, else an array of the stack shape.
     """
     n = A.shape[-1]
     mats = A.reshape(-1, n, n)
     anorms = np.max(np.sum(np.abs(mats), axis=-2), axis=-1)
+    factors = []
     for i, (a, anorm) in enumerate(zip(mats, anorms)):
-        lu, _, info = lapack.dgetrf(a)
+        lu, piv, info = lapack.dgetrf(a)
         rcond, _ = lapack.dgecon(lu, anorm, norm="1")
         # An exactly singular factor, or a zero or non-finite rcond (a NaN entry
         # gives one), reads as an infinite estimate.
         estimate = 1.0 / rcond if info == 0 and 0.0 < rcond < math.inf else math.inf
         if estimate > COND_LIMIT:
-            index = tuple(int(j) for j in np.unravel_index(i, A.shape[:-2]))
-            where = f" at system {index} of the stack" if index else ""
-            raise NumericalFailureError(
-                f"system condition estimate {estimate:.3e} exceeds {COND_LIMIT:.0e}{where}",
-                estimate=estimate,
-                index=index,
+            raise _stack_failure(
+                f"system condition estimate {estimate:.3e} exceeds {COND_LIMIT:.0e}",
+                i,
+                A.shape[:-2],
+                estimate,
             )
-    b = F[..., None]
-    x = np.linalg.solve(A, b)
+        factors.append((lu, piv))
+    stack = np.broadcast_shapes(A.shape[:-2], F.shape[:-1])
+    # The matrix of each right-hand side, as an index into factors.
+    which = np.broadcast_to(np.arange(len(mats)).reshape(A.shape[:-2]), stack).ravel()
+    b = np.broadcast_to(F, stack + (n,))[..., None]
+    x = np.empty(stack + (n, 1))
+    xs = x.reshape(-1, n)
+    for j, (m, rhs) in enumerate(zip(which, b.reshape(-1, n))):
+        xs[j] = lapack.dgetrs(*factors[m], rhs)[0]
     r = A @ x - b
     residual = np.asarray(np.max(np.abs(r), axis=(-2, -1)))
     scale = np.max(np.abs(b), axis=(-2, -1), initial=0.0)
     refine = (scale > 0) & (residual > 1e-12 * scale)
     if np.any(refine):
-        A_refine = np.broadcast_to(A, x.shape[:-1] + A.shape[-1:])[refine]
         # -r is F - A x bit for bit.
-        x[refine] += np.linalg.solve(A_refine, -r[refine])
+        rs = r.reshape(-1, n)
+        for j in np.flatnonzero(refine):
+            xs[j] += lapack.dgetrs(*factors[which[j]], -rs[j])[0]
+        A_refine = np.broadcast_to(A, stack + (n, n))[refine]
         residual[refine] = np.max(np.abs(A_refine @ x[refine] - b[refine]), axis=(-2, -1))
+    # A column of A that the guard let through is not zero, so a NaN or inf in
+    # x also makes its residual NaN or inf.
+    finite = np.isfinite(residual)
+    if not np.all(finite):
+        raise _stack_failure("non-finite solution or residual", np.argmin(finite), stack)
     x = x[..., 0]
     if residual.ndim == 0:
         return x, float(residual)

@@ -184,7 +184,10 @@ def assemble_spacetime_load(
         ft = assemble_time_load(
             time_basis, problem.transform, rhs.time_powers, rhs.time_callable, quad_guard
         )
-        vecs = [wphi @ np.asarray(Xf(rule.nodes), dtype=float) for Xf in rhs.space_factors]
+        vals = [np.asarray(Xf(rule.nodes), dtype=float) for Xf in rhs.space_factors]
+        if not all(np.all(np.isfinite(v)) for v in vals):
+            raise ValueError("space factor returned NaN or inf at a quadrature node")
+        vecs = [wphi @ v for v in vals]
         return functools.reduce(np.multiply.outer, vecs, ft)
 
     # Generic callable f(x[, y], t): time load at every spatial node, then space.
@@ -303,7 +306,8 @@ def solve_spacetime(
     resid_tensor -= F
     f_scale = np.max(np.abs(F))
     residual = float(np.max(np.abs(resid_tensor)))
-    if f_scale > 0 and residual > 1e-10 * f_scale:
+    # Written so that a NaN residual or load is refused too.
+    if not residual <= 1e-10 * f_scale:
         raise NumericalFailureError(
             f"tensor residual {residual:.3e} exceeds 1e-10 * |F| = {1e-10 * f_scale:.3e} ({where})"
         )

@@ -249,6 +249,39 @@ def test_reference_solution_errors_vanish_against_itself():
     assert error_linf(sol, ref.evaluate) <= 1e-13
 
 
+def test_study_evaluates_its_reference_once_per_point_set(monkeypatch):
+    import fracspec.analysis as analysis_mod
+
+    real_reference = analysis_mod.self_convergence_reference
+    refs, evaluations = [], []
+
+    class CountedReference:
+        def __init__(self, sol):
+            self.sol = sol
+
+        def evaluate(self, s):
+            evaluations.append(len(s))
+            return self.sol.evaluate(s)
+
+    def counted_reference(*args):
+        refs.append(real_reference(*args))
+        return CountedReference(refs[-1])
+
+    monkeypatch.setattr(analysis_mod, "self_convergence_reference", counted_reference)
+    prob = example3_problem()
+    request = StudyRequest("example3", prob, (4, 8, 12), ref_n=24)
+    study = run_convergence_study(request)
+    # The uniform max-norm grid and the L2 nodes, once each for three members.
+    assert sorted(evaluations) == [200, 1001]
+    for report in study.reports:
+        sol = solve_at(prob, report.n_modes)
+        assert report.linf_error == error_linf(sol, refs[0].evaluate)
+        assert report.l2_error == error_l2(sol, refs[0].evaluate)
+    # Nothing is kept across studies: a second study evaluates its own reference.
+    run_convergence_study(request)
+    assert len(evaluations) == 4
+
+
 def test_example3_reference_study_decays():
     prob = example3_problem(6)
     study = run_convergence_study(

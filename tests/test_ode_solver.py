@@ -202,6 +202,13 @@ def test_load_rejects_nan_source():
         assemble_load(basis_for(spec, 3), spec, lambda t: np.full_like(t, np.nan), 10)
 
 
+def test_solve_rejects_infinite_source():
+    spec = TransformSpec(2, 1.0)
+    prob = TimeProblem.from_source(lambda s: np.where(s > 0.5, np.inf, 1.0), 0.5, 1.0, spec)
+    with pytest.raises(ValueError, match="NaN or inf"):
+        solve(prob, basis_for(spec, 8))
+
+
 # ---------------------------------------------------------------------------
 # Problem construction
 # ---------------------------------------------------------------------------
@@ -489,19 +496,58 @@ def test_condition_estimates_bracket_the_one_norm_condition_number(rng, monkeypa
         assert kappa1 / 10 <= info.value.estimate <= kappa1 * (1 + 1e-3)
 
 
+def test_solve_linear_refuses_non_finite_solutions(rng):
+    with pytest.raises(NumericalFailureError, match="non-finite solution or residual$") as info:
+        solve_linear(2.0 * np.eye(3), np.array([1.0, np.nan, 2.0]))
+    assert info.value.index == ()
+    A = mixed_stack(rng)[::2]  # the three well-conditioned matrices
+    k, n = A.shape[:2]
+    F = rng.standard_normal((k, 2, n))
+    F[1, 1, 3] = np.inf
+    F[2, 0, 0] = np.nan
+    with pytest.raises(NumericalFailureError, match=r"at system \(1, 1\) of the stack") as info:
+        solve_linear(A[:, None], F)
+    assert info.value.index == (1, 1)
+
+
 def test_shared_matrix_is_factored_once(rng, monkeypatch):
-    calls = []
-    real_getrf = ode_mod.lapack.dgetrf
+    # One getrf per distinct matrix serves the guard, every solve and every
+    # refinement, and no other factorisation runs.
+    factors = []
+    solves = []
+    real_getrf, real_getrs = ode_mod.lapack.dgetrf, ode_mod.lapack.dgetrs
 
     def counting_getrf(a):
-        calls.append(a.shape)
-        return real_getrf(a)
+        out = real_getrf(a)
+        factors.append(out[0])
+        return out
 
-    monkeypatch.setattr(ode_mod.lapack, "dgetrf", counting_getrf)
+    def recording_getrs(lu, piv, b):
+        solves.append(lu)
+        return real_getrs(lu, piv, b)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve must not be called")
+
     A = mixed_stack(rng)
     k, n = A.shape[:2]
-    solve_linear(A[:, None], rng.standard_normal((k, 2, n)))
-    assert calls == [(n, n)] * k
+    F = rng.standard_normal((k, 2, n))
+    assert any(needs_refinement(A[i], F[i, j]) for i in range(k) for j in range(2))
+    monkeypatch.setattr(ode_mod.lapack, "dgetrf", counting_getrf)
+    monkeypatch.setattr(ode_mod.lapack, "dgetrs", recording_getrs)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    solve_linear(A[:, None], F)
+    assert [f.shape for f in factors] == [(n, n)] * k
+    # One getrs per right-hand side, then one per refined right-hand side,
+    # each on the factors of its own matrix.
+    assert 2 * k < len(solves) <= 4 * k
+    assert all(any(lu is f for f in factors) for lu in solves)
+
+    factors.clear()
+    spec = TransformSpec(7, 2.0)
+    prob = TimeProblem.manufactured(PowerSum(((1.0, math.sqrt(2.0) / 2.0),)), 0.2, 1.0, spec)
+    solve(prob, basis_for(spec, 40))
+    assert len(factors) == 1
 
 
 def test_every_scalar_setting_of_the_convergence_suite_answers():

@@ -254,6 +254,28 @@ def test_tensor_residual_bound_is_enforced_and_recorded():
     # means the bound held, and it is carried on the solution object
 
 
+def test_separable_space_factor_with_nan_is_refused():
+    tb, sb = bases(6, 6, 1)
+    rhs = SeparableRHS((lambda x: np.where(x > 0.5, np.nan, 1.0),), time_powers=((1.0, 1.0),))
+    prob = PDEProblem(FracOrder(0.5), SPEC5, rhs, 1)
+    with pytest.raises(ValueError, match="NaN"):
+        assemble_spacetime_load(prob, tb, sb)
+    with pytest.raises(ValueError, match="NaN"):
+        solve_spacetime(prob, tb, sb)
+
+
+def test_tensor_residual_guard_refuses_nan(monkeypatch):
+    # A mode solve that slipped a NaN past its own guard must not reach V.
+    def nan_solve_linear(A, F):
+        return np.full(F.shape, np.nan), np.zeros(F.shape[:-1])
+
+    monkeypatch.setattr(pde_mod, "solve_linear", nan_solve_linear)
+    tb, sb = bases(6, 6, 1)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=1)
+    with pytest.raises(NumericalFailureError, match="tensor residual nan exceeds"):
+        solve_spacetime(prob, tb, sb)
+
+
 def test_thread_count_env(monkeypatch):
     monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
     assert pde_mod._thread_count() == 1
@@ -345,6 +367,36 @@ def test_guard_failure_names_first_failing_mode(monkeypatch):
     assert messages[0].startswith(
         f"eigenmode solve failed at mode {first} (delta=0.5, r=5, N=6, M=6): system condition"
     )
+
+
+def test_guard_failure_maps_a_later_mode(monkeypatch):
+    # Only the matrix of mode (2, 3), shared with (3, 2), is reported singular:
+    # the failure must name that mode, not the first mode of its batch or stack.
+    tb, sb = bases(6, 6)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    S = assemble_stiffness(tb, prob.delta, SPEC5, 6 + 8)
+    M = assemble_mass(tb, SPEC5)
+    lam, _ = eigh(space_mass_matrix(6).B)
+    target = lam[2] * lam[3] * S + (lam[2] + lam[3] + lam[2] * lam[3]) * M
+    real_getrf = ode_mod.lapack.dgetrf
+
+    def getrf_singular_at_target(a):
+        lu, piv, info = real_getrf(a)
+        return lu, piv, 1 if np.allclose(a, target, rtol=1e-13, atol=0.0) else info
+
+    monkeypatch.setattr(ode_mod.lapack, "dgetrf", getrf_singular_at_target)
+    for threads in (None, "2"):
+        if threads is None:
+            monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FRACSPEC_THREADS", threads)
+        with pytest.raises(NumericalFailureError) as info:
+            solve_spacetime(prob, tb, sb)
+        assert str(info.value).startswith(
+            "eigenmode solve failed at mode (2, 3) (delta=0.5, r=5, N=6, M=6): "
+            "system condition estimate inf exceeds 1e+14 at system (1, 0) of the stack"
+        )
+        assert info.value.estimate == math.inf
 
 
 def test_mode_solves_never_hold_the_full_stack(monkeypatch):
