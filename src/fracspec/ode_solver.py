@@ -300,7 +300,7 @@ def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.n
         factors.append((lu, piv))
     stack = np.broadcast_shapes(A.shape[:-2], F.shape[:-1])
     # The matrix of each right-hand side, as an index into factors.
-    which = np.broadcast_to(np.arange(len(mats)).reshape(A.shape[:-2]), stack).ravel()
+    which = np.broadcast_to(np.arange(len(mats)).reshape(A.shape[:-2]), stack).ravel().tolist()
     b = np.broadcast_to(F, stack + (n,))[..., None]
     x = np.empty(stack + (n, 1))
     xs = x.reshape(-1, n)
@@ -312,11 +312,13 @@ def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.n
     refine = (scale > 0) & (residual > 1e-12 * scale)
     if np.any(refine):
         # -r is F - A x bit for bit.
-        rs = r.reshape(-1, n)
-        for j in np.flatnonzero(refine):
-            xs[j] += lapack.dgetrs(*factors[which[j]], -rs[j])[0]
-        A_refine = np.broadcast_to(A, stack + (n, n))[refine]
-        residual[refine] = np.max(np.abs(A_refine @ x[refine] - b[refine]), axis=(-2, -1))
+        rs = -r.reshape(-1, n)
+        for j in np.flatnonzero(refine).tolist():
+            xs[j] += lapack.dgetrs(*factors[which[j]], rs[j])[0]
+        # On the whole stack, not a gather of the refined systems: a gather
+        # copies each refined matrix, and often every system is refined.
+        refined = np.max(np.abs(A @ x - b), axis=(-2, -1))
+        residual[refine] = refined[refine]
     # A column of A that the guard let through is not zero, so a NaN or inf in
     # x also makes its residual NaN or inf.
     finite = np.isfinite(residual)

@@ -159,10 +159,18 @@ def _mode_product(T: np.ndarray, mats) -> np.ndarray:
     """Contract spatial axis i of T (axis i + 1) with the first index of mats[i].
 
     None leaves that axis alone.  Axis 0 of T is time and is never touched.
+    Each contraction is one matmul over T viewed as (before, axis, after), so
+    the result stays C-contiguous and no axis is moved.
     """
     for i, mat in enumerate(mats):
         if mat is not None:
-            T = np.moveaxis(np.tensordot(T, mat, axes=(i + 1, 0)), -1, i + 1)
+            shape = T.shape
+            before, after = shape[: i + 1], shape[i + 2:]
+            if after:
+                T = mat.T @ T.reshape(math.prod(before), shape[i + 1], -1)
+            else:
+                T = T.reshape(-1, shape[i + 1]) @ mat
+            T = T.reshape(before + mat.shape[1:] + after)
     return T
 
 
@@ -213,6 +221,42 @@ def _thread_count() -> int:
     return max(1, n)
 
 
+def _eigenmode_batches(lam: np.ndarray, d: int):
+    """The mode-coefficient table of every eigenmode, and the modes of each batch.
+
+    Eigenmode (i_1, ..., i_d) has mu = prod_i lam_i and nu = sum_i prod_{j != i} lam_j;
+    row m of the (K^d, 2) table is (mu, nu + mu) of the mode with flat index m.
+    Both are symmetric in the indices, so all orderings of a sorted multi-index
+    share one matrix.  There is one batch per sorted leading multi-index head,
+    holding the sorted modes head + (q,), q >= head[-1]: K batches for d = 2, one
+    for d = 1.  A batch is a (modes, orderings) array of flat mode indices, the
+    sorted ordering first; a repeated index repeats a flat index.
+    """
+    K = lam.size
+    lams = np.meshgrid(*[lam] * d, indexing="ij")
+    ones = np.ones_like(lams[0])
+    mu = math.prod(lams, start=ones)
+    nu = sum(math.prod(lams[:i] + lams[i + 1:], start=ones) for i in range(d))
+    table = np.stack([mu.ravel(), (nu + mu).ravel()], axis=-1)
+    flat = np.arange(K**d).reshape((K,) * d)
+    orders = np.stack([flat.transpose(p) for p in itertools.permutations(range(d))], axis=-1)
+    heads = itertools.combinations_with_replacement(range(K), d - 1)
+    return table, [orders[head][head[-1] if head else 0:] for head in heads]
+
+
+def _mode_matrices(coefs: np.ndarray, SM: np.ndarray) -> np.ndarray:
+    """The matrices mu S + c M of the rows (mu, c) of coefs, built by one GEMM.
+
+    SM is (2, n*n): vec(S^T) above vec(M^T).  The (k, n, n) product is viewed
+    transposed, so every matrix is Fortran-contiguous and LAPACK reads it
+    without a transposing copy.  The GEMM may fuse the two products, so an
+    entry can differ from mu*S + c*M in its last bits, and those bits can
+    depend on k.
+    """
+    n = math.isqrt(SM.shape[1])
+    return (coefs @ SM).reshape(-1, n, n).transpose(0, 2, 1)
+
+
 def solve_spacetime(
     problem: PDEProblem,
     time_basis: TimeBasis,
@@ -252,44 +296,34 @@ def solve_spacetime(
     fhat = _mode_product(F, [E] * d).reshape(N, -1)
     vhat = np.empty_like(fhat)
     K = lam.size
+    table, batches = _eigenmode_batches(lam, d)
+    SM = np.stack([S.T.ravel(), M.T.ravel()])
 
-    def solve_batch(head: tuple):
-        """Solve the sorted multi-indices head + (q,), q >= head[-1], in one stacked call.
+    def solve_batch(orders: np.ndarray):
+        """Solve one batch in one stacked call, each mode's matrix guarded once.
 
-        Eigenmode (i_1, ..., i_d) has mu = prod_i lam_i and nu = sum_i prod_{j != i} lam_j,
-        both symmetric in the indices, so all orderings of a sorted multi-index share
-        one matrix: it is guarded once and gets one right-hand side per ordering (a
-        repeated index repeats a right-hand side).  Returns the flat mode index of
-        each right-hand side, (modes, orderings), and the solutions, (modes, orderings, N).
+        Every ordering of a mode gets its own right-hand side against the shared
+        matrix.  Returns the solutions, (modes, orderings, N).
         """
-        modes = np.array([head + (q,) for q in range(head[-1] if head else 0, K)])
-        perms = itertools.permutations(range(d))
-        orders = np.stack([np.ravel_multi_index(modes[:, p].T, (K,) * d) for p in perms], axis=-1)
-        lams = [lam[modes[:, i]] for i in range(d)]
-        ones = np.ones(len(modes))
-        mu = math.prod(lams, start=ones)[:, None, None]
-        nu = sum(math.prod(lams[:i] + lams[i + 1:], start=ones) for i in range(d))[:, None, None]
-        A = mu * S + (nu + mu) * M
+        A = _mode_matrices(table[orders[:, 0]], SM)
         try:
             w, _ = solve_linear(A[:, None], fhat.T[orders])
         except NumericalFailureError as exc:
-            mode = tuple(int(i) for i in modes[exc.index[0]])
+            mode = tuple(int(i) for i in np.unravel_index(orders[exc.index[0], 0], (K,) * d))
             raise NumericalFailureError(
                 f"eigenmode solve failed at mode {mode} ({where}): {exc}", estimate=exc.estimate
             ) from exc
-        return orders, w
+        return w
 
-    # One batch per sorted leading multi-index: K batches for d = 2, one for d = 1.
-    heads = itertools.combinations_with_replacement(range(K), d - 1)
     workers = _thread_count()
     if workers > 1:
         # map yields the batches, and raises the first failure, in batch order,
         # whatever order the threads finish in.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(solve_batch, heads))
+            solved = list(pool.map(solve_batch, batches))
     else:
-        batches = map(solve_batch, heads)
-    for orders, w in batches:
+        solved = map(solve_batch, batches)
+    for orders, w in zip(batches, solved):
         vhat.T[orders] = w
 
     V = _mode_product(vhat.reshape(F.shape), [E.T] * d)

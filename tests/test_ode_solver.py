@@ -441,32 +441,35 @@ def needs_refinement(A, b):
 
 
 def test_stacked_solve_linear_is_bit_identical_to_per_matrix_calls(rng):
-    A = mixed_stack(rng)
-    n = A.shape[-1]
+    stack = mixed_stack(rng)
+    # The transposed view holds Fortran-contiguous matrices, as the eigenmode
+    # batches of solve_spacetime do; each lone call gets the same view.
+    for A in (stack, stack.transpose(0, 2, 1)):
+        n = A.shape[-1]
 
-    # One right-hand side per matrix, stack shape (2, 3).
-    F = rng.standard_normal((6, n))
-    refined = [needs_refinement(A[i], F[i]) for i in range(6)]
-    assert any(refined) and not all(refined)
-    x, res = solve_linear(A.reshape(2, 3, n, n), F.reshape(2, 3, n))
-    assert x.shape == (2, 3, n) and res.shape == (2, 3)
-    for i in range(6):
-        xi, ri = solve_linear(A[i], F[i])
-        assert type(ri) is float
-        assert np.array_equal(x.reshape(6, n)[i], xi)
-        assert res.reshape(6)[i] == ri
+        # One right-hand side per matrix, stack shape (2, 3).
+        F = rng.standard_normal((6, n))
+        refined = [needs_refinement(A[i], F[i]) for i in range(6)]
+        assert any(refined) and not all(refined)
+        x, res = solve_linear(A.reshape(2, 3, n, n), F.reshape(2, 3, n))
+        assert x.shape == (2, 3, n) and res.shape == (2, 3)
+        for i in range(6):
+            xi, ri = solve_linear(A[i], F[i])
+            assert type(ri) is float
+            assert np.array_equal(x.reshape(6, n)[i], xi)
+            assert res.reshape(6)[i] == ri
 
-    # Two right-hand sides sharing each matrix: A broadcasts over a length-1 axis.
-    F = rng.standard_normal((6, 2, n))
-    refined = [needs_refinement(A[i], F[i, k]) for i in range(6) for k in range(2)]
-    assert any(refined) and not all(refined)
-    x, res = solve_linear(A[:, None], F)
-    assert x.shape == (6, 2, n) and res.shape == (6, 2)
-    for i in range(6):
-        for k in range(2):
-            xi, ri = solve_linear(A[i], F[i, k])
-            assert np.array_equal(x[i, k], xi)
-            assert res[i, k] == ri
+        # Two right-hand sides sharing each matrix: A broadcasts over a length-1 axis.
+        F = rng.standard_normal((6, 2, n))
+        refined = [needs_refinement(A[i], F[i, k]) for i in range(6) for k in range(2)]
+        assert any(refined) and not all(refined)
+        x, res = solve_linear(A[:, None], F)
+        assert x.shape == (6, 2, n) and res.shape == (6, 2)
+        for i in range(6):
+            for k in range(2):
+                xi, ri = solve_linear(A[i], F[i, k])
+                assert np.array_equal(x[i, k], xi)
+                assert res[i, k] == ri
 
 
 def test_stacked_solve_linear_reports_first_bad_system(rng):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import tracemalloc
@@ -288,20 +289,35 @@ def test_thread_count_env(monkeypatch):
 
 
 def per_mode_reference(prob, tb, sb):
-    """V by one solve_linear per eigenmode in row-major order, the unbatched loop."""
+    """V by one solve_linear per eigenmode, the unbatched loop.
+
+    The matrices come from the solver's own builder, one call per batch of the
+    solver (the sorted modes with one leading index): the GEMM's bits depend on
+    the batch's row count, and a lone solve matches the stacked one bit for bit
+    only on the same Fortran-ordered matrix, not on a C-contiguous copy.
+    """
     d, N = prob.dimension, tb.n_modes
     S = assemble_stiffness(tb, prob.delta, prob.transform, N + 8)
     M = assemble_mass(tb, prob.transform)
     lam, E = eigh(space_mass_matrix(sb.m_modes).B)
     F = assemble_spacetime_load(prob, tb, sb)
+    K = lam.size
     lams = np.meshgrid(*([lam] * d), indexing="ij")
     ones = np.ones_like(lams[0])
     mus = math.prod(lams, start=ones).ravel()
     nus = sum(math.prod(lams[:i] + lams[i + 1:], start=ones) for i in range(d)).ravel()
+    SM = np.stack([S.T.ravel(), M.T.ravel()])
     fhat = pde_mod._mode_product(F, [E] * d).reshape(N, -1)
     vhat = np.empty_like(fhat)
-    for idx in range(mus.size):
-        vhat[:, idx], _ = solve_linear(mus[idx] * S + (nus[idx] + mus[idx]) * M, fhat[:, idx])
+    for head in itertools.combinations_with_replacement(range(K), d - 1):
+        modes = [head + (q,) for q in range(head[-1] if head else 0, K)]
+        rows = [np.ravel_multi_index(mode, (K,) * d) for mode in modes]
+        A = pde_mod._mode_matrices(np.stack([mus[rows], nus[rows] + mus[rows]], axis=-1), SM)
+        for a, mode in zip(A, modes):
+            assert a.flags.f_contiguous
+            for ordering in set(itertools.permutations(mode)):
+                idx = np.ravel_multi_index(ordering, (K,) * d)
+                vhat[:, idx], _ = solve_linear(a, fhat[:, idx])
     return pde_mod._mode_product(vhat.reshape(F.shape), [E.T] * d)
 
 
@@ -328,6 +344,61 @@ def test_threaded_solve_is_bit_identical(monkeypatch):
         assert on_main == [False] * calls
         assert np.array_equal(seq, reference)
         assert np.array_equal(par, reference)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mode_matrices_are_fortran_ordered_and_match_mu_s_plus_c_m(monkeypatch, d):
+    # Every batch the solver builds, including the short last one (a single
+    # mode for d = 2), is mu*S + c*M up to the GEMM's rounding of each term.
+    tb, sb = bases(6, 9, d)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=d)
+    S = assemble_stiffness(tb, prob.delta, SPEC5, 6 + 8)
+    M = assemble_mass(tb, SPEC5)
+    lam, _ = eigh(space_mass_matrix(9).B)
+    K = lam.size
+    passed = []
+
+    def recording_solve_linear(A, b):
+        passed.append(A[:, 0])
+        return solve_linear(A, b)
+
+    monkeypatch.setattr(pde_mod, "solve_linear", recording_solve_linear)
+    monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
+    solve_spacetime(prob, tb, sb)
+    heads = list(itertools.combinations_with_replacement(range(K), d - 1))
+    assert [len(A) for A in passed] == [K - (head[-1] if head else 0) for head in heads]
+    eps = np.finfo(float).eps
+    for head, A in zip(heads, passed):
+        for q, a in zip(range(head[-1] if head else 0, K), A):
+            lams = lam[list(head + (q,))]
+            mu = math.prod(lams)
+            c = mu + sum(math.prod(np.delete(lams, i)) for i in range(d))
+            assert a.flags.f_contiguous
+            bound = 2 * eps * (abs(mu) * np.abs(S) + abs(c) * np.abs(M))
+            assert np.all(np.abs(a - (mu * S + c * M)) <= bound)
+
+
+def test_one_factorisation_per_distinct_mode_matrix(monkeypatch):
+    # At d = 2 the K^2 modes share K(K+1)/2 matrices, (p, q) with (q, p).
+    tb, sb = bases(6, 6)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    real_getrf = ode_mod.lapack.dgetrf
+    factored = []
+
+    def counting_getrf(a):
+        factored.append(a.shape)
+        return real_getrf(a)
+
+    monkeypatch.setattr(ode_mod.lapack, "dgetrf", counting_getrf)
+    K = sb.n_funcs
+    for threads in (None, "2"):
+        if threads is None:
+            monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FRACSPEC_THREADS", threads)
+        factored.clear()
+        solve_spacetime(prob, tb, sb)
+        assert len(factored) == K * (K + 1) // 2 == 15
 
 
 def lapack_cond_estimate(A):
