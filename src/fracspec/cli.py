@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import DomainError, NumericalFailureError, StudyError
 from .ode_solver import solve
 from .orthopoly import TimeBasis
 from .pde_solver import SpatialBasis, solve_spacetime
-from .problems import CATALOG, build_pde_problem, build_time_problem, get_entry
+from .problems import CATALOG, build_problem, get_entry
 
 __all__ = ["main", "entry"]
 
@@ -123,8 +124,9 @@ _SETTINGS = (
         "report the L2 error in the rescaled variable against the map weight",
     ),
 )
-# On/off settings: a bare flag, or 1/true/yes in the config file.
+# On/off settings: a bare flag, or one of these values in the config file.
 _SWITCHES = {"weighted-l2"}
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _merge(args: argparse.Namespace, config: dict) -> dict:
@@ -137,7 +139,10 @@ def _merge(args: argparse.Namespace, config: dict) -> dict:
     for key, dest, _ in _SETTINGS:
         flag = getattr(args, dest)
         if key in _SWITCHES:
-            merged[dest] = flag or config.get(key, "") in ("1", "true", "yes")
+            value = config.get(key, "0")
+            if value not in _SWITCH_VALUES:
+                raise CliError(f"{key} must be 1, true, yes, 0, false or no, got {value!r}")
+            merged[dest] = flag or _SWITCH_VALUES[value]
         else:
             merged[dest] = flag if flag is not None else config.get(key)
     return merged
@@ -170,24 +175,25 @@ def _to_int(settings, key, minimum=None):
 
 
 def _effective(settings: dict):
-    """Validate the merged settings and apply catalog defaults."""
+    """Validate the merged settings and apply catalog defaults.
+
+    The returned entry is the catalog entry with any given delta, gamma,
+    lambda and T in place of its own.
+    """
     problem_id = settings.get("problem") or "example1"
     entry = get_entry(problem_id)
-    delta = _to_float(settings, "delta", lambda d: 0.0 < d < 1.0, "delta must lie in (0,1)")
-    lam = _to_float(settings, "lam", lambda v: v > 0, "lambda must be positive")
-    T = _to_float(settings, "T", lambda v: v > 0, "T must be positive")
+    overrides = {
+        "delta": _to_float(settings, "delta", lambda d: 0.0 < d < 1.0, "delta must lie in (0,1)"),
+        "lam": _to_float(settings, "lam", lambda v: v > 0, "lambda must be positive"),
+        "horizon_T": _to_float(settings, "T", lambda v: v > 0, "T must be positive"),
+    }
     alpha = _to_float(settings, "alpha", lambda v: v > -1.0, "alpha must exceed -1")
-    r = None
     if settings.get("gamma") is not None:
-        r = _parse_gamma(str(settings["gamma"]))
+        overrides["r"] = _parse_gamma(str(settings["gamma"]))
     quad_guard = _to_int(settings, "quad_guard", minimum=2)
     return {
-        "entry": entry,
+        "entry": replace(entry, **{k: v for k, v in overrides.items() if v is not None}),
         "given": {key for key, dest, _ in _SETTINGS if settings.get(dest) not in (None, False)},
-        "delta": delta,
-        "r": r,
-        "lam": lam,
-        "T": T,
         "alpha": 0.0 if alpha is None else alpha,
         "quad_guard": 8 if quad_guard is None else quad_guard,
         "out": settings.get("out"),
@@ -198,14 +204,14 @@ def _effective(settings: dict):
     }
 
 
-def _header_lines(entry, eff, extras: dict) -> list[str]:
-    r = eff["r"] if eff["r"] is not None else entry.r
+def _header_lines(eff, extras: dict) -> list[str]:
+    entry = eff["entry"]
     fields = {
         "problem": entry.problem_id,
-        "delta": eff["delta"] if eff["delta"] is not None else entry.delta,
-        "gamma": f"1/{r}" if r > 1 else "1",
-        "lambda": eff["lam"] if eff["lam"] is not None else entry.lam,
-        "T": eff["T"] if eff["T"] is not None else entry.horizon_T,
+        "delta": entry.delta,
+        "gamma": f"1/{entry.r}" if entry.r > 1 else "1",
+        "lambda": entry.lam,
+        "T": entry.horizon_T,
         "alpha": eff["alpha"],
         "quad_guard": eff["quad_guard"],
         **extras,
@@ -255,14 +261,14 @@ def _cmd_solve_ode(eff) -> int:
     entry = eff["entry"]
     if entry.kind == "pde-power":
         raise CliError("solve-ode needs a scalar problem; use solve-pde for example4")
-    problem, exact = build_time_problem(entry, eff["delta"], eff["r"], eff["lam"], eff["T"])
+    problem, exact = build_problem(entry)
     n = _to_int({"N": eff["N_raw"]}, "N", minimum=1) or entry.default_n
     basis = TimeBasis(eff["alpha"], n, (0.0, problem.transform.b_psi))
     sol = solve(problem, basis, eff["quad_guard"])
 
     s = np.linspace(0.0, problem.transform.horizon_T, 1001)
     u_num = sol.evaluate(s)
-    console = _header_lines(entry, eff, {"N": n, "grid": s.size})
+    console = _header_lines(eff, {"N": n, "grid": s.size})
     if exact is not None:
         u_ex = np.asarray(exact(s), dtype=float)
         rows = ["s,u_numeric,u_exact,abs_error"]
@@ -282,8 +288,8 @@ def _cmd_solve_ode(eff) -> int:
 
 def _cmd_convergence(eff) -> int:
     entry = eff["entry"]
+    problem, exact = build_problem(entry)
     if entry.kind == "pde-power":
-        problem, exact = build_pde_problem(entry, eff["delta"], eff["r"], eff["T"])
         n_values = _parse_resolutions(str(eff["N_raw"])) if eff["N_raw"] else (entry.default_n,)
         m_values = _parse_resolutions(str(eff["M_raw"])) if eff["M_raw"] else (entry.default_m,)
         if len(n_values) == 1 and len(m_values) > 1:
@@ -293,11 +299,10 @@ def _cmd_convergence(eff) -> int:
         study = run_pde_convergence_study(
             entry.problem_id, problem, exact, n_values, m_values, eff["alpha"], eff["quad_guard"]
         )
-        console = _header_lines(entry, eff, {"N": list(n_values), "M": list(m_values)})
+        console = _header_lines(eff, {"N": list(n_values), "M": list(m_values)})
         _emit(study.csv_rows(), eff["out"], console)
         return EXIT_OK
 
-    problem, exact = build_time_problem(entry, eff["delta"], eff["r"], eff["lam"], eff["T"])
     n_values = _parse_resolutions(str(eff["N_raw"])) if eff["N_raw"] else (2, 4, 8, 16)
     ref_n = eff["ref_n"] if eff["ref_n"] is not None else (None if exact else entry.default_ref_n)
     request = StudyRequest(
@@ -311,7 +316,7 @@ def _cmd_convergence(eff) -> int:
         quad_guard=eff["quad_guard"],
     )
     study = run_convergence_study(request)
-    console = _header_lines(entry, eff, {"N": list(n_values), "ref_N": ref_n})
+    console = _header_lines(eff, {"N": list(n_values), "ref_N": ref_n})
     _emit(study.csv_rows(), eff["out"], console)
     return EXIT_OK
 
@@ -320,7 +325,7 @@ def _cmd_solve_pde(eff) -> int:
     entry = eff["entry"]
     if entry.kind != "pde-power":
         raise CliError("solve-pde needs a space-time problem (example4)")
-    problem, exact = build_pde_problem(entry, eff["delta"], eff["r"], eff["T"])
+    problem, exact = build_problem(entry)
     n = _to_int({"N": eff["N_raw"]}, "N", minimum=1) or entry.default_n
     m = _to_int({"M": eff["M_raw"]}, "M", minimum=2) or entry.default_m
     tb = TimeBasis(eff["alpha"], n, (0.0, problem.transform.b_psi))
@@ -337,7 +342,7 @@ def _cmd_solve_pde(eff) -> int:
             ui, ei = grid[i, j], exact_grid[i, j]
             rows.append(f"{_fmt(xi)},{_fmt(yj)},{_fmt(ui)},{_fmt(ei)},{_fmt(abs(ui - ei))}")
     linf, l2 = pde_errors_at_final_time(sol, exact)
-    console = _header_lines(entry, eff, {"N": n, "M": m})
+    console = _header_lines(eff, {"N": n, "M": m})
     console.append(f"grid_linf_error={_fmt(linf)} grid_l2_error={_fmt(l2)}")
     _emit(rows, eff["out"], console)
     return EXIT_OK

@@ -321,13 +321,7 @@ def _derivative_callback(v, v_prime):
     if v_prime is not None:
         return v_prime
     # Fallback for external callers: O(h^4) finite differences of v.
-    h = 1e-5
-
-    def fd(z):
-        z = np.asarray(z, dtype=float)
-        return (-v(z + 2 * h) + 8 * v(z + h) - 8 * v(z - h) + v(z - 2 * h)) / (12 * h)
-
-    return fd
+    return lambda z: _fd_derivative(v, np.asarray(z, dtype=float), 1e-5)
 
 
 def psi_caputo_numeric(spec, delta: FracOrder, v, t: float, tol: float, v_prime=None):

@@ -221,27 +221,17 @@ def _thread_count() -> int:
     return max(1, n)
 
 
-def _eigenmode_batches(lam: np.ndarray, d: int):
-    """The mode-coefficient table of every eigenmode, and the modes of each batch.
+def _mode_table(lam: np.ndarray, d: int) -> np.ndarray:
+    """The (K^d, 2) mode-coefficient table of every eigenmode.
 
     Eigenmode (i_1, ..., i_d) has mu = prod_i lam_i and nu = sum_i prod_{j != i} lam_j;
-    row m of the (K^d, 2) table is (mu, nu + mu) of the mode with flat index m.
-    Both are symmetric in the indices, so all orderings of a sorted multi-index
-    share one matrix.  There is one batch per sorted leading multi-index head,
-    holding the sorted modes head + (q,), q >= head[-1]: K batches for d = 2, one
-    for d = 1.  A batch is a (modes, orderings) array of flat mode indices, the
-    sorted ordering first; a repeated index repeats a flat index.
+    row m of the table is (mu, nu + mu) of the mode with flat index m.
     """
-    K = lam.size
     lams = np.meshgrid(*[lam] * d, indexing="ij")
     ones = np.ones_like(lams[0])
     mu = math.prod(lams, start=ones)
     nu = sum(math.prod(lams[:i] + lams[i + 1:], start=ones) for i in range(d))
-    table = np.stack([mu.ravel(), (nu + mu).ravel()], axis=-1)
-    flat = np.arange(K**d).reshape((K,) * d)
-    orders = np.stack([flat.transpose(p) for p in itertools.permutations(range(d))], axis=-1)
-    heads = itertools.combinations_with_replacement(range(K), d - 1)
-    return table, [orders[head][head[-1] if head else 0:] for head in heads]
+    return np.stack([mu.ravel(), (nu + mu).ravel()], axis=-1)
 
 
 def _mode_matrices(coefs: np.ndarray, SM: np.ndarray) -> np.ndarray:
@@ -255,6 +245,54 @@ def _mode_matrices(coefs: np.ndarray, SM: np.ndarray) -> np.ndarray:
     """
     n = math.isqrt(SM.shape[1])
     return (coefs @ SM).reshape(-1, n, n).transpose(0, 2, 1)
+
+
+def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarray) -> np.ndarray:
+    """Solve (mu S + c M) w = fhat[:, mode] for every eigenmode; w has fhat's (N, K, ...) shape.
+
+    Row m of table is the (mu, c) of the mode with flat index m.  Both are
+    symmetric in the mode's indices, so all orderings of a sorted multi-index
+    share one matrix.  There is one batch per sorted leading multi-index head,
+    holding the sorted modes head + (q,), q >= head[-1]: K batches for d = 2, one
+    for d = 1.  A batch is a (modes, orderings) array of flat mode indices, the
+    sorted ordering first; a repeated index repeats a flat index.  A refused
+    mode raises NumericalFailureError with index set to the mode's tuple.
+    """
+    shape = fhat.shape[1:]
+    d, K = len(shape), shape[0]
+    fhat = fhat.reshape(fhat.shape[0], -1)
+    vhat = np.empty_like(fhat)
+    flat = np.arange(K**d).reshape(shape)
+    orders = np.stack([flat.transpose(p) for p in itertools.permutations(range(d))], axis=-1)
+    heads = itertools.combinations_with_replacement(range(K), d - 1)
+    batches = [orders[head][head[-1] if head else 0:] for head in heads]
+    SM = np.stack([S.T.ravel(), M.T.ravel()])
+
+    def solve_batch(orders: np.ndarray):
+        """Solve one batch in one stacked call, each mode's matrix guarded once.
+
+        Every ordering of a mode gets its own right-hand side against the shared
+        matrix.  Returns the solutions, (modes, orderings, N).
+        """
+        A = _mode_matrices(table[orders[:, 0]], SM)
+        try:
+            w, _ = solve_linear(A[:, None], fhat.T[orders])
+        except NumericalFailureError as exc:
+            mode = tuple(int(i) for i in np.unravel_index(orders[exc.index[0], 0], shape))
+            raise NumericalFailureError(str(exc), estimate=exc.estimate, index=mode) from exc
+        return w
+
+    workers = _thread_count()
+    if workers > 1:
+        # map yields the batches, and raises the first failure, in batch order,
+        # whatever order the threads finish in.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(solve_batch, batches))
+    else:
+        solved = map(solve_batch, batches)
+    for orders, w in zip(batches, solved):
+        vhat.T[orders] = w
+    return vhat.reshape((-1,) + shape)
 
 
 def solve_spacetime(
@@ -293,40 +331,14 @@ def solve_spacetime(
     if lam.min() <= 0:
         raise NumericalFailureError(f"spatial mass matrix lost positive definiteness ({where})")
 
-    fhat = _mode_product(F, [E] * d).reshape(N, -1)
-    vhat = np.empty_like(fhat)
-    K = lam.size
-    table, batches = _eigenmode_batches(lam, d)
-    SM = np.stack([S.T.ravel(), M.T.ravel()])
-
-    def solve_batch(orders: np.ndarray):
-        """Solve one batch in one stacked call, each mode's matrix guarded once.
-
-        Every ordering of a mode gets its own right-hand side against the shared
-        matrix.  Returns the solutions, (modes, orderings, N).
-        """
-        A = _mode_matrices(table[orders[:, 0]], SM)
-        try:
-            w, _ = solve_linear(A[:, None], fhat.T[orders])
-        except NumericalFailureError as exc:
-            mode = tuple(int(i) for i in np.unravel_index(orders[exc.index[0], 0], (K,) * d))
-            raise NumericalFailureError(
-                f"eigenmode solve failed at mode {mode} ({where}): {exc}", estimate=exc.estimate
-            ) from exc
-        return w
-
-    workers = _thread_count()
-    if workers > 1:
-        # map yields the batches, and raises the first failure, in batch order,
-        # whatever order the threads finish in.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve_batch, batches))
-    else:
-        solved = map(solve_batch, batches)
-    for orders, w in zip(batches, solved):
-        vhat.T[orders] = w
-
-    V = _mode_product(vhat.reshape(F.shape), [E.T] * d)
+    fhat = _mode_product(F, [E] * d)
+    try:
+        vhat = _solve_modes(S, M, _mode_table(lam, d), fhat)
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(
+            f"eigenmode solve failed at mode {exc.index} ({where}): {exc}", estimate=exc.estimate
+        ) from exc
+    V = _mode_product(vhat, [E.T] * d)
     del fhat, vhat  # dead from here on; freed before the residual's temporaries
     # Operator: S x B^d + M x (sum_i B^d with identity on axis i) + M x B^d.
     # Accumulated in place, in the order of S VB + M ((lap_0 + lap_1 + ...) + VB) - F.

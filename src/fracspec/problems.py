@@ -10,7 +10,7 @@ the rescaled solution is smooth enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .frac_ops import PowerSum, TransformSpec
 from .ode_solver import TimeProblem
 from .pde_solver import manufactured_sine_power
 
-__all__ = ["ProblemCatalogEntry", "CATALOG", "get_entry", "build_time_problem", "build_pde_problem"]
+__all__ = ["ProblemCatalogEntry", "CATALOG", "get_entry", "build_problem"]
 
 DEFAULT_T = 2.0
 DEFAULT_LAMBDA = 1.0
@@ -101,39 +101,12 @@ def get_entry(problem_id: str) -> ProblemCatalogEntry:
         raise DomainError(f"unknown problem {problem_id!r}; known: {known}") from None
 
 
-def _with_overrides(entry: ProblemCatalogEntry, delta=None, r=None, lam=None, T=None):
-    updates = {}
-    if delta is not None:
-        updates["delta"] = delta
-    if r is not None:
-        updates["r"] = r
-    if lam is not None:
-        updates["lam"] = lam
-    if T is not None:
-        updates["horizon_T"] = T
-    return replace(entry, **updates) if updates else entry
-
-
-def build_time_problem(entry: ProblemCatalogEntry, delta=None, r=None, lam=None, T=None):
-    """Instantiate a scalar problem plus its exact solution (None if unknown)."""
-    entry = _with_overrides(entry, delta, r, lam, T)
+def build_problem(entry: ProblemCatalogEntry):
+    """Instantiate the entry's problem plus its exact solution (None if unknown)."""
     transform = TransformSpec(entry.r, entry.horizon_T)
-    if entry.kind == "ode-power":
-        u = PowerSum(((1.0, entry.sigma),))
-        return TimeProblem.manufactured(u, entry.delta, entry.lam, transform), u
+    if entry.kind == "pde-power":
+        return manufactured_sine_power(entry.delta, transform, entry.sigma, dimension=2)
     if entry.kind == "ode-source":
-        return (
-            TimeProblem.from_source(np.sin, entry.delta, entry.lam, transform),
-            None,
-        )
-    raise DomainError(f"{entry.problem_id} is not a scalar time problem")
-
-
-def build_pde_problem(entry: ProblemCatalogEntry, delta=None, r=None, T=None):
-    """Instantiate the subdiffusion problem plus its exact solution."""
-    entry = _with_overrides(entry, delta, r, None, T)
-    if entry.kind != "pde-power":
-        raise DomainError(f"{entry.problem_id} is not a space-time problem")
-    transform = TransformSpec(entry.r, entry.horizon_T)
-    problem, exact = manufactured_sine_power(entry.delta, transform, entry.sigma, dimension=2)
-    return problem, exact
+        return TimeProblem.from_source(np.sin, entry.delta, entry.lam, transform), None
+    u = PowerSum(((1.0, entry.sigma),))
+    return TimeProblem.manufactured(u, entry.delta, entry.lam, transform), u

@@ -1,3 +1,6 @@
+import csv
+import importlib.util
+import math
 import os
 import pathlib
 import subprocess
@@ -7,7 +10,15 @@ import numpy as np
 import pytest
 
 import fracspec
+import fracspec.cli as cli_mod
 from fracspec.cli import _build_parser, _merge, _read_config, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_suite_spec = importlib.util.spec_from_file_location(
+    "run_convergence_suite", ROOT / "scripts" / "run_convergence_suite.py"
+)
+suite = importlib.util.module_from_spec(_suite_spec)
+_suite_spec.loader.exec_module(suite)
 
 
 def run_cli(capsys, *argv):
@@ -134,7 +145,6 @@ def test_bad_usage_exits_2(capsys):
 
 
 def test_numerical_failure_exits_3(capsys, monkeypatch):
-    import fracspec.cli as cli_mod
     from fracspec.errors import NumericalFailureError
 
     def failing_solve(problem, basis, quad_guard=8):
@@ -255,6 +265,25 @@ def test_convergence_pde_sweep(tmp_path, capsys):
     assert errs[2] < errs[0]
 
 
+@pytest.mark.parametrize("name, flags", suite.STUDIES, ids=[name for name, _ in suite.STUDIES])
+def test_convergence_suite_study_matches_committed_csv(tmp_path, capsys, name, flags):
+    # Every setting of the suite must answer: a refused one exits 3.
+    out = tmp_path / name
+    code, _, stderr = run_cli(capsys, "convergence", *flags.split(), "--out", str(out))
+    assert code == 0, stderr
+    got = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+    committed = list(csv.reader((ROOT / "results" / name).read_text(encoding="utf-8").splitlines()))
+    header = committed[0]
+    assert got[0] == header
+    assert len(got) == len(committed)
+    keys = [i for i, column in enumerate(header) if column in ("N", "M")]
+    errors = [i for i, column in enumerate(header) if column.endswith("error")]
+    for row, ref in zip(got[1:], committed[1:]):
+        assert [row[i] for i in keys] == [ref[i] for i in keys]
+        for i in errors:
+            assert float(row[i]) <= math.sqrt(10.0) * max(float(ref[i]), 1e-10), (row, ref)
+
+
 # ---------------------------------------------------------------------------
 # solve-pde
 # ---------------------------------------------------------------------------
@@ -339,6 +368,45 @@ def test_rule_failure_names_the_rule_and_the_solve(capsys, argv, solve):
     assert "weight sum" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv, stage, problem_of, lam",
+    [
+        (["solve-ode", "--problem", "example2a", "--N", "6", "--lambda", "2.5"],
+         "solve", lambda problem, basis, quad_guard: problem, 2.5),
+        (["convergence", "--problem", "example2a", "--N", "4,6", "--lambda", "2.5"],
+         "run_convergence_study", lambda request: request.problem, 2.5),
+        (["solve-pde", "--problem", "example4", "--N", "4", "--M", "4"],
+         "solve_spacetime", lambda problem, tb, sb, quad_guard: problem, 1.0),
+        (["convergence", "--problem", "example4", "--N", "4", "--M", "4"],
+         "run_pde_convergence_study", lambda pid, problem, *rest: problem, 1.0),
+    ],
+    ids=["solve-ode", "convergence", "solve-pde", "convergence-pde"],
+)
+def test_problem_overrides_reach_header_and_solved_problem(
+    tmp_path, capsys, monkeypatch, argv, stage, problem_of, lam
+):
+    real_stage = getattr(cli_mod, stage)
+    solved = []
+
+    def recording_stage(*args):
+        solved.append(problem_of(*args))
+        return real_stage(*args)
+
+    monkeypatch.setattr(cli_mod, stage, recording_stage)
+    code, stdout, stderr = run_cli(
+        capsys, *argv, "--delta", "0.3", "--gamma", "1/4", "--T", "1.5",
+        "--out", str(tmp_path / "o.csv"),
+    )
+    assert code == 0, stderr
+    header = [l for l in stdout.splitlines() if l.startswith("run:")]
+    assert f"delta=0.3 gamma=1/4 lambda={lam} T=1.5 " in header[0]
+    assert len(solved) == 1
+    problem = solved[0]
+    assert (problem.delta.delta, problem.transform.r, problem.transform.horizon_T) == (0.3, 4, 1.5)
+    # The space-time problem has no lambda: its reaction coefficient is fixed at one.
+    assert getattr(problem, "lam", 1.0) == lam
+
+
 # ---------------------------------------------------------------------------
 # config file and catalog
 # ---------------------------------------------------------------------------
@@ -388,13 +456,29 @@ def test_setting_from_config_file_and_flag(tmp_path, key, dest, file_value, flag
     assert merged_settings(["convergence", "--" + key, flag_value], config)[dest] == flag_value
 
 
-@pytest.mark.parametrize("value, on", [("1", True), ("true", True), ("yes", True), ("no", False)])
+@pytest.mark.parametrize(
+    "value, on",
+    [("1", True), ("true", True), ("yes", True), ("0", False), ("false", False), ("no", False)],
+)
 def test_weighted_l2_from_config_file_and_flag(tmp_path, value, on):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"weighted-l2={value}\n", encoding="utf-8")
     config = _read_config(str(cfg))
     assert merged_settings(["convergence"], config)["weighted_l2"] is on
     assert merged_settings(["convergence", "--weighted-l2"], config)["weighted_l2"] is True
+
+
+@pytest.mark.parametrize("value", ["True", "on", "YES", ""])
+def test_weighted_l2_config_value_outside_the_switch_values_exits_2(tmp_path, capsys, value):
+    # Read as off, such a value would run the plain L2 norm without a word.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"weighted-l2={value}\n", encoding="utf-8")
+    for extra in ((), ("--weighted-l2",)):
+        code, stdout, stderr = run_cli(
+            capsys, "convergence", "--problem", "example1", "--N", "2", "--config", str(cfg), *extra
+        )
+        assert (code, stdout) == (2, "")
+        assert f"weighted-l2 must be 1, true, yes, 0, false or no, got {value!r}" in stderr
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

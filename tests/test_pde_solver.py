@@ -470,6 +470,34 @@ def test_guard_failure_maps_a_later_mode(monkeypatch):
         assert info.value.estimate == math.inf
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_solve_modes_answers_every_mode_and_names_a_refused_one(rng, monkeypatch, d):
+    # The contract of the mode stage, whatever solves it: (mu S + c M) w = fhat
+    # to roundoff for every mode, in fhat's shape, and a refused mode named by
+    # its index tuple.
+    monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
+    tb, _ = bases(8, 8, d)
+    S = assemble_stiffness(tb, FracOrder(0.5), SPEC5, 8 + 8)
+    M = assemble_mass(tb, SPEC5)
+    lam, _ = eigh(space_mass_matrix(8).B)
+    K = lam.size
+    table = pde_mod._mode_table(lam, d)
+    fhat = rng.standard_normal((8,) + (K,) * d)
+    w = pde_mod._solve_modes(S, M, table, fhat)
+    assert w.shape == fhat.shape
+    for m, (mu, c) in enumerate(table):
+        col = (slice(None),) + np.unravel_index(m, (K,) * d)
+        A = mu * S + c * M
+        scale = np.max(np.sum(np.abs(A), axis=1)) * np.max(np.abs(w[col]))
+        assert np.max(np.abs(A @ w[col] - fhat[col])) <= 1e-14 * scale
+
+    mode = (3,) if d == 1 else (2, 5)
+    table[np.ravel_multi_index(mode, (K,) * d)] = 0.0  # mu = c = 0: the zero matrix
+    with pytest.raises(NumericalFailureError) as info:
+        pde_mod._solve_modes(S, M, table, fhat)
+    assert info.value.index == mode
+
+
 def test_mode_solves_never_hold_the_full_stack(monkeypatch):
     # All K^2 mode matrices at once would take K^2 N^2 8 bytes; the batches hold
     # at most K of them.  The whole solve peaks near half that size here.
