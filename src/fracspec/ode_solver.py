@@ -254,28 +254,31 @@ def assemble_system(
     return AssembledSystem(S, M, F)
 
 
+def _stack_position(index: tuple) -> str:
+    """The end of a failure message that names system `index` of a stack; empty for one system."""
+    return f" at system {index} of the stack" if index else ""
+
+
 def _stack_failure(message: str, flat: int, shape: tuple, estimate=None) -> NumericalFailureError:
     """The failure of system number `flat` of a stack of the given shape, named by its index."""
     index = tuple(int(j) for j in np.unravel_index(flat, shape))
-    where = f" at system {index} of the stack" if index else ""
-    return NumericalFailureError(f"{message}{where}", estimate=estimate, index=index)
+    return NumericalFailureError(f"{message}{_stack_position(index)}", estimate=estimate, index=index)
 
 
 def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-    """Dense LU solve with a condition guard and one refinement step.
+    """Dense LU solve with a condition guard.
 
     F is (..., n), and A, (n, n) or a stack (..., n, n), broadcasts against
     F's stack axes: a matrix shared by k right-hand sides is passed once, as
     A[..., None, :, :] against F of shape (..., k, n).  Each matrix of A's own
     stack, never a broadcast copy, is LU-factored once by LAPACK's getrf, and
-    that one factorisation serves the guard, the solves and the refinement.
-    The guard is the 1-norm condition estimate of the factors (gecon: the
-    Hager-Higham estimator); a failure names the first failing matrix in
-    stack order (`NumericalFailureError.index`).  Each right-hand side is
-    solved as a single vector (getrs), and refined once through the same
-    factors when its residual exceeds 1e-12 |b|, so a stack gives the same
-    bits as one call per system.  A non-finite solution or residual is
-    refused, naming the first such system of the broadcast stack.
+    that one factorisation serves the guard and the solves.  The guard is the
+    1-norm condition estimate of the factors (gecon: the Hager-Higham
+    estimator); a failure names the first failing matrix in stack order
+    (`NumericalFailureError.index`).  Each right-hand side is solved once, as
+    a single vector (getrs), so a stack gives the same bits as one call per
+    system.  A non-finite solution or residual is refused, naming the first
+    such system of the broadcast stack.
 
     Returns the solution and the max-norm residual of each right-hand side:
     a float for one matrix and one vector, else an array of the stack shape.
@@ -306,19 +309,7 @@ def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.n
     xs = x.reshape(-1, n)
     for j, (m, rhs) in enumerate(zip(which, b.reshape(-1, n))):
         xs[j] = lapack.dgetrs(*factors[m], rhs)[0]
-    r = A @ x - b
-    residual = np.asarray(np.max(np.abs(r), axis=(-2, -1)))
-    scale = np.max(np.abs(b), axis=(-2, -1), initial=0.0)
-    refine = (scale > 0) & (residual > 1e-12 * scale)
-    if np.any(refine):
-        # -r is F - A x bit for bit.
-        rs = -r.reshape(-1, n)
-        for j in np.flatnonzero(refine).tolist():
-            xs[j] += lapack.dgetrs(*factors[which[j]], rs[j])[0]
-        # On the whole stack, not a gather of the refined systems: a gather
-        # copies each refined matrix, and often every system is refined.
-        refined = np.max(np.abs(A @ x - b), axis=(-2, -1))
-        residual[refine] = refined[refine]
+    residual = np.asarray(np.max(np.abs(A @ x - b), axis=(-2, -1)))
     # A column of A that the guard let through is not zero, so a NaN or inf in
     # x also makes its residual NaN or inf.
     finite = np.isfinite(residual)

@@ -21,7 +21,9 @@ from scipy.linalg import eigh
 
 from .errors import DomainError, NumericalFailureError
 from .frac_ops import FracOrder, TransformSpec, caputo_coef
-from .ode_solver import assemble_mass, assemble_stiffness, assemble_time_load, solve_linear
+from .ode_solver import (
+    _stack_position, assemble_mass, assemble_stiffness, assemble_time_load, solve_linear
+)
 from .orthopoly import JacobiIndex, TimeBasis, gauss_jacobi_rule, gjp_table, legendre_phi_table
 
 __all__ = [
@@ -279,7 +281,9 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
             w, _ = solve_linear(A[:, None], fhat.T[orders])
         except NumericalFailureError as exc:
             mode = tuple(int(i) for i in np.unravel_index(orders[exc.index[0], 0], shape))
-            raise NumericalFailureError(str(exc), estimate=exc.estimate, index=mode) from exc
+            # The stack position is batch-local; the mode's tuple replaces it.
+            message = str(exc).removesuffix(_stack_position(exc.index))
+            raise NumericalFailureError(message, estimate=exc.estimate, index=mode) from exc
         return w
 
     workers = _thread_count()
@@ -336,7 +340,9 @@ def solve_spacetime(
         vhat = _solve_modes(S, M, _mode_table(lam, d), fhat)
     except NumericalFailureError as exc:
         raise NumericalFailureError(
-            f"eigenmode solve failed at mode {exc.index} ({where}): {exc}", estimate=exc.estimate
+            f"eigenmode solve failed at mode {exc.index} ({where}): {exc}",
+            estimate=exc.estimate,
+            index=exc.index,
         ) from exc
     V = _mode_product(vhat, [E.T] * d)
     del fhat, vhat  # dead from here on; freed before the residual's temporaries

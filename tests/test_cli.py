@@ -3,6 +3,7 @@ import importlib.util
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -282,6 +283,22 @@ def test_convergence_suite_study_matches_committed_csv(tmp_path, capsys, name, f
         assert [row[i] for i in keys] == [ref[i] for i in keys]
         for i in errors:
             assert float(row[i]) <= math.sqrt(10.0) * max(float(ref[i]), 1e-10), (row, ref)
+
+
+def test_suite_results_are_not_git_ignored():
+    # `git add -A` drops an ignored path, so a CSV for a new suite row must not
+    # be ignored.  --no-index checks the rules even for the tracked CSVs.
+    if shutil.which("git") is None or not (ROOT / ".git").exists():
+        pytest.skip("not a git checkout")
+    paths = [f"results/{name}" for name, _ in suite.STUDIES]
+    check = subprocess.run(
+        ["git", "check-ignore", "--no-index", "-v", *paths],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    # Exit status 1: no path is ignored (0 means some are, 128 an error).
+    assert check.returncode == 1, check.stdout + check.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -434,10 +434,6 @@ def mixed_stack(rng, n=10):
     return np.stack([m for pair in zip(well, ill) for m in pair])
 
 
-def needs_refinement(A, b):
-    return np.max(np.abs(A @ np.linalg.solve(A, b) - b)) > 1e-12 * np.max(np.abs(b))
-
-
 def test_stacked_solve_linear_is_bit_identical_to_per_matrix_calls(rng):
     stack = mixed_stack(rng)
     # The transposed view holds Fortran-contiguous matrices, as the eigenmode
@@ -447,8 +443,6 @@ def test_stacked_solve_linear_is_bit_identical_to_per_matrix_calls(rng):
 
         # One right-hand side per matrix, stack shape (2, 3).
         F = rng.standard_normal((6, n))
-        refined = [needs_refinement(A[i], F[i]) for i in range(6)]
-        assert any(refined) and not all(refined)
         x, res = solve_linear(A.reshape(2, 3, n, n), F.reshape(2, 3, n))
         assert x.shape == (2, 3, n) and res.shape == (2, 3)
         for i in range(6):
@@ -459,8 +453,6 @@ def test_stacked_solve_linear_is_bit_identical_to_per_matrix_calls(rng):
 
         # Two right-hand sides sharing each matrix: A broadcasts over a length-1 axis.
         F = rng.standard_normal((6, 2, n))
-        refined = [needs_refinement(A[i], F[i, k]) for i in range(6) for k in range(2)]
-        assert any(refined) and not all(refined)
         x, res = solve_linear(A[:, None], F)
         assert x.shape == (6, 2, n) and res.shape == (6, 2)
         for i in range(6):
@@ -512,8 +504,8 @@ def test_solve_linear_refuses_non_finite_solutions(rng):
 
 
 def test_shared_matrix_is_factored_once(rng, monkeypatch):
-    # One getrf per distinct matrix serves the guard, every solve and every
-    # refinement, and no other factorisation runs.
+    # One getrf per distinct matrix serves the guard and every solve, and no
+    # other factorisation runs.
     factors = []
     solves = []
     real_getrf, real_getrs = ode_mod.lapack.dgetrf, ode_mod.lapack.dgetrs
@@ -533,16 +525,15 @@ def test_shared_matrix_is_factored_once(rng, monkeypatch):
     A = mixed_stack(rng)
     k, n = A.shape[:2]
     F = rng.standard_normal((k, 2, n))
-    assert any(needs_refinement(A[i], F[i, j]) for i in range(k) for j in range(2))
     monkeypatch.setattr(ode_mod.lapack, "dgetrf", counting_getrf)
     monkeypatch.setattr(ode_mod.lapack, "dgetrs", recording_getrs)
     monkeypatch.setattr(np.linalg, "solve", no_solve)
     solve_linear(A[:, None], F)
     assert [f.shape for f in factors] == [(n, n)] * k
-    # One getrs per right-hand side, then one per refined right-hand side,
-    # each on the factors of its own matrix.
-    assert 2 * k < len(solves) <= 4 * k
-    assert all(any(lu is f for f in factors) for lu in solves)
+    # Exactly one getrs per right-hand side, in stack order, each on the
+    # factors of its own matrix.
+    assert len(solves) == 2 * k
+    assert all(lu is factors[j // 2] for j, lu in enumerate(solves))
 
     factors.clear()
     spec = TransformSpec(7, 2.0)
