@@ -20,7 +20,6 @@ from .analysis import (
     pde_errors_at_final_time,
     run_convergence_study,
     run_pde_convergence_study,
-    self_convergence_reference,
 )
 from .errors import DomainError, NumericalFailureError, StudyError
 from .ode_solver import solve
@@ -83,6 +82,14 @@ def _parse_resolutions(text: str) -> tuple[int, ...]:
         raise CliError(f"bad resolution list {text!r}") from None
     if not values:
         raise CliError("empty resolution list")
+    return values
+
+
+def _resolutions(eff, key: str, minimum: int, default: tuple[int, ...]) -> tuple[int, ...]:
+    """The convergence N or M list, each entry held to the minimum of a single solve."""
+    values = _parse_resolutions(str(eff[key + "_raw"])) if eff[key + "_raw"] else default
+    for value in values:
+        _to_int({key: value}, key, minimum)
     return values
 
 
@@ -290,8 +297,8 @@ def _cmd_convergence(eff) -> int:
     entry = eff["entry"]
     problem, exact = build_problem(entry)
     if entry.kind == "pde-power":
-        n_values = _parse_resolutions(str(eff["N_raw"])) if eff["N_raw"] else (entry.default_n,)
-        m_values = _parse_resolutions(str(eff["M_raw"])) if eff["M_raw"] else (entry.default_m,)
+        n_values = _resolutions(eff, "N", 1, (entry.default_n,))
+        m_values = _resolutions(eff, "M", 2, (entry.default_m,))
         if len(n_values) == 1 and len(m_values) > 1:
             n_values = n_values * len(m_values)
         if len(m_values) == 1 and len(n_values) > 1:
@@ -303,7 +310,7 @@ def _cmd_convergence(eff) -> int:
         _emit(study.csv_rows(), eff["out"], console)
         return EXIT_OK
 
-    n_values = _parse_resolutions(str(eff["N_raw"])) if eff["N_raw"] else (2, 4, 8, 16)
+    n_values = _resolutions(eff, "N", 1, (2, 4, 8, 16))
     ref_n = eff["ref_n"] if eff["ref_n"] is not None else (None if exact else entry.default_ref_n)
     request = StudyRequest(
         problem_id=entry.problem_id,

@@ -130,6 +130,15 @@ class PowerSum:
             out = out + c * caputo_coef(e, delta.delta) * s ** (e - delta.delta)
         return float(out) if out.ndim == 0 else out
 
+    def source_terms(self, delta: FracOrder, reaction: float, r: int) -> tuple:
+        """(coef, power) t-monomials of D^delta u + reaction*u under s = t^r; no constant."""
+        d = delta.delta
+        terms = []
+        for c, e in self.terms:
+            terms.append((c * caputo_coef(e, d), r * (e - d)))
+            terms.append((reaction * c, r * e))
+        return tuple(terms)
+
 
 # ---------------------------------------------------------------------------
 # Adaptive Gauss-Kronrod quadrature (oracle machinery)

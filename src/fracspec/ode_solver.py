@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DomainError, NumericalFailureError
-from .frac_ops import FracOrder, PowerSum, TransformSpec, caputo_coef
+from .frac_ops import FracOrder, PowerSum, TransformSpec
 from .orthopoly import (
     JacobiIndex,
     TimeBasis,
@@ -27,14 +27,12 @@ from .orthopoly import (
 
 __all__ = [
     "TimeProblem",
-    "AssembledSystem",
     "TimeSolution",
     "assemble_stiffness",
     "assemble_mass",
     "assemble_load",
     "assemble_load_powers",
     "assemble_time_load",
-    "assemble_system",
     "solve",
     "evaluate",
 ]
@@ -78,36 +76,16 @@ class TimeProblem:
         delta = delta if isinstance(delta, FracOrder) else FracOrder(delta)
         return cls(delta, lam, transform, source=g, phi=phi)
 
-    def source_transformed(self):
-        """Homogenized right-hand side f(t) = g(t^r) - lam*phi, or None if `exact` is given."""
-        if self.source is None:
-            return None
+    @property
+    def time_source(self):
+        """Homogenized t-side source, in the format of assemble_time_load.
+
+        Monomials of D^delta u + lam*u if `exact` is given, else t -> g(t^r) - lam*phi.
+        """
+        if self.exact is not None:
+            return self.exact.source_terms(self.delta, self.lam, self.transform.r)
         g, psi, lam, phi = self.source, self.transform.psi, self.lam, self.phi
-
-        def f(t):
-            return np.asarray(g(psi(t)), dtype=float) - lam * phi
-
-        return f
-
-    def source_power_terms(self):
-        """t-side monomials of the homogenized source, or None if not a power sum."""
-        if self.exact is None:
-            return None
-        d, lam, r = self.delta, self.lam, self.transform.r
-        terms = []
-        for c, e in self.exact.terms:
-            terms.append((c * caputo_coef(e, d.delta), r * (e - d.delta)))
-            terms.append((lam * c, r * e))
-        return tuple(terms)
-
-
-@dataclass(frozen=True)
-class AssembledSystem:
-    """Stiffness S, mass M and load F of the Galerkin system (S + lam*M) v = F."""
-
-    S: np.ndarray
-    M: np.ndarray
-    F: np.ndarray
+        return lambda t: np.asarray(g(psi(t)), dtype=float) - lam * phi
 
 
 @dataclass(frozen=True)
@@ -226,32 +204,16 @@ def assemble_load_powers(
 
 
 def assemble_time_load(
-    basis: TimeBasis, transform: TransformSpec, power_terms, f, quad_guard: int
+    basis: TimeBasis, transform: TransformSpec, source, quad_guard: int
 ) -> np.ndarray:
-    """Load of a t-side source given either as (coef, power) monomials or as a callable f.
+    """Load of a t-side source: a callable of t, or a tuple of (coef, power) monomials.
 
-    Monomials load exactly, one rule per power; a callable is sampled on the
-    (0, r-1) rule of N + 2*quad_guard points.
+    A callable is sampled on the (0, r-1) rule of N + 2*quad_guard points;
+    monomials load exactly, one rule per power.
     """
-    if power_terms is not None:
-        return assemble_load_powers(basis, transform, power_terms)
-    return assemble_load(basis, transform, f, basis.n_modes + 2 * quad_guard)
-
-
-def assemble_system(
-    problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8
-) -> AssembledSystem:
-    """Assemble S, M, F for the problem; manufactured power sources load exactly."""
-    S = assemble_stiffness(basis, problem.delta, problem.transform, basis.n_modes + quad_guard)
-    M = assemble_mass(basis, problem.transform)
-    F = assemble_time_load(
-        basis,
-        problem.transform,
-        problem.source_power_terms(),
-        problem.source_transformed(),
-        quad_guard,
-    )
-    return AssembledSystem(S, M, F)
+    if callable(source):
+        return assemble_load(basis, transform, source, basis.n_modes + 2 * quad_guard)
+    return assemble_load_powers(basis, transform, source)
 
 
 def _stack_position(index: tuple) -> str:
@@ -325,9 +287,11 @@ def solve(problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8) -> TimeSo
     """Solve (S + lam*M) v = F and package the coefficients."""
     stage = "assembly"
     try:
-        system = assemble_system(problem, basis, quad_guard)
+        S = assemble_stiffness(basis, problem.delta, problem.transform, basis.n_modes + quad_guard)
+        M = assemble_mass(basis, problem.transform)
+        F = assemble_time_load(basis, problem.transform, problem.time_source, quad_guard)
         stage = "linear solve"
-        coeffs, residual = solve_linear(system.S + problem.lam * system.M, system.F)
+        coeffs, residual = solve_linear(S + problem.lam * M, F)
     except NumericalFailureError as exc:
         raise NumericalFailureError(
             f"{stage} failed (delta={problem.delta.delta}, r={problem.transform.r}, "

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import DomainError, NumericalFailureError
-from .frac_ops import FracOrder, TransformSpec, caputo_coef
+from .frac_ops import FracOrder, PowerSum, TransformSpec
 from .ode_solver import (
     _stack_position, assemble_mass, assemble_stiffness, assemble_time_load, solve_linear
 )
@@ -28,7 +28,6 @@ from .orthopoly import JacobiIndex, TimeBasis, gauss_jacobi_rule, gjp_table, leg
 
 __all__ = [
     "SpatialBasis",
-    "SpaceMatrices",
     "SpaceTimeSolution",
     "PDEProblem",
     "SeparableRHS",
@@ -58,14 +57,7 @@ class SpatialBasis:
         return self.m_modes - 1
 
 
-@dataclass(frozen=True)
-class SpaceMatrices:
-    """Spatial Galerkin matrices: the stiffness is the identity, so only the mass B is kept."""
-
-    B: np.ndarray
-
-
-def space_mass_matrix(m_modes: int) -> SpaceMatrices:
+def space_mass_matrix(m_modes: int) -> np.ndarray:
     """Closed-form mass matrix b_jk = (phi_k, phi_j); nonzero for |j-k| in {0,2}."""
     if m_modes < 2:
         raise DomainError(f"need polynomial degree >= 2, got {m_modes}")
@@ -78,24 +70,26 @@ def space_mass_matrix(m_modes: int) -> SpaceMatrices:
     off = -c[:-2] * c[2:] * 2.0 / (2.0 * (j + 2.0) + 1.0)
     B[j.astype(int), j.astype(int) + 2] = off
     B[j.astype(int) + 2, j.astype(int)] = off
-    return SpaceMatrices(B)
+    return B
 
 
 @dataclass(frozen=True)
 class SeparableRHS:
     """Source of the form f(x[, y], t) = prod_i X_i(x_i) * T(t).
 
-    The time factor is either a tuple of (coef, power) monomials in t, loaded
-    exactly by per-power Gauss-Jacobi rules, or a plain callable.
+    The time factor is in the format of assemble_time_load: a callable of t,
+    or a tuple of (coef, power) monomials in t, loaded exactly by per-power
+    Gauss-Jacobi rules.
     """
 
     space_factors: tuple
-    time_powers: tuple = None
-    time_callable: object = None
+    time_source: object
 
     def __post_init__(self):
-        if (self.time_powers is None) == (self.time_callable is None):
-            raise DomainError("exactly one of time_powers/time_callable must be given")
+        src = self.time_source
+        pairs = isinstance(src, tuple) and all(isinstance(t, tuple) and len(t) == 2 for t in src)
+        if not (callable(src) or pairs):
+            raise DomainError("time_source must be a callable or a tuple of (coef, power) pairs")
 
 
 @dataclass(frozen=True)
@@ -125,12 +119,10 @@ def manufactured_sine_power(delta, transform: TransformSpec, sigma: float, dimen
     delta = delta if isinstance(delta, FracOrder) else FracOrder(delta)
     if not sigma > 0:
         raise DomainError(f"power exponent must be positive, got {sigma}")
-    r = transform.r
     reaction = dimension * math.pi**2 + 1.0
-    caputo = caputo_coef(sigma, delta.delta)
-    time_powers = ((caputo, r * (sigma - delta.delta)), (reaction, r * sigma))
+    time_source = PowerSum(((1.0, sigma),)).source_terms(delta, reaction, transform.r)
     factors = tuple(lambda x: np.sin(math.pi * np.asarray(x, dtype=float)) for _ in range(dimension))
-    rhs = SeparableRHS(space_factors=factors, time_powers=time_powers)
+    rhs = SeparableRHS(factors, time_source)
     problem = PDEProblem(delta, transform, rhs, dimension)
 
     def exact(*grids):
@@ -191,9 +183,7 @@ def assemble_spacetime_load(
         rhs = problem.rhs
         if len(rhs.space_factors) != d:
             raise DomainError("separable source needs one spatial factor per dimension")
-        ft = assemble_time_load(
-            time_basis, problem.transform, rhs.time_powers, rhs.time_callable, quad_guard
-        )
+        ft = assemble_time_load(time_basis, problem.transform, rhs.time_source, quad_guard)
         vals = [np.asarray(Xf(rule.nodes), dtype=float) for Xf in rhs.space_factors]
         if not all(np.all(np.isfinite(v)) for v in vals):
             raise ValueError("space factor returned NaN or inf at a quadrature node")
@@ -203,7 +193,7 @@ def assemble_spacetime_load(
     # Generic callable f(x[, y], t): time load at every spatial node, then space.
     nodes, rhs = rule.nodes, problem.rhs
     ft = assemble_time_load(
-        time_basis, problem.transform, None, lambda t: rhs(*np.ix_(*[nodes] * d, t)), quad_guard
+        time_basis, problem.transform, lambda t: rhs(*np.ix_(*[nodes] * d, t)), quad_guard
     )
     return _mode_product(ft, [wphi.T] * d)
 
@@ -324,7 +314,7 @@ def solve_spacetime(
         raise NumericalFailureError(
             f"assembly failed ({where}): {exc}", estimate=exc.estimate
         ) from exc
-    B = space_mass_matrix(space_basis.m_modes).B
+    B = space_mass_matrix(space_basis.m_modes)
     try:
         lam, E = eigh(B)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic

@@ -372,7 +372,7 @@ def _check_eigen_vs_dense():
     sol = solve_spacetime(problem, tb, sb)
     S = assemble_stiffness(tb, problem.delta, spec, n + 8)
     M = assemble_mass(tb, spec)
-    B = space_mass_matrix(m).B
+    B = space_mass_matrix(m)
     K = sb.n_funcs
     F = assemble_spacetime_load(problem, tb, sb).reshape(n, K * K)
     eye = np.eye(K)

@@ -371,6 +371,25 @@ def test_unread_setting_exits_2(tmp_path, capsys, argv, setting, line):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["convergence", "--problem", "example1", "--N", "0,2"], "N must be at least 1, got 0"),
+        (["convergence", "--problem", "example1", "--N", "0:4:2"], "N must be at least 1, got 0"),
+        (["convergence", "--problem", "example4", "--N", "0,4"], "N must be at least 1, got 0"),
+        (["convergence", "--problem", "example4", "--N", "4", "--M", "1,2"], "M must be at least 2, got 1"),
+        (["solve-ode", "--problem", "example1", "--N", "0"], "N must be at least 1, got 0"),
+        (["solve-pde", "--problem", "example4", "--M", "1"], "M must be at least 2, got 1"),
+    ],
+    ids=["list", "range", "pde-N", "pde-M", "solve-ode", "solve-pde"],
+)
+def test_resolution_below_minimum_exits_2(capsys, argv, message):
+    # a convergence list entry is held to the same minimum as a single solve's
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert message in stderr
+
+
+@pytest.mark.parametrize(
     "argv, solve",
     [
         (["solve-ode", "--problem", "example1"], "(delta=0.99, r=1, N=40)"),

@@ -15,7 +15,7 @@ from fracspec.ode_solver import (
     assemble_load_powers,
     assemble_mass,
     assemble_stiffness,
-    assemble_system,
+    assemble_time_load,
     evaluate,
     solve,
     solve_linear,
@@ -225,18 +225,36 @@ def test_problem_validation():
         TimeProblem(FracOrder(0.5), 1.0, spec, exact=u, phi=1.0)
 
 
-def test_manufactured_source_terms():
-    spec = TransformSpec(5, 2.0)
-    u = PowerSum(((1.0, 0.6),))
-    prob = TimeProblem.manufactured(u, 0.2, 2.0, spec)
-    terms = sorted(prob.source_power_terms(), key=lambda t: t[1])
-    # D^0.2 s^0.6 -> coefficient Gamma(1.6)/Gamma(1.4) at t-power 5*(0.6-0.2),
-    # plus lambda * u at t-power 5*0.6
-    (c1, p1), (c2, p2) = terms
-    assert p1 == pytest.approx(2.0, rel=1e-14)
-    assert c1 == pytest.approx(math.gamma(1.6) / math.gamma(1.4), rel=1e-14)
-    assert p2 == pytest.approx(3.0, rel=1e-14)
-    assert c2 == pytest.approx(2.0, rel=1e-15)
+@pytest.mark.parametrize(
+    "terms, delta, lam, r, expected",
+    [
+        # D^0.2 s^0.6 -> coefficient Gamma(1.6)/Gamma(1.4) at t-power 5*(0.6-0.2),
+        # plus lambda * u at t-power 5*0.6
+        (((1.0, 0.6),), 0.2, 2.0, 5, [(math.gamma(1.6) / math.gamma(1.4), 2.0), (2.0, 3.0)]),
+        # u = 2 s^2 + 0.5 s^0.7: each term of u gives its Caputo monomial, then
+        # its reaction monomial, in the order of u's terms
+        (
+            ((2.0, 2.0), (0.5, 0.7)),
+            0.2,
+            3.0,
+            4,
+            [
+                (2.0 * math.gamma(3.0) / math.gamma(2.8), 7.2),
+                (6.0, 8.0),
+                (0.5 * math.gamma(1.7) / math.gamma(1.5), 2.0),
+                (1.5, 2.8),
+            ],
+        ),
+    ],
+    ids=["one-term", "two-term"],
+)
+def test_manufactured_source_terms(terms, delta, lam, r, expected):
+    prob = TimeProblem.manufactured(PowerSum(terms), delta, lam, TransformSpec(r, 2.0))
+    source = prob.time_source
+    assert len(source) == len(expected)
+    for (c, p), (c_ref, p_ref) in zip(source, expected):
+        assert p == pytest.approx(p_ref, rel=1e-14)
+        assert c == pytest.approx(c_ref, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +416,9 @@ def test_assembled_system_and_residual():
     u = PowerSum(((1.0, 2.0),))
     prob = TimeProblem.manufactured(u, 0.5, 1.0, spec)
     basis = basis_for(spec, 4)
-    system = assemble_system(prob, basis)
+    F = assemble_time_load(basis, spec, prob.time_source, 8)
     sol = solve(prob, basis)
-    scale = np.max(np.abs(system.F))
+    scale = np.max(np.abs(F))
     assert sol.residual <= 1e-12 * scale
 
 

@@ -37,7 +37,7 @@ def bases(n, m, d=2):
 
 
 def test_b_corner_entries():
-    B = space_mass_matrix(4).B
+    B = space_mass_matrix(4)
     assert B[0, 0] == pytest.approx(0.4, rel=1e-15)
     c0, c2 = 1.0 / math.sqrt(6.0), 1.0 / math.sqrt(14.0)
     assert B[0, 2] == pytest.approx(-c0 * c2 * 2.0 / 5.0, rel=1e-15)
@@ -48,12 +48,12 @@ def test_b_matches_quadrature_oracle(m):
     x, w = np.polynomial.legendre.leggauss(m + 4)
     phi = legendre_phi_table(m, x)
     B_quad = (phi * w) @ phi.T
-    B = space_mass_matrix(m).B
+    B = space_mass_matrix(m)
     assert np.max(np.abs(B - B_quad)) <= 1e-13
 
 
 def test_b_structure():
-    B = space_mass_matrix(10).B
+    B = space_mass_matrix(10)
     assert np.max(np.abs(B - B.T)) == 0.0
     assert np.linalg.eigvalsh(B).min() > 0.0
     n = B.shape[0]
@@ -99,7 +99,7 @@ def test_load_of_zero_source():
     prob = PDEProblem(
         FracOrder(0.5),
         SPEC5,
-        SeparableRHS((np.cos, np.cos), time_powers=((0.0, 1.0),)),
+        SeparableRHS((np.cos, np.cos), time_source=((0.0, 1.0),)),
         2,
     )
     F = assemble_spacetime_load(prob, tb, sb)
@@ -120,7 +120,7 @@ def test_separable_load_equals_generic_tensor_path(d):
         *xs, t = xs_t
         return math.prod(f(x) for f, x in zip(factors, xs)) * t**tpow
 
-    sep = PDEProblem(FracOrder(0.5), SPEC5, SeparableRHS(factors, time_callable=tfun), d)
+    sep = PDEProblem(FracOrder(0.5), SPEC5, SeparableRHS(factors, time_source=tfun), d)
     gen = PDEProblem(FracOrder(0.5), SPEC5, source, d)
     F_sep = assemble_spacetime_load(sep, tb, sb)
     F_gen = assemble_spacetime_load(gen, tb, sb)
@@ -139,7 +139,7 @@ def test_manufactured_load_matches_nested_adaptive_oracle():
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
     F = assemble_spacetime_load(prob, tb, sb)
 
-    time_terms = prob.rhs.time_powers
+    time_terms = prob.rhs.time_source
 
     def time_integrand(t):
         t = np.asarray(t, dtype=float)
@@ -180,7 +180,7 @@ def test_manufactured_load_matches_nested_adaptive_oracle():
 def test_zero_source_gives_exact_zero():
     tb, sb = bases(4, 5)
     prob = PDEProblem(
-        FracOrder(0.5), SPEC5, SeparableRHS((np.cos, np.cos), time_powers=((0.0, 2.0),)), 2
+        FracOrder(0.5), SPEC5, SeparableRHS((np.cos, np.cos), time_source=((0.0, 2.0),)), 2
     )
     sol = solve_spacetime(prob, tb, sb)
     assert np.all(sol.V == 0.0)
@@ -192,12 +192,12 @@ def test_single_spatial_mode_reduces_to_scalar_solve():
     spec = TransformSpec(2, 2.0)
     tb = TimeBasis(0.0, 6, (0.0, spec.b_psi))
     sb = SpatialBasis(2, 1)
-    b00 = space_mass_matrix(2).B[0, 0]
+    b00 = space_mass_matrix(2)[0, 0]
 
     def tfun(t):
         return np.asarray(t, dtype=float) ** 2
 
-    prob = PDEProblem(FracOrder(0.5), spec, SeparableRHS((np.cos,), time_callable=tfun), 1)
+    prob = PDEProblem(FracOrder(0.5), spec, SeparableRHS((np.cos,), time_source=tfun), 1)
     sol = solve_spacetime(prob, tb, sb)
 
     xq, wq = np.polynomial.legendre.leggauss(10)
@@ -229,7 +229,7 @@ def test_eigen_solve_matches_dense_kronecker(d):
 
     S = assemble_stiffness(tb, prob.delta, spec, n + 8)
     M = assemble_mass(tb, spec)
-    B = space_mass_matrix(m).B
+    B = space_mass_matrix(m)
     K = sb.n_funcs
     F = assemble_spacetime_load(prob, tb, sb).reshape(n, K**d)
     identity = np.eye(K)
@@ -257,12 +257,18 @@ def test_tensor_residual_bound_is_enforced_and_recorded():
 
 def test_separable_space_factor_with_nan_is_refused():
     tb, sb = bases(6, 6, 1)
-    rhs = SeparableRHS((lambda x: np.where(x > 0.5, np.nan, 1.0),), time_powers=((1.0, 1.0),))
+    rhs = SeparableRHS((lambda x: np.where(x > 0.5, np.nan, 1.0),), time_source=((1.0, 1.0),))
     prob = PDEProblem(FracOrder(0.5), SPEC5, rhs, 1)
     with pytest.raises(ValueError, match="NaN"):
         assemble_spacetime_load(prob, tb, sb)
     with pytest.raises(ValueError, match="NaN"):
         solve_spacetime(prob, tb, sb)
+
+
+@pytest.mark.parametrize("time_source", [None, (1.0, 2.0), ((1.0, 2.0), (3.0,))])
+def test_separable_rhs_refuses_a_time_source_of_neither_format(time_source):
+    with pytest.raises(DomainError, match="time_source"):
+        SeparableRHS((np.cos,), time_source)
 
 
 def test_tensor_residual_guard_refuses_nan(monkeypatch):
@@ -299,7 +305,7 @@ def per_mode_reference(prob, tb, sb):
     d, N = prob.dimension, tb.n_modes
     S = assemble_stiffness(tb, prob.delta, prob.transform, N + 8)
     M = assemble_mass(tb, prob.transform)
-    lam, E = eigh(space_mass_matrix(sb.m_modes).B)
+    lam, E = eigh(space_mass_matrix(sb.m_modes))
     F = assemble_spacetime_load(prob, tb, sb)
     K = lam.size
     lams = np.meshgrid(*([lam] * d), indexing="ij")
@@ -354,7 +360,7 @@ def test_mode_matrices_are_fortran_ordered_and_match_mu_s_plus_c_m(monkeypatch, 
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=d)
     S = assemble_stiffness(tb, prob.delta, SPEC5, 6 + 8)
     M = assemble_mass(tb, SPEC5)
-    lam, _ = eigh(space_mass_matrix(9).B)
+    lam, _ = eigh(space_mass_matrix(9))
     K = lam.size
     passed = []
 
@@ -414,7 +420,7 @@ def test_guard_failure_names_first_failing_mode(monkeypatch):
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
     S = assemble_stiffness(tb, prob.delta, SPEC5, 6 + 8)
     M = assemble_mass(tb, SPEC5)
-    lam, _ = eigh(space_mass_matrix(6).B)
+    lam, _ = eigh(space_mass_matrix(6))
     K = lam.size
     conds = np.array(
         [[lapack_cond_estimate(lam[p] * lam[q] * S + (lam[p] + lam[q] + lam[p] * lam[q]) * M)
@@ -447,7 +453,7 @@ def test_guard_failure_maps_a_later_mode(monkeypatch):
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
     S = assemble_stiffness(tb, prob.delta, SPEC5, 6 + 8)
     M = assemble_mass(tb, SPEC5)
-    lam, _ = eigh(space_mass_matrix(6).B)
+    lam, _ = eigh(space_mass_matrix(6))
     target = lam[2] * lam[3] * S + (lam[2] + lam[3] + lam[2] * lam[3]) * M
     real_getrf = ode_mod.lapack.dgetrf
 
@@ -483,7 +489,7 @@ def test_solve_modes_answers_every_mode_and_names_a_refused_one(rng, monkeypatch
     tb, _ = bases(n, m, d)
     S = assemble_stiffness(tb, FracOrder(0.5), SPEC5, n + 8)
     M = assemble_mass(tb, SPEC5)
-    lam, _ = eigh(space_mass_matrix(m).B)
+    lam, _ = eigh(space_mass_matrix(m))
     K = lam.size
     table = pde_mod._mode_table(lam, d)
     fhat = rng.standard_normal((n,) + (K,) * d)
