@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StudyError
-from .frac_ops import TransformSpec
 from .ode_solver import TimeProblem, TimeSolution, solve
 from .orthopoly import TimeBasis
 
@@ -103,12 +102,7 @@ def error_linf(sol: TimeSolution, exact, grid_n: int = LINF_GRID) -> float:
     return float(np.max(np.abs(sol.evaluate(s) - np.asarray(exact(s), dtype=float))))
 
 
-def error_l2(
-    sol: TimeSolution,
-    exact,
-    transform: TransformSpec | None = None,
-    weighted: bool = False,
-) -> float:
+def error_l2(sol: TimeSolution, exact, *, weighted: bool = False) -> float:
     """L2 error by 200-point composite Gauss-Legendre quadrature.
 
     Default: plain L2 in the physical variable s on (0, T).  With
@@ -116,7 +110,7 @@ def error_l2(
     against psi'(t) dt; the two agree analytically and differ only in
     sampling.
     """
-    transform = transform if transform is not None else sol.transform
+    transform = sol.transform
     if weighted:
         b = transform.b_psi
         t, w = _composite_gl(0.0, b)
@@ -218,7 +212,7 @@ def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
         lambda n, _: solve(problem, TimeBasis(request.alpha, n, (0.0, b)), request.quad_guard),
         lambda sol: (
             error_linf(sol, exact),
-            error_l2(sol, exact, problem.transform, request.weighted_l2),
+            error_l2(sol, exact, weighted=request.weighted_l2),
         ),
     )
 

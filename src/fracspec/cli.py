@@ -8,6 +8,7 @@ notation with 17 significant digits, one header row, LF line endings.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -165,6 +166,8 @@ def _to_float(settings, key, validator=None, message=None):
         raise CliError(f"{key} must be a number, got {val!r}") from None
     if validator is not None and not validator(out):
         raise CliError(message or f"invalid value for {key}: {out}")
+    if not math.isfinite(out):
+        raise CliError(f"{key} must be a finite number, got {val!r}")
     return out
 
 
@@ -284,7 +287,7 @@ def _cmd_solve_ode(eff) -> int:
             for si, ui, ei in zip(s, u_num, u_ex)
         ]
         linf = error_linf(sol, exact)
-        l2 = error_l2(sol, exact, problem.transform, eff["weighted_l2"])
+        l2 = error_l2(sol, exact, weighted=eff["weighted_l2"])
         console.append(f"linf_error={_fmt(linf)} l2_error={_fmt(l2)}")
     else:
         rows = ["s,u_numeric"]

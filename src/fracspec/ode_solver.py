@@ -111,7 +111,8 @@ def assemble_stiffness(
     at zero, the inner rule absorbs (1-tau)^(-delta) at one, and the smooth
     factor (sum_k tau^k)^(-delta) is evaluated pointwise.  quad_n points per
     direction keep the only non-exact ingredient (that smooth factor) below
-    roundoff for moderate r.
+    roundoff for moderate r.  The entries are those of the basis on
+    (0, T^gamma), so any other basis interval is refused.
     """
     n_modes = basis.n_modes
     if quad_n < n_modes + 2:
@@ -119,6 +120,9 @@ def assemble_stiffness(
     d = delta.delta
     r = transform.r
     T = transform.horizon_T
+    b = transform.b_psi
+    if not np.allclose(basis.interval, (0.0, b), rtol=0.0, atol=1e-12 * b):
+        raise DomainError(f"time basis interval {basis.interval} must be (0, T^gamma) = (0, {b!r})")
     alpha = basis.alpha
 
     outer = gauss_jacobi_rule(JacobiIndex(0.0, (1.0 - d) * r + 1.0), quad_n, (0.0, 1.0))
@@ -216,39 +220,24 @@ def assemble_time_load(
     return assemble_load_powers(basis, transform, source)
 
 
-def _stack_position(index: tuple) -> str:
-    """The end of a failure message that names system `index` of a stack; empty for one system."""
-    return f" at system {index} of the stack" if index else ""
+def solve_linear(A: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Dense LU solve with a condition guard; returns x of F's shape.
 
-
-def _stack_failure(message: str, flat: int, shape: tuple, estimate=None) -> NumericalFailureError:
-    """The failure of system number `flat` of a stack of the given shape, named by its index."""
-    index = tuple(int(j) for j in np.unravel_index(flat, shape))
-    return NumericalFailureError(f"{message}{_stack_position(index)}", estimate=estimate, index=index)
-
-
-def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-    """Dense LU solve with a condition guard.
-
-    F is (..., n), and A, (n, n) or a stack (..., n, n), broadcasts against
-    F's stack axes: a matrix shared by k right-hand sides is passed once, as
-    A[..., None, :, :] against F of shape (..., k, n).  Each matrix of A's own
-    stack, never a broadcast copy, is LU-factored once by LAPACK's getrf, and
-    that one factorisation serves the guard and the solves.  The guard is the
-    1-norm condition estimate of the factors (gecon: the Hager-Higham
-    estimator); a failure names the first failing matrix in stack order
-    (`NumericalFailureError.index`).  Each right-hand side is solved once, as
-    a single vector (getrs), so a stack gives the same bits as one call per
-    system.  A non-finite solution or residual is refused, naming the first
-    such system of the broadcast stack.
-
-    Returns the solution and the max-norm residual of each right-hand side:
-    a float for one matrix and one vector, else an array of the stack shape.
+    Either A is (n, n) and F is (n,), or A is a stack (k, n, n) and F is
+    (k, ..., n): matrix i solves every right-hand side in F[i].  Each matrix
+    is LU-factored once by LAPACK's getrf, and that one factorisation serves
+    the guard and the solves.  The guard is the 1-norm condition estimate of
+    the factors (gecon: the Hager-Higham estimator); a refused matrix raises
+    NumericalFailureError with `index` set to its position in the stack (0
+    for a lone matrix).  Each right-hand side is solved once, as a single
+    vector (getrs), so a stack gives the same bits as one call per matrix.
     """
-    n = A.shape[-1]
-    mats = A.reshape(-1, n, n)
+    mats, rhs = (A, F) if A.ndim == 3 else (A[None], F[None])
+    k, n = mats.shape[:2]
+    if rhs.shape[0] != k:
+        raise ValueError(f"{k} matrices but {rhs.shape[0]} right-hand side groups")
     anorms = np.max(np.sum(np.abs(mats), axis=-2), axis=-1)
-    factors = []
+    x = np.empty(rhs.shape)
     for i, (a, anorm) in enumerate(zip(mats, anorms)):
         lu, piv, info = lapack.dgetrf(a)
         rcond, _ = lapack.dgecon(lu, anorm, norm="1")
@@ -256,31 +245,15 @@ def solve_linear(A: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float | np.n
         # gives one), reads as an infinite estimate.
         estimate = 1.0 / rcond if info == 0 and 0.0 < rcond < math.inf else math.inf
         if estimate > COND_LIMIT:
-            raise _stack_failure(
+            raise NumericalFailureError(
                 f"system condition estimate {estimate:.3e} exceeds {COND_LIMIT:.0e}",
-                i,
-                A.shape[:-2],
-                estimate,
+                estimate=estimate,
+                index=i,
             )
-        factors.append((lu, piv))
-    stack = np.broadcast_shapes(A.shape[:-2], F.shape[:-1])
-    # The matrix of each right-hand side, as an index into factors.
-    which = np.broadcast_to(np.arange(len(mats)).reshape(A.shape[:-2]), stack).ravel().tolist()
-    b = np.broadcast_to(F, stack + (n,))[..., None]
-    x = np.empty(stack + (n, 1))
-    xs = x.reshape(-1, n)
-    for j, (m, rhs) in enumerate(zip(which, b.reshape(-1, n))):
-        xs[j] = lapack.dgetrs(*factors[m], rhs)[0]
-    residual = np.asarray(np.max(np.abs(A @ x - b), axis=(-2, -1)))
-    # A column of A that the guard let through is not zero, so a NaN or inf in
-    # x also makes its residual NaN or inf.
-    finite = np.isfinite(residual)
-    if not np.all(finite):
-        raise _stack_failure("non-finite solution or residual", np.argmin(finite), stack)
-    x = x[..., 0]
-    if residual.ndim == 0:
-        return x, float(residual)
-    return x, residual
+        xs = x[i].reshape(-1, n)
+        for j, b in enumerate(rhs[i].reshape(-1, n)):
+            xs[j] = lapack.dgetrs(lu, piv, b)[0]
+    return x if A.ndim == 3 else x[0]
 
 
 def solve(problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8) -> TimeSolution:
@@ -291,7 +264,13 @@ def solve(problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8) -> TimeSo
         M = assemble_mass(basis, problem.transform)
         F = assemble_time_load(basis, problem.transform, problem.time_source, quad_guard)
         stage = "linear solve"
-        coeffs, residual = solve_linear(S + problem.lam * M, F)
+        A = S + problem.lam * M
+        coeffs = solve_linear(A, F)
+        residual = float(np.max(np.abs(A @ coeffs - F)))
+        # A column of A that the guard let through is not zero, so a NaN or inf
+        # in the solution also makes the residual NaN or inf.
+        if not math.isfinite(residual):
+            raise NumericalFailureError("non-finite solution or residual")
     except NumericalFailureError as exc:
         raise NumericalFailureError(
             f"{stage} failed (delta={problem.delta.delta}, r={problem.transform.r}, "

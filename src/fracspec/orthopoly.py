@@ -113,7 +113,7 @@ class QuadratureRule:
             raise NumericalFailureError(f"{rule}: nodes escaped the open interval")
         if not np.all(weights > 0):
             raise NumericalFailureError(f"{rule}: weights are not all positive")
-        scale = (0.5 * (hi - lo)) ** (self.index.alpha + self.index.beta + 1)
+        scale = _weight_scale(self.index, nodes.size, self.interval)
         total = jacobi_weight_integral(self.index) * scale
         if abs(weights.sum() - total) > 1e-12 * max(total, 1.0):
             raise NumericalFailureError(
@@ -124,6 +124,15 @@ class QuadratureRule:
 def _rule_name(idx: JacobiIndex, n: int) -> str:
     """How a failure names its rule."""
     return f"Gauss-Jacobi rule (alpha={idx.alpha}, beta={idx.beta}, n={n})"
+
+
+def _weight_scale(idx: JacobiIndex, n: int, interval: tuple[float, float]) -> float:
+    """(half the interval's length)^(alpha+beta+1): the weight's mass on it over that on (-1, 1)."""
+    try:
+        return (0.5 * (interval[1] - interval[0])) ** (idx.alpha + idx.beta + 1)
+    except OverflowError:
+        message = f"{_rule_name(idx, n)} on {interval}: the weight's scale overflows"
+        raise NumericalFailureError(message) from None
 
 
 def _jacobi_recurrence(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,9 +242,8 @@ def gauss_jacobi_rule(
         )
     dp = scale * _last_rows(first[:, n:], rec[:, :, n:], nodes)[0]
     weights = _gauss_weights(idx, n, nodes, dp)
-    half = 0.5 * (hi - lo)
-    mapped = lo + half * (nodes + 1.0)
-    mapped_w = weights * half ** (a + b + 1)
+    mapped = lo + 0.5 * (hi - lo) * (nodes + 1.0)
+    mapped_w = weights * _weight_scale(idx, n, interval)
     return QuadratureRule(mapped, mapped_w, (lo, hi), idx)
 
 

@@ -21,9 +21,7 @@ from scipy.linalg import eigh
 
 from .errors import DomainError, NumericalFailureError
 from .frac_ops import FracOrder, PowerSum, TransformSpec
-from .ode_solver import (
-    _stack_position, assemble_mass, assemble_stiffness, assemble_time_load, solve_linear
-)
+from .ode_solver import assemble_mass, assemble_stiffness, assemble_time_load, solve_linear
 from .orthopoly import JacobiIndex, TimeBasis, gauss_jacobi_rule, gjp_table, legendre_phi_table
 
 __all__ = [
@@ -268,13 +266,11 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
         """
         A = _mode_matrices(table[orders[:, 0]], SM)
         try:
-            w, _ = solve_linear(A[:, None], fhat.T[orders])
+            return solve_linear(A, fhat.T[orders])
         except NumericalFailureError as exc:
-            mode = tuple(int(i) for i in np.unravel_index(orders[exc.index[0], 0], shape))
             # The stack position is batch-local; the mode's tuple replaces it.
-            message = str(exc).removesuffix(_stack_position(exc.index))
-            raise NumericalFailureError(message, estimate=exc.estimate, index=mode) from exc
-        return w
+            mode = tuple(int(i) for i in np.unravel_index(orders[exc.index, 0], shape))
+            raise NumericalFailureError(str(exc), estimate=exc.estimate, index=mode) from exc
 
     workers = _thread_count()
     if workers > 1:

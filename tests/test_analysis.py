@@ -97,8 +97,8 @@ def test_l2_weighted_variant_agrees_analytically():
     prob = example2a_problem()
     sol = solve_at(prob, 6)
     exact = PowerSum(((1.0, 0.6),))
-    plain = error_l2(sol, exact, prob.transform, weighted=False)
-    weighted = error_l2(sol, exact, prob.transform, weighted=True)
+    plain = error_l2(sol, exact, weighted=False)
+    weighted = error_l2(sol, exact, weighted=True)
     assert weighted == pytest.approx(plain, rel=1e-6, abs=1e-13)
 
 

@@ -157,6 +157,58 @@ def test_numerical_failure_exits_3(capsys, monkeypatch):
     assert "numerical failure" in stderr
 
 
+@pytest.mark.parametrize("value", ["inf", "Infinity"])
+@pytest.mark.parametrize("key, name", [("T", "T"), ("lambda", "lam"), ("alpha", "alpha")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_infinite_number_exits_2(tmp_path, capsys, source, key, name, value):
+    # inf passes every range check, so it is refused as not finite.
+    if source == "flag":
+        given = [f"--{key}={value}"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        given = ["--config", str(config)]
+    code, stdout, stderr = run_cli(capsys, "solve-ode", "--problem", "example1", *given)
+    assert (code, stdout) == (2, "")
+    assert f"{name} must be a finite number, got '{value}'" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve-ode", "--problem", "example1"], ["solve-pde", "--problem", "example4", "--M", "4"]],
+    ids=["solve-ode", "solve-pde"],
+)
+def test_overflowing_horizon_exits_3(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, *argv, "--N", "4", "--T", "1e200")
+    assert (code, stdout) == (3, "")
+    assert "assembly failed" in stderr and "the weight's scale overflows" in stderr
+
+
+# Every numeric setting of each command, with the values for a small run.
+_NUMERIC_SETTINGS = [
+    ("solve-ode --problem example1 --N 4", ("delta", "gamma", "lambda", "T", "quad-guard", "alpha")),
+    ("solve-ode --problem example1", ("N",)),
+    ("solve-pde --problem example4 --N 4 --M 4", ("delta", "gamma", "T", "quad-guard", "alpha")),
+    ("solve-pde --problem example4 --M 4", ("N",)),
+    ("solve-pde --problem example4 --N 4", ("M",)),
+    ("convergence --problem example3 --N 2,4", ("ref-N",)),
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e200", "0", "-1", "x"])
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command, keys in _NUMERIC_SETTINGS for key in keys],
+    ids=[f"{command.split()[0]}-{key}" for command, keys in _NUMERIC_SETTINGS for key in keys],
+)
+def test_numeric_setting_at_an_edge_exits_0_2_or_3(capsys, command, key, value):
+    code, stdout, stderr = run_cli(capsys, *command.split(), f"--{key}={value}")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr
+    if code:
+        assert stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # convergence
 # ---------------------------------------------------------------------------

@@ -330,6 +330,22 @@ def test_solve_with_non_default_horizon():
     assert linf_against(sol2, u2) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "interval", [(0.0, 1.0), (0.0, 2.0), (0.1, 2.0 ** 0.2)], ids=["unit", "T", "shifted"]
+)
+def test_solve_refuses_a_basis_on_another_interval(interval):
+    # The stiffness is that of the basis on (0, T^gamma); mass, load and
+    # evaluation use the basis's own interval.  On (0, 1) the solve used to
+    # return a roundoff residual and a max error of 0.27.
+    spec = TransformSpec(5, 2.0)
+    prob = TimeProblem.manufactured(PowerSum(((1.0, 0.6),)), 0.2, 1.0, spec)
+    with pytest.raises(DomainError, match=r"time basis interval .* must be \(0, T\^gamma\)"):
+        solve(prob, TimeBasis(0.0, 12, interval))
+    # An end within 1e-12 relative of T^gamma is the same interval.
+    sol = solve(prob, TimeBasis(0.0, 12, (0.0, spec.b_psi * (1 + 1e-13))))
+    assert linf_against(sol, PowerSum(((1.0, 0.6),))) <= 1e-12
+
+
 def test_evaluate_round_trip_points():
     spec = TransformSpec(1, 2.0)
     u = PowerSum(((1.0, 2.0),))
@@ -403,7 +419,7 @@ def test_spectral_decay_of_rescaled_power():
     for n in (2, 4, 6, 10, 14):
         prob = TimeProblem.manufactured(u, 0.2, 1.0, spec)
         sol = solve(prob, basis_for(spec, n))
-        errs[n] = error_l2(sol, u, spec)
+        errs[n] = error_l2(sol, u)
     values = list(errs.values())
     for a, b in zip(values, values[1:]):
         assert b <= max(1.5 * a, 1e-11)
@@ -419,6 +435,7 @@ def test_assembled_system_and_residual():
     F = assemble_time_load(basis, spec, prob.time_source, 8)
     sol = solve(prob, basis)
     scale = np.max(np.abs(F))
+    assert type(sol.residual) is float
     assert sol.residual <= 1e-12 * scale
 
 
@@ -457,27 +474,28 @@ def test_stacked_solve_linear_is_bit_identical_to_per_matrix_calls(rng):
     # The transposed view holds Fortran-contiguous matrices, as the eigenmode
     # batches of solve_spacetime do; each lone call gets the same view.
     for A in (stack, stack.transpose(0, 2, 1)):
-        n = A.shape[-1]
+        k, n = A.shape[:2]
 
-        # One right-hand side per matrix, stack shape (2, 3).
-        F = rng.standard_normal((6, n))
-        x, res = solve_linear(A.reshape(2, 3, n, n), F.reshape(2, 3, n))
-        assert x.shape == (2, 3, n) and res.shape == (2, 3)
-        for i in range(6):
-            xi, ri = solve_linear(A[i], F[i])
-            assert type(ri) is float
-            assert np.array_equal(x.reshape(6, n)[i], xi)
-            assert res.reshape(6)[i] == ri
+        # One right-hand side per matrix: F is (k, n).
+        F = rng.standard_normal((k, n))
+        x = solve_linear(A, F)
+        assert type(x) is np.ndarray and x.shape == (k, n)
+        for i in range(k):
+            xi = solve_linear(A[i], F[i])
+            assert type(xi) is np.ndarray and xi.shape == (n,)
+            assert np.array_equal(x[i], xi)
 
-        # Two right-hand sides sharing each matrix: A broadcasts over a length-1 axis.
-        F = rng.standard_normal((6, 2, n))
-        x, res = solve_linear(A[:, None], F)
-        assert x.shape == (6, 2, n) and res.shape == (6, 2)
-        for i in range(6):
-            for k in range(2):
-                xi, ri = solve_linear(A[i], F[i, k])
-                assert np.array_equal(x[i, k], xi)
-                assert res[i, k] == ri
+        # Two right-hand sides sharing each matrix: F is (k, 2, n).
+        F = rng.standard_normal((k, 2, n))
+        x = solve_linear(A, F)
+        assert x.shape == (k, 2, n)
+        for i in range(k):
+            for j in range(2):
+                assert np.array_equal(x[i, j], solve_linear(A[i], F[i, j]))
+
+        # Matrix i solves F[i]: a leading axis of another length is refused.
+        with pytest.raises(ValueError, match="6 matrices but 5 right-hand side groups"):
+            solve_linear(A, F[:-1])
 
 
 def test_stacked_solve_linear_reports_first_bad_system(rng):
@@ -485,13 +503,13 @@ def test_stacked_solve_linear_reports_first_bad_system(rng):
     n = A.shape[-1]
     A[1] = np.ones((n, n))
     A[3] = np.ones((n, n))
-    with pytest.raises(NumericalFailureError, match=r"at system \(1,\) of the stack") as info:
-        solve_linear(A, rng.standard_normal((4, n)))
-    assert info.value.index == (1,)
-    with pytest.raises(NumericalFailureError) as info:
-        solve_linear(A.reshape(2, 2, n, n)[:, :, None], rng.standard_normal((2, 2, 3, n)))
-    assert info.value.index == (0, 1, 0)
-    assert info.value.estimate > 1e14
+    for F in (rng.standard_normal((4, n)), rng.standard_normal((4, 3, n))):
+        with pytest.raises(NumericalFailureError) as info:
+            solve_linear(A, F)
+        # The position is the index alone; the message names none.
+        assert type(info.value.index) is int and info.value.index == 1
+        assert str(info.value) == "system condition estimate inf exceeds 1e+14"
+        assert info.value.estimate > 1e14
 
 
 def test_condition_estimates_bracket_the_one_norm_condition_number(rng, monkeypatch):
@@ -507,18 +525,25 @@ def test_condition_estimates_bracket_the_one_norm_condition_number(rng, monkeypa
         assert kappa1 / 10 <= info.value.estimate <= kappa1 * (1 + 1e-3)
 
 
-def test_solve_linear_refuses_non_finite_solutions(rng):
-    with pytest.raises(NumericalFailureError, match="non-finite solution or residual$") as info:
-        solve_linear(2.0 * np.eye(3), np.array([1.0, np.nan, 2.0]))
-    assert info.value.index == ()
-    A = mixed_stack(rng)[::2]  # the three well-conditioned matrices
-    k, n = A.shape[:2]
-    F = rng.standard_normal((k, 2, n))
-    F[1, 1, 3] = np.inf
-    F[2, 0, 0] = np.nan
-    with pytest.raises(NumericalFailureError, match=r"at system \(1, 1\) of the stack") as info:
-        solve_linear(A[:, None], F)
-    assert info.value.index == (1, 1)
+def test_solve_refuses_non_finite_solutions(monkeypatch):
+    # solve_linear only guards the matrix; solve checks its own answer through
+    # the residual, inside its linear-solve stage.
+    spec = TransformSpec(1, 2.0)
+    prob = TimeProblem.manufactured(PowerSum(((1.0, 2.0),)), 0.5, 1.0, spec)
+    for bad in (np.nan, np.inf):
+
+        def bad_solve_linear(A, F):
+            x = np.ones(F.shape)
+            x[1] = bad
+            return x
+
+        monkeypatch.setattr(ode_mod, "solve_linear", bad_solve_linear)
+        with pytest.raises(NumericalFailureError) as info:
+            solve(prob, basis_for(spec, 4))
+        assert str(info.value) == (
+            "linear solve failed (delta=0.5, r=1, N=4): non-finite solution or residual"
+        )
+        assert info.value.index is None
 
 
 def test_shared_matrix_is_factored_once(rng, monkeypatch):
@@ -546,7 +571,7 @@ def test_shared_matrix_is_factored_once(rng, monkeypatch):
     monkeypatch.setattr(ode_mod.lapack, "dgetrf", counting_getrf)
     monkeypatch.setattr(ode_mod.lapack, "dgetrs", recording_getrs)
     monkeypatch.setattr(np.linalg, "solve", no_solve)
-    solve_linear(A[:, None], F)
+    solve_linear(A, F)
     assert [f.shape for f in factors] == [(n, n)] * k
     # Exactly one getrs per right-hand side, in stack order, each on the
     # factors of its own matrix.

@@ -320,6 +320,18 @@ def test_quadrature_rule_invariants_enforced():
         QuadratureRule(good.nodes, 2.0 * good.weights, (-1.0, 1.0), good.index)
 
 
+def test_rule_on_an_overflowing_interval_is_refused():
+    # (half the length)^(a+b+1) overflows a float: a typed failure, not OverflowError.
+    name = r"Gauss-Jacobi rule \(alpha=0\.0, beta=2\.0, n=4\) on \(0\.0, 1e\+200\)"
+    with pytest.raises(NumericalFailureError, match=name + ": the weight's scale overflows"):
+        gauss_jacobi_rule(JacobiIndex(0.0, 2.0), 4, (0.0, 1e200))
+    name = r"Gauss-Jacobi rule \(alpha=0\.0, beta=2\.0, n=2\) on \(0\.0, 1e\+200\)"
+    with pytest.raises(NumericalFailureError, match=name + ": the weight's scale overflows"):
+        QuadratureRule(
+            np.array([1e199, 5e199]), np.ones(2), (0.0, 1e200), JacobiIndex(0.0, 2.0)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Boundary-adapted basis
 # ---------------------------------------------------------------------------

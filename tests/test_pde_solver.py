@@ -255,6 +255,12 @@ def test_tensor_residual_bound_is_enforced_and_recorded():
     # means the bound held, and it is carried on the solution object
 
 
+def test_solve_spacetime_refuses_a_time_basis_on_another_interval():
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=1)
+    with pytest.raises(DomainError, match=r"time basis interval \(0\.0, 1\.0\) must be"):
+        solve_spacetime(prob, TimeBasis(0.0, 6, (0.0, 1.0)), SpatialBasis(6, 1))
+
+
 def test_separable_space_factor_with_nan_is_refused():
     tb, sb = bases(6, 6, 1)
     rhs = SeparableRHS((lambda x: np.where(x > 0.5, np.nan, 1.0),), time_source=((1.0, 1.0),))
@@ -274,7 +280,7 @@ def test_separable_rhs_refuses_a_time_source_of_neither_format(time_source):
 def test_tensor_residual_guard_refuses_nan(monkeypatch):
     # A mode solve that slipped a NaN past its own guard must not reach V.
     def nan_solve_linear(A, F):
-        return np.full(F.shape, np.nan), np.zeros(F.shape[:-1])
+        return np.full(F.shape, np.nan)
 
     monkeypatch.setattr(pde_mod, "solve_linear", nan_solve_linear)
     tb, sb = bases(6, 6, 1)
@@ -323,7 +329,7 @@ def per_mode_reference(prob, tb, sb):
             assert a.flags.f_contiguous
             for ordering in set(itertools.permutations(mode)):
                 idx = np.ravel_multi_index(ordering, (K,) * d)
-                vhat[:, idx], _ = solve_linear(a, fhat[:, idx])
+                vhat[:, idx] = solve_linear(a, fhat[:, idx])
     return pde_mod._mode_product(vhat.reshape(F.shape), [E.T] * d)
 
 
@@ -365,7 +371,7 @@ def test_mode_matrices_are_fortran_ordered_and_match_mu_s_plus_c_m(monkeypatch, 
     passed = []
 
     def recording_solve_linear(A, b):
-        passed.append(A[:, 0])
+        passed.append(A)
         return solve_linear(A, b)
 
     monkeypatch.setattr(pde_mod, "solve_linear", recording_solve_linear)
