@@ -20,7 +20,7 @@ from .frac_ops import (
     psi_caputo_numeric,
     psi_integral_numeric,
 )
-from .ode_solver import TimeProblem, TimeSolution, evaluate, solve
+from .ode_solver import TimeProblem, TimeSolution, evaluate, solve, solve_nested
 from .orthopoly import (
     JacobiIndex,
     QuadratureRule,
@@ -55,6 +55,7 @@ __all__ = [
     "TimeSolution",
     "evaluate",
     "solve",
+    "solve_nested",
     "JacobiIndex",
     "QuadratureRule",
     "TimeBasis",

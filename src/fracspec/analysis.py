@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StudyError
-from .ode_solver import TimeProblem, TimeSolution, solve
+from .ode_solver import TimeProblem, TimeSolution, solve, solve_nested
 from .orthopoly import TimeBasis
 
 __all__ = [
@@ -155,19 +155,21 @@ class StudyRequest:
                 )
 
 
-def _run_study(problem_id: str, resolutions, solve_at, errors_of) -> ConvergenceStudy:
-    """Solve at every (N, M) in order, timing the solve alone, and collect error reports.
+def _run_study(problem_id: str, resolutions, solutions, errors_of) -> ConvergenceStudy:
+    """Draw one solution per (N, M) in order, timing each draw alone, and collect error reports.
 
-    The order of the resolutions is checked before the first solve.  Any
-    member failure aborts the study; the completed reports travel on the
-    raised StudyError so partial progress is never silently discarded.
+    `solutions` is an iterator that yields the solution at each resolution in
+    order, doing its work only when drawn.  The order of the resolutions is
+    checked before the first draw.  Any member failure aborts the study; the
+    completed reports travel on the raised StudyError so partial progress is
+    never silently discarded.
     """
     _require_increasing(resolutions)
     done: list[ErrorReport] = []
     try:
         for n, m in resolutions:
             start = time.perf_counter()
-            sol = solve_at(n, m)
+            sol = next(solutions)
             runtime = (time.perf_counter() - start) * 1e3
             linf, l2 = errors_of(sol)
             done.append(
@@ -197,19 +199,22 @@ def _values_per_points(f):
 def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
     """Solve at every resolution and collect error reports, smallest N first.
 
-    A self-convergence reference is solved once, and evaluated once per
-    distinct set of error points, for the whole study.
+    One assembly at the largest N serves every row: each smaller N is solved
+    on the leading block of that system (solve_nested), so the finest row is
+    the lone solve at that N.  A self-convergence reference is solved once,
+    and evaluated once per distinct set of error points, for the whole study.
     """
     problem = request.problem
     exact = request.exact
     if exact is None:
         ref = self_convergence_reference(problem, request.ref_n, request.alpha, request.quad_guard)
         exact = _values_per_points(ref.evaluate)
-    b = problem.transform.b_psi
+    n_values = sorted(request.n_values)
+    basis = TimeBasis(request.alpha, n_values[-1], (0.0, problem.transform.b_psi))
     return _run_study(
         request.problem_id,
-        [(n, None) for n in sorted(request.n_values)],
-        lambda n, _: solve(problem, TimeBasis(request.alpha, n, (0.0, b)), request.quad_guard),
+        [(n, None) for n in n_values],
+        solve_nested(problem, basis, n_values, request.quad_guard),
         lambda sol: (
             error_linf(sol, exact),
             error_l2(sol, exact, weighted=request.weighted_l2),
@@ -246,11 +251,15 @@ def run_pde_convergence_study(
     if len(n_values) != len(m_values):
         raise DomainError("need matching N and M lists (equal length)")
     b = problem.transform.b_psi
+    resolutions = list(zip(n_values, m_values))
     return _run_study(
         problem_id,
-        list(zip(n_values, m_values)),
-        lambda n, m: solve_spacetime(
-            problem, TimeBasis(alpha, n, (0.0, b)), SpatialBasis(m, problem.dimension), quad_guard
+        resolutions,
+        (
+            solve_spacetime(
+                problem, TimeBasis(alpha, n, (0.0, b)), SpatialBasis(m, problem.dimension), quad_guard
+            )
+            for n, m in resolutions
         ),
         lambda sol: pde_errors_at_final_time(sol, exact),
     )

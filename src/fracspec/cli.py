@@ -132,6 +132,8 @@ _SETTINGS = (
         "report the L2 error in the rescaled variable against the map weight",
     ),
 )
+# The key of each dest, for messages that name a setting.
+_KEYS = {dest: key for key, dest, _ in _SETTINGS}
 # On/off settings: a bare flag, or one of these values in the config file.
 _SWITCHES = {"weighted-l2"}
 _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -156,10 +158,11 @@ def _merge(args: argparse.Namespace, config: dict) -> dict:
     return merged
 
 
-def _to_float(settings, key, validator=None, message=None):
-    val = settings.get(key)
+def _to_float(settings, dest, validator=None, message=None):
+    val = settings.get(dest)
     if val is None:
         return None
+    key = _KEYS[dest]
     try:
         out = float(val)
     except (TypeError, ValueError):
@@ -171,10 +174,11 @@ def _to_float(settings, key, validator=None, message=None):
     return out
 
 
-def _to_int(settings, key, minimum=None):
-    val = settings.get(key)
+def _to_int(settings, dest, minimum=None):
+    val = settings.get(dest)
     if val is None:
         return None
+    key = _KEYS[dest]
     try:
         out = int(val)
     except (TypeError, ValueError):

@@ -10,7 +10,7 @@ factor ((1-tau^r)/(1-tau))^(-delta) is sampled pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -33,6 +33,7 @@ __all__ = [
     "assemble_load",
     "assemble_load_powers",
     "assemble_time_load",
+    "solve_nested",
     "solve",
     "evaluate",
 ]
@@ -256,34 +257,68 @@ def solve_linear(A: np.ndarray, F: np.ndarray) -> np.ndarray:
     return x if A.ndim == 3 else x[0]
 
 
-def solve(problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8) -> TimeSolution:
-    """Solve (S + lam*M) v = F and package the coefficients."""
-    stage = "assembly"
-    try:
-        S = assemble_stiffness(basis, problem.delta, problem.transform, basis.n_modes + quad_guard)
-        M = assemble_mass(basis, problem.transform)
-        F = assemble_time_load(basis, problem.transform, problem.time_source, quad_guard)
-        stage = "linear solve"
+def require_finite(**matrices):
+    """Raise NumericalFailureError naming the first matrix with a NaN or inf entry."""
+    for name, matrix in matrices.items():
+        if not np.all(np.isfinite(matrix)):
+            raise NumericalFailureError(f"non-finite {name} matrix")
+
+
+def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes, quad_guard: int = 8):
+    """Solutions at every size n in `sizes`, in order, from one assembly at basis.n_modes.
+
+    The basis is hierarchical: j_1..j_n do not depend on N, so the system at
+    n is the leading n x n block of (S + lam*M) v = F at N.  The returned
+    generator assembles S, M and F at the first next() and then solves one
+    block per next().  Each block is guarded and checked like a lone solve,
+    and a refused block names its own N.  Sizes outside 1..N raise
+    DomainError here, before any assembly.
+    """
+    n_modes = basis.n_modes
+    sizes = tuple(sizes)
+    outside = [n for n in sizes if not 1 <= n <= n_modes]
+    if outside:
+        raise DomainError(f"block sizes must lie in 1..{n_modes}, got {outside}")
+    where = f"delta={problem.delta.delta}, r={problem.transform.r}"
+
+    def blocks():
+        try:
+            S = assemble_stiffness(basis, problem.delta, problem.transform, n_modes + quad_guard)
+            M = assemble_mass(basis, problem.transform)
+            F = assemble_time_load(basis, problem.transform, problem.time_source, quad_guard)
+            require_finite(stiffness=S, mass=M)
+        except NumericalFailureError as exc:
+            raise NumericalFailureError(
+                f"assembly failed ({where}, N={n_modes}): {exc}", estimate=exc.estimate
+            ) from exc
         A = S + problem.lam * M
-        coeffs = solve_linear(A, F)
-        residual = float(np.max(np.abs(A @ coeffs - F)))
-        # A column of A that the guard let through is not zero, so a NaN or inf
-        # in the solution also makes the residual NaN or inf.
-        if not math.isfinite(residual):
-            raise NumericalFailureError("non-finite solution or residual")
-    except NumericalFailureError as exc:
-        raise NumericalFailureError(
-            f"{stage} failed (delta={problem.delta.delta}, r={problem.transform.r}, "
-            f"N={basis.n_modes}): {exc}",
-            estimate=exc.estimate,
-        ) from exc
-    return TimeSolution(
-        coeffs=coeffs,
-        basis=basis,
-        transform=problem.transform,
-        phi_offset=problem.phi,
-        residual=residual,
-    )
+        for n in sizes:
+            a, f = A[:n, :n], F[:n]
+            try:
+                coeffs = solve_linear(a, f)
+                residual = float(np.max(np.abs(a @ coeffs - f)))
+                # A column of A that the guard let through is not zero, so a NaN or
+                # inf in the solution also makes the residual NaN or inf.
+                if not math.isfinite(residual):
+                    raise NumericalFailureError("non-finite solution or residual")
+            except NumericalFailureError as exc:
+                raise NumericalFailureError(
+                    f"linear solve failed ({where}, N={n}): {exc}", estimate=exc.estimate
+                ) from exc
+            yield TimeSolution(
+                coeffs=coeffs,
+                basis=replace(basis, n_modes=n),
+                transform=problem.transform,
+                phi_offset=problem.phi,
+                residual=residual,
+            )
+
+    return blocks()
+
+
+def solve(problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8) -> TimeSolution:
+    """Solve (S + lam*M) v = F and package the coefficients: solve_nested's one-size case."""
+    return next(solve_nested(problem, basis, (basis.n_modes,), quad_guard))
 
 
 def evaluate(sol: TimeSolution, s_points) -> np.ndarray:

@@ -21,7 +21,13 @@ from scipy.linalg import eigh
 
 from .errors import DomainError, NumericalFailureError
 from .frac_ops import FracOrder, PowerSum, TransformSpec
-from .ode_solver import assemble_mass, assemble_stiffness, assemble_time_load, solve_linear
+from .ode_solver import (
+    assemble_mass,
+    assemble_stiffness,
+    assemble_time_load,
+    require_finite,
+    solve_linear,
+)
 from .orthopoly import JacobiIndex, TimeBasis, gauss_jacobi_rule, gjp_table, legendre_phi_table
 
 __all__ = [
@@ -306,6 +312,7 @@ def solve_spacetime(
         S = assemble_stiffness(time_basis, problem.delta, problem.transform, N + quad_guard)
         M = assemble_mass(time_basis, problem.transform)
         F = assemble_spacetime_load(problem, time_basis, space_basis, quad_guard)
+        require_finite(stiffness=S, mass=M)
     except NumericalFailureError as exc:
         raise NumericalFailureError(
             f"assembly failed ({where}): {exc}", estimate=exc.estimate

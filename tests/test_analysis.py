@@ -16,7 +16,7 @@ from fracspec.analysis import (
 )
 from fracspec.errors import DomainError, StudyError
 from fracspec.frac_ops import PowerSum, TransformSpec
-from fracspec.ode_solver import TimeProblem, TimeSolution, solve
+from fracspec.ode_solver import TimeProblem, TimeSolution, solve, solve_nested
 from fracspec.orthopoly import TimeBasis
 
 
@@ -188,22 +188,18 @@ def test_study_validation():
         StudyRequest("x", example3_problem(), (4,))  # no exact, no reference
 
 
-@pytest.mark.parametrize("threads", [None, "2"])
-def test_study_member_failure_flags_partial_results(monkeypatch, threads):
+def test_study_member_failure_flags_partial_results(monkeypatch):
     import fracspec.analysis as analysis_mod
 
-    if threads is None:
-        monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("FRACSPEC_THREADS", threads)
-    real_solve = analysis_mod.solve
+    real_solve_nested = analysis_mod.solve_nested
 
-    def failing_solve(problem, basis, quad_guard=8):
-        if basis.n_modes == 8:
-            raise RuntimeError("injected member failure")
-        return real_solve(problem, basis, quad_guard)
+    def failing_solve_nested(problem, basis, sizes, quad_guard=8):
+        for sol in real_solve_nested(problem, basis, sizes, quad_guard):
+            if sol.basis.n_modes == 8:
+                raise RuntimeError("injected member failure")
+            yield sol
 
-    monkeypatch.setattr(analysis_mod, "solve", failing_solve)
+    monkeypatch.setattr(analysis_mod, "solve_nested", failing_solve_nested)
     request = StudyRequest(
         "bad", example1_problem(), (2, 4, 8), exact=PowerSum(((1.0, 2.0),))
     )
@@ -216,16 +212,55 @@ def test_study_member_failure_flags_partial_results(monkeypatch, threads):
 def test_study_passes_quad_guard_to_reference_and_members(monkeypatch):
     import fracspec.analysis as analysis_mod
 
-    real_solve = analysis_mod.solve
-    guards = []
+    real_solve, real_solve_nested = analysis_mod.solve, analysis_mod.solve_nested
+    calls = []
 
     def recording_solve(problem, basis, quad_guard=8):
-        guards.append(quad_guard)
+        calls.append(("solve", basis.n_modes, quad_guard))
         return real_solve(problem, basis, quad_guard)
 
+    def recording_solve_nested(problem, basis, sizes, quad_guard=8):
+        calls.append(("solve_nested", basis.n_modes, tuple(sizes), quad_guard))
+        return real_solve_nested(problem, basis, sizes, quad_guard)
+
     monkeypatch.setattr(analysis_mod, "solve", recording_solve)
-    run_convergence_study(StudyRequest("x", example2a_problem(), (2, 4), ref_n=20, quad_guard=3))
-    assert guards == [3, 3, 3]  # the reference, then N = 2 and N = 4
+    monkeypatch.setattr(analysis_mod, "solve_nested", recording_solve_nested)
+    run_convergence_study(StudyRequest("x", example2a_problem(), (4, 2), ref_n=20, quad_guard=3))
+    # The reference, then one assembly at the largest N for both members.
+    assert calls == [("solve", 20, 3), ("solve_nested", 4, (2, 4), 3)]
+
+
+def test_study_finest_row_is_the_lone_solve():
+    # The smaller rows are blocks of the assembly at the largest N, so the
+    # finest row is the lone solve at that N, bit for bit.
+    prob = example2b_problem()
+    exact = PowerSum(((1.0, math.sqrt(2.0) / 2.0),))
+    study = run_convergence_study(StudyRequest("x", prob, (8, 24, 16), exact=exact))
+    assert [r.n_modes for r in study.reports] == [8, 16, 24]
+    finest = solve_at(prob, 24)
+    assert study.reports[-1].linf_error == error_linf(finest, exact)
+    assert study.reports[-1].l2_error == error_l2(finest, exact)
+
+
+def test_study_refused_block_names_its_size_and_keeps_earlier_rows():
+    # example2b's r = 7 system is refused by the condition guard at N = 80
+    # (estimate near 7e16); the block at N = 40 answers first.
+    request = StudyRequest(
+        "x", example2b_problem(), (40, 80), exact=PowerSum(((1.0, math.sqrt(2.0) / 2.0),))
+    )
+    with pytest.raises(StudyError, match=r"linear solve failed \(delta=0\.2, r=7, N=80\)") as info:
+        run_convergence_study(request)
+    assert [r.n_modes for r in info.value.partial.reports] == [40]
+
+
+def test_study_failing_at_its_assembly_has_no_partial_rows():
+    prob = TimeProblem.manufactured(
+        PowerSum(((1.0, 2.0),)), 0.5, 1.0, TransformSpec(1, 1e200)
+    )
+    request = StudyRequest("x", prob, (2, 4), exact=PowerSum(((1.0, 2.0),)))
+    with pytest.raises(StudyError, match=r"assembly failed \(delta=0\.5, r=1, N=4\)") as info:
+        run_convergence_study(request)
+    assert info.value.partial.reports == ()
 
 
 def test_resolution_ordering_enforced():
@@ -273,8 +308,8 @@ def test_study_evaluates_its_reference_once_per_point_set(monkeypatch):
     study = run_convergence_study(request)
     # The uniform max-norm grid and the L2 nodes, once each for three members.
     assert sorted(evaluations) == [200, 1001]
-    for report in study.reports:
-        sol = solve_at(prob, report.n_modes)
+    blocks = solve_nested(prob, TimeBasis(0.0, 12, (0.0, prob.transform.b_psi)), (4, 8, 12))
+    for report, sol in zip(study.reports, blocks, strict=True):
         assert report.linf_error == error_linf(sol, refs[0].evaluate)
         assert report.l2_error == error_l2(sol, refs[0].evaluate)
     # Nothing is kept across studies: a second study evaluates its own reference.
@@ -343,16 +378,16 @@ def test_pde_study_rejects_unordered_resolutions_before_solving(monkeypatch):
 
 
 def test_scalar_study_rejects_repeated_resolution_before_solving(monkeypatch):
-    import fracspec.analysis as analysis_mod
+    import fracspec.ode_solver as ode_mod
 
-    real_solve = analysis_mod.solve
+    real_assemble_stiffness = ode_mod.assemble_stiffness
     calls = []
 
-    def counting_solve(problem, basis, quad_guard=8):
+    def counting_assemble_stiffness(basis, *args):
         calls.append(basis.n_modes)
-        return real_solve(problem, basis, quad_guard)
+        return real_assemble_stiffness(basis, *args)
 
-    monkeypatch.setattr(analysis_mod, "solve", counting_solve)
+    monkeypatch.setattr(ode_mod, "assemble_stiffness", counting_assemble_stiffness)
     request = StudyRequest("x", example1_problem(), (4, 4), exact=PowerSum(((1.0, 2.0),)))
     with pytest.raises(DomainError, match="resolutions must be strictly increasing"):
         run_convergence_study(request)

@@ -121,7 +121,7 @@ def test_negative_lambda_exits_2(capsys):
     for guard in ("0", "1"):
         code, _, stderr = run_cli(capsys, "solve-ode", "--problem", "example1", "--quad-guard", guard)
         assert code == 2
-        assert "quad_guard must be at least 2" in stderr
+        assert "quad-guard must be at least 2" in stderr
 
 
 def test_help_exits_zero_and_documents_gamma_choice(capsys):
@@ -158,9 +158,9 @@ def test_numerical_failure_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["inf", "Infinity"])
-@pytest.mark.parametrize("key, name", [("T", "T"), ("lambda", "lam"), ("alpha", "alpha")])
+@pytest.mark.parametrize("key, dest", [("T", "T"), ("lambda", "lam"), ("alpha", "alpha")])
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_infinite_number_exits_2(tmp_path, capsys, source, key, name, value):
+def test_infinite_number_exits_2(tmp_path, capsys, source, key, dest, value):
     # inf passes every range check, so it is refused as not finite.
     if source == "flag":
         given = [f"--{key}={value}"]
@@ -170,7 +170,39 @@ def test_infinite_number_exits_2(tmp_path, capsys, source, key, name, value):
         given = ["--config", str(config)]
     code, stdout, stderr = run_cli(capsys, "solve-ode", "--problem", "example1", *given)
     assert (code, stdout) == (2, "")
-    assert f"{name} must be a finite number, got '{value}'" in stderr
+    # The message names the setting by its key, never by its internal dest.
+    assert stderr.startswith(f"{key} must be a finite number, got '{value}'")
+    assert dest == key or f"{dest} must" not in stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-ode", "--lambda", "x"], "lambda must be a number, got 'x'"),
+        (["solve-ode", "--T", "x"], "T must be a number, got 'x'"),
+        (["convergence", "--problem", "example3", "--ref-N", "x"], "ref-N must be an integer, got 'x'"),
+        (["solve-ode", "--quad-guard", "1"], "quad-guard must be at least 2, got 1"),
+    ],
+    ids=["lambda", "T", "ref-N", "quad-guard"],
+)
+def test_setting_message_names_its_key(capsys, argv, message):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, solve",
+    [
+        (["solve-ode", "--problem", "example1"], "(delta=0.5, r=1, N=4)"),
+        (["solve-pde", "--problem", "example4", "--M", "4"], "(delta=0.5, r=5, N=4, M=4)"),
+    ],
+    ids=["solve-ode", "solve-pde"],
+)
+def test_overflowing_basis_parameter_exits_3_in_the_assembly_stage(capsys, argv, solve):
+    code, stdout, stderr = run_cli(capsys, *argv, "--N", "4", "--alpha", "1e200")
+    assert (code, stdout) == (3, "")
+    assert f"numerical failure: assembly failed {solve}: non-finite " in stderr
 
 
 @pytest.mark.parametrize(
@@ -232,20 +264,25 @@ def test_convergence_example1_two_rows(tmp_path, capsys):
 def test_convergence_passes_quad_guard_to_reference_and_members(capsys, monkeypatch):
     import fracspec.analysis as analysis_mod
 
-    real_solve = analysis_mod.solve
+    real_solve, real_solve_nested = analysis_mod.solve, analysis_mod.solve_nested
     guards = []
 
     def recording_solve(problem, basis, quad_guard=8):
         guards.append(quad_guard)
         return real_solve(problem, basis, quad_guard)
 
+    def recording_solve_nested(problem, basis, sizes, quad_guard=8):
+        guards.append(quad_guard)
+        return real_solve_nested(problem, basis, sizes, quad_guard)
+
     monkeypatch.setattr(analysis_mod, "solve", recording_solve)
+    monkeypatch.setattr(analysis_mod, "solve_nested", recording_solve_nested)
     code, _, _ = run_cli(
         capsys, "convergence", "--problem", "example3", "--N", "4,8", "--ref-N", "16",
         "--quad-guard", "3",
     )
     assert code == 0
-    assert guards == [3, 3, 3]
+    assert guards == [3, 3]  # the reference, then the one assembly for N = 4 and N = 8
 
 
 def test_convergence_rows_ordered_by_resolution(tmp_path, capsys):

@@ -19,6 +19,7 @@ from fracspec.ode_solver import (
     evaluate,
     solve,
     solve_linear,
+    solve_nested,
 )
 from fracspec.orthopoly import TimeBasis, gjp_eval
 
@@ -590,3 +591,61 @@ def test_guard_failure_names_the_parameters():
     prob = TimeProblem.manufactured(PowerSum(((1.0, math.sqrt(2.0) / 2.0),)), 0.2, 1.0, spec)
     with pytest.raises(NumericalFailureError, match=r"delta=0\.2, r=7, N=80\): system condition"):
         solve(prob, basis_for(spec, 80))
+
+
+# ---------------------------------------------------------------------------
+# Leading-block solves
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        TimeProblem.manufactured(PowerSum(((1.0, 2.0),)), 0.5, 1.0, TransformSpec(1, 2.0)),
+        TimeProblem.from_source(np.sin, 0.5, 1.0, TransformSpec(1, 2.0)),
+    ],
+    ids=["example1", "example3-gamma1"],
+)
+def test_nested_blocks_match_fresh_solves(prob):
+    # At r = 1 the stiffness quadrature is exact, so assembling at N = 30 and
+    # solving the leading n x n block equals a fresh solve at n up to roundoff.
+    spec = prob.transform
+    sizes = tuple(range(1, 31))
+    nested = list(solve_nested(prob, basis_for(spec, 30), sizes))
+    assert [sol.basis.n_modes for sol in nested] == list(sizes)
+    for n, sol in zip(sizes, nested):
+        fresh = solve(prob, basis_for(spec, n))
+        assert sol.basis == fresh.basis
+        scale = np.max(np.abs(fresh.coeffs))
+        assert np.max(np.abs(sol.coeffs - fresh.coeffs)) <= 1e-12 * scale, n
+
+
+@pytest.mark.parametrize("sizes", [(0,), (2, 9), (-1, 4)])
+def test_nested_sizes_outside_the_basis_are_refused_before_assembly(monkeypatch, sizes):
+    calls = []
+    monkeypatch.setattr(ode_mod, "assemble_stiffness", lambda *args: calls.append(args))
+    spec = TransformSpec(1, 2.0)
+    prob = TimeProblem.manufactured(PowerSum(((1.0, 2.0),)), 0.5, 1.0, spec)
+    with pytest.raises(DomainError, match=r"block sizes must lie in 1\.\.8"):
+        solve_nested(prob, basis_for(spec, 8), sizes)
+    assert calls == []
+
+
+def test_refused_block_names_its_own_size(monkeypatch):
+    real_solve_linear = ode_mod.solve_linear
+
+    def refusing_solve_linear(A, F):
+        if A.shape == (6, 6):
+            raise NumericalFailureError("synthetic refusal", estimate=1e20)
+        return real_solve_linear(A, F)
+
+    monkeypatch.setattr(ode_mod, "solve_linear", refusing_solve_linear)
+    spec = TransformSpec(1, 2.0)
+    prob = TimeProblem.manufactured(PowerSum(((1.0, 2.0),)), 0.5, 1.0, spec)
+    blocks = solve_nested(prob, basis_for(spec, 8), (4, 6, 8))
+    assert next(blocks).basis.n_modes == 4
+    with pytest.raises(NumericalFailureError) as info:
+        next(blocks)
+    assert str(info.value) == "linear solve failed (delta=0.5, r=1, N=6): synthetic refusal"
+    assert info.value.estimate == 1e20
+
