@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StudyError
-from .ode_solver import TimeProblem, TimeSolution, solve, solve_nested
-from .orthopoly import TimeBasis
+from .ode_solver import TimeProblem, TimeSolution, evaluate_table, solve, solve_nested
+from .orthopoly import TimeBasis, gjp_table
 
 __all__ = [
     "ErrorReport",
@@ -94,32 +94,50 @@ def _composite_gl(lo: float, hi: float):
     return nodes, weights
 
 
-def error_linf(sol: TimeSolution, exact, grid_n: int = LINF_GRID) -> float:
-    """Max |u_N - u| over a uniform s-grid including both endpoints."""
+def _error_points(transform, grid_n: int = LINF_GRID, weighted: bool = False):
+    """(s, weights) of the max norm (a uniform s-grid, both endpoints, no weights) and of L2.
+
+    L2 uses the 200-point composite Gauss-Legendre rule, plain in s on (0, T) or, weighted, in
+    t against psi'(t) dt; the two agree analytically and differ only in sampling.
+    """
     if grid_n < 2:
         raise DomainError(f"grid must have at least 2 points, got {grid_n}")
-    s = np.linspace(0.0, sol.transform.horizon_T, grid_n)
-    return float(np.max(np.abs(sol.evaluate(s) - np.asarray(exact(s), dtype=float))))
+    if weighted:
+        t, w = _composite_gl(0.0, transform.b_psi)
+        l2 = transform.psi(t), w * transform.psi_prime(t)
+    else:
+        l2 = _composite_gl(0.0, transform.horizon_T)
+    return (np.linspace(0.0, transform.horizon_T, grid_n), None), l2
+
+
+def _error_of(points, basis: TimeBasis, exact):
+    """sol -> error of u_N against `exact` on points = (s, weights), for any leading block of basis.
+
+    The basis table and the exact values at the points are built at the first call and reused.
+    """
+    s, weights = points
+    built = []
+
+    def error(sol: TimeSolution) -> float:
+        if not built:
+            t = sol.transform.psi_inverse(s)
+            built.extend((gjp_table(basis, t), np.asarray(exact(s), dtype=float)))
+        diff = evaluate_table(sol, built[0]) - built[1]
+        if weights is None:
+            return float(np.max(np.abs(diff)))
+        return float(np.sqrt(np.sum(weights * diff * diff)))
+
+    return error
+
+
+def error_linf(sol: TimeSolution, exact, grid_n: int = LINF_GRID) -> float:
+    """Max |u_N - u| over a uniform s-grid including both endpoints."""
+    return _error_of(_error_points(sol.transform, grid_n)[0], sol.basis, exact)(sol)
 
 
 def error_l2(sol: TimeSolution, exact, *, weighted: bool = False) -> float:
-    """L2 error by 200-point composite Gauss-Legendre quadrature.
-
-    Default: plain L2 in the physical variable s on (0, T).  With
-    weighted=True the same norm is evaluated in the rescaled variable t
-    against psi'(t) dt; the two agree analytically and differ only in
-    sampling.
-    """
-    transform = sol.transform
-    if weighted:
-        b = transform.b_psi
-        t, w = _composite_gl(0.0, b)
-        s = transform.psi(t)
-        diff = sol.evaluate(s) - np.asarray(exact(s), dtype=float)
-        return float(np.sqrt(np.sum(w * transform.psi_prime(t) * diff * diff)))
-    s, w = _composite_gl(0.0, transform.horizon_T)
-    diff = sol.evaluate(s) - np.asarray(exact(s), dtype=float)
-    return float(np.sqrt(np.sum(w * diff * diff)))
+    """L2 error by the composite rule of _error_points, in s or, if weighted, in t."""
+    return _error_of(_error_points(sol.transform, weighted=weighted)[1], sol.basis, exact)(sol)
 
 
 def self_convergence_reference(
@@ -181,44 +199,28 @@ def _run_study(problem_id: str, resolutions, solutions, errors_of) -> Convergenc
     return ConvergenceStudy(problem_id, tuple(done))
 
 
-def _values_per_points(f):
-    """f, evaluating each distinct point array once and handing back read-only values."""
-    values = {}
-
-    def cached(s):
-        s = np.asarray(s, dtype=float)
-        key = (s.shape, s.tobytes())
-        if key not in values:
-            values[key] = np.asarray(f(s), dtype=float)
-            values[key].flags.writeable = False
-        return values[key]
-
-    return cached
-
-
 def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
     """Solve at every resolution and collect error reports, smallest N first.
 
     One assembly at the largest N serves every row: each smaller N is solved
     on the leading block of that system (solve_nested), so the finest row is
-    the lone solve at that N.  A self-convergence reference is solved once,
-    and evaluated once per distinct set of error points, for the whole study.
+    the lone solve at that N.  Each set of error points gets one basis table,
+    built at the largest N, and one evaluation of the exact or reference solution.
     """
     problem = request.problem
     exact = request.exact
     if exact is None:
         ref = self_convergence_reference(problem, request.ref_n, request.alpha, request.quad_guard)
-        exact = _values_per_points(ref.evaluate)
+        exact = ref.evaluate
     n_values = sorted(request.n_values)
     basis = TimeBasis(request.alpha, n_values[-1], (0.0, problem.transform.b_psi))
+    points = _error_points(problem.transform, weighted=request.weighted_l2)
+    linf, l2 = (_error_of(p, basis, exact) for p in points)
     return _run_study(
         request.problem_id,
         [(n, None) for n in n_values],
         solve_nested(problem, basis, n_values, request.quad_guard),
-        lambda sol: (
-            error_linf(sol, exact),
-            error_l2(sol, exact, weighted=request.weighted_l2),
-        ),
+        lambda sol: (linf(sol), l2(sol)),
     )
 
 

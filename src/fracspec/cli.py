@@ -414,12 +414,15 @@ def main(argv=None) -> int:
         config = _read_config(args.config) if args.config else {}
         eff = _effective(_merge(args, config))
         _reject_unread(args.command, eff)
-        if args.command == "solve-ode":
-            return _cmd_solve_ode(eff)
-        if args.command == "convergence":
-            return _cmd_convergence(eff)
-        if args.command == "solve-pde":
-            return _cmd_solve_pde(eff)
+        # The solvers refuse a non-finite matrix, solution or residual in one
+        # line; numpy's floating-point warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            if args.command == "solve-ode":
+                return _cmd_solve_ode(eff)
+            if args.command == "convergence":
+                return _cmd_convergence(eff)
+            if args.command == "solve-pde":
+                return _cmd_solve_pde(eff)
         raise CliError(f"unknown command {args.command!r}")
     except (CliError, DomainError) as exc:
         print(str(exc), file=sys.stderr)

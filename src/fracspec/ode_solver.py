@@ -36,6 +36,7 @@ __all__ = [
     "solve_nested",
     "solve",
     "evaluate",
+    "evaluate_table",
 ]
 
 COND_LIMIT = 1e14
@@ -324,6 +325,9 @@ def solve(problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8) -> TimeSo
 def evaluate(sol: TimeSolution, s_points) -> np.ndarray:
     """Evaluate u_N(s) = phi + sum_n v_n j_n(s^gamma) on points in [0, T]."""
     t = sol.transform.psi_inverse(np.atleast_1d(s_points))
-    table = gjp_table(sol.basis, t)
-    vals = sol.phi_offset + sol.coeffs @ table
-    return vals
+    return evaluate_table(sol, gjp_table(sol.basis, t))
+
+
+def evaluate_table(sol: TimeSolution, table) -> np.ndarray:
+    """u_N = phi + v @ table[:N] at the points of a gjp_table of sol's basis, or of a larger one."""
+    return sol.phi_offset + sol.coeffs @ table[: sol.coeffs.size]

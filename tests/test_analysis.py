@@ -242,6 +242,48 @@ def test_study_finest_row_is_the_lone_solve():
     assert study.reports[-1].l2_error == error_l2(finest, exact)
 
 
+@pytest.mark.parametrize(
+    "exact, weighted",
+    [
+        (PowerSum(((1.0, math.sqrt(2.0) / 2.0),), constant=0.5), False),
+        (PowerSum(((1.0, math.sqrt(2.0) / 2.0),)), True),
+    ],
+    ids=["initial-value", "weighted-l2"],
+)
+def test_every_study_row_is_the_error_of_its_block(exact, weighted):
+    # Rows are measured on tables built at the largest N; each must equal the
+    # errors of its own solve_nested block, measured alone, bit for bit.
+    prob = TimeProblem.manufactured(exact, 0.2, 1.0, TransformSpec(7, 2.0))
+    n_values = (4, 8, 16, 24)
+    request = StudyRequest("x", prob, n_values, exact=exact, alpha=0.5, weighted_l2=weighted)
+    study = run_convergence_study(request)
+    blocks = solve_nested(prob, TimeBasis(0.5, 24, (0.0, prob.transform.b_psi)), n_values)
+    for report, sol in zip(study.reports, blocks, strict=True):
+        assert report.linf_error == error_linf(sol, exact)
+        assert report.l2_error == error_l2(sol, exact, weighted=weighted)
+
+
+def test_study_builds_its_tables_once_whatever_its_row_count(monkeypatch):
+    import fracspec.analysis as analysis_mod
+
+    real_gjp_table = analysis_mod.gjp_table
+    builds = []
+
+    def counting_gjp_table(basis, t):
+        builds.append((basis.n_modes, len(t)))
+        return real_gjp_table(basis, t)
+
+    monkeypatch.setattr(analysis_mod, "gjp_table", counting_gjp_table)
+    exact = PowerSum(((1.0, 2.0),))
+    per_study = []
+    for n_values in ((8, 16, 24), tuple(range(2, 25, 2))):
+        builds.clear()
+        run_convergence_study(StudyRequest("x", example1_problem(), n_values, exact=exact))
+        per_study.append(sorted(builds))
+    # One table per set of error points, at the largest N, for 3 rows as for 12.
+    assert per_study == [[(24, 200), (24, 1001)]] * 2
+
+
 def test_study_refused_block_names_its_size_and_keeps_earlier_rows():
     # example2b's r = 7 system is refused by the condition guard at N = 80
     # (estimate near 7e16); the block at N = 40 answers first.

@@ -6,6 +6,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,16 @@ import fracspec.cli as cli_mod
 from fracspec.cli import _build_parser, _merge, _read_config, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-_suite_spec = importlib.util.spec_from_file_location(
-    "run_convergence_suite", ROOT / "scripts" / "run_convergence_suite.py"
-)
-suite = importlib.util.module_from_spec(_suite_spec)
-_suite_spec.loader.exec_module(suite)
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+suite = load_script("run_convergence_suite")
 
 
 def run_cli(capsys, *argv):
@@ -200,9 +206,13 @@ def test_setting_message_names_its_key(capsys, argv, message):
     ids=["solve-ode", "solve-pde"],
 )
 def test_overflowing_basis_parameter_exits_3_in_the_assembly_stage(capsys, argv, solve):
-    code, stdout, stderr = run_cli(capsys, *argv, "--N", "4", "--alpha", "1e200")
+    # The refusal is the only line: numpy's overflow warnings would be errors here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, stderr = run_cli(capsys, *argv, "--N", "4", "--alpha", "1e200")
     assert (code, stdout) == (3, "")
-    assert f"numerical failure: assembly failed {solve}: non-finite " in stderr
+    assert stderr.startswith(f"numerical failure: assembly failed {solve}: non-finite ")
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
 
 
 @pytest.mark.parametrize(
@@ -372,6 +382,18 @@ def test_convergence_suite_study_matches_committed_csv(tmp_path, capsys, name, f
         assert [row[i] for i in keys] == [ref[i] for i in keys]
         for i in errors:
             assert float(row[i]) <= math.sqrt(10.0) * max(float(ref[i]), 1e-10), (row, ref)
+
+
+def test_error_table_script_prints_both_rows_at_roundoff(capsys):
+    # u = s^2 lies in the N = 2 space, so every error is roundoff.
+    load_script("run_error_table").main()
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.startswith("N ")
+    assert [row.split()[0] for row in rows] == ["2", "4"]
+    for row in rows:
+        errors = [float(cell) for cell in row.replace("|", " ").split()[1:]]
+        assert len(errors) == 6
+        assert max(errors) <= 1e-12
 
 
 def test_suite_results_are_not_git_ignored():
