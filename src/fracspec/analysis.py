@@ -70,17 +70,14 @@ class ConvergenceStudy:
     def __post_init__(self):
         _require_increasing([(r.n_modes, r.m_modes) for r in self.reports])
 
-    def csv_rows(self) -> list[str]:
-        with_m = any(r.m_modes is not None for r in self.reports)
-        header = "N,M,linf_error,l2_error,runtime_ms" if with_m else "N,linf_error,l2_error,runtime_ms"
-        rows = [header]
-        for r in self.reports:
-            cells = [str(r.n_modes)]
-            if with_m:
-                cells.append(str(r.m_modes))
-            cells += [f"{r.linf_error:.16e}", f"{r.l2_error:.16e}", f"{r.runtime_ms:.3f}"]
-            rows.append(",".join(cells))
-        return rows
+    def columns(self) -> dict[str, list]:
+        """The error table by column: N, M (space-time studies only), both errors, runtime_ms."""
+        columns = {"N": [r.n_modes for r in self.reports], "M": [r.m_modes for r in self.reports]}
+        if all(m is None for m in columns["M"]):
+            del columns["M"]
+        for name in ("linf_error", "l2_error", "runtime_ms"):
+            columns[name] = [getattr(r, name) for r in self.reports]
+        return columns
 
 
 def _composite_gl(lo: float, hi: float):

@@ -46,56 +46,116 @@ class CliError(Exception):
     """Invalid configuration detected after argument parsing."""
 
 
-def _parse_gamma(text: str) -> int:
-    """Accept exactly '1' or '1/r' with integer r >= 1; return r."""
-    text = text.strip()
-    if text == "1":
-        return 1
-    parts = text.split("/")
-    if len(parts) == 2 and parts[0].strip() == "1":
+def _gamma_text(r: int) -> str:
+    """gamma = 1/r as the CLI reads and writes it."""
+    return f"1/{r}" if r > 1 else "1"
+
+
+# Parsers of a setting's text: parse(key, text) returns the value or raises a
+# CliError that names the key.
+
+
+def _number(rule: str, low: float, high: float = math.inf):
+    """A finite number in (low, high); `rule` words that range as '<key> must <rule>'."""
+
+    def parse(key, text):
         try:
-            r = int(parts[1])
+            value = float(text)
         except ValueError:
-            r = 0
-        if r >= 1:
-            return r
-    raise CliError(f"gamma must be '1' or '1/r' with integer r >= 1, got {text!r}")
+            raise CliError(f"{key} must be a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise CliError(f"{key} must be a finite number, got {text!r}")
+        if not low < value < high:
+            raise CliError(f"{key} must {rule}")
+        return value
+
+    return parse
 
 
-def _parse_resolutions(text: str) -> tuple[int, ...]:
-    """Resolution list: either comma-separated ('2,4,8') or 'start:stop[:step]'."""
-    text = text.strip()
-    if ":" in text:
+def _integer(minimum: int):
+    def parse(key, text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise CliError(f"{key} must be an integer, got {text!r}") from None
+        if value < minimum:
+            raise CliError(f"{key} must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _resolution_list(minimum: int):
+    """A tuple of integers, each at least `minimum`: '8', '2,4,8' or 'start:stop[:step]'."""
+    entry = _integer(minimum)
+
+    def parse(key, text):
+        if ":" not in text:
+            return tuple(entry(key, value) for value in text.split(","))
         pieces = text.split(":")
-        if len(pieces) not in (2, 3):
-            raise CliError(f"bad range {text!r}; use start:stop[:step]")
         try:
-            start, stop = int(pieces[0]), int(pieces[1])
-            step = int(pieces[2]) if len(pieces) == 3 else 1
+            start, stop, step = map(int, pieces if len(pieces) == 3 else pieces + ["1"])
         except ValueError:
-            raise CliError(f"bad range {text!r}; use start:stop[:step]") from None
+            step = 0  # refused below
         if step < 1 or stop < start:
-            raise CliError(f"bad range {text!r}; use start:stop[:step]")
-        return tuple(range(start, stop + 1, step))
+            raise CliError(f"{key} range must be start:stop[:step], got {text!r}")
+        return tuple(entry(key, value) for value in range(start, stop + 1, step))
+
+    return parse
+
+
+def _gamma(key, text):
+    """'1' or '1/r' with integer r >= 1, as r."""
+    one, slash, denominator = text.partition("/")
     try:
-        values = tuple(int(v) for v in text.split(","))
+        r = int(denominator) if slash else 1
     except ValueError:
-        raise CliError(f"bad resolution list {text!r}") from None
-    if not values:
-        raise CliError("empty resolution list")
-    return values
+        r = 0
+    if one.strip() != "1" or r < 1:
+        raise CliError(f"{key} must be '1' or '1/r' with integer r >= 1, got {text!r}")
+    return r
 
 
-def _resolutions(eff, key: str, minimum: int, default: tuple[int, ...]) -> tuple[int, ...]:
-    """The convergence N or M list, each entry held to the minimum of a single solve."""
-    values = _parse_resolutions(str(eff[key + "_raw"])) if eff[key + "_raw"] else default
-    for value in values:
-        _to_int({key: value}, key, minimum)
-    return values
+def _text(key, text):
+    if not text:
+        raise CliError(f"{key} must not be empty")
+    return text
+
+
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _switch(key, text):
+    if text not in _SWITCH_VALUES:
+        raise CliError(f"{key} must be 1, true, yes, 0, false or no, got {text!r}")
+    return _SWITCH_VALUES[text]
+
+
+# Settings taken from a --key flag or a config-file key=value line:
+# (key, dest of the flag, parser of its text, help).  The problem comes
+# first: it decides which of the others a run reads.
+_SETTINGS = (
+    ("problem", "problem", lambda _, text: get_entry(text),
+     "problem id from the catalog (see list-problems)"),
+    ("delta", "delta", _number("lie in (0,1)", 0.0, 1.0), "fractional order in (0,1)"),
+    ("gamma", "gamma", _gamma, "rescaling exponent, written '1' or '1/r'; " + GAMMA_GUIDE),
+    ("lambda", "lam", _number("be positive", 0.0), "reaction coefficient (> 0), default 1"),
+    ("T", "T", _number("be positive", 0.0), "time horizon, default 2"),
+    ("N", "N", _resolution_list(1), "time modes; convergence accepts '2,4,8' or '4:40:2'"),
+    ("M", "M", _resolution_list(2), "space degree (PDE); same list syntax for convergence"),
+    ("ref-N", "ref_n", _integer(2), "reference resolution when no exact solution"),
+    ("quad-guard", "quad_guard", _integer(2), "extra quadrature points (at least 2), default 8"),
+    ("alpha", "alpha", _number("exceed -1", -1.0),
+     "basis parameter (> -1), default 0; solution-invariant"),
+    ("out", "out", _text, "CSV output path (default: stdout)"),
+    ("weighted-l2", "weighted_l2", _switch,
+     "report the L2 error in the rescaled variable against the map weight"),
+)
 
 
 def _read_config(path: str) -> dict:
     """Line-oriented key=value file; '#' starts a comment."""
+    keys = {key for key, _, _, _ in _SETTINGS}
     settings = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,117 +165,54 @@ def _read_config(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise CliError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-                key, value = line.split("=", 1)
-                settings[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in keys:
+                    raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+                settings[key] = value
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from None
     return settings
 
 
-# Settings taken from a --key flag or a config-file key=value line:
-# (key, dest in the parsed and merged settings, help).
-_SETTINGS = (
-    ("problem", "problem", "problem id from the catalog (see list-problems)"),
-    ("delta", "delta", "fractional order in (0,1)"),
-    ("gamma", "gamma", "rescaling exponent, written '1' or '1/r'; " + GAMMA_GUIDE),
-    ("lambda", "lam", "reaction coefficient (> 0), default 1"),
-    ("T", "T", "time horizon, default 2"),
-    ("N", "N", "time modes; convergence accepts '2,4,8' or '4:40:2'"),
-    ("M", "M", "space degree (PDE); same list syntax for convergence"),
-    ("ref-N", "ref_n", "reference resolution when no exact solution"),
-    ("quad-guard", "quad_guard", "extra quadrature points (at least 2), default 8"),
-    ("alpha", "alpha", "basis parameter (> -1), default 0; solution-invariant"),
-    ("out", "out", "CSV output path (default: stdout)"),
-    (
-        "weighted-l2",
-        "weighted_l2",
-        "report the L2 error in the rescaled variable against the map weight",
-    ),
-)
-# The key of each dest, for messages that name a setting.
-_KEYS = {dest: key for key, dest, _ in _SETTINGS}
-# On/off settings: a bare flag, or one of these values in the config file.
-_SWITCHES = {"weighted-l2"}
-_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+def _effective(command: str, args: argparse.Namespace, config: dict) -> dict:
+    """Every setting's value by dest, None where not given, and the run's catalog entry.
 
-
-def _merge(args: argparse.Namespace, config: dict) -> dict:
-    """Effective settings: flag > config file > catalog default (applied later)."""
-    keys = {key for key, _, _ in _SETTINGS}
-    for key in config:
-        if key not in keys:
-            raise CliError(f"unknown config key {key!r}")
-    merged = {}
-    for key, dest, _ in _SETTINGS:
-        flag = getattr(args, dest)
-        if key in _SWITCHES:
-            value = config.get(key, "0")
-            if value not in _SWITCH_VALUES:
-                raise CliError(f"{key} must be 1, true, yes, 0, false or no, got {value!r}")
-            merged[dest] = flag or _SWITCH_VALUES[value]
-        else:
-            merged[dest] = flag if flag is not None else config.get(key)
-    return merged
-
-
-def _to_float(settings, dest, validator=None, message=None):
-    val = settings.get(dest)
-    if val is None:
-        return None
-    key = _KEYS[dest]
-    try:
-        out = float(val)
-    except (TypeError, ValueError):
-        raise CliError(f"{key} must be a number, got {val!r}") from None
-    if validator is not None and not validator(out):
-        raise CliError(message or f"invalid value for {key}: {out}")
-    if not math.isfinite(out):
-        raise CliError(f"{key} must be a finite number, got {val!r}")
-    return out
-
-
-def _to_int(settings, dest, minimum=None):
-    val = settings.get(dest)
-    if val is None:
-        return None
-    key = _KEYS[dest]
-    try:
-        out = int(val)
-    except (TypeError, ValueError):
-        raise CliError(f"{key} must be an integer, got {val!r}") from None
-    if minimum is not None and out < minimum:
-        raise CliError(f"{key} must be at least {minimum}, got {out}")
-    return out
-
-
-def _effective(settings: dict):
-    """Validate the merged settings and apply catalog defaults.
-
-    The returned entry is the catalog entry with any given delta, gamma,
-    lambda and T in place of its own.
+    The settings this run never reads are refused before any value is parsed.
+    Every given text, a flag's or a config line's, goes through its parser,
+    and a flag's value wins.  The entry is the catalog entry with any given
+    delta, gamma, lambda and T in place of its own.
     """
-    problem_id = settings.get("problem") or "example1"
-    entry = get_entry(problem_id)
-    overrides = {
-        "delta": _to_float(settings, "delta", lambda d: 0.0 < d < 1.0, "delta must lie in (0,1)"),
-        "lam": _to_float(settings, "lam", lambda v: v > 0, "lambda must be positive"),
-        "horizon_T": _to_float(settings, "T", lambda v: v > 0, "T must be positive"),
-    }
-    alpha = _to_float(settings, "alpha", lambda v: v > -1.0, "alpha must exceed -1")
-    if settings.get("gamma") is not None:
-        overrides["r"] = _parse_gamma(str(settings["gamma"]))
-    quad_guard = _to_int(settings, "quad_guard", minimum=2)
-    return {
-        "entry": replace(entry, **{k: v for k, v in overrides.items() if v is not None}),
-        "given": {key for key, dest, _ in _SETTINGS if settings.get(dest) not in (None, False)},
-        "alpha": 0.0 if alpha is None else alpha,
-        "quad_guard": 8 if quad_guard is None else quad_guard,
-        "out": settings.get("out"),
-        "weighted_l2": bool(settings.get("weighted_l2")),
-        "N_raw": settings.get("N"),
-        "M_raw": settings.get("M"),
-        "ref_n": _to_int(settings, "ref_n", minimum=2),
-    }
+
+    def value(key, dest, parse):
+        texts = (getattr(args, dest), config.get(key))
+        values = [parse(key, text) for text in texts if text is not None]
+        return values[0] if values else None
+
+    (key, dest, parse, _), *rows = _SETTINGS
+    entry = value(key, dest, parse) or get_entry("example1")
+    given = {key for key, dest, _, _ in rows if getattr(args, dest) is not None or key in config}
+    _reject_unread(command, entry, given)
+    eff = {dest: value(key, dest, parse) for key, dest, parse, _ in rows}
+    overrides = {"delta": eff["delta"], "r": eff["gamma"], "lam": eff["lam"], "horizon_T": eff["T"]}
+    eff["entry"] = replace(entry, **{k: v for k, v in overrides.items() if v is not None})
+    eff["alpha"] = 0.0 if eff["alpha"] is None else eff["alpha"]
+    eff["quad_guard"] = 8 if eff["quad_guard"] is None else eff["quad_guard"]
+    eff["weighted_l2"] = bool(eff["weighted_l2"])
+    return eff
+
+
+def _reject_unread(command: str, entry, given: set):
+    """Exit 2 on a setting, given by flag or config key, that this run never reads."""
+    ode, pde, exact = command == "solve-ode", entry.kind == "pde-power", entry.has_exact
+    pid = entry.problem_id
+    for key, unread, reason in (
+        ("lambda", pde, "the subdiffusion problem has a fixed reaction coefficient"),
+        ("M", not pde, f"{pid} is a scalar problem, with no space degree"),
+        ("ref-N", pde or exact or ode, f"{command} uses no reference solution for {pid}"),
+        ("weighted-l2", pde or ode and not exact, f"{command} has no weighted L2 error for {pid}"),
+    ):
+        if unread and key in given:
+            raise CliError(f"{reason}; drop --{key}")
 
 
 def _header_lines(eff, extras: dict) -> list[str]:
@@ -223,7 +220,7 @@ def _header_lines(eff, extras: dict) -> list[str]:
     fields = {
         "problem": entry.problem_id,
         "delta": entry.delta,
-        "gamma": f"1/{entry.r}" if entry.r > 1 else "1",
+        "gamma": _gamma_text(entry.r),
         "lambda": entry.lam,
         "T": entry.horizon_T,
         "alpha": eff["alpha"],
@@ -234,9 +231,15 @@ def _header_lines(eff, extras: dict) -> list[str]:
     return [f"run: {joined}"]
 
 
-def _emit(csv_lines: list[str], out_path, console_lines: list[str]):
-    """CSV to file (or stdout when no path); notes to the other stream."""
-    body = "\n".join(csv_lines) + "\n"
+# The printf format of a CSV cell, by column; every other column is %.16e,
+# 17 significant digits.
+_CELL_FORMATS = {"N": "%d", "M": "%d", "runtime_ms": "%.3f"}
+
+
+def _emit(columns: dict, out_path, console_lines: list[str]):
+    """The named columns as CSV to a file (or stdout when no path); notes to the other stream."""
+    row = ",".join(_CELL_FORMATS.get(name, "%.16e") for name in columns) + "\n"
+    body = ",".join(columns) + "\n" + "".join(row % cells for cells in zip(*columns.values()))
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(body)
@@ -248,27 +251,16 @@ def _emit(csv_lines: list[str], out_path, console_lines: list[str]):
         sys.stdout.write(body)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def _reject_unread(command: str, eff):
-    """Exit 2 on a setting, given by flag or config key, that this run never reads."""
-    entry, ode = eff["entry"], command == "solve-ode"
-    pid, pde, exact = entry.problem_id, entry.kind == "pde-power", entry.has_exact
-    for key, unread, reason in (
-        ("lambda", pde, "the subdiffusion problem has a fixed reaction coefficient"),
-        ("M", not pde, f"{pid} is a scalar problem, with no space degree"),
-        ("ref-N", pde or exact or ode, f"{command} uses no reference solution for {pid}"),
-        ("weighted-l2", pde or ode and not exact, f"{command} has no weighted L2 error for {pid}"),
-    ):
-        if unread and key in eff["given"]:
-            raise CliError(f"{reason}; drop --{key}")
+def _one(eff, key: str, default: int) -> int:
+    """The single N or M of a solve command."""
+    if eff[key] is not None and len(eff[key]) > 1:
+        raise CliError(f"a solve takes one {key}, got {len(eff[key])} values")
+    return default if eff[key] is None else eff[key][0]
 
 
 def _cmd_solve_ode(eff) -> int:
@@ -276,27 +268,20 @@ def _cmd_solve_ode(eff) -> int:
     if entry.kind == "pde-power":
         raise CliError("solve-ode needs a scalar problem; use solve-pde for example4")
     problem, exact = build_problem(entry)
-    n = _to_int({"N": eff["N_raw"]}, "N", minimum=1) or entry.default_n
+    n = _one(eff, "N", entry.default_n)
     basis = TimeBasis(eff["alpha"], n, (0.0, problem.transform.b_psi))
     sol = solve(problem, basis, eff["quad_guard"])
 
     s = np.linspace(0.0, problem.transform.horizon_T, 1001)
-    u_num = sol.evaluate(s)
+    columns = {"s": s, "u_numeric": sol.evaluate(s)}
     console = _header_lines(eff, {"N": n, "grid": s.size})
     if exact is not None:
-        u_ex = np.asarray(exact(s), dtype=float)
-        rows = ["s,u_numeric,u_exact,abs_error"]
-        rows += [
-            f"{_fmt(si)},{_fmt(ui)},{_fmt(ei)},{_fmt(abs(ui - ei))}"
-            for si, ui, ei in zip(s, u_num, u_ex)
-        ]
+        columns["u_exact"] = np.asarray(exact(s), dtype=float)
+        columns["abs_error"] = np.abs(columns["u_numeric"] - columns["u_exact"])
         linf = error_linf(sol, exact)
         l2 = error_l2(sol, exact, weighted=eff["weighted_l2"])
-        console.append(f"linf_error={_fmt(linf)} l2_error={_fmt(l2)}")
-    else:
-        rows = ["s,u_numeric"]
-        rows += [f"{_fmt(si)},{_fmt(ui)}" for si, ui in zip(s, u_num)]
-    _emit(rows, eff["out"], console)
+        console.append(f"linf_error={linf:.16e} l2_error={l2:.16e}")
+    _emit(columns, eff["out"], console)
     return EXIT_OK
 
 
@@ -304,34 +289,32 @@ def _cmd_convergence(eff) -> int:
     entry = eff["entry"]
     problem, exact = build_problem(entry)
     if entry.kind == "pde-power":
-        n_values = _resolutions(eff, "N", 1, (entry.default_n,))
-        m_values = _resolutions(eff, "M", 2, (entry.default_m,))
-        if len(n_values) == 1 and len(m_values) > 1:
-            n_values = n_values * len(m_values)
-        if len(m_values) == 1 and len(n_values) > 1:
-            m_values = m_values * len(n_values)
+        n_values = eff["N"] or (entry.default_n,)
+        m_values = eff["M"] or (entry.default_m,)
+        # A single N or M is paired with every entry of the other list.
+        size = max(len(n_values), len(m_values))
+        n_values, m_values = (v * size if len(v) == 1 else v for v in (n_values, m_values))
         study = run_pde_convergence_study(
             entry.problem_id, problem, exact, n_values, m_values, eff["alpha"], eff["quad_guard"]
         )
-        console = _header_lines(eff, {"N": list(n_values), "M": list(m_values)})
-        _emit(study.csv_rows(), eff["out"], console)
-        return EXIT_OK
-
-    n_values = _resolutions(eff, "N", 1, (2, 4, 8, 16))
-    ref_n = eff["ref_n"] if eff["ref_n"] is not None else (None if exact else entry.default_ref_n)
-    request = StudyRequest(
-        problem_id=entry.problem_id,
-        problem=problem,
-        n_values=tuple(n_values),
-        exact=exact,
-        ref_n=ref_n,
-        alpha=eff["alpha"],
-        weighted_l2=eff["weighted_l2"],
-        quad_guard=eff["quad_guard"],
-    )
-    study = run_convergence_study(request)
-    console = _header_lines(eff, {"N": list(n_values), "ref_N": ref_n})
-    _emit(study.csv_rows(), eff["out"], console)
+        extras = {}
+    else:
+        ref_n = eff["ref_n"] if eff["ref_n"] is not None else (None if exact else entry.default_ref_n)
+        request = StudyRequest(
+            problem_id=entry.problem_id,
+            problem=problem,
+            n_values=eff["N"] or (2, 4, 8, 16),
+            exact=exact,
+            ref_n=ref_n,
+            alpha=eff["alpha"],
+            weighted_l2=eff["weighted_l2"],
+            quad_guard=eff["quad_guard"],
+        )
+        study = run_convergence_study(request)
+        extras = {"ref_N": ref_n}
+    columns = study.columns()
+    resolutions = {key: columns[key] for key in ("N", "M") if key in columns}
+    _emit(columns, eff["out"], _header_lines(eff, {**resolutions, **extras}))
     return EXIT_OK
 
 
@@ -340,41 +323,50 @@ def _cmd_solve_pde(eff) -> int:
     if entry.kind != "pde-power":
         raise CliError("solve-pde needs a space-time problem (example4)")
     problem, exact = build_problem(entry)
-    n = _to_int({"N": eff["N_raw"]}, "N", minimum=1) or entry.default_n
-    m = _to_int({"M": eff["M_raw"]}, "M", minimum=2) or entry.default_m
+    n = _one(eff, "N", entry.default_n)
+    m = _one(eff, "M", entry.default_m)
     tb = TimeBasis(eff["alpha"], n, (0.0, problem.transform.b_psi))
     sb = SpatialBasis(m, problem.dimension)
     sol = solve_spacetime(problem, tb, sb, eff["quad_guard"])
 
     T = problem.transform.horizon_T
     xg = np.linspace(-1.0, 1.0, 33)
-    grid = sol.evaluate(xg, xg, [T])[:, :, 0]
-    exact_grid = exact(xg, xg, [T])[:, :, 0]
-    rows = ["x,y,u_numeric,u_exact,abs_error"]
-    for i, xi in enumerate(xg):
-        for j, yj in enumerate(xg):
-            ui, ei = grid[i, j], exact_grid[i, j]
-            rows.append(f"{_fmt(xi)},{_fmt(yj)},{_fmt(ui)},{_fmt(ei)},{_fmt(abs(ui - ei))}")
+    u_num = sol.evaluate(xg, xg, [T])[:, :, 0].ravel()
+    u_ex = exact(xg, xg, [T])[:, :, 0].ravel()
+    columns = {
+        "x": np.repeat(xg, xg.size),
+        "y": np.tile(xg, xg.size),
+        "u_numeric": u_num,
+        "u_exact": u_ex,
+        "abs_error": np.abs(u_num - u_ex),
+    }
     linf, l2 = pde_errors_at_final_time(sol, exact)
     console = _header_lines(eff, {"N": n, "M": m})
-    console.append(f"grid_linf_error={_fmt(linf)} grid_l2_error={_fmt(l2)}")
-    _emit(rows, eff["out"], console)
+    console.append(f"grid_linf_error={linf:.16e} grid_l2_error={l2:.16e}")
+    _emit(columns, eff["out"], console)
     return EXIT_OK
 
 
 def _cmd_list_problems() -> int:
     for pid in sorted(CATALOG):
         e = CATALOG[pid]
-        gamma = f"1/{e.r}" if e.r > 1 else "1"
         exact = "exact known" if e.has_exact else "reference-based"
         print(
             f"{pid}: {e.description} "
-            f"[kind={e.kind} delta={e.delta} gamma={gamma} lambda={e.lam} T={e.horizon_T} "
+            f"[kind={e.kind} delta={e.delta} gamma={_gamma_text(e.r)} lambda={e.lam} T={e.horizon_T} "
             f"N={e.default_n}{'' if e.default_m is None else ' M=%d' % e.default_m}; {exact}]"
         )
     print()
     print(GAMMA_GUIDE)
     return EXIT_OK
+
+
+# The commands that read settings: name, function, help.
+_COMMANDS = (
+    ("solve-ode", _cmd_solve_ode, "solve a scalar problem and write s,u CSV"),
+    ("convergence", _cmd_convergence, "run a resolution sweep and write an error table"),
+    ("solve-pde", _cmd_solve_pde, "solve the 2-d subdiffusion problem and write the final-time grid"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -387,43 +379,29 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        for key, dest, help_text in _SETTINGS:
-            action = "store_true" if key in _SWITCHES else "store"
-            p.add_argument("--" + key, dest=dest, action=action, help=help_text)
-        p.add_argument("--config", help="key=value config file; flags take precedence")
-
-    for name, help_text in (
-        ("solve-ode", "solve a scalar problem and write s,u CSV"),
-        ("convergence", "run a resolution sweep and write an error table"),
-        ("solve-pde", "solve the 2-d subdiffusion problem and write the final-time grid"),
-    ):
+    for name, run, help_text in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        add_common(p)
+        p.set_defaults(run=run)
+        for key, dest, parse, setting_help in _SETTINGS:
+            # A switch's flag stands for the config line '<key>=yes'.
+            switch = {"action": "store_const", "const": "yes"} if parse is _switch else {}
+            p.add_argument("--" + key, dest=dest, help=setting_help, **switch)
+        p.add_argument("--config", help="key=value config file; flags take precedence")
     sub.add_parser("list-problems", help="describe the problem catalog and defaults")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "list-problems":
         return _cmd_list_problems()
     try:
-        config = _read_config(args.config) if args.config else {}
-        eff = _effective(_merge(args, config))
-        _reject_unread(args.command, eff)
+        config = _read_config(args.config) if args.config is not None else {}
+        eff = _effective(args.command, args, config)
         # The solvers refuse a non-finite matrix, solution or residual in one
         # line; numpy's floating-point warnings would only repeat it.
         with np.errstate(all="ignore"):
-            if args.command == "solve-ode":
-                return _cmd_solve_ode(eff)
-            if args.command == "convergence":
-                return _cmd_convergence(eff)
-            if args.command == "solve-pde":
-                return _cmd_solve_pde(eff)
-        raise CliError(f"unknown command {args.command!r}")
+            return args.run(eff)
     except (CliError, DomainError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -37,10 +37,13 @@ class ProblemCatalogEntry:
     lam: float = DEFAULT_LAMBDA
     horizon_T: float = DEFAULT_T
     sigma: float | None = None
-    has_exact: bool = True
     default_n: int = 12
     default_m: int | None = None
     default_ref_n: int = 60
+
+    @property
+    def has_exact(self) -> bool:
+        return self.kind != "ode-source"
 
 
 CATALOG: dict[str, ProblemCatalogEntry] = {
@@ -77,7 +80,6 @@ CATALOG: dict[str, ProblemCatalogEntry] = {
         "ode-source",
         delta=0.5,
         r=6,
-        has_exact=False,
         default_n=20,
     ),
     "example4": ProblemCatalogEntry(

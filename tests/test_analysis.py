@@ -161,9 +161,10 @@ def test_study_rows_strictly_ordered_and_csv_shape():
     )
     ns = [r.n_modes for r in study.reports]
     assert ns == sorted(ns) and len(set(ns)) == len(ns)
-    rows = study.csv_rows()
-    assert rows[0] == "N,linf_error,l2_error,runtime_ms"
-    assert len(rows) == 4
+    columns = study.columns()
+    assert list(columns) == ["N", "linf_error", "l2_error", "runtime_ms"]
+    assert columns["N"] == [4, 8, 12]
+    assert [len(column) for column in columns.values()] == [3] * 4
 
 
 def test_study_determinism_modulo_runtime():
@@ -174,7 +175,9 @@ def test_study_determinism_modulo_runtime():
     b = run_convergence_study(request)
 
     def strip_runtime(study):
-        return [row.rsplit(",", 1)[0] for row in study.csv_rows()]
+        columns = study.columns()
+        del columns["runtime_ms"]
+        return columns
 
     assert strip_runtime(a) == strip_runtime(b)
 
@@ -394,9 +397,10 @@ def test_pde_study_rows_and_errors():
     study = run_pde_convergence_study(
         "example4", prob, exact, (12, 12, 12), (6, 8, 10)
     )
-    rows = study.csv_rows()
-    assert rows[0] == "N,M,linf_error,l2_error,runtime_ms"
-    errs = [r.linf_error for r in study.reports]
+    columns = study.columns()
+    assert list(columns) == ["N", "M", "linf_error", "l2_error", "runtime_ms"]
+    assert (columns["N"], columns["M"]) == ([12, 12, 12], [6, 8, 10])
+    errs = columns["linf_error"]
     assert errs[2] < errs[1] < errs[0]
     with pytest.raises(DomainError):
         run_pde_convergence_study("example4", prob, exact, (12,), (6, 8))

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import fracspec
 import fracspec.cli as cli_mod
-from fracspec.cli import _build_parser, _merge, _read_config, main
+from fracspec.cli import _build_parser, _effective, _read_config, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -188,8 +189,9 @@ def test_infinite_number_exits_2(tmp_path, capsys, source, key, dest, value):
         (["solve-ode", "--T", "x"], "T must be a number, got 'x'"),
         (["convergence", "--problem", "example3", "--ref-N", "x"], "ref-N must be an integer, got 'x'"),
         (["solve-ode", "--quad-guard", "1"], "quad-guard must be at least 2, got 1"),
+        (["solve-pde", "--problem", "example4", "--M", "4,6"], "a solve takes one M, got 2 values"),
     ],
-    ids=["lambda", "T", "ref-N", "quad-guard"],
+    ids=["lambda", "T", "ref-N", "quad-guard", "solve-M-list"],
 )
 def test_setting_message_names_its_key(capsys, argv, message):
     code, stdout, stderr = run_cli(capsys, *argv)
@@ -224,6 +226,40 @@ def test_overflowing_horizon_exits_3(capsys, argv):
     code, stdout, stderr = run_cli(capsys, *argv, "--N", "4", "--T", "1e200")
     assert (code, stdout) == (3, "")
     assert "assembly failed" in stderr and "the weight's scale overflows" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["solve-ode", "--N", "4"], "problem"),
+        (["convergence", "--problem", "example4", "--N", "4"], "M"),
+        (["convergence", "--problem", "example1"], "N"),
+        (["solve-ode", "--problem", "example1", "--N", "4"], "out"),
+    ],
+    ids=["problem", "M", "N", "out"],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_value_exits_2(tmp_path, capsys, argv, key, source):
+    # An empty value is refused, never read as "not given" and replaced by the default.
+    if source == "flag":
+        given = [f"--{key}="]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=\n", encoding="utf-8")
+        given = ["--config", str(cfg)]
+    code, stdout, stderr = run_cli(capsys, *argv, *given)
+    assert (code, stdout) == (2, "")
+    assert key in stderr
+
+
+def test_config_line_under_a_flag_is_still_parsed(tmp_path, capsys):
+    # The flag's value is the one used, but a bad line in the file is refused all the same.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta=5\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        capsys, "solve-ode", "--problem", "example1", "--N", "4", "--delta", "0.5", "--config", str(cfg)
+    )
+    assert (code, stdout, stderr) == (2, "", "delta must lie in (0,1)\n")
 
 
 # Every numeric setting of each command, with the values for a small run.
@@ -297,12 +333,14 @@ def test_convergence_passes_quad_guard_to_reference_and_members(capsys, monkeypa
 
 def test_convergence_rows_ordered_by_resolution(tmp_path, capsys):
     out = tmp_path / "c.csv"
-    code, _, _ = run_cli(
+    code, stdout, _ = run_cli(
         capsys, "convergence", "--problem", "example2b", "--N", "8,4,12", "--out", str(out)
     )
     assert code == 0
     ns = [int(l.split(",")[0]) for l in read_lines(out)[1:] if l]
-    assert ns == sorted(ns)
+    assert ns == [4, 8, 12]
+    # The run header names the N values the study ran, in its order.
+    assert " N=[4, 8, 12] " in stdout
 
 
 def test_convergence_range_syntax(tmp_path, capsys):
@@ -382,6 +420,34 @@ def test_convergence_suite_study_matches_committed_csv(tmp_path, capsys, name, f
         assert [row[i] for i in keys] == [ref[i] for i in keys]
         for i in errors:
             assert float(row[i]) <= math.sqrt(10.0) * max(float(ref[i]), 1e-10), (row, ref)
+
+
+# A cell is an integer (N, M), a three-decimal runtime_ms or, in every other
+# column, scientific notation with 17 significant digits.
+CELL_PATTERNS = {"N": r"\d+", "M": r"\d+", "runtime_ms": r"\d+\.\d{3}"}
+SCIENTIFIC = r"-?\d\.\d{16}e[+-]\d{2,3}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-ode", "--problem", "example1", "--N", "2"],
+        ["solve-ode", "--problem", "example3", "--N", "2"],
+        ["solve-pde", "--problem", "example4", "--N", "2", "--M", "2"],
+        ["convergence", "--problem", "example1", "--N", "2,3"],
+        ["convergence", "--problem", "example4", "--N", "2", "--M", "2,3"],
+    ],
+    ids=["solve-ode", "solve-ode-no-exact", "solve-pde", "convergence", "convergence-pde"],
+)
+def test_every_table_cell_has_its_column_format(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 0, stderr
+    header, *rows = list(csv.reader(stdout.splitlines()))
+    assert rows
+    patterns = [re.compile(CELL_PATTERNS.get(column, SCIENTIFIC)) for column in header]
+    for row in rows:
+        assert len(row) == len(header)
+        assert all(p.fullmatch(cell) for p, cell in zip(patterns, row)), row
 
 
 def test_error_table_script_prints_both_rows_at_roundoff(capsys):
@@ -465,8 +531,15 @@ def test_solve_pde_rejects_reaction_override(capsys, command, flags, message):
         (["solve-ode", "--problem", "example1"], ["--ref-N", "99"], "ref-N=99"),
         (["convergence", "--problem", "example1", "--N", "2,4"], ["--ref-N", "60"], "ref-N=60"),
         (["solve-ode", "--problem", "example3"], ["--weighted-l2"], "weighted-l2=yes"),
+        # Whatever its value: an unread setting is refused before any value is parsed.
+        (["solve-ode", "--problem", "example1"], ["--M", "x"], "M=x"),
+        (["solve-ode", "--problem", "example1"], ["--ref-N", "x"], "ref-N=x"),
+        (["solve-ode", "--problem", "example3"], ["--weighted-l2"], "weighted-l2=on"),
     ],
-    ids=["solve-ode-M", "convergence-M", "solve-ode-ref-N", "exact-ref-N", "no-exact-weighted-l2"],
+    ids=[
+        "solve-ode-M", "convergence-M", "solve-ode-ref-N", "exact-ref-N", "no-exact-weighted-l2",
+        "unparsable-M", "unparsable-ref-N", "unparsable-weighted-l2",
+    ],
 )
 def test_unread_setting_exits_2(tmp_path, capsys, argv, setting, line):
     # a setting the run never reads would be silently ignored
@@ -572,35 +645,45 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "problem=example1" in header
 
 
-# (config key, merged setting, value in the config file, value on the --key flag)
+# (config key, value in the config file, value on the --key flag, the setting's
+# place in the effective settings, the values those two texts parse to)
 VALUE_SETTINGS = [
-    ("problem", "problem", "example1", "example3"),
-    ("delta", "delta", "0.9", "0.1"),
-    ("gamma", "gamma", "1/5", "1/6"),
-    ("lambda", "lam", "2.0", "3.0"),
-    ("T", "T", "1.5", "2.5"),
-    ("N", "N", "4", "6"),
-    ("M", "M", "8", "10"),
-    ("ref-N", "ref_n", "40", "50"),
-    ("quad-guard", "quad_guard", "4", "6"),
-    ("alpha", "alpha", "0.5", "1.0"),
-    ("out", "out", "a.csv", "b.csv"),
+    ("problem", "example1", "example3", lambda eff: eff["entry"].problem_id, "example1", "example3"),
+    ("delta", "0.9", "0.1", lambda eff: eff["entry"].delta, 0.9, 0.1),
+    ("gamma", "1/5", "1/6", lambda eff: eff["entry"].r, 5, 6),
+    ("lambda", "2.0", "3.0", lambda eff: eff["entry"].lam, 2.0, 3.0),
+    ("T", "1.5", "2.5", lambda eff: eff["entry"].horizon_T, 1.5, 2.5),
+    ("N", "4", "2:6:2", lambda eff: eff["N"], (4,), (2, 4, 6)),
+    ("M", "8", "10", lambda eff: eff["M"], (8,), (10,)),
+    ("ref-N", "40", "50", lambda eff: eff["ref_n"], 40, 50),
+    ("quad-guard", "4", "6", lambda eff: eff["quad_guard"], 4, 6),
+    ("alpha", "0.5", "1.0", lambda eff: eff["alpha"], 0.5, 1.0),
+    ("out", "a.csv", "b.csv", lambda eff: eff["out"], "a.csv", "b.csv"),
 ]
+# A problem whose convergence run reads the setting: M is read by example4 alone,
+# and ref-N only by a problem without an exact solution.
+READ_BY = {"M": "example4", "ref-N": "example3"}
 
 
-def merged_settings(argv, config):
-    return _merge(_build_parser().parse_args(argv), config)
+def effective_settings(argv, config):
+    args = _build_parser().parse_args(argv)
+    return _effective(args.command, args, config)
 
 
 @pytest.mark.parametrize(
-    "key, dest, file_value, flag_value", VALUE_SETTINGS, ids=[c[0] for c in VALUE_SETTINGS]
+    "key, file_value, flag_value, read, file_parsed, flag_parsed",
+    VALUE_SETTINGS,
+    ids=[c[0] for c in VALUE_SETTINGS],
 )
-def test_setting_from_config_file_and_flag(tmp_path, key, dest, file_value, flag_value):
+def test_setting_from_config_file_and_flag(
+    tmp_path, key, file_value, flag_value, read, file_parsed, flag_parsed
+):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key}={file_value}\n", encoding="utf-8")
     config = _read_config(str(cfg))
-    assert merged_settings(["convergence"], config)[dest] == file_value
-    assert merged_settings(["convergence", "--" + key, flag_value], config)[dest] == flag_value
+    argv = ["convergence"] + (["--problem", READ_BY[key]] if key in READ_BY else [])
+    assert read(effective_settings(argv, config)) == file_parsed
+    assert read(effective_settings(argv + ["--" + key, flag_value], config)) == flag_parsed
 
 
 @pytest.mark.parametrize(
@@ -611,8 +694,8 @@ def test_weighted_l2_from_config_file_and_flag(tmp_path, value, on):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"weighted-l2={value}\n", encoding="utf-8")
     config = _read_config(str(cfg))
-    assert merged_settings(["convergence"], config)["weighted_l2"] is on
-    assert merged_settings(["convergence", "--weighted-l2"], config)["weighted_l2"] is True
+    assert effective_settings(["convergence"], config)["weighted_l2"] is on
+    assert effective_settings(["convergence", "--weighted-l2"], config)["weighted_l2"] is True
 
 
 @pytest.mark.parametrize("value", ["True", "on", "YES", ""])
@@ -644,6 +727,18 @@ def test_config_file_unknown_key(tmp_path, capsys):
 def test_config_file_missing(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "solve-ode", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2
+    # An empty path names no file; it does not mean "no config file".
+    code, _, stderr = run_cli(capsys, "solve-ode", "--problem", "example1", "--N", "4", "--config=")
+    assert code == 2
+    assert stderr.startswith("cannot read config file")
+
+
+def test_readme_flags_line_lists_every_setting():
+    # A new setting must land documented: the README's Flags line names every
+    # setting's flag, in their order, and then --config.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    flags = readme.split("Flags: `", 1)[1].split("`", 1)[0].split()
+    assert flags == ["--" + key for key, *_ in cli_mod._SETTINGS] + ["--config"]
 
 
 def test_list_problems(capsys):
