@@ -168,6 +168,8 @@ def _read_config(path: str) -> dict:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in keys:
                     raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in settings:
+                    raise CliError(f"{path}:{lineno}: repeated config key {key!r}")
                 settings[key] = value
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from None

@@ -9,8 +9,8 @@ class NumericalFailureError(RuntimeError):
     """A numerical procedure failed to converge.
 
     Carries the best available estimate and its error bound so callers can
-    inspect how close the computation got before giving up.  A failure in a
-    stacked computation also carries the stack index of the failing item.
+    inspect how close the computation got before giving up.  A refused
+    eigenmode of the space-time solve also carries the mode's index tuple.
     """
 
     def __init__(self, message, estimate=None, error_bound=None, index=None):

@@ -223,39 +223,22 @@ def assemble_time_load(
 
 
 def solve_linear(A: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Dense LU solve with a condition guard; returns x of F's shape.
+    """Dense LU solve of A x = F, A (n, n) and F (n,), with a condition guard.
 
-    Either A is (n, n) and F is (n,), or A is a stack (k, n, n) and F is
-    (k, ..., n): matrix i solves every right-hand side in F[i].  Each matrix
-    is LU-factored once by LAPACK's getrf, and that one factorisation serves
-    the guard and the solves.  The guard is the 1-norm condition estimate of
-    the factors (gecon: the Hager-Higham estimator); a refused matrix raises
-    NumericalFailureError with `index` set to its position in the stack (0
-    for a lone matrix).  Each right-hand side is solved once, as a single
-    vector (getrs), so a stack gives the same bits as one call per matrix.
+    One LAPACK getrf serves the guard and the solve (getrs).  The guard is the
+    1-norm condition estimate of the factors (gecon: the Hager-Higham
+    estimator); a matrix estimated above COND_LIMIT raises NumericalFailureError.
     """
-    mats, rhs = (A, F) if A.ndim == 3 else (A[None], F[None])
-    k, n = mats.shape[:2]
-    if rhs.shape[0] != k:
-        raise ValueError(f"{k} matrices but {rhs.shape[0]} right-hand side groups")
-    anorms = np.max(np.sum(np.abs(mats), axis=-2), axis=-1)
-    x = np.empty(rhs.shape)
-    for i, (a, anorm) in enumerate(zip(mats, anorms)):
-        lu, piv, info = lapack.dgetrf(a)
-        rcond, _ = lapack.dgecon(lu, anorm, norm="1")
-        # An exactly singular factor, or a zero or non-finite rcond (a NaN entry
-        # gives one), reads as an infinite estimate.
-        estimate = 1.0 / rcond if info == 0 and 0.0 < rcond < math.inf else math.inf
-        if estimate > COND_LIMIT:
-            raise NumericalFailureError(
-                f"system condition estimate {estimate:.3e} exceeds {COND_LIMIT:.0e}",
-                estimate=estimate,
-                index=i,
-            )
-        xs = x[i].reshape(-1, n)
-        for j, b in enumerate(rhs[i].reshape(-1, n)):
-            xs[j] = lapack.dgetrs(lu, piv, b)[0]
-    return x if A.ndim == 3 else x[0]
+    lu, piv, info = lapack.dgetrf(A)
+    rcond, _ = lapack.dgecon(lu, np.linalg.norm(A, 1), norm="1")
+    # An exactly singular factor, or a zero or non-finite rcond (a NaN entry
+    # gives one), reads as an infinite estimate.
+    estimate = 1.0 / rcond if info == 0 and 0.0 < rcond < math.inf else math.inf
+    if estimate > COND_LIMIT:
+        raise NumericalFailureError(
+            f"system condition estimate {estimate:.3e} exceeds {COND_LIMIT:.0e}", estimate=estimate
+        )
+    return lapack.dgetrs(lu, piv, F)[0]
 
 
 def require_finite(**matrices):

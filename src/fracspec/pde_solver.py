@@ -4,20 +4,18 @@ Spatial discretization uses the Dirichlet Legendre combinations
 phi_k = c_k (L_k - L_{k+2}) on (-1, 1)^d, whose stiffness matrix is the
 identity and whose mass matrix B is pentadiagonal with closed-form entries.
 The coupled tensor system is decoupled by the symmetric eigendecomposition
-of B into independent N x N time solves, one per spatial eigenmode.
+of B into independent N x N time solves, one per spatial eigenmode, which
+one QZ of the time pencil makes triangular.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, qz
 
 from .errors import DomainError, NumericalFailureError
 from .frac_ops import FracOrder, PowerSum, TransformSpec
@@ -26,7 +24,6 @@ from .ode_solver import (
     assemble_stiffness,
     assemble_time_load,
     require_finite,
-    solve_linear,
 )
 from .orthopoly import JacobiIndex, TimeBasis, gauss_jacobi_rule, gjp_table, legendre_phi_table
 
@@ -41,6 +38,12 @@ __all__ = [
     "evaluate_spacetime",
     "manufactured_sine_power",
 ]
+
+# A mode is refused when cancellation leaves a pivot of its triangular system
+# at most this fraction of the pivot's terms, |mu||T_ii| + |c||R_ii|.
+PIVOT_TOL = 1e-12
+# Mode columns per back-substitution pass: bounds the stage's complex temporaries.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -202,21 +205,6 @@ def assemble_spacetime_load(
     return _mode_product(ft, [wphi.T] * d)
 
 
-def _thread_count() -> int:
-    """Worker threads for the eigenmode solves, from FRACSPEC_THREADS.
-
-    Unset, 1 or not an integer: one, so the modes are solved in a plain loop;
-    0: one thread per CPU.
-    """
-    try:
-        n = int(os.environ.get("FRACSPEC_THREADS", ""))
-    except ValueError:
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 def _mode_table(lam: np.ndarray, d: int) -> np.ndarray:
     """The (K^d, 2) mode-coefficient table of every eigenmode.
 
@@ -230,65 +218,60 @@ def _mode_table(lam: np.ndarray, d: int) -> np.ndarray:
     return np.stack([mu.ravel(), (nu + mu).ravel()], axis=-1)
 
 
-def _mode_matrices(coefs: np.ndarray, SM: np.ndarray) -> np.ndarray:
-    """The matrices mu S + c M of the rows (mu, c) of coefs, built by one GEMM.
-
-    SM is (2, n*n): vec(S^T) above vec(M^T).  The (k, n, n) product is viewed
-    transposed, so every matrix is Fortran-contiguous and LAPACK reads it
-    without a transposing copy.  The GEMM may fuse the two products, so an
-    entry can differ from mu*S + c*M in its last bits, and those bits can
-    depend on k.
-    """
-    n = math.isqrt(SM.shape[1])
-    return (coefs @ SM).reshape(-1, n, n).transpose(0, 2, 1)
-
-
 def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarray) -> np.ndarray:
     """Solve (mu S + c M) w = fhat[:, mode] for every eigenmode; w has fhat's (N, K, ...) shape.
 
-    Row m of table is the (mu, c) of the mode with flat index m.  Both are
-    symmetric in the mode's indices, so all orderings of a sorted multi-index
-    share one matrix.  There is one batch per sorted leading multi-index head,
-    holding the sorted modes head + (q,), q >= head[-1]: K batches for d = 2, one
-    for d = 1.  A batch is a (modes, orderings) array of flat mode indices, the
-    sorted ordering first; a repeated index repeats a flat index.  A refused
-    mode raises NumericalFailureError with index set to the mode's tuple.
+    Row m of table is the (mu, c) of the mode with flat index m.  One complex
+    QZ of the time pencil, S = Q T Z^H and M = Q R Z^H, makes every mode
+    triangular: (mu T + c R) y = Q^H fhat and w = Re(Z y) (the generalized
+    Schur method of Gardiner, Laub, Amato & Moler, ACM TOMS 1992).  The
+    back-substitution runs over the N rows, each row step vectorised across
+    _CHUNK mode columns at a time, followed by one refinement step on
+    fhat - mu S w - c M w.  A mode whose pivot |mu T_ii + c R_ii| is not above
+    PIVOT_TOL (|mu||T_ii| + |c||R_ii|), the zero matrix or a NaN included,
+    is refused: the first in flat order raises NumericalFailureError with
+    index set to the mode's tuple.
     """
     shape = fhat.shape[1:]
-    d, K = len(shape), shape[0]
-    fhat = fhat.reshape(fhat.shape[0], -1)
-    vhat = np.empty_like(fhat)
-    flat = np.arange(K**d).reshape(shape)
-    orders = np.stack([flat.transpose(p) for p in itertools.permutations(range(d))], axis=-1)
-    heads = itertools.combinations_with_replacement(range(K), d - 1)
-    batches = [orders[head][head[-1] if head else 0:] for head in heads]
-    SM = np.stack([S.T.ravel(), M.T.ravel()])
+    f = fhat.reshape(fhat.shape[0], -1)
+    w = np.empty_like(f)
+    T, R, Q, Z = qz(S, M, output="complex")
+    TR = np.stack([T, R])
+    # Q^H as its real and imaginary parts: two real products are faster than
+    # one complex product with a real right-hand side.
+    QHre, QHim = Q.real.T.copy(), -Q.imag.T
+    diag = np.stack([np.diagonal(T), np.diagonal(R)], axis=-1)
 
-    def solve_batch(orders: np.ndarray):
-        """Solve one batch in one stacked call, each mode's matrix guarded once.
+    def back_substitute(b, coefs, pivots):
+        """Re(Z y) for (mu T + c R) y = Q^H b, y written over Q^H b row by row."""
+        y = np.empty(b.shape, dtype=complex)
+        y.real, y.imag = QHre @ b, QHim @ b
+        for i in reversed(range(y.shape[0])):
+            below = TR[:, i, i + 1:] @ y[i + 1:]
+            y[i] -= coefs[0] * below[0] + coefs[1] * below[1]
+            y[i] /= pivots[i]
+        return (Z @ y).real
 
-        Every ordering of a mode gets its own right-hand side against the shared
-        matrix.  Returns the solutions, (modes, orderings, N).
-        """
-        A = _mode_matrices(table[orders[:, 0]], SM)
-        try:
-            return solve_linear(A, fhat.T[orders])
-        except NumericalFailureError as exc:
-            # The stack position is batch-local; the mode's tuple replaces it.
-            mode = tuple(int(i) for i in np.unravel_index(orders[exc.index, 0], shape))
-            raise NumericalFailureError(str(exc), estimate=exc.estimate, index=mode) from exc
-
-    workers = _thread_count()
-    if workers > 1:
-        # map yields the batches, and raises the first failure, in batch order,
-        # whatever order the threads finish in.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve_batch, batches))
-    else:
-        solved = map(solve_batch, batches)
-    for orders, w in zip(batches, solved):
-        vhat.T[orders] = w
-    return vhat.reshape((-1,) + shape)
+    for lo in range(0, f.shape[1], _CHUNK):
+        cols = slice(lo, lo + _CHUNK)
+        coefs = table[cols].T
+        pivots = diag @ coefs
+        # Written so that a NaN pivot is refused too.
+        refused = ~(np.abs(pivots) > PIVOT_TOL * (np.abs(diag) @ np.abs(coefs)))
+        if refused.any():
+            m = int(np.argmax(refused.any(axis=0)))
+            i = int(np.argmax(refused[:, m]))
+            bound = PIVOT_TOL * (np.abs(diag[i]) @ np.abs(coefs[:, m]))
+            raise NumericalFailureError(
+                f"pivot {i} |mu T_ii + c R_ii| = {abs(pivots[i, m]):.3e} is at most "
+                f"{PIVOT_TOL:.0e} * (|mu||T_ii| + |c||R_ii|) = {bound:.3e}",
+                index=tuple(int(k) for k in np.unravel_index(lo + m, shape)),
+            )
+        wc = w[:, cols]
+        wc[...] = back_substitute(f[:, cols], coefs, pivots)
+        residual = f[:, cols] - coefs[0] * (S @ wc) - coefs[1] * (M @ wc)
+        wc += back_substitute(residual, coefs, pivots)
+    return w.reshape(fhat.shape)
 
 
 def solve_spacetime(

@@ -724,6 +724,15 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key 'config'" in stderr
 
 
+def test_config_file_repeated_key(tmp_path, capsys):
+    # Keeping the last line would run N=4 without ever parsing N=x.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem=example1\nN=x\n# comment\nN = 4\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "solve-ode", "--config", str(cfg))
+    assert (code, stdout) == (2, "")
+    assert stderr.strip() == f"{cfg}:4: repeated config key 'N'"
+
+
 def test_config_file_missing(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "solve-ode", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2

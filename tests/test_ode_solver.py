@@ -470,49 +470,6 @@ def mixed_stack(rng, n=10):
     return np.stack([m for pair in zip(well, ill) for m in pair])
 
 
-def test_stacked_solve_linear_is_bit_identical_to_per_matrix_calls(rng):
-    stack = mixed_stack(rng)
-    # The transposed view holds Fortran-contiguous matrices, as the eigenmode
-    # batches of solve_spacetime do; each lone call gets the same view.
-    for A in (stack, stack.transpose(0, 2, 1)):
-        k, n = A.shape[:2]
-
-        # One right-hand side per matrix: F is (k, n).
-        F = rng.standard_normal((k, n))
-        x = solve_linear(A, F)
-        assert type(x) is np.ndarray and x.shape == (k, n)
-        for i in range(k):
-            xi = solve_linear(A[i], F[i])
-            assert type(xi) is np.ndarray and xi.shape == (n,)
-            assert np.array_equal(x[i], xi)
-
-        # Two right-hand sides sharing each matrix: F is (k, 2, n).
-        F = rng.standard_normal((k, 2, n))
-        x = solve_linear(A, F)
-        assert x.shape == (k, 2, n)
-        for i in range(k):
-            for j in range(2):
-                assert np.array_equal(x[i, j], solve_linear(A[i], F[i, j]))
-
-        # Matrix i solves F[i]: a leading axis of another length is refused.
-        with pytest.raises(ValueError, match="6 matrices but 5 right-hand side groups"):
-            solve_linear(A, F[:-1])
-
-
-def test_stacked_solve_linear_reports_first_bad_system(rng):
-    A = mixed_stack(rng)[:4].copy()
-    n = A.shape[-1]
-    A[1] = np.ones((n, n))
-    A[3] = np.ones((n, n))
-    for F in (rng.standard_normal((4, n)), rng.standard_normal((4, 3, n))):
-        with pytest.raises(NumericalFailureError) as info:
-            solve_linear(A, F)
-        # The position is the index alone; the message names none.
-        assert type(info.value.index) is int and info.value.index == 1
-        assert str(info.value) == "system condition estimate inf exceeds 1e+14"
-        assert info.value.estimate > 1e14
-
-
 def test_condition_estimates_bracket_the_one_norm_condition_number(rng, monkeypatch):
     # With the limit at zero every matrix is refused, which exposes its estimate.
     # The Hager-Higham estimate is a lower bound on kappa_1 and rarely 10x below
@@ -548,8 +505,7 @@ def test_solve_refuses_non_finite_solutions(monkeypatch):
 
 
 def test_shared_matrix_is_factored_once(rng, monkeypatch):
-    # One getrf per distinct matrix serves the guard and every solve, and no
-    # other factorisation runs.
+    # One getrf is shared by the guard and the solve, and no other factorisation runs.
     factors = []
     solves = []
     real_getrf, real_getrs = ode_mod.lapack.dgetrf, ode_mod.lapack.dgetrs
@@ -566,18 +522,15 @@ def test_shared_matrix_is_factored_once(rng, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("np.linalg.solve must not be called")
 
-    A = mixed_stack(rng)
-    k, n = A.shape[:2]
-    F = rng.standard_normal((k, 2, n))
     monkeypatch.setattr(ode_mod.lapack, "dgetrf", counting_getrf)
     monkeypatch.setattr(ode_mod.lapack, "dgetrs", recording_getrs)
     monkeypatch.setattr(np.linalg, "solve", no_solve)
-    solve_linear(A, F)
-    assert [f.shape for f in factors] == [(n, n)] * k
-    # Exactly one getrs per right-hand side, in stack order, each on the
-    # factors of its own matrix.
-    assert len(solves) == 2 * k
-    assert all(lu is factors[j // 2] for j, lu in enumerate(solves))
+    for a in mixed_stack(rng):
+        factors.clear()
+        solves.clear()
+        x = solve_linear(a, rng.standard_normal(len(a)))
+        assert type(x) is np.ndarray and x.shape == (len(a),)
+        assert len(factors) == 1 and solves == factors
 
     factors.clear()
     spec = TransformSpec(7, 2.0)

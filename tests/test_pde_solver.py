@@ -1,18 +1,16 @@
-import itertools
 import math
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, lapack
+from scipy.linalg import eigh
 
-import fracspec.ode_solver as ode_mod
 import fracspec.pde_solver as pde_mod
 from fracspec.errors import DomainError, NumericalFailureError
 from fracspec.frac_ops import FracOrder, PowerSum, TransformSpec, adaptive_quad
-from fracspec.ode_solver import TimeProblem, assemble_mass, assemble_stiffness, solve, solve_linear
+from fracspec.ode_solver import TimeProblem, assemble_mass, assemble_stiffness, solve
 from fracspec.orthopoly import TimeBasis, gjp_eval, legendre_phi_table
+from fracspec.problems import build_problem, get_entry
 from fracspec.pde_solver import (
     PDEProblem,
     SeparableRHS,
@@ -279,219 +277,87 @@ def test_separable_rhs_refuses_a_time_source_of_neither_format(time_source):
 
 def test_tensor_residual_guard_refuses_nan(monkeypatch):
     # A mode solve that slipped a NaN past its own guard must not reach V.
-    def nan_solve_linear(A, F):
-        return np.full(F.shape, np.nan)
+    def nan_solve_modes(S, M, table, fhat):
+        return np.full(fhat.shape, np.nan)
 
-    monkeypatch.setattr(pde_mod, "solve_linear", nan_solve_linear)
+    monkeypatch.setattr(pde_mod, "_solve_modes", nan_solve_modes)
     tb, sb = bases(6, 6, 1)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=1)
     with pytest.raises(NumericalFailureError, match="tensor residual nan exceeds"):
         solve_spacetime(prob, tb, sb)
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
-    assert pde_mod._thread_count() == 1
-    monkeypatch.setenv("FRACSPEC_THREADS", "3")
-    assert pde_mod._thread_count() == 3
-    monkeypatch.setenv("FRACSPEC_THREADS", "0")
-    assert pde_mod._thread_count() >= 1
-    monkeypatch.setenv("FRACSPEC_THREADS", "garbage")
-    assert pde_mod._thread_count() == 1
+REFUSED_MODES = ((2, 3), (3, 2), (4, 1))  # flat indices 13, 17 and 21 of the 5 x 5 modes
+REAL_MODE_TABLE = pde_mod._mode_table
 
 
-def per_mode_reference(prob, tb, sb):
-    """V by one solve_linear per eigenmode, the unbatched loop.
+def refuse_modes(monkeypatch, modes):
+    """Zero the (mu, c) rows of `modes` in every mode table: each becomes the zero matrix."""
 
-    The matrices come from the solver's own builder, one call per batch of the
-    solver (the sorted modes with one leading index): the GEMM's bits depend on
-    the batch's row count, and a lone solve matches the stacked one bit for bit
-    only on the same Fortran-ordered matrix, not on a C-contiguous copy.
-    """
-    d, N = prob.dimension, tb.n_modes
-    S = assemble_stiffness(tb, prob.delta, prob.transform, N + 8)
-    M = assemble_mass(tb, prob.transform)
-    lam, E = eigh(space_mass_matrix(sb.m_modes))
-    F = assemble_spacetime_load(prob, tb, sb)
-    K = lam.size
-    lams = np.meshgrid(*([lam] * d), indexing="ij")
-    ones = np.ones_like(lams[0])
-    mus = math.prod(lams, start=ones).ravel()
-    nus = sum(math.prod(lams[:i] + lams[i + 1:], start=ones) for i in range(d)).ravel()
-    SM = np.stack([S.T.ravel(), M.T.ravel()])
-    fhat = pde_mod._mode_product(F, [E] * d).reshape(N, -1)
-    vhat = np.empty_like(fhat)
-    for head in itertools.combinations_with_replacement(range(K), d - 1):
-        modes = [head + (q,) for q in range(head[-1] if head else 0, K)]
-        rows = [np.ravel_multi_index(mode, (K,) * d) for mode in modes]
-        A = pde_mod._mode_matrices(np.stack([mus[rows], nus[rows] + mus[rows]], axis=-1), SM)
-        for a, mode in zip(A, modes):
-            assert a.flags.f_contiguous
-            for ordering in set(itertools.permutations(mode)):
-                idx = np.ravel_multi_index(ordering, (K,) * d)
-                vhat[:, idx] = solve_linear(a, fhat[:, idx])
-    return pde_mod._mode_product(vhat.reshape(F.shape), [E.T] * d)
+    def mode_table(lam, d):
+        table = REAL_MODE_TABLE(lam, d)
+        for mode in modes:
+            table[np.ravel_multi_index(mode, (lam.size,) * d)] = 0.0
+        return table
 
-
-def test_threaded_solve_is_bit_identical(monkeypatch):
-    real_solve_linear = pde_mod.solve_linear
-    on_main = []
-
-    def recording_solve_linear(A, b):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        return real_solve_linear(A, b)
-
-    monkeypatch.setattr(pde_mod, "solve_linear", recording_solve_linear)
-    for d, calls in ((1, 1), (2, 9)):  # one stacked call per leading index: K = 9 for d = 2
-        tb, sb = bases(10, 10, d)
-        prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=d)
-        reference = per_mode_reference(prob, tb, sb)
-        on_main.clear()
-        monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
-        seq = solve_spacetime(prob, tb, sb).V
-        assert on_main == [True] * calls
-        on_main.clear()
-        monkeypatch.setenv("FRACSPEC_THREADS", "4")
-        par = solve_spacetime(prob, tb, sb).V
-        assert on_main == [False] * calls
-        assert np.array_equal(seq, reference)
-        assert np.array_equal(par, reference)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_mode_matrices_are_fortran_ordered_and_match_mu_s_plus_c_m(monkeypatch, d):
-    # Every batch the solver builds, including the short last one (a single
-    # mode for d = 2), is mu*S + c*M up to the GEMM's rounding of each term.
-    tb, sb = bases(6, 9, d)
-    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=d)
-    S = assemble_stiffness(tb, prob.delta, SPEC5, 6 + 8)
-    M = assemble_mass(tb, SPEC5)
-    lam, _ = eigh(space_mass_matrix(9))
-    K = lam.size
-    passed = []
-
-    def recording_solve_linear(A, b):
-        passed.append(A)
-        return solve_linear(A, b)
-
-    monkeypatch.setattr(pde_mod, "solve_linear", recording_solve_linear)
-    monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
-    solve_spacetime(prob, tb, sb)
-    heads = list(itertools.combinations_with_replacement(range(K), d - 1))
-    assert [len(A) for A in passed] == [K - (head[-1] if head else 0) for head in heads]
-    eps = np.finfo(float).eps
-    for head, A in zip(heads, passed):
-        for q, a in zip(range(head[-1] if head else 0, K), A):
-            lams = lam[list(head + (q,))]
-            mu = math.prod(lams)
-            c = mu + sum(math.prod(np.delete(lams, i)) for i in range(d))
-            assert a.flags.f_contiguous
-            bound = 2 * eps * (abs(mu) * np.abs(S) + abs(c) * np.abs(M))
-            assert np.all(np.abs(a - (mu * S + c * M)) <= bound)
-
-
-def test_one_factorisation_per_distinct_mode_matrix(monkeypatch):
-    # At d = 2 the K^2 modes share K(K+1)/2 matrices, (p, q) with (q, p).
-    tb, sb = bases(6, 6)
-    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
-    real_getrf = ode_mod.lapack.dgetrf
-    factored = []
-
-    def counting_getrf(a):
-        factored.append(a.shape)
-        return real_getrf(a)
-
-    monkeypatch.setattr(ode_mod.lapack, "dgetrf", counting_getrf)
-    K = sb.n_funcs
-    for threads in (None, "2"):
-        if threads is None:
-            monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FRACSPEC_THREADS", threads)
-        factored.clear()
-        solve_spacetime(prob, tb, sb)
-        assert len(factored) == K * (K + 1) // 2 == 15
-
-
-def lapack_cond_estimate(A):
-    """LAPACK's 1-norm condition estimate of A (getrf, then gecon): what the solve guard bounds."""
-    lu, _, info = lapack.dgetrf(A)
-    assert info == 0
-    rcond, _ = lapack.dgecon(lu, np.linalg.norm(A, 1), norm="1")
-    return 1.0 / rcond
+    monkeypatch.setattr(pde_mod, "_mode_table", mode_table)
 
 
 def test_guard_failure_names_first_failing_mode(monkeypatch):
+    # Whatever the chunk size, the first refused mode in flat order is named:
+    # at 16 columns (2, 3) lies in the first chunk and the other two in the
+    # second; at 4 and at 1 the three refused modes lie in three chunks.
+    refuse_modes(monkeypatch, REFUSED_MODES)
     tb, sb = bases(6, 6)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
-    S = assemble_stiffness(tb, prob.delta, SPEC5, 6 + 8)
-    M = assemble_mass(tb, SPEC5)
-    lam, _ = eigh(space_mass_matrix(6))
-    K = lam.size
-    conds = np.array(
-        [[lapack_cond_estimate(lam[p] * lam[q] * S + (lam[p] + lam[q] + lam[p] * lam[q]) * M)
-          for q in range(K)] for p in range(K)]
-    )
-    # A limit between the two middle distinct estimates, so that about half the modes fail.
-    distinct = np.unique(conds)
-    limit = math.sqrt(distinct[distinct.size // 2 - 1] * distinct[distinct.size // 2])
-    first = next((p, q) for p in range(K) for q in range(K) if conds[p, q] > limit)
-    monkeypatch.setattr(ode_mod, "COND_LIMIT", limit)
-    messages = []
-    for threads in (None, "2"):
-        if threads is None:
-            monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FRACSPEC_THREADS", threads)
+    for chunk in (pde_mod._CHUNK, 16, 4, 1):
+        monkeypatch.setattr(pde_mod, "_CHUNK", chunk)
         with pytest.raises(NumericalFailureError) as info:
             solve_spacetime(prob, tb, sb)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-    assert messages[0].startswith(
-        f"eigenmode solve failed at mode {first} (delta=0.5, r=5, N=6, M=6): system condition"
-    )
+        assert str(info.value).startswith(
+            "eigenmode solve failed at mode (2, 3) (delta=0.5, r=5, N=6, M=6): pivot "
+        )
+        assert info.value.index == (2, 3)
 
 
 def test_guard_failure_maps_a_later_mode(monkeypatch):
-    # Only the matrix of mode (2, 3), shared with (3, 2), is reported singular:
-    # the failure must name that mode, not the first mode of its batch or stack.
+    # The refused mode is named by its tuple, not by its place in its chunk
+    # (4 columns here, so (2, 3) is column 1 of the fourth chunk), and the
+    # first refused mode of a later chunk is named once the earlier ones pass.
+    monkeypatch.setattr(pde_mod, "_CHUNK", 4)
     tb, sb = bases(6, 6)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
-    S = assemble_stiffness(tb, prob.delta, SPEC5, 6 + 8)
-    M = assemble_mass(tb, SPEC5)
-    lam, _ = eigh(space_mass_matrix(6))
-    target = lam[2] * lam[3] * S + (lam[2] + lam[3] + lam[2] * lam[3]) * M
-    real_getrf = ode_mod.lapack.dgetrf
-
-    def getrf_singular_at_target(a):
-        lu, piv, info = real_getrf(a)
-        return lu, piv, 1 if np.allclose(a, target, rtol=1e-13, atol=0.0) else info
-
-    monkeypatch.setattr(ode_mod.lapack, "dgetrf", getrf_singular_at_target)
-    for threads in (None, "2"):
-        if threads is None:
-            monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FRACSPEC_THREADS", threads)
+    for modes, first in ((REFUSED_MODES, (2, 3)), (REFUSED_MODES[1:], (3, 2))):
+        refuse_modes(monkeypatch, modes)
         with pytest.raises(NumericalFailureError) as info:
             solve_spacetime(prob, tb, sb)
-        # The mode is named once; the batch-local stack position is not named.
         assert str(info.value) == (
-            "eigenmode solve failed at mode (2, 3) (delta=0.5, r=5, N=6, M=6): "
-            "system condition estimate inf exceeds 1e+14"
+            f"eigenmode solve failed at mode {first} (delta=0.5, r=5, N=6, M=6): "
+            "pivot 0 |mu T_ii + c R_ii| = 0.000e+00 is at most "
+            "1e-12 * (|mu||T_ii| + |c||R_ii|) = 0.000e+00"
         )
-        assert info.value.index == (2, 3)
-        assert info.value.estimate == math.inf
+        assert info.value.index == first
+
+
+def test_mode_guard_refuses_a_nan_coefficient(rng):
+    # A NaN pivot is not above the bound, so it is refused, not solved.
+    tb, _ = bases(6, 6, 1)
+    S = assemble_stiffness(tb, FracOrder(0.5), SPEC5, 6 + 8)
+    M = assemble_mass(tb, SPEC5)
+    table = pde_mod._mode_table(eigh(space_mass_matrix(6))[0], 1)
+    table[2, 1] = np.nan
+    with pytest.raises(NumericalFailureError, match=r"pivot 0 \|mu T_ii \+ c R_ii\| = nan") as info:
+        pde_mod._solve_modes(S, M, table, rng.standard_normal((6, 5)))
+    assert info.value.index == (2,)
 
 
 @pytest.mark.parametrize(
     "d, n, m", [(1, 8, 8), (2, 8, 8), (2, 40, 60)], ids=["1", "2", "2-N40-M60"]
 )
-def test_solve_modes_answers_every_mode_and_names_a_refused_one(rng, monkeypatch, d, n, m):
+def test_solve_modes_answers_every_mode_and_names_a_refused_one(rng, d, n, m):
     # The contract of the mode stage, whatever solves it: (mu S + c M) w = fhat
     # to roundoff for every mode, in fhat's shape, and a refused mode named by
     # its index tuple.  (40, 60) is the largest size the benchmark solves.
-    monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
     tb, _ = bases(n, m, d)
     S = assemble_stiffness(tb, FracOrder(0.5), SPEC5, n + 8)
     M = assemble_mass(tb, SPEC5)
@@ -515,10 +381,10 @@ def test_solve_modes_answers_every_mode_and_names_a_refused_one(rng, monkeypatch
     assert "of the stack" not in str(info.value)
 
 
-def test_mode_solves_never_hold_the_full_stack(monkeypatch):
-    # All K^2 mode matrices at once would take K^2 N^2 8 bytes; the batches hold
-    # at most K of them.  The whole solve peaks near half that size here.
-    monkeypatch.delenv("FRACSPEC_THREADS", raising=False)
+def test_mode_solves_never_hold_the_full_stack():
+    # All K^2 mode matrices at once would take K^2 N^2 8 bytes.  The mode
+    # stage holds no matrix per mode, only a fixed chunk of complex columns
+    # at a time.  The whole solve peaks near half that size here.
     tb, sb = bases(20, 40)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
     solve_spacetime(prob, tb, sb)  # warm caches outside the measurement
@@ -541,6 +407,22 @@ def test_manufactured_2d_paper_size():
     assert np.max(np.abs(diff)) <= 1e-9
     got = sol.evaluate([0.5], [0.5], [2.0])[0, 0, 0]
     assert got == pytest.approx(2.0**0.6, abs=1e-8)
+
+
+def test_example4_answers_at_n80_m60():
+    # The smallest-mu mode matrix has an LU condition estimate near 6e14
+    # here, above the scalar solver's 1e14 limit.  The mode stage guards its
+    # pivots instead, which are far from cancelling, and the answer is right
+    # to roundoff.
+    prob, exact = build_problem(get_entry("example4"))
+    tb = TimeBasis(0.0, 80, (0.0, prob.transform.b_psi))
+    sb = SpatialBasis(60, 2)
+    sol = solve_spacetime(prob, tb, sb)
+    xg = np.linspace(-1.0, 1.0, 33)
+    err = np.max(np.abs(sol.evaluate(xg, xg, [2.0]) - exact(xg, xg, [2.0])))
+    assert err <= 1e-12
+    F = assemble_spacetime_load(prob, tb, sb)
+    assert sol.residual <= 1e-10 * np.max(np.abs(F))
 
 
 def test_spatial_spectral_convergence():
