@@ -8,6 +8,7 @@ notation with 17 significant digits, one header row, LF line endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -371,7 +372,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each parse_args call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="fracspec",
         description=(

@@ -5,7 +5,7 @@ phi_k = c_k (L_k - L_{k+2}) on (-1, 1)^d, whose stiffness matrix is the
 identity and whose mass matrix B is pentadiagonal with closed-form entries.
 The coupled tensor system is decoupled by the symmetric eigendecomposition
 of B into independent N x N time solves, one per spatial eigenmode, which
-one QZ of the time pencil makes triangular.
+one real QZ of the time pencil makes block-triangular.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ __all__ = [
     "manufactured_sine_power",
 ]
 
-# A mode is refused when cancellation leaves a pivot of its triangular system
-# at most this fraction of the pivot's terms, |mu||T_ii| + |c||R_ii|.
+# A mode is refused when cancellation leaves a pivot (or a 2 x 2 block's
+# determinant) of its block-triangular system at most this fraction of its terms.
 PIVOT_TOL = 1e-12
-# Mode columns per back-substitution pass: bounds the stage's complex temporaries.
-_CHUNK = 1024
+# Mode columns per back-substitution pass: bounds the stage's temporaries.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -218,59 +218,140 @@ def _mode_table(lam: np.ndarray, d: int) -> np.ndarray:
     return np.stack([mu.ravel(), (nu + mu).ravel()], axis=-1)
 
 
+def _schur_blocks(T: np.ndarray) -> list[tuple[int, int]]:
+    """The (first, end) rows of each diagonal block of quasi-triangular T, top down.
+
+    A 2 x 2 block sits wherever T[i+1, i] != 0; every other block is 1 x 1.
+    """
+    n = T.shape[0]
+    blocks, i = [], 0
+    while i < n:
+        end = i + 2 if i + 1 < n and T[i + 1, i] != 0.0 else i + 1
+        blocks.append((i, end))
+        i = end
+    return blocks
+
+
+def _pivot_forms(T: np.ndarray, R: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's pivot of mu T + c R, and its guard terms, as forms in (mu, c).
+
+    Row b of P and of Pabs holds block b's coefficients of the monomials
+    (mu, c, mu^2, mu c, c^2).  Against them P gives mu T_ii + c R_ii for a
+    1 x 1 block and det(mu T_b + c R_b) for a 2 x 2 one, and Pabs, against
+    the monomials' absolute values, |mu||T_ii| + |c||R_ii| or
+    t_11 t_22 + t_12 t_21 with t_jk = |mu||T_jk| + |c||R_jk|.  R is
+    upper-triangular, so R_21 = 0.
+    """
+    P, Pabs = np.zeros((len(blocks), 5)), np.zeros((len(blocks), 5))
+    for b, (i, end) in enumerate(blocks):
+        if end - i == 1:
+            P[b, :2] = T[i, i], R[i, i]
+            Pabs[b, :2] = abs(T[i, i]), abs(R[i, i])
+            continue
+        t11, t12, t21, t22 = T[i, i], T[i, i + 1], T[i + 1, i], T[i + 1, i + 1]
+        r11, r12, r22 = R[i, i], R[i, i + 1], R[i + 1, i + 1]
+        P[b, 2:] = t11 * t22 - t12 * t21, t11 * r22 + r11 * t22 - r12 * t21, r11 * r22
+        t11, t12, t21, t22, r11, r12, r22 = map(abs, (t11, t12, t21, t22, r11, r12, r22))
+        Pabs[b, 2:] = t11 * t22 + t12 * t21, t11 * r22 + r11 * t22 + r12 * t21, r11 * r22
+    return P, Pabs
+
+
 def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarray) -> np.ndarray:
     """Solve (mu S + c M) w = fhat[:, mode] for every eigenmode; w has fhat's (N, K, ...) shape.
 
-    Row m of table is the (mu, c) of the mode with flat index m.  One complex
-    QZ of the time pencil, S = Q T Z^H and M = Q R Z^H, makes every mode
-    triangular: (mu T + c R) y = Q^H fhat and w = Re(Z y) (the generalized
+    Row m of table is the (mu, c) of the mode with flat index m.  One real
+    QZ of the time pencil, S = Q T Z^T and M = Q R Z^T with T
+    quasi-upper-triangular and R upper-triangular, makes every mode
+    block-triangular: (mu T + c R) y = Q^T fhat and w = Z y (the generalized
     Schur method of Gardiner, Laub, Amato & Moler, ACM TOMS 1992).  The
-    back-substitution runs over the N rows, each row step vectorised across
-    _CHUNK mode columns at a time, followed by one refinement step on
-    fhat - mu S w - c M w.  A mode whose pivot |mu T_ii + c R_ii| is not above
-    PIVOT_TOL (|mu||T_ii| + |c||R_ii|), the zero matrix or a NaN included,
-    is refused: the first in flat order raises NumericalFailureError with
-    index set to the mode's tuple.
+    back-substitution runs bottom-up over T's 1 x 1 and 2 x 2 diagonal
+    blocks, each solved in closed form (Cramer's rule for 2 x 2) and
+    vectorised across _CHUNK mode columns at a time, followed by one
+    refinement step on fhat - mu S w - c M w.
+
+    A mode is refused when a 1 x 1 pivot |mu T_ii + c R_ii| is not above
+    PIVOT_TOL (|mu||T_ii| + |c||R_ii|), or a 2 x 2 block's determinant
+    |det(mu T_b + c R_b)| is not above PIVOT_TOL (t_11 t_22 + t_12 t_21) with
+    t_jk = |mu||T_jk| + |c||R_jk|; the zero matrix and a NaN are refused.
+    The first refused mode in flat order raises NumericalFailureError naming
+    its lowest refused block, with index set to the mode's tuple.
     """
     shape = fhat.shape[1:]
     f = fhat.reshape(fhat.shape[0], -1)
     w = np.empty_like(f)
-    T, R, Q, Z = qz(S, M, output="complex")
-    TR = np.stack([T, R])
-    # Q^H as its real and imaginary parts: two real products are faster than
-    # one complex product with a real right-hand side.
-    QHre, QHim = Q.real.T.copy(), -Q.imag.T
-    diag = np.stack([np.diagonal(T), np.diagonal(R)], axis=-1)
+    T, R, Q, Z = qz(S, M, output="real")
+    blocks = _schur_blocks(T)
+    P, Pabs = _pivot_forms(T, R, blocks)
+    # Per block, bottom up: the rows of T and R that couple it to the rows
+    # below, stacked, and for a 2 x 2 block the (mu, c) coefficients of its
+    # adjugate's entries (a_22, -a_12, -a_21, a_11).
+    steps = []
+    for i, end in reversed(blocks):
+        adjugate = None
+        if end - i == 2:
+            j = i + 1
+            adjugate = np.array(
+                [[T[j, j], R[j, j]], [-T[i, j], -R[i, j]], [-T[j, i], 0.0], [T[i, i], R[i, i]]]
+            )
+        steps.append((i, end, np.concatenate([T[i:end, end:], R[i:end, end:]]), adjugate))
 
-    def back_substitute(b, coefs, pivots):
-        """Re(Z y) for (mu T + c R) y = Q^H b, y written over Q^H b row by row."""
-        y = np.empty(b.shape, dtype=complex)
-        y.real, y.imag = QHre @ b, QHim @ b
-        for i in reversed(range(y.shape[0])):
-            below = TR[:, i, i + 1:] @ y[i + 1:]
-            y[i] -= coefs[0] * below[0] + coefs[1] * below[1]
-            y[i] /= pivots[i]
-        return (Z @ y).real
+    def back_substitute(b, coefs, pivots, out):
+        """Write Z y into out for (mu T + c R) y = Q^T b, y written over Q^T b block by block."""
+        mu, c = coefs
+        y = Q.T @ b
+        for (i, end, coupling, adjugate), pivot in zip(steps, pivots[::-1]):
+            below = coupling @ y[end:]
+            rhs = y[i:end]
+            rhs -= mu * below[: end - i] + c * below[end - i:]
+            if adjugate is None:
+                rhs /= pivot
+            else:
+                a = adjugate @ coefs
+                r1, r2 = rhs / pivot
+                rhs[0], rhs[1] = a[0] * r1 + a[1] * r2, a[2] * r1 + a[3] * r2
+        np.matmul(Z, y, out=out)
 
     for lo in range(0, f.shape[1], _CHUNK):
         cols = slice(lo, lo + _CHUNK)
-        coefs = table[cols].T
-        pivots = diag @ coefs
+        coefs = np.ascontiguousarray(table[cols].T)
+        mu, c = coefs
+        monomials = np.stack([mu, c, mu * mu, mu * c, c * c])
+        pivots = P @ monomials
+        bounds = PIVOT_TOL * (Pabs @ np.abs(monomials))
         # Written so that a NaN pivot is refused too.
-        refused = ~(np.abs(pivots) > PIVOT_TOL * (np.abs(diag) @ np.abs(coefs)))
+        refused = ~(np.abs(pivots) > bounds)
         if refused.any():
             m = int(np.argmax(refused.any(axis=0)))
-            i = int(np.argmax(refused[:, m]))
-            bound = PIVOT_TOL * (np.abs(diag[i]) @ np.abs(coefs[:, m]))
+            k = int(np.argmax(refused[:, m]))
+            i, end = blocks[k]
+            size, bound = abs(pivots[k, m]), bounds[k, m]
+            if end - i == 1:
+                message = (
+                    f"pivot {i} |mu T_ii + c R_ii| = {size:.3e} is at most "
+                    f"{PIVOT_TOL:.0e} * (|mu||T_ii| + |c||R_ii|) = {bound:.3e}"
+                )
+            else:
+                message = (
+                    f"pivot block {i}..{end - 1} |det(mu T_b + c R_b)| = {size:.3e} is at most "
+                    f"{PIVOT_TOL:.0e} * (t_11 t_22 + t_12 t_21) = {bound:.3e} "
+                    "with t_jk = |mu||T_jk| + |c||R_jk|"
+                )
             raise NumericalFailureError(
-                f"pivot {i} |mu T_ii + c R_ii| = {abs(pivots[i, m]):.3e} is at most "
-                f"{PIVOT_TOL:.0e} * (|mu||T_ii| + |c||R_ii|) = {bound:.3e}",
-                index=tuple(int(k) for k in np.unravel_index(lo + m, shape)),
+                message, index=tuple(int(j) for j in np.unravel_index(lo + m, shape))
             )
+        del bounds, refused  # freed before the solve's temporaries
         wc = w[:, cols]
-        wc[...] = back_substitute(f[:, cols], coefs, pivots)
-        residual = f[:, cols] - coefs[0] * (S @ wc) - coefs[1] * (M @ wc)
-        wc += back_substitute(residual, coefs, pivots)
+        back_substitute(f[:, cols], coefs, pivots, out=wc)
+        # fhat - mu S w - c M w, accumulated in place; its correction then
+        # overwrites it.
+        residual, term = S @ wc, M @ wc
+        residual *= mu
+        term *= c
+        residual += term
+        del term
+        np.subtract(f[:, cols], residual, out=residual)
+        back_substitute(residual, coefs, pivots, out=residual)
+        wc += residual
     return w.reshape(fhat.shape)
 
 

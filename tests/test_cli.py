@@ -390,6 +390,29 @@ def test_weighted_l2_flag_runs_and_matches_plain(capsys):
     assert weighted == pytest.approx(plain, rel=1e-3, abs=1e-12)
 
 
+def test_successive_runs_share_no_settings(tmp_path, capsys):
+    # main builds its parser once: a run's --out and --weighted-l2 must not
+    # reach a later run that leaves them out.
+    assert _build_parser() is _build_parser()
+    argv = ("convergence", "--problem", "example2a", "--N", "4,8")
+    out = tmp_path / "weighted.csv"
+
+    def errors(text):
+        return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out), "--weighted-l2")
+    assert code == 0
+    weighted = out.read_text(encoding="utf-8")
+    out.unlink()
+    assert errors(weighted) != errors(plain)
+    code, again, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert not out.exists()
+    assert errors(again) == errors(plain)
+
+
 def test_convergence_pde_sweep(tmp_path, capsys):
     out = tmp_path / "p.csv"
     code, _, _ = run_cli(

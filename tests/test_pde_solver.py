@@ -351,13 +351,57 @@ def test_mode_guard_refuses_a_nan_coefficient(rng):
     assert info.value.index == (2,)
 
 
+def test_guard_names_a_refused_two_by_two_block(monkeypatch):
+    # At delta=0.9 and N=6 the real Schur form of the time pencil is three
+    # 2 x 2 blocks, so the lowest refused row of a zeroed mode lies in the
+    # block of rows 0 and 1, refused by its determinant.
+    tb, sb = bases(6, 6)
+    T = pde_mod.qz(
+        assemble_stiffness(tb, FracOrder(0.9), SPEC5, 6 + 8), assemble_mass(tb, SPEC5), output="real"
+    )[0]
+    assert pde_mod._schur_blocks(T) == [(0, 2), (2, 4), (4, 6)]
+    refuse_modes(monkeypatch, REFUSED_MODES)
+    prob, _ = manufactured_sine_power(0.9, SPEC5, 0.6, dimension=2)
+    with pytest.raises(NumericalFailureError) as info:
+        solve_spacetime(prob, tb, sb)
+    assert str(info.value) == (
+        "eigenmode solve failed at mode (2, 3) (delta=0.9, r=5, N=6, M=6): "
+        "pivot block 0..1 |det(mu T_b + c R_b)| = 0.000e+00 is at most "
+        "1e-12 * (t_11 t_22 + t_12 t_21) = 0.000e+00 with t_jk = |mu||T_jk| + |c||R_jk|"
+    )
+    assert info.value.index == (2, 3)
+
+
+def test_guard_names_the_lowest_refused_row_of_the_first_refused_mode(monkeypatch, rng):
+    # A singular 2 x 2 block below regular ones refuses every mode: the first
+    # mode is named, and within it that block, not the rows above it.
+    real_qz = pde_mod.qz
+
+    def qz(S, M, output):
+        T, R, Q, Z = real_qz(S, M, output=output)
+        T[4:6, 4:6], R[4:6, 4:6] = 1.0, 0.0  # det(mu T_b + c R_b) = 0 for every mode
+        return T, R, Q, Z
+
+    monkeypatch.setattr(pde_mod, "qz", qz)
+    tb, _ = bases(6, 6, 1)
+    S = assemble_stiffness(tb, FracOrder(0.5), SPEC5, 6 + 8)
+    M = assemble_mass(tb, SPEC5)
+    table = pde_mod._mode_table(eigh(space_mass_matrix(6))[0], 1)
+    with pytest.raises(NumericalFailureError, match=r"^pivot block 4\.\.5 \|det") as info:
+        pde_mod._solve_modes(S, M, table, rng.standard_normal((6, 5)))
+    assert info.value.index == (0,)
+
+
 @pytest.mark.parametrize(
-    "d, n, m", [(1, 8, 8), (2, 8, 8), (2, 40, 60)], ids=["1", "2", "2-N40-M60"]
+    "d, n, m",
+    [(1, 8, 8), (2, 8, 8), (2, 40, 60), (2, 80, 60)],
+    ids=["1", "2", "2-N40-M60", "2-N80-M60"],
 )
 def test_solve_modes_answers_every_mode_and_names_a_refused_one(rng, d, n, m):
     # The contract of the mode stage, whatever solves it: (mu S + c M) w = fhat
     # to roundoff for every mode, in fhat's shape, and a refused mode named by
-    # its index tuple.  (40, 60) is the largest size the benchmark solves.
+    # its index tuple.  (40, 60) is the largest size the benchmark solves;
+    # (80, 60) is example4's largest tested size.
     tb, _ = bases(n, m, d)
     S = assemble_stiffness(tb, FracOrder(0.5), SPEC5, n + 8)
     M = assemble_mass(tb, SPEC5)
@@ -383,8 +427,9 @@ def test_solve_modes_answers_every_mode_and_names_a_refused_one(rng, d, n, m):
 
 def test_mode_solves_never_hold_the_full_stack():
     # All K^2 mode matrices at once would take K^2 N^2 8 bytes.  The mode
-    # stage holds no matrix per mode, only a fixed chunk of complex columns
-    # at a time.  The whole solve peaks near half that size here.
+    # stage holds no matrix per mode, only a few N-row blocks of at most
+    # _CHUNK real columns at a time.  The whole solve peaks near a third of
+    # that size here.
     tb, sb = bases(20, 40)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
     solve_spacetime(prob, tb, sb)  # warm caches outside the measurement
