@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 LINF_GRID = 1001
+PDE_GRID = 33
 L2_PANELS = 20
 L2_POINTS_PER_PANEL = 10
 # The panel rule depends on nothing but its size, so it is built once.
@@ -91,20 +92,18 @@ def _composite_gl(lo: float, hi: float):
     return nodes, weights
 
 
-def _error_points(transform, grid_n: int = LINF_GRID, weighted: bool = False):
-    """(s, weights) of the max norm (a uniform s-grid, both endpoints, no weights) and of L2.
+def _error_points(transform, weighted: bool = False):
+    """(s, weights) of the max norm (the LINF_GRID-point uniform s-grid, no weights) and of L2.
 
     L2 uses the 200-point composite Gauss-Legendre rule, plain in s on (0, T) or, weighted, in
     t against psi'(t) dt; the two agree analytically and differ only in sampling.
     """
-    if grid_n < 2:
-        raise DomainError(f"grid must have at least 2 points, got {grid_n}")
     if weighted:
         t, w = _composite_gl(0.0, transform.b_psi)
         l2 = transform.psi(t), w * transform.psi_prime(t)
     else:
         l2 = _composite_gl(0.0, transform.horizon_T)
-    return (np.linspace(0.0, transform.horizon_T, grid_n), None), l2
+    return (np.linspace(0.0, transform.horizon_T, LINF_GRID), None), l2
 
 
 def _error_of(points, basis: TimeBasis, exact):
@@ -127,9 +126,9 @@ def _error_of(points, basis: TimeBasis, exact):
     return error
 
 
-def error_linf(sol: TimeSolution, exact, grid_n: int = LINF_GRID) -> float:
-    """Max |u_N - u| over a uniform s-grid including both endpoints."""
-    return _error_of(_error_points(sol.transform, grid_n)[0], sol.basis, exact)(sol)
+def error_linf(sol: TimeSolution, exact) -> float:
+    """Max |u_N - u| over the LINF_GRID-point uniform s-grid, both endpoints included."""
+    return _error_of(_error_points(sol.transform)[0], sol.basis, exact)(sol)
 
 
 def error_l2(sol: TimeSolution, exact, *, weighted: bool = False) -> float:
@@ -137,12 +136,9 @@ def error_l2(sol: TimeSolution, exact, *, weighted: bool = False) -> float:
     return _error_of(_error_points(sol.transform, weighted=weighted)[1], sol.basis, exact)(sol)
 
 
-def self_convergence_reference(
-    problem: TimeProblem, n_ref: int, alpha: float = 0.0, quad_guard: int = 8
-) -> TimeSolution:
+def self_convergence_reference(problem: TimeProblem, n_ref: int) -> TimeSolution:
     """High-resolution solve used as a surrogate exact solution."""
-    basis = TimeBasis(alpha, n_ref, (0.0, problem.transform.b_psi))
-    return solve(problem, basis, quad_guard)
+    return solve(problem, TimeBasis(0.0, n_ref, (0.0, problem.transform.b_psi)))
 
 
 @dataclass(frozen=True)
@@ -154,9 +150,7 @@ class StudyRequest:
     n_values: tuple[int, ...]
     exact: object = None
     ref_n: int | None = None
-    alpha: float = 0.0
     weighted_l2: bool = False
-    quad_guard: int = 8
 
     def __post_init__(self):
         if len(self.n_values) == 0:
@@ -207,25 +201,24 @@ def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
     problem = request.problem
     exact = request.exact
     if exact is None:
-        ref = self_convergence_reference(problem, request.ref_n, request.alpha, request.quad_guard)
-        exact = ref.evaluate
+        exact = self_convergence_reference(problem, request.ref_n).evaluate
     n_values = sorted(request.n_values)
-    basis = TimeBasis(request.alpha, n_values[-1], (0.0, problem.transform.b_psi))
+    basis = TimeBasis(0.0, n_values[-1], (0.0, problem.transform.b_psi))
     points = _error_points(problem.transform, weighted=request.weighted_l2)
     linf, l2 = (_error_of(p, basis, exact) for p in points)
     return _run_study(
         request.problem_id,
         [(n, None) for n in n_values],
-        solve_nested(problem, basis, n_values, request.quad_guard),
+        solve_nested(problem, basis, n_values),
         lambda sol: (linf(sol), l2(sol)),
     )
 
 
-def pde_errors_at_final_time(sol, exact, grid_n: int = 33) -> tuple[float, float]:
-    """Grid max error and spatial L2 error at s = T for a space-time solution."""
+def pde_errors_at_final_time(sol, exact) -> tuple[float, float]:
+    """Max error on the PDE_GRID-point grid per axis and spatial L2 error at s = T."""
     T = sol.transform.horizon_T
     d = sol.space_basis.dimension
-    xg = np.linspace(-1.0, 1.0, grid_n)
+    xg = np.linspace(-1.0, 1.0, PDE_GRID)
     diff = sol.evaluate(*([xg] * d), [T]) - exact(*([xg] * d), [T])
     linf = float(np.max(np.abs(diff)))
     xq, wq = np.polynomial.legendre.leggauss(40)
@@ -241,23 +234,19 @@ def run_pde_convergence_study(
     exact,
     n_values: tuple[int, ...],
     m_values: tuple[int, ...],
-    alpha: float = 0.0,
-    quad_guard: int = 8,
 ) -> ConvergenceStudy:
     """Sweep (N, M) pairs of a space-time problem; lists must have equal length."""
     from .pde_solver import SpatialBasis, solve_spacetime
 
     if len(n_values) != len(m_values):
         raise DomainError("need matching N and M lists (equal length)")
-    b = problem.transform.b_psi
+    interval, d = (0.0, problem.transform.b_psi), problem.dimension
     resolutions = list(zip(n_values, m_values))
     return _run_study(
         problem_id,
         resolutions,
         (
-            solve_spacetime(
-                problem, TimeBasis(alpha, n, (0.0, b)), SpatialBasis(m, problem.dimension), quad_guard
-            )
+            solve_spacetime(problem, TimeBasis(0.0, n, interval), SpatialBasis(m, d))
             for n, m in resolutions
         ),
         lambda sol: pde_errors_at_final_time(sol, exact),

@@ -16,6 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import (
+    LINF_GRID,
+    PDE_GRID,
     StudyRequest,
     error_l2,
     error_linf,
@@ -145,9 +147,6 @@ _SETTINGS = (
     ("N", "N", _resolution_list(1), "time modes; convergence accepts '2,4,8' or '4:40:2'"),
     ("M", "M", _resolution_list(2), "space degree (PDE); same list syntax for convergence"),
     ("ref-N", "ref_n", _integer(2), "reference resolution when no exact solution"),
-    ("quad-guard", "quad_guard", _integer(2), "extra quadrature points (at least 2), default 8"),
-    ("alpha", "alpha", _number("exceed -1", -1.0),
-     "basis parameter (> -1), default 0; solution-invariant"),
     ("out", "out", _text, "CSV output path (default: stdout)"),
     ("weighted-l2", "weighted_l2", _switch,
      "report the L2 error in the rescaled variable against the map weight"),
@@ -198,8 +197,6 @@ def _effective(command: str, args: argparse.Namespace, config: dict) -> dict:
     eff = {dest: value(key, dest, parse) for key, dest, parse, _ in rows}
     overrides = {"delta": eff["delta"], "r": eff["gamma"], "lam": eff["lam"], "horizon_T": eff["T"]}
     eff["entry"] = replace(entry, **{k: v for k, v in overrides.items() if v is not None})
-    eff["alpha"] = 0.0 if eff["alpha"] is None else eff["alpha"]
-    eff["quad_guard"] = 8 if eff["quad_guard"] is None else eff["quad_guard"]
     eff["weighted_l2"] = bool(eff["weighted_l2"])
     return eff
 
@@ -226,8 +223,6 @@ def _header_lines(eff, extras: dict) -> list[str]:
         "gamma": _gamma_text(entry.r),
         "lambda": entry.lam,
         "T": entry.horizon_T,
-        "alpha": eff["alpha"],
-        "quad_guard": eff["quad_guard"],
         **extras,
     }
     joined = " ".join(f"{k}={v}" for k, v in fields.items())
@@ -272,10 +267,9 @@ def _cmd_solve_ode(eff) -> int:
         raise CliError("solve-ode needs a scalar problem; use solve-pde for example4")
     problem, exact = build_problem(entry)
     n = _one(eff, "N", entry.default_n)
-    basis = TimeBasis(eff["alpha"], n, (0.0, problem.transform.b_psi))
-    sol = solve(problem, basis, eff["quad_guard"])
+    sol = solve(problem, TimeBasis(0.0, n, (0.0, problem.transform.b_psi)))
 
-    s = np.linspace(0.0, problem.transform.horizon_T, 1001)
+    s = np.linspace(0.0, problem.transform.horizon_T, LINF_GRID)
     columns = {"s": s, "u_numeric": sol.evaluate(s)}
     console = _header_lines(eff, {"N": n, "grid": s.size})
     if exact is not None:
@@ -297,9 +291,7 @@ def _cmd_convergence(eff) -> int:
         # A single N or M is paired with every entry of the other list.
         size = max(len(n_values), len(m_values))
         n_values, m_values = (v * size if len(v) == 1 else v for v in (n_values, m_values))
-        study = run_pde_convergence_study(
-            entry.problem_id, problem, exact, n_values, m_values, eff["alpha"], eff["quad_guard"]
-        )
+        study = run_pde_convergence_study(entry.problem_id, problem, exact, n_values, m_values)
         extras = {}
     else:
         ref_n = eff["ref_n"] if eff["ref_n"] is not None else (None if exact else entry.default_ref_n)
@@ -309,9 +301,7 @@ def _cmd_convergence(eff) -> int:
             n_values=eff["N"] or (2, 4, 8, 16),
             exact=exact,
             ref_n=ref_n,
-            alpha=eff["alpha"],
             weighted_l2=eff["weighted_l2"],
-            quad_guard=eff["quad_guard"],
         )
         study = run_convergence_study(request)
         extras = {"ref_N": ref_n}
@@ -328,12 +318,11 @@ def _cmd_solve_pde(eff) -> int:
     problem, exact = build_problem(entry)
     n = _one(eff, "N", entry.default_n)
     m = _one(eff, "M", entry.default_m)
-    tb = TimeBasis(eff["alpha"], n, (0.0, problem.transform.b_psi))
-    sb = SpatialBasis(m, problem.dimension)
-    sol = solve_spacetime(problem, tb, sb, eff["quad_guard"])
+    tb = TimeBasis(0.0, n, (0.0, problem.transform.b_psi))
+    sol = solve_spacetime(problem, tb, SpatialBasis(m, problem.dimension))
 
     T = problem.transform.horizon_T
-    xg = np.linspace(-1.0, 1.0, 33)
+    xg = np.linspace(-1.0, 1.0, PDE_GRID)
     u_num = sol.evaluate(xg, xg, [T])[:, :, 0].ravel()
     u_ex = exact(xg, xg, [T])[:, :, 0].ravel()
     columns = {

@@ -42,8 +42,8 @@ class TransformSpec:
     def __post_init__(self):
         if not (isinstance(self.r, (int, np.integer)) and self.r >= 1):
             raise DomainError(f"r must be a positive integer, got {self.r!r}")
-        if not self.horizon_T > 0:
-            raise DomainError(f"horizon must be positive, got {self.horizon_T}")
+        if not 0 < self.horizon_T < math.inf:
+            raise DomainError(f"horizon must be positive and finite, got {self.horizon_T}")
 
     @property
     def gamma(self) -> float:
@@ -61,7 +61,8 @@ class TransformSpec:
         """Rescaled time t = s^(1/r) of physical times s in [0, T]; DomainError outside."""
         s = np.asarray(s, dtype=float)
         T = self.horizon_T
-        outside = (s < 0) | (s > T * (1 + 1e-12))
+        # Written so that a NaN time is refused too.
+        outside = ~((s >= 0) & (s <= T * (1 + 1e-12)))
         if np.any(outside):
             raise DomainError(f"time {s[outside].flat[0]} outside [0, {T}]")
         return s ** (1.0 / self.r)

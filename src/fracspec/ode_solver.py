@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e14
+# Points beyond the basis size for every rule above the assembly layer: the
+# stiffness rules get N + QUAD_GUARD, the spatial load rule M + QUAD_GUARD
+# and a sampled time load N + 2*QUAD_GUARD.
+QUAD_GUARD = 8
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,8 @@ class TimeProblem:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise DomainError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise DomainError(f"lam must be positive and finite, got {self.lam}")
         if (self.source is None) == (self.exact is None):
             raise DomainError("exactly one of source/exact must be given")
         if self.exact is not None and self.exact.constant != self.phi:
@@ -209,16 +213,14 @@ def assemble_load_powers(
     return out
 
 
-def assemble_time_load(
-    basis: TimeBasis, transform: TransformSpec, source, quad_guard: int
-) -> np.ndarray:
+def assemble_time_load(basis: TimeBasis, transform: TransformSpec, source) -> np.ndarray:
     """Load of a t-side source: a callable of t, or a tuple of (coef, power) monomials.
 
-    A callable is sampled on the (0, r-1) rule of N + 2*quad_guard points;
+    A callable is sampled on the (0, r-1) rule of N + 2*QUAD_GUARD points;
     monomials load exactly, one rule per power.
     """
     if callable(source):
-        return assemble_load(basis, transform, source, basis.n_modes + 2 * quad_guard)
+        return assemble_load(basis, transform, source, basis.n_modes + 2 * QUAD_GUARD)
     return assemble_load_powers(basis, transform, source)
 
 
@@ -248,7 +250,7 @@ def require_finite(**matrices):
             raise NumericalFailureError(f"non-finite {name} matrix")
 
 
-def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes, quad_guard: int = 8):
+def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes):
     """Solutions at every size n in `sizes`, in order, from one assembly at basis.n_modes.
 
     The basis is hierarchical: j_1..j_n do not depend on N, so the system at
@@ -267,9 +269,9 @@ def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes, quad_guard: int 
 
     def blocks():
         try:
-            S = assemble_stiffness(basis, problem.delta, problem.transform, n_modes + quad_guard)
+            S = assemble_stiffness(basis, problem.delta, problem.transform, n_modes + QUAD_GUARD)
             M = assemble_mass(basis, problem.transform)
-            F = assemble_time_load(basis, problem.transform, problem.time_source, quad_guard)
+            F = assemble_time_load(basis, problem.transform, problem.time_source)
             require_finite(stiffness=S, mass=M)
         except NumericalFailureError as exc:
             raise NumericalFailureError(
@@ -300,9 +302,9 @@ def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes, quad_guard: int 
     return blocks()
 
 
-def solve(problem: TimeProblem, basis: TimeBasis, quad_guard: int = 8) -> TimeSolution:
+def solve(problem: TimeProblem, basis: TimeBasis) -> TimeSolution:
     """Solve (S + lam*M) v = F and package the coefficients: solve_nested's one-size case."""
-    return next(solve_nested(problem, basis, (basis.n_modes,), quad_guard))
+    return next(solve_nested(problem, basis, (basis.n_modes,)))
 
 
 def evaluate(sol: TimeSolution, s_points) -> np.ndarray:

@@ -20,6 +20,7 @@ from scipy.linalg import eigh, qz
 from .errors import DomainError, NumericalFailureError
 from .frac_ops import FracOrder, PowerSum, TransformSpec
 from .ode_solver import (
+    QUAD_GUARD,
     assemble_mass,
     assemble_stiffness,
     assemble_time_load,
@@ -176,21 +177,18 @@ def _mode_product(T: np.ndarray, mats) -> np.ndarray:
 
 
 def assemble_spacetime_load(
-    problem: PDEProblem,
-    time_basis: TimeBasis,
-    space_basis: SpatialBasis,
-    quad_guard: int = 8,
+    problem: PDEProblem, time_basis: TimeBasis, space_basis: SpatialBasis
 ) -> np.ndarray:
     """Load tensor f_{n,k[,l]} = (f, phi_k [phi_l] j_n) over the space-time cylinder."""
     d = problem.dimension
-    rule = gauss_jacobi_rule(JacobiIndex(0.0, 0.0), space_basis.m_modes + quad_guard, (-1.0, 1.0))
+    rule = gauss_jacobi_rule(JacobiIndex(0.0, 0.0), space_basis.m_modes + QUAD_GUARD, (-1.0, 1.0))
     wphi = legendre_phi_table(space_basis.m_modes, rule.nodes) * rule.weights
 
     if isinstance(problem.rhs, SeparableRHS):
         rhs = problem.rhs
         if len(rhs.space_factors) != d:
             raise DomainError("separable source needs one spatial factor per dimension")
-        ft = assemble_time_load(time_basis, problem.transform, rhs.time_source, quad_guard)
+        ft = assemble_time_load(time_basis, problem.transform, rhs.time_source)
         vals = [np.asarray(Xf(rule.nodes), dtype=float) for Xf in rhs.space_factors]
         if not all(np.all(np.isfinite(v)) for v in vals):
             raise ValueError("space factor returned NaN or inf at a quadrature node")
@@ -199,9 +197,7 @@ def assemble_spacetime_load(
 
     # Generic callable f(x[, y], t): time load at every spatial node, then space.
     nodes, rhs = rule.nodes, problem.rhs
-    ft = assemble_time_load(
-        time_basis, problem.transform, lambda t: rhs(*np.ix_(*[nodes] * d, t)), quad_guard
-    )
+    ft = assemble_time_load(time_basis, problem.transform, lambda t: rhs(*np.ix_(*[nodes] * d, t)))
     return _mode_product(ft, [wphi.T] * d)
 
 
@@ -356,10 +352,7 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
 
 
 def solve_spacetime(
-    problem: PDEProblem,
-    time_basis: TimeBasis,
-    space_basis: SpatialBasis,
-    quad_guard: int = 8,
+    problem: PDEProblem, time_basis: TimeBasis, space_basis: SpatialBasis
 ) -> SpaceTimeSolution:
     """Decoupled eigenmode solve of the coupled space-time Galerkin system.
 
@@ -373,9 +366,9 @@ def solve_spacetime(
     N = time_basis.n_modes
     where = f"delta={problem.delta.delta}, r={problem.transform.r}, N={N}, M={space_basis.m_modes}"
     try:
-        S = assemble_stiffness(time_basis, problem.delta, problem.transform, N + quad_guard)
+        S = assemble_stiffness(time_basis, problem.delta, problem.transform, N + QUAD_GUARD)
         M = assemble_mass(time_basis, problem.transform)
-        F = assemble_spacetime_load(problem, time_basis, space_basis, quad_guard)
+        F = assemble_spacetime_load(problem, time_basis, space_basis)
         require_finite(stiffness=S, mass=M)
     except NumericalFailureError as exc:
         raise NumericalFailureError(
@@ -434,7 +427,8 @@ def evaluate_spacetime(sol: SpaceTimeSolution, *grids) -> np.ndarray:
         raise DomainError(f"expected {d + 1} point arrays, got {len(grids)}")
     *xs, s = [np.atleast_1d(np.asarray(g, dtype=float)) for g in grids]
     for x in xs:
-        if np.any(np.abs(x) > 1.0 + 1e-12):
+        # Written so that a NaN point is refused too.
+        if not np.all(np.abs(x) <= 1.0 + 1e-12):
             raise DomainError("spatial points must lie in [-1, 1]")
     jt = gjp_table(sol.time_basis, sol.transform.psi_inverse(s))
     tables = [legendre_phi_table(sol.space_basis.m_modes, x) for x in xs]

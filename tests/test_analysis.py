@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracspec.analysis import (
+    LINF_GRID,
     ConvergenceStudy,
     ErrorReport,
     StudyRequest,
@@ -40,8 +41,8 @@ def example3_problem(r=6):
     return TimeProblem.from_source(np.sin, 0.5, 1.0, spec)
 
 
-def solve_at(problem, n, alpha=0.0):
-    return solve(problem, TimeBasis(alpha, n, (0.0, problem.transform.b_psi)))
+def solve_at(problem, n):
+    return solve(problem, TimeBasis(0.0, n, (0.0, problem.transform.b_psi)))
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +67,17 @@ def test_linf_example1_machine_accuracy():
 
 
 def test_linf_grid_validation():
+    # The max norm samples the LINF_GRID-point uniform grid, both endpoints included.
     sol = solve_at(example1_problem(), 2)
-    with pytest.raises(DomainError):
-        error_linf(sol, PowerSum(((1.0, 2.0),)), grid_n=1)
+    seen = []
+
+    def exact(s):
+        seen.append(np.array(s))
+        return sol.evaluate(s)
+
+    assert error_linf(sol, exact) == 0.0
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.linspace(0.0, sol.transform.horizon_T, LINF_GRID))
 
 
 def test_l2_identical_functions():
@@ -196,8 +205,8 @@ def test_study_member_failure_flags_partial_results(monkeypatch):
 
     real_solve_nested = analysis_mod.solve_nested
 
-    def failing_solve_nested(problem, basis, sizes, quad_guard=8):
-        for sol in real_solve_nested(problem, basis, sizes, quad_guard):
+    def failing_solve_nested(problem, basis, sizes):
+        for sol in real_solve_nested(problem, basis, sizes):
             if sol.basis.n_modes == 8:
                 raise RuntimeError("injected member failure")
             yield sol
@@ -210,27 +219,6 @@ def test_study_member_failure_flags_partial_results(monkeypatch):
         run_convergence_study(request)
     assert info.value.partial is not None
     assert [r.n_modes for r in info.value.partial.reports] == [2, 4]
-
-
-def test_study_passes_quad_guard_to_reference_and_members(monkeypatch):
-    import fracspec.analysis as analysis_mod
-
-    real_solve, real_solve_nested = analysis_mod.solve, analysis_mod.solve_nested
-    calls = []
-
-    def recording_solve(problem, basis, quad_guard=8):
-        calls.append(("solve", basis.n_modes, quad_guard))
-        return real_solve(problem, basis, quad_guard)
-
-    def recording_solve_nested(problem, basis, sizes, quad_guard=8):
-        calls.append(("solve_nested", basis.n_modes, tuple(sizes), quad_guard))
-        return real_solve_nested(problem, basis, sizes, quad_guard)
-
-    monkeypatch.setattr(analysis_mod, "solve", recording_solve)
-    monkeypatch.setattr(analysis_mod, "solve_nested", recording_solve_nested)
-    run_convergence_study(StudyRequest("x", example2a_problem(), (4, 2), ref_n=20, quad_guard=3))
-    # The reference, then one assembly at the largest N for both members.
-    assert calls == [("solve", 20, 3), ("solve_nested", 4, (2, 4), 3)]
 
 
 def test_study_finest_row_is_the_lone_solve():
@@ -258,9 +246,9 @@ def test_every_study_row_is_the_error_of_its_block(exact, weighted):
     # errors of its own solve_nested block, measured alone, bit for bit.
     prob = TimeProblem.manufactured(exact, 0.2, 1.0, TransformSpec(7, 2.0))
     n_values = (4, 8, 16, 24)
-    request = StudyRequest("x", prob, n_values, exact=exact, alpha=0.5, weighted_l2=weighted)
+    request = StudyRequest("x", prob, n_values, exact=exact, weighted_l2=weighted)
     study = run_convergence_study(request)
-    blocks = solve_nested(prob, TimeBasis(0.5, 24, (0.0, prob.transform.b_psi)), n_values)
+    blocks = solve_nested(prob, TimeBasis(0.0, 24, (0.0, prob.transform.b_psi)), n_values)
     for report, sol in zip(study.reports, blocks, strict=True):
         assert report.linf_error == error_linf(sol, exact)
         assert report.l2_error == error_l2(sol, exact, weighted=weighted)

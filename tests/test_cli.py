@@ -15,6 +15,7 @@ import pytest
 import fracspec
 import fracspec.cli as cli_mod
 from fracspec.cli import _build_parser, _effective, _read_config, main
+from fracspec.orthopoly import TimeBasis
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -124,11 +125,6 @@ def test_negative_lambda_exits_2(capsys):
     code, _, stderr = run_cli(capsys, "solve-ode", "--problem", "example1", "--lambda", "-1")
     assert code == 2
     assert "lambda" in stderr
-    # The stiffness rule needs at least two points beyond N.
-    for guard in ("0", "1"):
-        code, _, stderr = run_cli(capsys, "solve-ode", "--problem", "example1", "--quad-guard", guard)
-        assert code == 2
-        assert "quad-guard must be at least 2" in stderr
 
 
 def test_help_exits_zero_and_documents_gamma_choice(capsys):
@@ -142,8 +138,10 @@ def test_help_exits_zero_and_documents_gamma_choice(capsys):
     assert info.value.code == 0
     out = capsys.readouterr().out
     for flag in ("--problem", "--delta", "--gamma", "--lambda", "--T", "--N", "--M",
-                 "--ref-N", "--quad-guard", "--alpha", "--out", "--config", "--weighted-l2"):
+                 "--ref-N", "--out", "--config", "--weighted-l2"):
         assert flag in out
+    for flag in RETIRED_FLAGS:
+        assert flag not in out
 
 
 def test_bad_usage_exits_2(capsys):
@@ -155,7 +153,7 @@ def test_bad_usage_exits_2(capsys):
 def test_numerical_failure_exits_3(capsys, monkeypatch):
     from fracspec.errors import NumericalFailureError
 
-    def failing_solve(problem, basis, quad_guard=8):
+    def failing_solve(problem, basis):
         raise NumericalFailureError("synthetic breakdown")
 
     monkeypatch.setattr(cli_mod, "solve", failing_solve)
@@ -165,7 +163,7 @@ def test_numerical_failure_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["inf", "Infinity"])
-@pytest.mark.parametrize("key, dest", [("T", "T"), ("lambda", "lam"), ("alpha", "alpha")])
+@pytest.mark.parametrize("key, dest", [("T", "T"), ("lambda", "lam")])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_infinite_number_exits_2(tmp_path, capsys, source, key, dest, value):
     # inf passes every range check, so it is refused as not finite.
@@ -188,15 +186,29 @@ def test_infinite_number_exits_2(tmp_path, capsys, source, key, dest, value):
         (["solve-ode", "--lambda", "x"], "lambda must be a number, got 'x'"),
         (["solve-ode", "--T", "x"], "T must be a number, got 'x'"),
         (["convergence", "--problem", "example3", "--ref-N", "x"], "ref-N must be an integer, got 'x'"),
-        (["solve-ode", "--quad-guard", "1"], "quad-guard must be at least 2, got 1"),
         (["solve-pde", "--problem", "example4", "--M", "4,6"], "a solve takes one M, got 2 values"),
     ],
-    ids=["lambda", "T", "ref-N", "quad-guard", "solve-M-list"],
+    ids=["lambda", "T", "ref-N", "solve-M-list"],
 )
 def test_setting_message_names_its_key(capsys, argv, message):
     code, stdout, stderr = run_cli(capsys, *argv)
     assert (code, stdout) == (2, "")
     assert stderr == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve-ode", "--problem", "example1"], ["solve-pde", "--problem", "example4", "--M", "4"]],
+    ids=["solve-ode", "solve-pde"],
+)
+def test_overflowing_horizon_exits_3(capsys, argv):
+    # The refusal is the only line: numpy's overflow warnings would be errors here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, stderr = run_cli(capsys, *argv, "--N", "4", "--T", "1e200")
+    assert (code, stdout) == (3, "")
+    assert "assembly failed" in stderr and "the weight's scale overflows" in stderr
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
 
 
 @pytest.mark.parametrize(
@@ -207,25 +219,39 @@ def test_setting_message_names_its_key(capsys, argv, message):
     ],
     ids=["solve-ode", "solve-pde"],
 )
-def test_overflowing_basis_parameter_exits_3_in_the_assembly_stage(capsys, argv, solve):
+def test_overflowing_basis_parameter_exits_3_in_the_assembly_stage(capsys, monkeypatch, argv, solve):
+    # No setting reaches the basis parameter, so the commands get an
+    # overflowing one through their TimeBasis.
+    monkeypatch.setattr(cli_mod, "TimeBasis", lambda _, n, interval: TimeBasis(1e200, n, interval))
     # The refusal is the only line: numpy's overflow warnings would be errors here.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, stdout, stderr = run_cli(capsys, *argv, "--N", "4", "--alpha", "1e200")
+        code, stdout, stderr = run_cli(capsys, *argv, "--N", "4")
     assert (code, stdout) == (3, "")
-    assert stderr.startswith(f"numerical failure: assembly failed {solve}: non-finite ")
-    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+    assert stderr == f"numerical failure: assembly failed {solve}: non-finite stiffness matrix\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["solve-ode", "--problem", "example1"], ["solve-pde", "--problem", "example4", "--M", "4"]],
-    ids=["solve-ode", "solve-pde"],
-)
-def test_overflowing_horizon_exits_3(capsys, argv):
-    code, stdout, stderr = run_cli(capsys, *argv, "--N", "4", "--T", "1e200")
-    assert (code, stdout) == (3, "")
-    assert "assembly failed" in stderr and "the weight's scale overflows" in stderr
+# Flags of settings that became constants: the quadrature guard (ode_solver.QUAD_GUARD)
+# and the basis parameter, which every command fixes at 0.
+RETIRED_FLAGS = ("--quad-guard", "--alpha")
+
+
+@pytest.mark.parametrize("argv", [["--quad-guard", "8"], ["--alpha", "0"]], ids=["quad-guard", "alpha"])
+@pytest.mark.parametrize("command", ["solve-ode", "solve-pde", "convergence"])
+def test_retired_flag_exits_2(capsys, command, argv):
+    with pytest.raises(SystemExit) as info:
+        main([command, *argv])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["quad-guard=8", "alpha=0"])
+def test_retired_config_key_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "solve-ode", "--problem", "example1", "--config", str(cfg))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"{cfg}:1: unknown config key {line.split('=')[0]!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -262,7 +288,8 @@ def test_config_line_under_a_flag_is_still_parsed(tmp_path, capsys):
     assert (code, stdout, stderr) == (2, "", "delta must lie in (0,1)\n")
 
 
-# Every numeric setting of each command, with the values for a small run.
+# Every numeric setting of each command, with the values for a small run, and
+# the retired settings, which exit 2 whatever their value.
 _NUMERIC_SETTINGS = [
     ("solve-ode --problem example1 --N 4", ("delta", "gamma", "lambda", "T", "quad-guard", "alpha")),
     ("solve-ode --problem example1", ("N",)),
@@ -280,6 +307,11 @@ _NUMERIC_SETTINGS = [
     ids=[f"{command.split()[0]}-{key}" for command, keys in _NUMERIC_SETTINGS for key in keys],
 )
 def test_numeric_setting_at_an_edge_exits_0_2_or_3(capsys, command, key, value):
+    if "--" + key in RETIRED_FLAGS:
+        with pytest.raises(SystemExit) as info:
+            main([*command.split(), f"--{key}={value}"])
+        assert info.value.code == 2
+        return
     code, stdout, stderr = run_cli(capsys, *command.split(), f"--{key}={value}")
     assert code in (0, 2, 3)
     assert "Traceback" not in stderr
@@ -305,30 +337,6 @@ def test_convergence_example1_two_rows(tmp_path, capsys):
         cells = row.split(",")
         assert float(cells[1]) <= 1e-13
         assert float(cells[2]) <= 1e-13
-
-
-def test_convergence_passes_quad_guard_to_reference_and_members(capsys, monkeypatch):
-    import fracspec.analysis as analysis_mod
-
-    real_solve, real_solve_nested = analysis_mod.solve, analysis_mod.solve_nested
-    guards = []
-
-    def recording_solve(problem, basis, quad_guard=8):
-        guards.append(quad_guard)
-        return real_solve(problem, basis, quad_guard)
-
-    def recording_solve_nested(problem, basis, sizes, quad_guard=8):
-        guards.append(quad_guard)
-        return real_solve_nested(problem, basis, sizes, quad_guard)
-
-    monkeypatch.setattr(analysis_mod, "solve", recording_solve)
-    monkeypatch.setattr(analysis_mod, "solve_nested", recording_solve_nested)
-    code, _, _ = run_cli(
-        capsys, "convergence", "--problem", "example3", "--N", "4,8", "--ref-N", "16",
-        "--quad-guard", "3",
-    )
-    assert code == 0
-    assert guards == [3, 3]  # the reference, then the one assembly for N = 4 and N = 8
 
 
 def test_convergence_rows_ordered_by_resolution(tmp_path, capsys):
@@ -380,7 +388,7 @@ def test_weighted_l2_flag_runs_and_matches_plain(capsys):
     outs = {}
     for extra in ((), ("--weighted-l2",)):
         code, _, stderr = run_cli(
-            capsys, "solve-ode", "--problem", "example2a", "--N", "8", "--alpha", "0.2", *extra
+            capsys, "solve-ode", "--problem", "example2a", "--N", "8", *extra
         )
         assert code == 0
         summary = [l for l in stderr.splitlines() if l.startswith("linf_error=")][0]
@@ -615,11 +623,11 @@ def test_rule_failure_names_the_rule_and_the_solve(capsys, argv, solve):
     "argv, stage, problem_of, lam",
     [
         (["solve-ode", "--problem", "example2a", "--N", "6", "--lambda", "2.5"],
-         "solve", lambda problem, basis, quad_guard: problem, 2.5),
+         "solve", lambda problem, basis: problem, 2.5),
         (["convergence", "--problem", "example2a", "--N", "4,6", "--lambda", "2.5"],
          "run_convergence_study", lambda request: request.problem, 2.5),
         (["solve-pde", "--problem", "example4", "--N", "4", "--M", "4"],
-         "solve_spacetime", lambda problem, tb, sb, quad_guard: problem, 1.0),
+         "solve_spacetime", lambda problem, tb, sb: problem, 1.0),
         (["convergence", "--problem", "example4", "--N", "4", "--M", "4"],
          "run_pde_convergence_study", lambda pid, problem, *rest: problem, 1.0),
     ],
@@ -679,8 +687,6 @@ VALUE_SETTINGS = [
     ("N", "4", "2:6:2", lambda eff: eff["N"], (4,), (2, 4, 6)),
     ("M", "8", "10", lambda eff: eff["M"], (8,), (10,)),
     ("ref-N", "40", "50", lambda eff: eff["ref_n"], 40, 50),
-    ("quad-guard", "4", "6", lambda eff: eff["quad_guard"], 4, 6),
-    ("alpha", "0.5", "1.0", lambda eff: eff["alpha"], 0.5, 1.0),
     ("out", "a.csv", "b.csv", lambda eff: eff["out"], "a.csv", "b.csv"),
 ]
 # A problem whose convergence run reads the setting: M is read by example4 alone,

@@ -55,6 +55,10 @@ def test_transform_spec_validation():
         TransformSpec(0, 2.0)
     with pytest.raises(DomainError):
         TransformSpec(2, -1.0)
+    # A non-finite horizon is refused here, not at the first rule build.
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="horizon must be positive and finite"):
+            TransformSpec(1, horizon)
     spec = TransformSpec(5, 2.0)
     assert spec.gamma == pytest.approx(0.2)
     assert spec.b_psi == pytest.approx(2.0**0.2, rel=1e-15)

@@ -224,6 +224,10 @@ def test_problem_validation():
         TimeProblem(FracOrder(0.5), 1.0, spec, source=np.sin, exact=u)
     with pytest.raises(DomainError):
         TimeProblem(FracOrder(0.5), 1.0, spec, exact=u, phi=1.0)
+    # A non-finite lam is refused here, not at the linear solve.
+    for lam in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="lam must be positive and finite"):
+            TimeProblem(FracOrder(0.5), lam, spec, exact=u)
 
 
 @pytest.mark.parametrize(
@@ -382,6 +386,9 @@ def test_evaluate_domain_error():
         sol.evaluate([-0.1])
     with pytest.raises(DomainError):
         evaluate(sol, [2.5])
+    # NaN lies in no interval, so it is refused too, never evaluated to NaN.
+    with pytest.raises(DomainError, match=r"time nan outside \[0, 2\.0\]"):
+        sol.evaluate([1.0, math.nan])
 
 
 def test_solution_alpha_invariance():
@@ -433,7 +440,7 @@ def test_assembled_system_and_residual():
     u = PowerSum(((1.0, 2.0),))
     prob = TimeProblem.manufactured(u, 0.5, 1.0, spec)
     basis = basis_for(spec, 4)
-    F = assemble_time_load(basis, spec, prob.time_source, 8)
+    F = assemble_time_load(basis, spec, prob.time_source)
     sol = solve(prob, basis)
     scale = np.max(np.abs(F))
     assert type(sol.residual) is float
@@ -537,6 +544,16 @@ def test_shared_matrix_is_factored_once(rng, monkeypatch):
     prob = TimeProblem.manufactured(PowerSum(((1.0, math.sqrt(2.0) / 2.0),)), 0.2, 1.0, spec)
     solve(prob, basis_for(spec, 40))
     assert len(factors) == 1
+
+
+def test_overflowing_basis_parameter_is_refused_in_the_assembly_stage():
+    # The stiffness and mass tables overflow; the refusal names the stage
+    # and the solve, never a solution built from inf.
+    spec = TransformSpec(1, 2.0)
+    prob = TimeProblem.manufactured(PowerSum(((1.0, 2.0),)), 0.5, 1.0, spec)
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as info:
+        solve(prob, basis_for(spec, 4, alpha=1e200))
+    assert str(info.value) == "assembly failed (delta=0.5, r=1, N=4): non-finite stiffness matrix"
 
 
 def test_guard_failure_names_the_parameters():

@@ -507,6 +507,19 @@ def test_evaluate_domain_errors():
         sol.evaluate([0.0], [0.0], [2.5])
     with pytest.raises(DomainError):
         evaluate_spacetime(sol, [0.0], [1.0])
+    # NaN lies in no interval, so it is refused too, never evaluated to NaN.
+    with pytest.raises(DomainError, match=r"spatial points must lie in \[-1, 1\]"):
+        sol.evaluate([0.0], [math.nan], [1.0])
+    with pytest.raises(DomainError, match="time nan outside"):
+        sol.evaluate([0.0], [0.0], [math.nan])
+
+
+def test_overflowing_basis_parameter_is_refused_in_the_assembly_stage():
+    tb = TimeBasis(1e200, 4, (0.0, SPEC5.b_psi))
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as info:
+        solve_spacetime(prob, tb, SpatialBasis(4, 2))
+    assert str(info.value) == "assembly failed (delta=0.5, r=5, N=4, M=4): non-finite stiffness matrix"
 
 
 def test_dimension_validation():
