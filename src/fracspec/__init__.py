@@ -26,6 +26,7 @@ from .orthopoly import (
     QuadratureRule,
     TimeBasis,
     gauss_jacobi_rule,
+    gauss_jacobi_rules,
     gjp_deriv,
     gjp_eval,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "QuadratureRule",
     "TimeBasis",
     "gauss_jacobi_rule",
+    "gauss_jacobi_rules",
     "gjp_deriv",
     "gjp_eval",
     "PDEProblem",

@@ -48,8 +48,9 @@ class ErrorReport:
     m_modes: int | None = None
 
     def __post_init__(self):
-        if self.linf_error < 0 or self.l2_error < 0:
-            raise DomainError("errors must be nonnegative")
+        # Written so that a NaN error fails it too.
+        if not (self.linf_error >= 0 and self.l2_error >= 0):
+            raise DomainError(f"errors must be nonnegative, got {self.linf_error}, {self.l2_error}")
 
 
 def _require_increasing(resolutions):

@@ -21,6 +21,7 @@ from .orthopoly import (
     JacobiIndex,
     TimeBasis,
     gauss_jacobi_rule,
+    gauss_jacobi_rules,
     gjp_table,
     jacobi_table,
 )
@@ -131,8 +132,9 @@ def assemble_stiffness(
         raise DomainError(f"time basis interval {basis.interval} must be (0, T^gamma) = (0, {b!r})")
     alpha = basis.alpha
 
-    outer = gauss_jacobi_rule(JacobiIndex(0.0, (1.0 - d) * r + 1.0), quad_n, (0.0, 1.0))
-    inner = gauss_jacobi_rule(JacobiIndex(-d, 0.0), quad_n, (0.0, 1.0))
+    outer, inner = gauss_jacobi_rules(
+        (JacobiIndex(0.0, (1.0 - d) * r + 1.0), JacobiIndex(-d, 0.0)), quad_n, (0.0, 1.0)
+    )
     eta, w = outer.nodes, outer.weights
     eta_h, w_h = inner.nodes, inner.weights
 
@@ -202,13 +204,22 @@ def assemble_load_powers(
     b = basis.interval[1]
     n_modes = basis.n_modes
     n_quad = n_modes // 2 + 2
-    out = np.zeros(n_modes)
-    for c, p in terms:
+    terms = tuple(terms)
+    indices = []
+    for _, p in terms:
         beta = p + r - 1.0
         if beta <= -1.0:
             raise DomainError(f"power {p} is not integrable against the weight")
-        rule = gauss_jacobi_rule(JacobiIndex(0.0, beta), n_quad, (0.0, b))
-        table = gjp_table(basis, rule.nodes)
+        indices.append(JacobiIndex(0.0, beta))
+    rules = gauss_jacobi_rules(indices, n_quad, (0.0, b))
+    out = np.zeros(n_modes)
+    if not rules:
+        return out
+    tables = gjp_table(basis, np.concatenate([rule.nodes for rule in rules]))
+    tables = tables.reshape(n_modes, len(rules), n_quad)
+    for k, ((c, _), rule) in enumerate(zip(terms, rules)):
+        # A contiguous copy, so the product takes a lone table's BLAS path.
+        table = np.ascontiguousarray(tables[:, k])
         out += c * r * (table @ rule.weights)
     return out
 

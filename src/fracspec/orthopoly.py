@@ -11,9 +11,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import lapack
 
 from .errors import DomainError, NumericalFailureError
+
+# LAPACK's divide-and-conquer tridiagonal eigensolver, the driver that
+# eigh_tridiagonal picks for a full spectrum with vectors.  It is called
+# directly, so rule bits do not follow a change of scipy's default.
+_dstevd = lapack.dstevd
 
 __all__ = [
     "JacobiIndex",
@@ -22,6 +27,7 @@ __all__ = [
     "jacobi_table",
     "jacobi_weight_integral",
     "gauss_jacobi_rule",
+    "gauss_jacobi_rules",
     "gjp_eval",
     "gjp_deriv",
     "gjp_table",
@@ -78,8 +84,10 @@ def jacobi_table(idx: JacobiIndex, n_max: int, x) -> np.ndarray:
     return out
 
 
-def _recurrence_coefficients(a: float, b: float, n: np.ndarray) -> tuple[np.ndarray, ...]:
+def _recurrence_coefficients(a, b, n: np.ndarray) -> tuple[np.ndarray, ...]:
     """a1..a4 of J_{n+1} = ((a2 + a3 x) J_n - a4 J_{n-1}) / a1, one entry per degree in n.
+
+    a and b may be arrays of families, broadcast against n.
 
     Every Jacobi evaluation here uses these, in this operation order, so the
     table rows and the rule kernel agree bit for bit.
@@ -151,18 +159,18 @@ def _jacobi_recurrence(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarr
     return diag, off
 
 
-def _rule_recurrence(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point coefficients that run J^{a,b} and J^{a+1,b+1} side by side to degree n.
+def _rule_recurrence(indices, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point coefficients that run every J^{a,b} and J^{a+1,b+1} side by side to degree n.
 
-    The points are laid out flat: the first n carry the family (a, b), the
-    last n the family (a+1, b+1).  Returns the degree-1 row's slope and
-    intercept, shape (2, 2n), and a1..a4 of the steps to degrees 2..n,
-    shape (4, n-1, 2n).
+    The points are laid out flat, n per family: first the k families (a, b)
+    of indices in order, then the k families (a+1, b+1).  Returns the
+    degree-1 row's slope and intercept, shape (2, 2kn), and a1..a4 of the
+    steps to degrees 2..n, shape (4, n-1, 2kn).
     """
-    families = ((a, b), (a + 1, b + 1))
-    first = [[0.5 * (f + g + 2) for f, g in families], [0.5 * (f - g) for f, g in families]]
-    steps = np.arange(1.0, n)
-    rec = np.stack([_recurrence_coefficients(f, g, steps) for f, g in families], axis=2)
+    ab = np.array([(idx.alpha, idx.beta) for idx in indices])
+    a, b = np.concatenate([ab, ab + 1.0]).T
+    first = np.stack([0.5 * (a + b + 2), 0.5 * (a - b)])
+    rec = np.stack(_recurrence_coefficients(a, b, np.arange(1.0, n)[:, None]))
     return np.repeat(first, n, axis=1), np.repeat(rec, n, axis=2)
 
 
@@ -200,51 +208,100 @@ def _gauss_weights(idx: JacobiIndex, n: int, nodes: np.ndarray, dpn: np.ndarray)
     return math.exp(logc) / ((1.0 - nodes * nodes) * dpn * dpn)
 
 
-def gauss_jacobi_rule(
-    idx: JacobiIndex, n: int, interval: tuple[float, float] = (-1.0, 1.0)
-) -> QuadratureRule:
-    """n-point Gauss-Jacobi rule, exact for degree <= 2n-1 against the weight.
+def _golub_welsch_nodes(idx: JacobiIndex, n: int) -> np.ndarray:
+    """Zeros of J^{a,b}_n, ascending: the eigenvalues of the n x n Jacobi matrix."""
+    diag, off = _jacobi_recurrence(idx.alpha, idx.beta, n)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise NumericalFailureError(f"{_rule_name(idx, n)}: eigensolve failed: non-finite matrix")
+    if n == 1:
+        return diag
+    # The eigenvectors are discarded, but the values-only path (dsterf) gives
+    # nodes that differ in their last bits, and the solvers' answers are
+    # sensitive to the rules at that level.
+    nodes, _, info = _dstevd(diag, off)
+    if info != 0:  # pragma: no cover - LAPACK failure is exotic
+        raise NumericalFailureError(f"{_rule_name(idx, n)}: eigensolve failed: dstevd info={info}")
+    return np.sort(nodes)
 
-    Nodes come from the Golub-Welsch eigenproblem of the three-term
-    recurrence, then each is polished by Newton iteration on J^{a,b}_n.
+
+def _newton_polish(indices, n: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Newton iteration on J^{a,b}_n from the zeros guessed in row i of x, family i of indices.
+
+    Returns the polished nodes, J^{a,b}_n' there and each row's last Newton
+    step, the residual.  One flat pass runs every family side by side; each
+    row stops on its own residual, so it takes the steps of its lone build.
+    """
+    k = len(indices)
+    first, rec = _rule_recurrence(indices, n)
+    # J^{a,b}_n' = (n+a+b+1)/2 * J^{a+1,b+1}_{n-1}
+    scale = np.array([[0.5 * (n + idx.alpha + idx.beta + 1)] for idx in indices])
+    residual = np.zeros(k)
+    active = np.ones(k, dtype=bool)
+    # A couple of steps reach the attainable floor.
+    for _ in range(4):
+        prev, last = _last_rows(first, rec, np.concatenate([x, x]).ravel())
+        step = last.reshape(2, k, n)[0] / (scale * prev.reshape(2, k, n)[1])
+        x = np.where(active[:, None], x - step, x)
+        residual = np.where(active, np.max(np.abs(step), axis=1), residual)
+        active &= ~(residual < 1e-15)
+        if not active.any():
+            break
+    dp = scale * _last_rows(first[:, k * n :], rec[:, :, k * n :], x.ravel())[0].reshape(k, n)
+    return x, dp, residual
+
+
+def gauss_jacobi_rules(
+    indices, n: int, interval: tuple[float, float] = (-1.0, 1.0)
+) -> tuple[QuadratureRule, ...]:
+    """n-point Gauss-Jacobi rules on one interval, one per index, in the order given.
+
+    Nodes come from the Golub-Welsch eigenproblem of each three-term
+    recurrence, then all are polished together by Newton iteration on
+    J^{a,b}_n, each rule stopping on its own residual.  Every rule has the
+    bits of its own build, and a refused batch raises what building the rules
+    one at a time would: the first failure in index order.
     """
     if n < 1:
         raise DomainError(f"rule size must be >= 1, got {n}")
     lo, hi = interval
     if not hi > lo:
         raise DomainError(f"empty interval {interval}")
-    a, b = idx.alpha, idx.beta
-    diag, off = _jacobi_recurrence(a, b, n)
-    try:
-        # The eigenvectors are discarded, but eigvals_only=True takes another
-        # LAPACK path whose nodes differ in their last bits, and the solvers'
-        # answers are sensitive to the rules at that level.
-        nodes, _ = eigh_tridiagonal(diag, off)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NumericalFailureError(f"{_rule_name(idx, n)}: eigensolve failed: {exc}") from exc
-    nodes = np.sort(nodes)
-    # J^{a,b}_n' = (n+a+b+1)/2 * J^{a+1,b+1}_{n-1}
-    first, rec = _rule_recurrence(a, b, n)
-    scale = 0.5 * (n + a + b + 1)
-    # Newton polish: a couple of steps reach the attainable floor.
-    for _ in range(4):
-        prev, last = _last_rows(first, rec, np.tile(nodes, 2))
-        step = last[:n] / (scale * prev[n:])
-        nodes = nodes - step
-        residual = np.max(np.abs(step))
-        if residual < 1e-15:
+    indices = tuple(indices)
+    nodes, failure = [], None
+    for idx in indices:
+        try:
+            nodes.append(_golub_welsch_nodes(idx, n))
+        except NumericalFailureError as exc:
+            failure = exc
             break
-    if residual > 1e-13:
-        raise NumericalFailureError(
-            f"{_rule_name(idx, n)}: Newton stalled, max node residual {residual:.3e}",
-            estimate=nodes,
-            error_bound=float(residual),
-        )
-    dp = scale * _last_rows(first[:, n:], rec[:, :, n:], nodes)[0]
-    weights = _gauss_weights(idx, n, nodes, dp)
-    mapped = lo + 0.5 * (hi - lo) * (nodes + 1.0)
-    mapped_w = weights * _weight_scale(idx, n, interval)
-    return QuadratureRule(mapped, mapped_w, (lo, hi), idx)
+    built = indices[: len(nodes)]
+    rules = []
+    if built:
+        x, dp, residual = _newton_polish(built, n, np.stack(nodes))
+        for idx, nodes_i, dp_i, residual_i in zip(built, x, dp, residual):
+            if residual_i > 1e-13:
+                raise NumericalFailureError(
+                    f"{_rule_name(idx, n)}: Newton stalled, max node residual {residual_i:.3e}",
+                    estimate=nodes_i,
+                    error_bound=float(residual_i),
+                )
+            weights = _gauss_weights(idx, n, nodes_i, dp_i)
+            mapped = lo + 0.5 * (hi - lo) * (nodes_i + 1.0)
+            mapped_w = weights * _weight_scale(idx, n, interval)
+            rules.append(QuadratureRule(mapped, mapped_w, (lo, hi), idx))
+    if failure is not None:
+        raise failure
+    return tuple(rules)
+
+
+def gauss_jacobi_rule(
+    idx: JacobiIndex, n: int, interval: tuple[float, float] = (-1.0, 1.0)
+) -> QuadratureRule:
+    """n-point Gauss-Jacobi rule, exact for degree <= 2n-1 against the weight.
+
+    The one-index case of gauss_jacobi_rules.
+    """
+    return gauss_jacobi_rules((idx,), n, interval)[0]
 
 
 @dataclass(frozen=True)

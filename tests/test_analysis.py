@@ -122,6 +122,20 @@ def test_error_report_sanity_bound():
         ErrorReport(4, -1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("linf, l2", [(math.nan, 0.0), (0.0, math.nan)])
+def test_error_report_refuses_nan(linf, l2):
+    with pytest.raises(DomainError, match="errors must be nonnegative"):
+        ErrorReport(4, linf, l2, 1.0)
+
+
+def test_study_with_nan_exact_solution_is_refused():
+    request = StudyRequest("x", example1_problem(), (2, 4), exact=lambda s: np.full_like(s, np.nan))
+    with pytest.raises(StudyError, match="errors must be nonnegative, got nan, nan") as info:
+        run_convergence_study(request)
+    assert isinstance(info.value.__cause__, DomainError)
+    assert info.value.partial.reports == ()
+
+
 # ---------------------------------------------------------------------------
 # Studies
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fracspec.ode_solver import (
     solve_linear,
     solve_nested,
 )
-from fracspec.orthopoly import TimeBasis, gjp_eval
+from fracspec.orthopoly import JacobiIndex, TimeBasis, gauss_jacobi_rule, gjp_eval, gjp_table
 
 
 def basis_for(spec, n, alpha=0.0):
@@ -162,6 +162,23 @@ def test_load_power_terms_match_oracle_including_singular():
     assert np.max(np.abs(F - F_oracle)) <= 1e-9 * max(1.0, np.abs(F_oracle).max())
     with pytest.raises(DomainError):
         assemble_load_powers(basis, spec, ((1.0, -7.0),))
+
+
+_POWER_TERMS = ((1.3, -0.8), (2.0, 3.0), (0.5, 4.95))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+@pytest.mark.parametrize("r, n", [(1, 5), (7, 6), (5, 40), (7, 80)])
+def test_load_powers_match_the_per_term_build(count, r, n):
+    # One rule per power, its own table, the terms summed in order.
+    spec = TransformSpec(r, 2.0)
+    basis = basis_for(spec, n)
+    terms = _POWER_TERMS[:count]
+    want = np.zeros(n)
+    for c, p in terms:
+        rule = gauss_jacobi_rule(JacobiIndex(0.0, p + r - 1.0), n // 2 + 2, (0.0, spec.b_psi))
+        want += c * r * (gjp_table(basis, rule.nodes) @ rule.weights)
+    assert np.array_equal(assemble_load_powers(basis, spec, terms), want)
 
 
 def test_load_power_terms_singular_weight_at_unit_r():

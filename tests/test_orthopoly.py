@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, eval_legendre
 
 from fracspec import orthopoly
@@ -14,6 +15,7 @@ from fracspec.orthopoly import (
     QuadratureRule,
     TimeBasis,
     gauss_jacobi_rule,
+    gauss_jacobi_rules,
     gjp_deriv,
     gjp_eval,
     gjp_table,
@@ -216,7 +218,8 @@ def _oracle_value_and_slope(a, b, n, x):
 def _oracle_rule(a, b, n, interval):
     """Golub-Welsch nodes, at most four Newton steps on full tables, a full re-evaluation."""
     lo, hi = interval
-    nodes = np.sort(orthopoly.eigh_tridiagonal(*orthopoly._jacobi_recurrence(a, b, n))[0])
+    diag, off = orthopoly._jacobi_recurrence(a, b, n)
+    nodes = np.sort(eigh_tridiagonal(diag, off, lapack_driver="stevd")[0])
     for _ in range(4):
         p, dp = _oracle_value_and_slope(a, b, n, nodes)
         step = p / dp
@@ -261,27 +264,98 @@ def test_jacobi_table_bits_match_row_loop(a, b, n_max):
 @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.5, 0.0), (0.0, 6.6000000000000005), (1.5, -0.3)])
 @pytest.mark.parametrize("n", [1, 2, 3, 30])
 def test_fused_rule_rows_match_table_rows(a, b, n):
-    # Points 0..n-1 carry J^{a,b}, points n..2n-1 carry J^{a+1,b+1}.
-    x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-    first, rec = orthopoly._rule_recurrence(a, b, n)
-    prev, last = orthopoly._last_rows(first, rec, np.tile(x, 2))
-    value = jacobi_table(JacobiIndex(a, b), n, x)
-    shifted = jacobi_table(JacobiIndex(a + 1, b + 1), n, x)
-    assert np.array_equal(prev, np.concatenate([value[n - 1], shifted[n - 1]]))
-    assert np.array_equal(last, np.concatenate([value[n], shifted[n]]))
-    slope_prev, _ = orthopoly._last_rows(first[:, n:], rec[:, :, n:], x)
-    assert np.array_equal(slope_prev, shifted[n - 1])
+    # A batch of two, laid out flat in blocks of n points: J^{a,b}, J^{0,2},
+    # then J^{a+1,b+1}, J^{1,3}.  Block i of the points runs family i.
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, (4, n))
+    first, rec = orthopoly._rule_recurrence([JacobiIndex(a, b), JacobiIndex(0.0, 2.0)], n)
+    prev, last = orthopoly._last_rows(first, rec, x.ravel())
+    prev, last = prev.reshape(4, n), last.reshape(4, n)
+    for i, (fa, fb) in enumerate([(a, b), (0.0, 2.0), (a + 1, b + 1), (1.0, 3.0)]):
+        table = jacobi_table(JacobiIndex(fa, fb), n, x[i])
+        assert np.array_equal(prev[i], table[n - 1]), i
+        assert np.array_equal(last[i], table[n]), i
+    # The derivative pass runs the shifted half alone.
+    slope_prev, _ = orthopoly._last_rows(first[:, 2 * n :], rec[:, :, 2 * n :], x[2:].ravel())
+    assert np.array_equal(slope_prev, prev[2:].ravel())
+
+
+def _shifted_eigensolve(shift_diag0=None):
+    """An eigensolve whose nodes land 2 to the right, for the matrix with this diag[0] or for all."""
+    stevd = orthopoly._dstevd
+
+    def eigensolve(diag, off):
+        nodes, vectors, info = stevd(diag, off)
+        if shift_diag0 is None or diag[0] == shift_diag0:
+            nodes = nodes + 2.0
+        return nodes, vectors, info
+
+    return eigensolve
 
 
 def test_rule_refuses_when_newton_stalls(monkeypatch):
     # Nodes shifted outside (-1, 1) converge too slowly for four Newton steps.
-    eigh = orthopoly.eigh_tridiagonal
-    monkeypatch.setattr(orthopoly, "eigh_tridiagonal", lambda d, e: (eigh(d, e)[0] + 2.0, None))
+    monkeypatch.setattr(orthopoly, "_dstevd", _shifted_eigensolve())
     with pytest.raises(NumericalFailureError) as info:
         gauss_jacobi_rule(JacobiIndex(-0.5, 0.0), 12, (0.0, 1.0))
     message = str(info.value)
     assert message.startswith("Gauss-Jacobi rule (alpha=-0.5, beta=0.0, n=12): Newton stalled")
     assert info.value.error_bound > 1e-13
+
+
+def _one_at_a_time(indices, n, interval):
+    return tuple(gauss_jacobi_rule(idx, n, interval) for idx in indices)
+
+
+def _outcome(build, *args):
+    try:
+        return [(r.nodes.tobytes(), r.weights.tobytes()) for r in build(*args)]
+    except NumericalFailureError as exc:
+        return type(exc), str(exc)
+
+
+def _batches():
+    """The stiffness pair of every solver setting, and per-power load batches of 1-3 powers."""
+    batches = []
+    for i, (delta, r, sigma) in enumerate(_SOLVER_SETTINGS):
+        batches.append([(0.0, (1.0 - delta) * r + 1.0), (-delta, 0.0)])
+        if sigma is not None:
+            powers = [r * (sigma - delta), r * sigma, r * sigma + 1.3][: 1 + i % 3]
+            batches.append([(0.0, p + r - 1.0) for p in powers])
+    return batches
+
+
+@pytest.mark.parametrize("families", _batches())
+def test_batched_rules_match_one_at_a_time_builds(families):
+    # Refusals included: (-0.9, 0) fails its weight-sum check from n = 96.
+    indices = [JacobiIndex(a, b) for a, b in families]
+    for n in range(1, 121):
+        want = _outcome(_one_at_a_time, indices, n, (0.0, 1.0))
+        assert _outcome(gauss_jacobi_rules, indices, n, (0.0, 1.0)) == want, n
+
+
+def test_empty_batch_has_no_rules():
+    assert gauss_jacobi_rules((), 5, (0.0, 1.0)) == ()
+
+
+def test_batch_refusal_names_the_first_failing_member(monkeypatch):
+    stall = JacobiIndex(-0.5, 0.0)
+    diag0 = orthopoly._jacobi_recurrence(stall.alpha, stall.beta, 12)[0][0]
+    monkeypatch.setattr(orthopoly, "_dstevd", _shifted_eigensolve(diag0))
+    good = JacobiIndex(0.0, 3.0)
+    name = r"Gauss-Jacobi rule \(alpha=-0\.5, beta=0\.0, n=12\): Newton stalled"
+    for batch in ([good, stall], [stall, good]):
+        with pytest.raises(NumericalFailureError, match=name):
+            gauss_jacobi_rules(batch, 12, (0.0, 1.0))
+    assert len(gauss_jacobi_rules([good, good], 12, (0.0, 1.0))) == 2
+    # A member whose Jacobi matrix overflows fails at the eigensolve, but only
+    # after the members before it have been built and checked.
+    huge = JacobiIndex(1e154, 0.0)
+    name = r"Gauss-Jacobi rule \(alpha=1e\+154, beta=0\.0, n=12\): eigensolve failed"
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalFailureError, match=name):
+            gauss_jacobi_rules([good, huge], 12, (0.0, 1.0))
+        with pytest.raises(NumericalFailureError, match="Newton stalled"):
+            gauss_jacobi_rules([stall, huge], 12, (0.0, 1.0))
 
 
 def test_rule_affine_mapping():
