@@ -237,7 +237,9 @@ _CELL_FORMATS = {"N": "%d", "M": "%d", "runtime_ms": "%.3f"}
 def _emit(columns: dict, out_path, console_lines: list[str]):
     """The named columns as CSV to a file (or stdout when no path); notes to the other stream."""
     row = ",".join(_CELL_FORMATS.get(name, "%.16e") for name in columns) + "\n"
-    body = ",".join(columns) + "\n" + "".join(row % cells for cells in zip(*columns.values()))
+    # Python numbers format faster than numpy scalars, to the same text.
+    values = (col.tolist() if isinstance(col, np.ndarray) else col for col in columns.values())
+    body = ",".join(columns) + "\n" + "".join(row % cells for cells in zip(*values))
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(body)

@@ -9,6 +9,7 @@ factor ((1-tau^r)/(1-tau))^(-delta) is sampled pointwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -20,7 +21,6 @@ from .frac_ops import FracOrder, PowerSum, TransformSpec
 from .orthopoly import (
     JacobiIndex,
     TimeBasis,
-    gauss_jacobi_rule,
     gauss_jacobi_rules,
     gjp_table,
     jacobi_table,
@@ -109,6 +109,72 @@ class TimeSolution:
         return evaluate(self, s_points)
 
 
+def _assemble(*pieces) -> list:
+    """Build the rules of every piece in one batch, then each piece's matrix from its own rules.
+
+    A piece is (requests, build): its Gauss-Jacobi rule requests, checked
+    when the piece is made, and the function of those rules, in request
+    order, that makes its matrix.
+    """
+    rules = iter(gauss_jacobi_rules([request for requests, _ in pieces for request in requests]))
+    return [build(*itertools.islice(rules, len(requests))) for requests, build in pieces]
+
+
+def _psi_request(basis: TimeBasis, transform: TransformSpec, n: int) -> tuple:
+    """Request of the n-point rule for the weight t^(r-1) = psi'(t)/r on the basis interval."""
+    return JacobiIndex(0.0, float(transform.r - 1)), n, (0.0, basis.interval[1])
+
+
+def _sampled_request(basis: TimeBasis, transform: TransformSpec) -> tuple:
+    """Request of the rule that samples a callable time load: N + 2*QUAD_GUARD points."""
+    return _psi_request(basis, transform, basis.n_modes + 2 * QUAD_GUARD)
+
+
+def _stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec, quad_n: int):
+    """assemble_stiffness as a piece: its checks, its rule requests, its matrix from those rules."""
+    n_modes = basis.n_modes
+    if quad_n < n_modes + 2:
+        raise DomainError(f"quad_n must be at least N+2 = {n_modes + 2}, got {quad_n}")
+    d = delta.delta
+    r = transform.r
+    T = transform.horizon_T
+    b = transform.b_psi
+    if not np.allclose(basis.interval, (0.0, b), rtol=0.0, atol=1e-12 * b):
+        raise DomainError(f"time basis interval {basis.interval} must be (0, T^gamma) = (0, {b!r})")
+    alpha = basis.alpha
+    requests = [
+        (JacobiIndex(0.0, (1.0 - d) * r + 1.0), quad_n, (0.0, 1.0)),
+        (JacobiIndex(-d, 0.0), quad_n, (0.0, 1.0)),
+    ]
+
+    def build(outer, inner):
+        eta, w = outer.nodes, outer.weights
+        eta_h, w_h = inner.nodes, inner.weights
+
+        # ((1 - tau^r)/(1 - tau))^(-delta) = (sum_{k<r} tau^k)^(-delta)
+        smooth = np.ones_like(eta_h)
+        if r > 1:
+            acc = np.zeros_like(eta_h)
+            for k in range(r):
+                acc += eta_h**k
+            smooth = acc ** (-d)
+
+        # Inner pass: K[i, n-1] = sum_j w_h[j] smooth[j] J^{alpha+1,0}_{n-1}(2 eta_i eta_h_j - 1)
+        args = 2.0 * np.outer(eta, eta_h) - 1.0
+        jac_inner = jacobi_table(JacobiIndex(alpha + 1.0, 0.0), n_modes - 1, args.ravel())
+        jac_inner = jac_inner.reshape(n_modes, eta.size, eta_h.size)
+        K = jac_inner @ (w_h * smooth)  # (n, i)
+
+        jac_outer = jacobi_table(JacobiIndex(alpha, 1.0), n_modes - 1, 2.0 * eta - 1.0)  # (m, i)
+        core = (jac_outer * w) @ K.T  # (m, n)
+
+        n_idx = np.arange(1, n_modes + 1, dtype=float)
+        pref = 4.0 * n_idx * T ** (1.0 - d) * r / math.gamma(1.0 - d)
+        return core * pref[None, :]
+
+    return requests, build
+
+
 def assemble_stiffness(
     basis: TimeBasis, delta: FracOrder, transform: TransformSpec, quad_n: int
 ) -> np.ndarray:
@@ -121,57 +187,37 @@ def assemble_stiffness(
     roundoff for moderate r.  The entries are those of the basis on
     (0, T^gamma), so any other basis interval is refused.
     """
-    n_modes = basis.n_modes
-    if quad_n < n_modes + 2:
-        raise DomainError(f"quad_n must be at least N+2 = {n_modes + 2}, got {quad_n}")
-    d = delta.delta
+    return _assemble(_stiffness(basis, delta, transform, quad_n))[0]
+
+
+def _mass(basis: TimeBasis, transform: TransformSpec):
+    """assemble_mass as a piece."""
     r = transform.r
-    T = transform.horizon_T
-    b = transform.b_psi
-    if not np.allclose(basis.interval, (0.0, b), rtol=0.0, atol=1e-12 * b):
-        raise DomainError(f"time basis interval {basis.interval} must be (0, T^gamma) = (0, {b!r})")
-    alpha = basis.alpha
 
-    outer, inner = gauss_jacobi_rules(
-        (JacobiIndex(0.0, (1.0 - d) * r + 1.0), JacobiIndex(-d, 0.0)), quad_n, (0.0, 1.0)
-    )
-    eta, w = outer.nodes, outer.weights
-    eta_h, w_h = inner.nodes, inner.weights
+    def build(rule):
+        table = gjp_table(basis, rule.nodes)
+        weighted = table * rule.weights
+        m = r * (weighted @ table.T)
+        upper = np.triu(m)
+        return upper + np.triu(m, 1).T
 
-    # ((1 - tau^r)/(1 - tau))^(-delta) = (sum_{k<r} tau^k)^(-delta)
-    smooth = np.ones_like(eta_h)
-    if r > 1:
-        acc = np.zeros_like(eta_h)
-        for k in range(r):
-            acc += eta_h**k
-        smooth = acc ** (-d)
-
-    # Inner pass: K[i, n-1] = sum_j w_h[j] smooth[j] J^{alpha+1,0}_{n-1}(2 eta_i eta_h_j - 1)
-    args = 2.0 * np.outer(eta, eta_h) - 1.0
-    jac_inner = jacobi_table(JacobiIndex(alpha + 1.0, 0.0), n_modes - 1, args.ravel())
-    jac_inner = jac_inner.reshape(n_modes, eta.size, eta_h.size)
-    K = jac_inner @ (w_h * smooth)  # (n, i)
-
-    jac_outer = jacobi_table(JacobiIndex(alpha, 1.0), n_modes - 1, 2.0 * eta - 1.0)  # (m, i)
-    core = (jac_outer * w) @ K.T  # (m, n)
-
-    n_idx = np.arange(1, n_modes + 1, dtype=float)
-    pref = 4.0 * n_idx * T ** (1.0 - d) * r / math.gamma(1.0 - d)
-    return core * pref[None, :]
+    return [_psi_request(basis, transform, (2 * basis.n_modes + r + 2 + 1) // 2)], build
 
 
 def assemble_mass(basis: TimeBasis, transform: TransformSpec) -> np.ndarray:
     """Mass M_mn = (j_n, j_m) against psi'(t) dt; exact Gauss-Jacobi quadrature."""
-    n_modes = basis.n_modes
-    r = transform.r
-    b = basis.interval[1]
-    n_quad = (2 * n_modes + r + 2 + 1) // 2
-    rule = gauss_jacobi_rule(JacobiIndex(0.0, float(r - 1)), n_quad, (0.0, b))
+    return _assemble(_mass(basis, transform))[0]
+
+
+def _load_matrix(basis: TimeBasis, transform: TransformSpec, f, rule) -> np.ndarray:
+    """The load of f on the (0, r-1) rule `rule`: see assemble_load."""
+    vals = np.asarray(f(rule.nodes), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("right-hand side returned NaN or inf at a quadrature node")
     table = gjp_table(basis, rule.nodes)
-    weighted = table * rule.weights
-    m = r * (weighted @ table.T)
-    upper = np.triu(m)
-    return upper + np.triu(m, 1).T
+    wv = np.moveaxis(rule.weights * vals, -1, 0)
+    quad_n = rule.nodes.size
+    return transform.r * (table @ wv.reshape(quad_n, -1)).reshape(table.shape[:1] + wv.shape[1:])
 
 
 def assemble_load(basis: TimeBasis, transform: TransformSpec, f, quad_n: int) -> np.ndarray:
@@ -180,15 +226,37 @@ def assemble_load(basis: TimeBasis, transform: TransformSpec, f, quad_n: int) ->
     f may return leading axes, with time last: values of shape (..., nodes)
     give a load of shape (N, ...), one time load per leading index.
     """
+    request = _psi_request(basis, transform, quad_n)
+    return _assemble(([request], lambda rule: _load_matrix(basis, transform, f, rule)))[0]
+
+
+def _load_powers(basis: TimeBasis, transform: TransformSpec, terms):
+    """assemble_load_powers as a piece."""
     r = transform.r
     b = basis.interval[1]
-    rule = gauss_jacobi_rule(JacobiIndex(0.0, float(r - 1)), quad_n, (0.0, b))
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("right-hand side returned NaN or inf at a quadrature node")
-    table = gjp_table(basis, rule.nodes)
-    wv = np.moveaxis(rule.weights * vals, -1, 0)
-    return r * (table @ wv.reshape(quad_n, -1)).reshape(table.shape[:1] + wv.shape[1:])
+    n_modes = basis.n_modes
+    n_quad = n_modes // 2 + 2
+    terms = tuple(terms)
+    requests = []
+    for _, p in terms:
+        beta = p + r - 1.0
+        if beta <= -1.0:
+            raise DomainError(f"power {p} is not integrable against the weight")
+        requests.append((JacobiIndex(0.0, beta), n_quad, (0.0, b)))
+
+    def build(*rules):
+        out = np.zeros(n_modes)
+        if not rules:
+            return out
+        tables = gjp_table(basis, np.concatenate([rule.nodes for rule in rules]))
+        tables = tables.reshape(n_modes, len(rules), n_quad)
+        for k, ((c, _), rule) in enumerate(zip(terms, rules)):
+            # A contiguous copy, so the product takes a lone table's BLAS path.
+            table = np.ascontiguousarray(tables[:, k])
+            out += c * r * (table @ rule.weights)
+        return out
+
+    return requests, build
 
 
 def assemble_load_powers(
@@ -200,28 +268,15 @@ def assemble_load_powers(
     including the endpoint-singular powers p in (-1, 0) produced by
     manufactured solutions with exponent below delta.
     """
-    r = transform.r
-    b = basis.interval[1]
-    n_modes = basis.n_modes
-    n_quad = n_modes // 2 + 2
-    terms = tuple(terms)
-    indices = []
-    for _, p in terms:
-        beta = p + r - 1.0
-        if beta <= -1.0:
-            raise DomainError(f"power {p} is not integrable against the weight")
-        indices.append(JacobiIndex(0.0, beta))
-    rules = gauss_jacobi_rules(indices, n_quad, (0.0, b))
-    out = np.zeros(n_modes)
-    if not rules:
-        return out
-    tables = gjp_table(basis, np.concatenate([rule.nodes for rule in rules]))
-    tables = tables.reshape(n_modes, len(rules), n_quad)
-    for k, ((c, _), rule) in enumerate(zip(terms, rules)):
-        # A contiguous copy, so the product takes a lone table's BLAS path.
-        table = np.ascontiguousarray(tables[:, k])
-        out += c * r * (table @ rule.weights)
-    return out
+    return _assemble(_load_powers(basis, transform, terms))[0]
+
+
+def _time_load(basis: TimeBasis, transform: TransformSpec, source):
+    """assemble_time_load as a piece."""
+    if callable(source):
+        request = _sampled_request(basis, transform)
+        return [request], lambda rule: _load_matrix(basis, transform, source, rule)
+    return _load_powers(basis, transform, source)
 
 
 def assemble_time_load(basis: TimeBasis, transform: TransformSpec, source) -> np.ndarray:
@@ -230,9 +285,7 @@ def assemble_time_load(basis: TimeBasis, transform: TransformSpec, source) -> np
     A callable is sampled on the (0, r-1) rule of N + 2*QUAD_GUARD points;
     monomials load exactly, one rule per power.
     """
-    if callable(source):
-        return assemble_load(basis, transform, source, basis.n_modes + 2 * QUAD_GUARD)
-    return assemble_load_powers(basis, transform, source)
+    return _assemble(_time_load(basis, transform, source))[0]
 
 
 def solve_linear(A: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -266,10 +319,10 @@ def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes):
 
     The basis is hierarchical: j_1..j_n do not depend on N, so the system at
     n is the leading n x n block of (S + lam*M) v = F at N.  The returned
-    generator assembles S, M and F at the first next() and then solves one
-    block per next().  Each block is guarded and checked like a lone solve,
-    and a refused block names its own N.  Sizes outside 1..N raise
-    DomainError here, before any assembly.
+    generator assembles S, M and F at the first next(), every rule of the
+    three in one batch, and then solves one block per next().  Each block is
+    guarded and checked like a lone solve, and a refused block names its own
+    N.  Sizes outside 1..N raise DomainError here, before any assembly.
     """
     n_modes = basis.n_modes
     sizes = tuple(sizes)
@@ -280,9 +333,11 @@ def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes):
 
     def blocks():
         try:
-            S = assemble_stiffness(basis, problem.delta, problem.transform, n_modes + QUAD_GUARD)
-            M = assemble_mass(basis, problem.transform)
-            F = assemble_time_load(basis, problem.transform, problem.time_source)
+            S, M, F = _assemble(
+                _stiffness(basis, problem.delta, problem.transform, n_modes + QUAD_GUARD),
+                _mass(basis, problem.transform),
+                _time_load(basis, problem.transform, problem.time_source),
+            )
             require_finite(stiffness=S, mass=M)
         except NumericalFailureError as exc:
             raise NumericalFailureError(

@@ -122,7 +122,10 @@ class QuadratureRule:
         if not np.all(weights > 0):
             raise NumericalFailureError(f"{rule}: weights are not all positive")
         scale = _weight_scale(self.index, nodes.size, self.interval)
-        total = jacobi_weight_integral(self.index) * scale
+        try:
+            total = jacobi_weight_integral(self.index) * scale
+        except OverflowError:
+            raise NumericalFailureError(f"{rule}: the weight's mass overflows") from None
         if abs(weights.sum() - total) > 1e-12 * max(total, 1.0):
             raise NumericalFailureError(
                 f"{rule}: weight sum {weights.sum():.17g} disagrees with closed form {total:.17g}"
@@ -143,48 +146,95 @@ def _weight_scale(idx: JacobiIndex, n: int, interval: tuple[float, float]) -> fl
         raise NumericalFailureError(message) from None
 
 
-def _jacobi_recurrence(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the symmetric Jacobi matrix, n x n."""
-    k = np.arange(1, n, dtype=float)
-    diag = np.empty(n)
-    diag[0] = (b - a) / (a + b + 2)
-    diag[1:] = (b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2))
-    off = np.empty(max(n - 1, 0))
-    if n > 1:
-        off[0] = math.sqrt(4 * (a + 1) * (b + 1) / ((a + b + 2) ** 2 * (a + b + 3)))
-        kk = np.arange(2, n, dtype=float)
+def _gauss_constant(idx: JacobiIndex, n: int) -> float:
+    """c of the closed-form Gauss-Jacobi weights c / ((1 - x^2) J^{a,b}_n'(x)^2) at the zeros x."""
+    a, b = idx.alpha, idx.beta
+    try:
+        logc = (
+            (a + b + 1) * math.log(2.0)
+            + math.lgamma(n + a + 1)
+            + math.lgamma(n + b + 1)
+            - math.lgamma(n + 1)
+            - math.lgamma(n + a + b + 1)
+        )
+        return math.exp(logc)
+    except OverflowError:
+        message = f"{_rule_name(idx, n)}: the weights' constant overflows"
+        raise NumericalFailureError(message) from None
+
+
+def _first_off_diagonal(a: float, b: float) -> float:
+    """Entry (0, 1) of the Jacobi matrix of J^{a,b}; inf where it passes a float's range.
+
+    In Python floats, as the rules have always computed it: the C library's
+    pow(x, 2) differs from numpy's x * x in the last bit for about one x in
+    a thousand, and the nodes would follow.
+    """
+    try:
+        return math.sqrt(4 * (a + 1) * (b + 1) / ((a + b + 2) ** 2 * (a + b + 3)))
+    except OverflowError:
+        return math.inf
+
+
+def _jacobi_matrices(indices, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (k, size) and off-diagonals (k, size-1) of the Jacobi matrices of k families.
+
+    Row i holds the symmetric size x size matrix of family i; its leading
+    n x n block is that family's n x n matrix.  One broadcast builds them all.
+    """
+    a, b = np.array([(idx.alpha, idx.beta) for idx in indices]).T[:, :, None]
+    k = np.arange(1, size, dtype=float)
+    diag = np.empty((len(indices), size))
+    diag[:, :1] = (b - a) / (a + b + 2)
+    diag[:, 1:] = (b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2))
+    off = np.empty((len(indices), size - 1))
+    if size > 1:
+        off[:, 0] = [_first_off_diagonal(idx.alpha, idx.beta) for idx in indices]
+        kk = k[1:]
         num = 4 * kk * (kk + a) * (kk + b) * (kk + a + b)
         den = (2 * kk + a + b) ** 2 * (2 * kk + a + b + 1) * (2 * kk + a + b - 1)
-        off[1:] = np.sqrt(num / den)
+        off[:, 1:] = np.sqrt(num / den)
     return diag, off
 
 
-def _rule_recurrence(indices, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point coefficients that run every J^{a,b} and J^{a+1,b+1} side by side to degree n.
+def _rule_recurrence(indices, ns) -> np.ndarray:
+    """Per-point coefficients that run every J^{a,b}_n and J^{a+1,b+1}_n of a batch side by side.
 
-    The points are laid out flat, n per family: first the k families (a, b)
-    of indices in order, then the k families (a+1, b+1).  Returns the
-    degree-1 row's slope and intercept, shape (2, 2kn), and a1..a4 of the
-    steps to degrees 2..n, shape (4, n-1, 2kn).
+    The points are laid out flat, n per family: first the families (a, b)
+    of indices in order, then the families (a+1, b+1).  Returns a1..a4 of
+    the batch's max(ns) steps, shape (4, max(ns), 2 * sum(ns)).  From the
+    state (1, 1) a family of degree n first takes max(ns) - n steps that
+    change nothing (a1 = a2 = 1, a3 = a4 = 0), then one to its degree-1 row
+    (a1 = 1, a4 = 0, a3 x + a2 that row), then those to degrees 2..n, so it
+    reaches its own degree at the last step.
     """
     ab = np.array([(idx.alpha, idx.beta) for idx in indices])
     a, b = np.concatenate([ab, ab + 1.0]).T
-    first = np.stack([0.5 * (a + b + 2), 0.5 * (a - b)])
-    rec = np.stack(_recurrence_coefficients(a, b, np.arange(1.0, n)[:, None]))
-    return np.repeat(first, n, axis=1), np.repeat(rec, n, axis=2)
+    ns = np.concatenate([ns, ns])
+    steps = ns.max()
+    # Step j takes a family of degree n to degree j - (steps - n) + 1; below 1 it is padding.
+    k = np.arange(steps, dtype=float)[:, None] - (steps - ns)
+    a1, a2, a3, a4 = _recurrence_coefficients(a, b, k)
+    pad, first = k < 0, k == 0
+    a1 = np.where(pad | first, 1.0, a1)
+    a2 = np.where(pad, 1.0, np.where(first, 0.5 * (a - b), a2))
+    a3 = np.where(pad, 0.0, np.where(first, 0.5 * (a + b + 2), a3))
+    a4 = np.where(pad | first, 0.0, a4)
+    return np.repeat(np.stack([a1, a2, a3, a4]), ns, axis=2)
 
 
-def _last_rows(first: np.ndarray, rec: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The last two rows of the recurrence that first and rec describe, at x.
+def _last_rows(rec: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The last two rows of the recurrence that rec describes, at x, from the state (1, 1).
 
     Only two rows are kept.  Elementwise these are jacobi_table's IEEE
-    operations, so the rows have jacobi_table's bits.
+    operations, and a padding step copies its row exactly, so the rows have
+    jacobi_table's bits.
     """
     a1s, a2s, a3s, a4s = rec
     lin = a3s * x
     lin += a2s
     p0 = np.ones(x.size)
-    p1 = first[0] * x + first[1]
+    p1 = np.ones(x.size)
     tmp = np.empty(x.size)
     for a1, a2_a3x, a4 in zip(a1s, lin, a4s):
         np.multiply(a4, p0, out=tmp)
@@ -195,22 +245,8 @@ def _last_rows(first: np.ndarray, rec: np.ndarray, x: np.ndarray) -> tuple[np.nd
     return p0, p1
 
 
-def _gauss_weights(idx: JacobiIndex, n: int, nodes: np.ndarray, dpn: np.ndarray) -> np.ndarray:
-    """Closed-form Gauss-Jacobi weights at exact nodes of J^{a,b}_n, given J^{a,b}_n' there."""
-    a, b = idx.alpha, idx.beta
-    logc = (
-        (a + b + 1) * math.log(2.0)
-        + math.lgamma(n + a + 1)
-        + math.lgamma(n + b + 1)
-        - math.lgamma(n + 1)
-        - math.lgamma(n + a + b + 1)
-    )
-    return math.exp(logc) / ((1.0 - nodes * nodes) * dpn * dpn)
-
-
-def _golub_welsch_nodes(idx: JacobiIndex, n: int) -> np.ndarray:
-    """Zeros of J^{a,b}_n, ascending: the eigenvalues of the n x n Jacobi matrix."""
-    diag, off = _jacobi_recurrence(idx.alpha, idx.beta, n)
+def _golub_welsch_nodes(idx: JacobiIndex, n: int, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Zeros of J^{a,b}_n, ascending: the eigenvalues of its n x n Jacobi matrix (diag, off)."""
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise NumericalFailureError(f"{_rule_name(idx, n)}: eigensolve failed: non-finite matrix")
     if n == 1:
@@ -224,71 +260,96 @@ def _golub_welsch_nodes(idx: JacobiIndex, n: int) -> np.ndarray:
     return np.sort(nodes)
 
 
-def _newton_polish(indices, n: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Newton iteration on J^{a,b}_n from the zeros guessed in row i of x, family i of indices.
+def _golub_welsch(requests) -> tuple[list, list, NumericalFailureError | None]:
+    """Each request's starting nodes and (weight constant, weight scale), in order.
 
-    Returns the polished nodes, J^{a,b}_n' there and each row's last Newton
-    step, the residual.  One flat pass runs every family side by side; each
-    row stops on its own residual, so it takes the steps of its lone build.
+    Stops at the first request that fails and returns that failure too.  The
+    constants come first, so no Jacobi matrix is built past a request whose
+    weights overflow a float, however many points it asks for.
     """
-    k = len(indices)
-    first, rec = _rule_recurrence(indices, n)
+    constants, nodes, failure = [], [], None
+    try:
+        for idx, n, interval in requests:
+            constants.append((_gauss_constant(idx, n), _weight_scale(idx, n, interval)))
+    except NumericalFailureError as exc:
+        failure = exc
+    ready = requests[: len(constants)]
+    if ready:
+        sizes = [n for _, n, _ in ready]
+        diags, offs = _jacobi_matrices([idx for idx, _, _ in ready], max(sizes))
+        for (idx, n, _), diag, off in zip(ready, diags, offs):
+            try:
+                nodes.append(_golub_welsch_nodes(idx, n, diag[:n], off[: n - 1]))
+            except NumericalFailureError as exc:
+                failure = exc
+                break
+    return nodes, constants, failure
+
+
+def _newton_polish(indices, ns: list[int], x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Newton iteration on each J^{a,b}_n from the zeros guessed in x, n per family, laid out flat.
+
+    Returns the polished nodes, J^{a,b}_n' there and each family's last
+    Newton step, the residual.  One flat pass runs every family side by side;
+    each family stops on its own residual, so it takes the steps of its lone
+    build.
+    """
+    total = x.size
+    rec = _rule_recurrence(indices, np.array(ns))
     # J^{a,b}_n' = (n+a+b+1)/2 * J^{a+1,b+1}_{n-1}
-    scale = np.array([[0.5 * (n + idx.alpha + idx.beta + 1)] for idx in indices])
-    residual = np.zeros(k)
-    active = np.ones(k, dtype=bool)
+    scale = np.repeat([0.5 * (n + idx.alpha + idx.beta + 1) for idx, n in zip(indices, ns)], ns)
+    starts = np.cumsum([0] + ns[:-1])
+    residual = np.zeros(len(ns))
+    active = np.ones(len(ns), dtype=bool)
     # A couple of steps reach the attainable floor.
     for _ in range(4):
-        prev, last = _last_rows(first, rec, np.concatenate([x, x]).ravel())
-        step = last.reshape(2, k, n)[0] / (scale * prev.reshape(2, k, n)[1])
-        x = np.where(active[:, None], x - step, x)
-        residual = np.where(active, np.max(np.abs(step), axis=1), residual)
+        prev, last = _last_rows(rec, np.concatenate([x, x]))
+        step = last[:total] / (scale * prev[total:])
+        x = np.where(np.repeat(active, ns), x - step, x)
+        residual = np.where(active, np.maximum.reduceat(np.abs(step), starts), residual)
         active &= ~(residual < 1e-15)
         if not active.any():
             break
-    dp = scale * _last_rows(first[:, k * n :], rec[:, :, k * n :], x.ravel())[0].reshape(k, n)
+    dp = scale * _last_rows(rec[:, :, total:], x)[0]
     return x, dp, residual
 
 
-def gauss_jacobi_rules(
-    indices, n: int, interval: tuple[float, float] = (-1.0, 1.0)
-) -> tuple[QuadratureRule, ...]:
-    """n-point Gauss-Jacobi rules on one interval, one per index, in the order given.
+def gauss_jacobi_rules(requests) -> tuple[QuadratureRule, ...]:
+    """Gauss-Jacobi rules, one per (index, n, interval) request, in the order given.
 
-    Nodes come from the Golub-Welsch eigenproblem of each three-term
-    recurrence, then all are polished together by Newton iteration on
-    J^{a,b}_n, each rule stopping on its own residual.  Every rule has the
-    bits of its own build, and a refused batch raises what building the rules
-    one at a time would: the first failure in index order.
+    The sizes may differ.  Nodes come from the Golub-Welsch eigenproblem of
+    each three-term recurrence, then all are polished together by one Newton
+    pass on J^{a,b}_n, each rule stopping on its own residual.  Every rule
+    has the bits of its own build.  Every request's n and interval are
+    checked first; past that, a refused batch raises what building the rules
+    one at a time would: the first failure in request order.
     """
-    if n < 1:
-        raise DomainError(f"rule size must be >= 1, got {n}")
-    lo, hi = interval
-    if not hi > lo:
-        raise DomainError(f"empty interval {interval}")
-    indices = tuple(indices)
-    nodes, failure = [], None
-    for idx in indices:
-        try:
-            nodes.append(_golub_welsch_nodes(idx, n))
-        except NumericalFailureError as exc:
-            failure = exc
-            break
-    built = indices[: len(nodes)]
+    requests = tuple(requests)
+    for _, n, interval in requests:
+        if n < 1:
+            raise DomainError(f"rule size must be >= 1, got {n}")
+        lo, hi = interval
+        if not hi > lo:
+            raise DomainError(f"empty interval {interval}")
+    nodes, constants, failure = _golub_welsch(requests)
+    built = requests[: len(nodes)]
     rules = []
     if built:
-        x, dp, residual = _newton_polish(built, n, np.stack(nodes))
-        for idx, nodes_i, dp_i, residual_i in zip(built, x, dp, residual):
+        ns = [n for _, n, _ in built]
+        x, dp, residual = _newton_polish([idx for idx, _, _ in built], ns, np.concatenate(nodes))
+        cuts = np.cumsum(ns[:-1])
+        for (idx, n, (lo, hi)), (constant, scale), nodes_i, dp_i, residual_i in zip(
+            built, constants, np.split(x, cuts), np.split(dp, cuts), residual
+        ):
             if residual_i > 1e-13:
                 raise NumericalFailureError(
                     f"{_rule_name(idx, n)}: Newton stalled, max node residual {residual_i:.3e}",
                     estimate=nodes_i,
                     error_bound=float(residual_i),
                 )
-            weights = _gauss_weights(idx, n, nodes_i, dp_i)
+            weights = constant / ((1.0 - nodes_i * nodes_i) * dp_i * dp_i)
             mapped = lo + 0.5 * (hi - lo) * (nodes_i + 1.0)
-            mapped_w = weights * _weight_scale(idx, n, interval)
-            rules.append(QuadratureRule(mapped, mapped_w, (lo, hi), idx))
+            rules.append(QuadratureRule(mapped, weights * scale, (lo, hi), idx))
     if failure is not None:
         raise failure
     return tuple(rules)
@@ -299,9 +360,9 @@ def gauss_jacobi_rule(
 ) -> QuadratureRule:
     """n-point Gauss-Jacobi rule, exact for degree <= 2n-1 against the weight.
 
-    The one-index case of gauss_jacobi_rules.
+    The one-request case of gauss_jacobi_rules.
     """
-    return gauss_jacobi_rules((idx,), n, interval)[0]
+    return gauss_jacobi_rules([(idx, n, interval)])[0]
 
 
 @dataclass(frozen=True)

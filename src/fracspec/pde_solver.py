@@ -21,12 +21,15 @@ from .errors import DomainError, NumericalFailureError
 from .frac_ops import FracOrder, PowerSum, TransformSpec
 from .ode_solver import (
     QUAD_GUARD,
-    assemble_mass,
-    assemble_stiffness,
-    assemble_time_load,
+    _assemble,
+    _load_matrix,
+    _mass,
+    _sampled_request,
+    _stiffness,
+    _time_load,
     require_finite,
 )
-from .orthopoly import JacobiIndex, TimeBasis, gauss_jacobi_rule, gjp_table, legendre_phi_table
+from .orthopoly import JacobiIndex, TimeBasis, gjp_table, legendre_phi_table
 
 __all__ = [
     "SpatialBasis",
@@ -176,29 +179,46 @@ def _mode_product(T: np.ndarray, mats) -> np.ndarray:
     return T
 
 
+def _spacetime_load(problem: PDEProblem, time_basis: TimeBasis, space_basis: SpatialBasis):
+    """assemble_spacetime_load as a piece: its checks, its rule requests, its tensor from them."""
+    d = problem.dimension
+    transform = problem.transform
+    rhs = problem.rhs
+    space_request = (JacobiIndex(0.0, 0.0), space_basis.m_modes + QUAD_GUARD, (-1.0, 1.0))
+
+    def weighted_phi(rule):
+        return legendre_phi_table(space_basis.m_modes, rule.nodes) * rule.weights
+
+    if isinstance(rhs, SeparableRHS):
+        if len(rhs.space_factors) != d:
+            raise DomainError("separable source needs one spatial factor per dimension")
+        time_requests, time_load = _time_load(time_basis, transform, rhs.time_source)
+
+        def build(rule, *time_rules):
+            wphi = weighted_phi(rule)
+            ft = time_load(*time_rules)
+            vals = [np.asarray(Xf(rule.nodes), dtype=float) for Xf in rhs.space_factors]
+            if not all(np.all(np.isfinite(v)) for v in vals):
+                raise ValueError("space factor returned NaN or inf at a quadrature node")
+            vecs = [wphi @ v for v in vals]
+            return functools.reduce(np.multiply.outer, vecs, ft)
+
+        return [space_request, *time_requests], build
+
+    # Generic callable f(x[, y], t): time load at every spatial node, then space.
+    def build(rule, time_rule):
+        nodes = rule.nodes
+        ft = _load_matrix(time_basis, transform, lambda t: rhs(*np.ix_(*[nodes] * d, t)), time_rule)
+        return _mode_product(ft, [weighted_phi(rule).T] * d)
+
+    return [space_request, _sampled_request(time_basis, transform)], build
+
+
 def assemble_spacetime_load(
     problem: PDEProblem, time_basis: TimeBasis, space_basis: SpatialBasis
 ) -> np.ndarray:
     """Load tensor f_{n,k[,l]} = (f, phi_k [phi_l] j_n) over the space-time cylinder."""
-    d = problem.dimension
-    rule = gauss_jacobi_rule(JacobiIndex(0.0, 0.0), space_basis.m_modes + QUAD_GUARD, (-1.0, 1.0))
-    wphi = legendre_phi_table(space_basis.m_modes, rule.nodes) * rule.weights
-
-    if isinstance(problem.rhs, SeparableRHS):
-        rhs = problem.rhs
-        if len(rhs.space_factors) != d:
-            raise DomainError("separable source needs one spatial factor per dimension")
-        ft = assemble_time_load(time_basis, problem.transform, rhs.time_source)
-        vals = [np.asarray(Xf(rule.nodes), dtype=float) for Xf in rhs.space_factors]
-        if not all(np.all(np.isfinite(v)) for v in vals):
-            raise ValueError("space factor returned NaN or inf at a quadrature node")
-        vecs = [wphi @ v for v in vals]
-        return functools.reduce(np.multiply.outer, vecs, ft)
-
-    # Generic callable f(x[, y], t): time load at every spatial node, then space.
-    nodes, rhs = rule.nodes, problem.rhs
-    ft = assemble_time_load(time_basis, problem.transform, lambda t: rhs(*np.ix_(*[nodes] * d, t)))
-    return _mode_product(ft, [wphi.T] * d)
+    return _assemble(_spacetime_load(problem, time_basis, space_basis))[0]
 
 
 def _mode_table(lam: np.ndarray, d: int) -> np.ndarray:
@@ -359,6 +379,7 @@ def solve_spacetime(
     With B = E Lam E^T, the transformed load column for spatial mode(s) with
     eigenvalue product mu and Laplacian factor nu satisfies the N x N system
     (mu S + (nu + mu) M) w = fhat; back-transforming recovers the tensor V.
+    S, M and the load tensor are assembled from one batch of rules.
     """
     d = problem.dimension
     if space_basis.dimension != d:
@@ -366,9 +387,11 @@ def solve_spacetime(
     N = time_basis.n_modes
     where = f"delta={problem.delta.delta}, r={problem.transform.r}, N={N}, M={space_basis.m_modes}"
     try:
-        S = assemble_stiffness(time_basis, problem.delta, problem.transform, N + QUAD_GUARD)
-        M = assemble_mass(time_basis, problem.transform)
-        F = assemble_spacetime_load(problem, time_basis, space_basis)
+        S, M, F = _assemble(
+            _stiffness(time_basis, problem.delta, problem.transform, N + QUAD_GUARD),
+            _mass(time_basis, problem.transform),
+            _spacetime_load(problem, time_basis, space_basis),
+        )
         require_finite(stiffness=S, mass=M)
     except NumericalFailureError as exc:
         raise NumericalFailureError(
@@ -398,10 +421,14 @@ def solve_spacetime(
     del fhat, vhat  # dead from here on; freed before the residual's temporaries
     # Operator: S x B^d + M x (sum_i B^d with identity on axis i) + M x B^d.
     # Accumulated in place, in the order of S VB + M ((lap_0 + lap_1 + ...) + VB) - F.
-    VB = _mode_product(V, [B] * d)
+    # lap_i has B on every axis but i, so lap_{d-1} times B on the last axis
+    # is VB, by the very products that B on every axis in turn would take.
     lap = np.zeros_like(V)
     for i in range(d):
-        lap += _mode_product(V, [None if j == i else B for j in range(d)])
+        term = _mode_product(V, [None if j == i else B for j in range(d)])
+        lap += term
+    VB = _mode_product(term, [None] * (d - 1) + [B])
+    del term
     lap += VB
     resid_tensor = np.tensordot(S, VB, axes=1)
     resid_tensor += np.tensordot(M, lap, axes=1)

@@ -80,3 +80,20 @@ def oracle_mass_matrix(basis, spec):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def rule_batches(monkeypatch):
+    """The sizes of the gauss_jacobi_rules batches that the solvers build, one entry a call."""
+    import fracspec.ode_solver as ode_mod
+
+    real = ode_mod.gauss_jacobi_rules
+    calls = []
+
+    def counting(requests):
+        requests = list(requests)
+        calls.append(len(requests))
+        return real(requests)
+
+    monkeypatch.setattr(ode_mod, "gauss_jacobi_rules", counting)
+    return calls

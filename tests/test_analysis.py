@@ -425,21 +425,11 @@ def test_pde_study_rejects_unordered_resolutions_before_solving(monkeypatch):
     assert calls == []
 
 
-def test_scalar_study_rejects_repeated_resolution_before_solving(monkeypatch):
-    import fracspec.ode_solver as ode_mod
-
-    real_assemble_stiffness = ode_mod.assemble_stiffness
-    calls = []
-
-    def counting_assemble_stiffness(basis, *args):
-        calls.append(basis.n_modes)
-        return real_assemble_stiffness(basis, *args)
-
-    monkeypatch.setattr(ode_mod, "assemble_stiffness", counting_assemble_stiffness)
+def test_scalar_study_rejects_repeated_resolution_before_solving(rule_batches):
     request = StudyRequest("x", example1_problem(), (4, 4), exact=PowerSum(((1.0, 2.0),)))
     with pytest.raises(DomainError, match="resolutions must be strictly increasing"):
         run_convergence_study(request)
-    assert calls == []
+    assert rule_batches == []
 
 
 def test_pde_study_in_one_dimension():

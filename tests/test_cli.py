@@ -619,6 +619,36 @@ def test_rule_failure_names_the_rule_and_the_solve(capsys, argv, solve):
     assert "weight sum" in stderr
 
 
+def test_overflowing_rule_exponent_exits_3_in_one_line(capsys):
+    # At gamma = 1/10^160 the outer stiffness rule's exponent (1-delta)r+1 = 5e159
+    # overflows its weights: a named refusal, not a traceback.
+    gamma = "1/1" + "0" * 160
+    argv = ["solve-ode", "--problem", "example1", "--gamma", gamma, "--N", "4"]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 3
+    assert stdout == ""
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("numerical failure: assembly failed (delta=0.5, r=1")
+    assert "Gauss-Jacobi rule (alpha=0.0, beta=5e+159, n=12): the weights' constant overflows" in stderr
+
+
+def test_emit_writes_array_columns_as_numpy_scalars_format(capsys):
+    floats = np.array([0.0, -0.0, 5e-324, 1.797e308])
+    columns = {
+        "N": np.arange(4), "u": floats, "err": [1.5, -2.0, 0.0, 3e-300], "runtime_ms": floats + 1.25
+    }
+    cli_mod._emit(columns, None, [])
+    out = capsys.readouterr().out
+    # The text of the numpy scalars themselves, cell by cell.
+    row = "%d,%.16e,%.16e,%.3f\n"
+    assert out == "N,u,err,runtime_ms\n" + "".join(row % cells for cells in zip(*columns.values()))
+    assert out.splitlines()[2:4] == [
+        "1,-0.0000000000000000e+00,-2.0000000000000000e+00,1.250",
+        "2,4.9406564584124654e-324,0.0000000000000000e+00,1.250",
+    ]
+    assert out.splitlines()[4].startswith("3,1.7970000000000000e+308,3.0000000000000002e-300,")
+
+
 @pytest.mark.parametrize(
     "argv, stage, problem_of, lam",
     [

@@ -608,14 +608,48 @@ def test_nested_blocks_match_fresh_solves(prob):
 
 
 @pytest.mark.parametrize("sizes", [(0,), (2, 9), (-1, 4)])
-def test_nested_sizes_outside_the_basis_are_refused_before_assembly(monkeypatch, sizes):
-    calls = []
-    monkeypatch.setattr(ode_mod, "assemble_stiffness", lambda *args: calls.append(args))
+def test_nested_sizes_outside_the_basis_are_refused_before_assembly(rule_batches, sizes):
     spec = TransformSpec(1, 2.0)
     prob = TimeProblem.manufactured(PowerSum(((1.0, 2.0),)), 0.5, 1.0, spec)
     with pytest.raises(DomainError, match=r"block sizes must lie in 1\.\.8"):
         solve_nested(prob, basis_for(spec, 8), sizes)
-    assert calls == []
+    assert rule_batches == []
+
+
+_ONE_BATCH_PROBLEMS = [
+    TimeProblem.manufactured(PowerSum(((1.0, 0.6),)), 0.2, 1.0, TransformSpec(5, 2.0)),
+    TimeProblem.from_source(np.sin, 0.5, 1.0, TransformSpec(3, 2.0)),
+]
+
+
+@pytest.mark.parametrize("prob", _ONE_BATCH_PROBLEMS, ids=["powers", "callable"])
+def test_a_solve_builds_every_rule_in_one_batch(rule_batches, prob):
+    # Stiffness pair, mass rule and the load rules: one per power, or one
+    # sampling rule for a callable source.
+    loads = 1 if callable(prob.source) else len(prob.time_source)
+    solve(prob, basis_for(prob.transform, 12))
+    assert rule_batches == [3 + loads]
+    list(solve_nested(prob, basis_for(prob.transform, 12), (4, 8, 12)))
+    assert rule_batches == [3 + loads] * 2
+
+
+@pytest.mark.parametrize("prob", _ONE_BATCH_PROBLEMS, ids=["powers", "callable"])
+def test_a_solve_assembles_the_public_matrices(monkeypatch, prob):
+    real_assemble = ode_mod._assemble
+    assembled = []
+
+    def recording(*pieces):
+        assembled.append(real_assemble(*pieces))
+        return assembled[-1]
+
+    monkeypatch.setattr(ode_mod, "_assemble", recording)
+    spec = prob.transform
+    basis = basis_for(spec, 14)
+    solve(prob, basis)
+    (S, M, F), = assembled
+    assert np.array_equal(S, assemble_stiffness(basis, prob.delta, spec, 14 + ode_mod.QUAD_GUARD))
+    assert np.array_equal(M, assemble_mass(basis, spec))
+    assert np.array_equal(F, assemble_time_load(basis, spec, prob.time_source))
 
 
 def test_refused_block_names_its_own_size(monkeypatch):

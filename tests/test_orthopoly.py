@@ -215,10 +215,26 @@ def _oracle_value_and_slope(a, b, n, x):
     return value, slope
 
 
+def _oracle_jacobi_matrix(a, b, n):
+    """Diagonal and off-diagonal of the n x n Jacobi matrix, one family at a time."""
+    k = np.arange(1, n, dtype=float)
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2)
+    diag[1:] = (b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2))
+    off = np.empty(max(n - 1, 0))
+    if n > 1:
+        off[0] = math.sqrt(4 * (a + 1) * (b + 1) / ((a + b + 2) ** 2 * (a + b + 3)))
+        kk = np.arange(2, n, dtype=float)
+        num = 4 * kk * (kk + a) * (kk + b) * (kk + a + b)
+        den = (2 * kk + a + b) ** 2 * (2 * kk + a + b + 1) * (2 * kk + a + b - 1)
+        off[1:] = np.sqrt(num / den)
+    return diag, off
+
+
 def _oracle_rule(a, b, n, interval):
     """Golub-Welsch nodes, at most four Newton steps on full tables, a full re-evaluation."""
     lo, hi = interval
-    diag, off = orthopoly._jacobi_recurrence(a, b, n)
+    diag, off = _oracle_jacobi_matrix(a, b, n)
     nodes = np.sort(eigh_tridiagonal(diag, off, lapack_driver="stevd")[0])
     for _ in range(4):
         p, dp = _oracle_value_and_slope(a, b, n, nodes)
@@ -229,10 +245,18 @@ def _oracle_rule(a, b, n, interval):
     p, dp = _oracle_value_and_slope(a, b, n, nodes)
     if np.max(np.abs(p / dp)) > 1e-13:
         raise NumericalFailureError("Newton stalled")
-    idx = JacobiIndex(a, b)
-    weights = orthopoly._gauss_weights(idx, n, nodes, dp)
+    logc = (
+        (a + b + 1) * math.log(2.0)
+        + math.lgamma(n + a + 1)
+        + math.lgamma(n + b + 1)
+        - math.lgamma(n + 1)
+        - math.lgamma(n + a + b + 1)
+    )
+    weights = math.exp(logc) / ((1.0 - nodes * nodes) * dp * dp)
     half = 0.5 * (hi - lo)
-    return QuadratureRule(lo + half * (nodes + 1.0), weights * half ** (a + b + 1), (lo, hi), idx)
+    return QuadratureRule(
+        lo + half * (nodes + 1.0), weights * half ** (a + b + 1), (lo, hi), JacobiIndex(a, b)
+    )
 
 
 def _build(build, *args):
@@ -261,22 +285,40 @@ def test_jacobi_table_bits_match_row_loop(a, b, n_max):
     assert np.array_equal(jacobi_table(JacobiIndex(a, b), n_max, x), _oracle_jacobi_table(a, b, n_max, x))
 
 
+def test_batched_jacobi_matrices_match_lone_matrices():
+    # One broadcast builds every family's matrix; its leading n x n block is
+    # the family's own matrix, bit for bit.
+    rng = np.random.default_rng(7)
+    families = _solver_families() + [tuple(rng.uniform(-0.99, 12.0, 2)) for _ in range(12)]
+    indices = [JacobiIndex(a, b) for a, b in families]
+    diags, offs = orthopoly._jacobi_matrices(indices, 130)
+    for (a, b), diag, off in zip(families, diags, offs):
+        for n in (1, 2, 3, 17, 64, 129, 130):
+            want_diag, want_off = _oracle_jacobi_matrix(a, b, n)
+            assert np.array_equal(diag[:n], want_diag), (a, b, n)
+            assert np.array_equal(off[: n - 1], want_off), (a, b, n)
+
+
 @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.5, 0.0), (0.0, 6.6000000000000005), (1.5, -0.3)])
 @pytest.mark.parametrize("n", [1, 2, 3, 30])
 def test_fused_rule_rows_match_table_rows(a, b, n):
-    # A batch of two, laid out flat in blocks of n points: J^{a,b}, J^{0,2},
-    # then J^{a+1,b+1}, J^{1,3}.  Block i of the points runs family i.
-    x = np.random.default_rng(n).uniform(-1.0, 1.0, (4, n))
-    first, rec = orthopoly._rule_recurrence([JacobiIndex(a, b), JacobiIndex(0.0, 2.0)], n)
-    prev, last = orthopoly._last_rows(first, rec, x.ravel())
-    prev, last = prev.reshape(4, n), last.reshape(4, n)
-    for i, (fa, fb) in enumerate([(a, b), (0.0, 2.0), (a + 1, b + 1), (1.0, 3.0)]):
-        table = jacobi_table(JacobiIndex(fa, fb), n, x[i])
-        assert np.array_equal(prev[i], table[n - 1]), i
-        assert np.array_equal(last[i], table[n]), i
+    # A batch of two, laid out flat: J^{a,b} on n points, J^{0,2} on m, then
+    # J^{a+1,b+1} on n and J^{1,3} on m.  Each block reaches its own degree.
+    m = 31 - n
+    sizes = [n, m, n, m]
+    x = np.random.default_rng(n + m).uniform(-1.0, 1.0, sum(sizes))
+    rec = orthopoly._rule_recurrence([JacobiIndex(a, b), JacobiIndex(0.0, 2.0)], np.array([n, m]))
+    prev, last = orthopoly._last_rows(rec, x)
+    cuts = np.cumsum(sizes[:-1])
+    families = [(a, b), (0.0, 2.0), (a + 1, b + 1), (1.0, 3.0)]
+    blocks = np.split(np.stack([x, prev, last]), cuts, axis=1)
+    for (fa, fb), size, (xs, prev_i, last_i) in zip(families, sizes, blocks):
+        table = jacobi_table(JacobiIndex(fa, fb), size, xs)
+        assert np.array_equal(prev_i, table[size - 1]), (fa, fb)
+        assert np.array_equal(last_i, table[size]), (fa, fb)
     # The derivative pass runs the shifted half alone.
-    slope_prev, _ = orthopoly._last_rows(first[:, 2 * n :], rec[:, :, 2 * n :], x[2:].ravel())
-    assert np.array_equal(slope_prev, prev[2:].ravel())
+    slope_prev, _ = orthopoly._last_rows(rec[:, :, n + m :], x[n + m :])
+    assert np.array_equal(slope_prev, prev[n + m :])
 
 
 def _shifted_eigensolve(shift_diag0=None):
@@ -302,13 +344,13 @@ def test_rule_refuses_when_newton_stalls(monkeypatch):
     assert info.value.error_bound > 1e-13
 
 
-def _one_at_a_time(indices, n, interval):
-    return tuple(gauss_jacobi_rule(idx, n, interval) for idx in indices)
+def _one_at_a_time(requests):
+    return tuple(gauss_jacobi_rule(*request) for request in requests)
 
 
-def _outcome(build, *args):
+def _outcome(build, requests):
     try:
-        return [(r.nodes.tobytes(), r.weights.tobytes()) for r in build(*args)]
+        return [(r.nodes.tobytes(), r.weights.tobytes()) for r in build(requests)]
     except NumericalFailureError as exc:
         return type(exc), str(exc)
 
@@ -329,33 +371,81 @@ def test_batched_rules_match_one_at_a_time_builds(families):
     # Refusals included: (-0.9, 0) fails its weight-sum check from n = 96.
     indices = [JacobiIndex(a, b) for a, b in families]
     for n in range(1, 121):
-        want = _outcome(_one_at_a_time, indices, n, (0.0, 1.0))
-        assert _outcome(gauss_jacobi_rules, indices, n, (0.0, 1.0)) == want, n
+        requests = [(idx, n, (0.0, 1.0)) for idx in indices]
+        want = _outcome(_one_at_a_time, requests)
+        assert _outcome(gauss_jacobi_rules, requests) == want, n
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mixed_batches_match_one_at_a_time_builds(seed):
+    # Random solver families, sizes 1..129 and three intervals per batch.
+    rng = np.random.default_rng(seed)
+    families = _solver_families()
+    intervals = [(0.0, 1.0), (-1.0, 1.0), (0.0, 2.0 ** 0.2)]
+    for _ in range(8):
+        requests = [
+            (JacobiIndex(*families[rng.integers(len(families))]), int(rng.integers(1, 130)),
+             intervals[rng.integers(3)])
+            for _ in range(rng.integers(1, 7))
+        ]
+        assert _outcome(gauss_jacobi_rules, requests) == _outcome(_one_at_a_time, requests), requests
 
 
 def test_empty_batch_has_no_rules():
-    assert gauss_jacobi_rules((), 5, (0.0, 1.0)) == ()
+    assert gauss_jacobi_rules([]) == ()
+
+
+def test_batch_checks_every_request_before_building(monkeypatch):
+    monkeypatch.setattr(orthopoly, "_dstevd", None)  # any build would fail
+    good = (JacobiIndex(0.0, 3.0), 12, (0.0, 1.0))
+    with pytest.raises(DomainError, match="rule size must be >= 1, got 0"):
+        gauss_jacobi_rules([good, (JacobiIndex(0.0, 0.0), 0, (0.0, 1.0))])
+    with pytest.raises(DomainError, match=r"empty interval \(1\.0, 1\.0\)"):
+        gauss_jacobi_rules([good, (JacobiIndex(0.0, 0.0), 4, (1.0, 1.0))])
 
 
 def test_batch_refusal_names_the_first_failing_member(monkeypatch):
     stall = JacobiIndex(-0.5, 0.0)
-    diag0 = orthopoly._jacobi_recurrence(stall.alpha, stall.beta, 12)[0][0]
+    diag0 = _oracle_jacobi_matrix(stall.alpha, stall.beta, 12)[0][0]
     monkeypatch.setattr(orthopoly, "_dstevd", _shifted_eigensolve(diag0))
-    good = JacobiIndex(0.0, 3.0)
+    good = (JacobiIndex(0.0, 3.0), 30, (0.0, 1.0))
+    stalled = (stall, 12, (0.0, 1.0))
     name = r"Gauss-Jacobi rule \(alpha=-0\.5, beta=0\.0, n=12\): Newton stalled"
-    for batch in ([good, stall], [stall, good]):
+    for batch in ([good, stalled], [stalled, good]):
         with pytest.raises(NumericalFailureError, match=name):
-            gauss_jacobi_rules(batch, 12, (0.0, 1.0))
-    assert len(gauss_jacobi_rules([good, good], 12, (0.0, 1.0))) == 2
-    # A member whose Jacobi matrix overflows fails at the eigensolve, but only
-    # after the members before it have been built and checked.
-    huge = JacobiIndex(1e154, 0.0)
-    name = r"Gauss-Jacobi rule \(alpha=1e\+154, beta=0\.0, n=12\): eigensolve failed"
+            gauss_jacobi_rules(batch)
+    assert len(gauss_jacobi_rules([good, (JacobiIndex(0.0, 3.0), 5, (0.0, 2.0))])) == 2
+    # A member whose weights or Jacobi matrix overflow is refused before any
+    # node is built, but the members before it are still built and checked.
+    huge = (JacobiIndex(1e154, 0.0), 7, (0.0, 1.0))
+    unbounded = (JacobiIndex(math.inf, 0.0), 7, (0.0, 1.0))
+    overflow = r"rule \(alpha=1e\+154, beta=0\.0, n=7\): the weights' constant overflows"
+    non_finite = r"rule \(alpha=inf, beta=0\.0, n=7\): eigensolve failed: non-finite matrix"
     with np.errstate(all="ignore"):
-        with pytest.raises(NumericalFailureError, match=name):
-            gauss_jacobi_rules([good, huge], 12, (0.0, 1.0))
-        with pytest.raises(NumericalFailureError, match="Newton stalled"):
-            gauss_jacobi_rules([stall, huge], 12, (0.0, 1.0))
+        for member, message in ((huge, overflow), (unbounded, non_finite)):
+            for batch in ([member, good], [good, member]):
+                with pytest.raises(NumericalFailureError, match=message):
+                    gauss_jacobi_rules(batch)
+            with pytest.raises(NumericalFailureError, match="Newton stalled"):
+                gauss_jacobi_rules([stalled, member])
+
+
+def test_overflowing_exponent_is_refused_naming_its_rule():
+    # The Jacobi matrix and the weights of J^{0,1e200} pass a float's range: a
+    # typed refusal, not an OverflowError.
+    name = r"Gauss-Jacobi rule \(alpha=0\.0, beta=1e\+200, n=5\)"
+    with pytest.raises(NumericalFailureError, match=name):
+        gauss_jacobi_rule(JacobiIndex(0.0, 1e200), 5)
+    # At (1e200, 1e200) the logarithm of the weights' constant cancels to a
+    # finite value, but the Jacobi matrix does not fit a float.
+    name = r"Gauss-Jacobi rule \(alpha=1e\+200, beta=1e\+200, n=5\): eigensolve failed: non-finite"
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailureError, match=name):
+        gauss_jacobi_rule(JacobiIndex(1e200, 1e200), 5)
+    # The nodes and weights of J^{600,600} are fine, but the closed-form mass
+    # of its weight, 2^1201 B(601, 601), overflows on the way.
+    name = r"Gauss-Jacobi rule \(alpha=600\.0, beta=600\.0, n=5\): the weight's mass overflows"
+    with pytest.raises(NumericalFailureError, match=name):
+        gauss_jacobi_rule(JacobiIndex(600.0, 600.0), 5)
 
 
 def test_rule_affine_mapping():

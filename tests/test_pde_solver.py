@@ -253,6 +253,59 @@ def test_tensor_residual_bound_is_enforced_and_recorded():
     # means the bound held, and it is carried on the solution object
 
 
+@pytest.mark.parametrize("d, n, m", [(1, 12, 10), (2, 6, 6), (2, 20, 20)])
+def test_solve_pins_v_and_residual_to_the_public_assembly_and_the_full_products(d, n, m):
+    # V from the public assemble_* matrices, and the residual with VB taken
+    # as B on every axis of V, bit for bit.
+    tb, sb = bases(n, m, d)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=d)
+    sol = solve_spacetime(prob, tb, sb)
+    S = assemble_stiffness(tb, prob.delta, SPEC5, n + 8)
+    M = assemble_mass(tb, SPEC5)
+    F = assemble_spacetime_load(prob, tb, sb)
+    B = space_mass_matrix(m)
+    lam, E = eigh(B)
+    vhat = pde_mod._solve_modes(S, M, pde_mod._mode_table(lam, d), pde_mod._mode_product(F, [E] * d))
+    V = pde_mod._mode_product(vhat, [E.T] * d)
+    assert np.array_equal(sol.V, V)
+    VB = pde_mod._mode_product(V, [B] * d)
+    lap = np.zeros_like(V)
+    for i in range(d):
+        lap += pde_mod._mode_product(V, [None if j == i else B for j in range(d)])
+    lap += VB
+    resid = np.tensordot(S, VB, axes=1)
+    resid += np.tensordot(M, lap, axes=1)
+    resid -= F
+    assert sol.residual == float(np.max(np.abs(resid)))
+
+
+@pytest.mark.parametrize("separable", [True, False], ids=["separable", "callable"])
+def test_a_spacetime_solve_builds_every_rule_in_one_batch(rule_batches, separable):
+    tb, sb = bases(6, 6)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    if not separable:
+        rhs = lambda x, y, t: np.cos(x) * np.sin(y + 1.0) * (1.0 + t)  # noqa: E731
+        prob = PDEProblem(prob.delta, SPEC5, rhs, 2)
+    solve_spacetime(prob, tb, sb)
+    # Stiffness pair, mass, spatial rule, then one rule per power or one sampling rule.
+    assert rule_batches == [4 + (len(prob.rhs.time_source) if separable else 1)]
+
+
+@pytest.mark.parametrize(
+    "factors, time_source, message",
+    [
+        ((np.cos,), ((1.0, 1.0),), "one spatial factor per dimension"),
+        ((np.cos, np.cos), ((1.0, 1.0), (2.0, -7.0)), "power -7.0 is not integrable"),
+    ],
+)
+def test_source_is_refused_before_any_rule_is_built(rule_batches, factors, time_source, message):
+    tb, sb = bases(6, 6)
+    prob = PDEProblem(FracOrder(0.5), SPEC5, SeparableRHS(factors, time_source), 2)
+    with pytest.raises(DomainError, match=message):
+        solve_spacetime(prob, tb, sb)
+    assert rule_batches == []
+
+
 def test_solve_spacetime_refuses_a_time_basis_on_another_interval():
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=1)
     with pytest.raises(DomainError, match=r"time basis interval \(0\.0, 1\.0\) must be"):
