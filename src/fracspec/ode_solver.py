@@ -9,6 +9,7 @@ factor ((1-tau^r)/(1-tau))^(-delta) is sampled pointwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -23,6 +24,7 @@ from .orthopoly import (
     TimeBasis,
     gauss_jacobi_rules,
     gjp_table,
+    jacobi_blocks,
     jacobi_table,
 )
 
@@ -45,6 +47,9 @@ COND_LIMIT = 1e14
 # stiffness rules get N + QUAD_GUARD, the spatial load rule M + QUAD_GUARD
 # and a sampled time load N + 2*QUAD_GUARD.
 QUAD_GUARD = 8
+# Degrees of the stiffness inner pass contracted per product: bounds its
+# working memory at (_INNER_ROWS + 2) * (N + QUAD_GUARD)^2 values.
+_INNER_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -109,15 +114,38 @@ class TimeSolution:
         return evaluate(self, s_points)
 
 
-def _assemble(*pieces) -> list:
+def _assemble(basis: TimeBasis, *pieces) -> list:
     """Build the rules of every piece in one batch, then each piece's matrix from its own rules.
 
-    A piece is (requests, build): its Gauss-Jacobi rule requests, checked
-    when the piece is made, and the function of those rules, in request
-    order, that makes its matrix.
+    A piece is (requests, points, build): its Gauss-Jacobi rule requests,
+    checked when the piece is made; the function of those rules, in request
+    order, that gives the reference points where the piece needs
+    J^{alpha,1}_0..J^{alpha,1}_{N-1} of the basis; and the function of that
+    block of the table and the rules that makes its matrix.  One
+    jacobi_table over every piece's points serves them all.
     """
-    rules = iter(gauss_jacobi_rules([request for requests, _ in pieces for request in requests]))
-    return [build(*itertools.islice(rules, len(requests))) for requests, build in pieces]
+    batch = iter(gauss_jacobi_rules([request for requests, _, _ in pieces for request in requests]))
+    rules = [tuple(itertools.islice(batch, len(requests))) for requests, _, _ in pieces]
+    points = [piece_points(*own) for (_, piece_points, _), own in zip(pieces, rules)]
+    table = jacobi_table(JacobiIndex(basis.alpha, 1.0), basis.n_modes - 1, np.concatenate(points))
+    blocks = np.split(table, np.cumsum([p.size for p in points[:-1]]), axis=1)
+    # Contiguous copies, so each product takes a lone table's BLAS path.
+    return [
+        build(np.ascontiguousarray(block), *own)
+        for (_, _, build), block, own in zip(pieces, blocks, rules)
+    ]
+
+
+def _reference_points(basis: TimeBasis, *rules) -> np.ndarray:
+    """The rules' nodes, in order, mapped onto the basis's reference interval (-1, 1)."""
+    if not rules:
+        return np.empty(0)
+    return basis.to_reference(np.concatenate([rule.nodes for rule in rules]))
+
+
+def _basis_values(basis: TimeBasis, block: np.ndarray, *rules) -> np.ndarray:
+    """gjp_table of the rules' nodes from their block of the J^{alpha,1} table: (1 + x) times it."""
+    return (1.0 + _reference_points(basis, *rules)) * block
 
 
 def _psi_request(basis: TimeBasis, transform: TransformSpec, n: int) -> tuple:
@@ -139,7 +167,9 @@ def _stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec, qua
     r = transform.r
     T = transform.horizon_T
     b = transform.b_psi
-    if not np.allclose(basis.interval, (0.0, b), rtol=0.0, atol=1e-12 * b):
+    lo, hi = basis.interval
+    # Written so that a NaN end is refused too.
+    if not (abs(lo) <= 1e-12 * b and abs(hi - b) <= 1e-12 * b):
         raise DomainError(f"time basis interval {basis.interval} must be (0, T^gamma) = (0, {b!r})")
     alpha = basis.alpha
     requests = [
@@ -147,7 +177,10 @@ def _stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec, qua
         (JacobiIndex(-d, 0.0), quad_n, (0.0, 1.0)),
     ]
 
-    def build(outer, inner):
+    def points(outer, inner):
+        return 2.0 * outer.nodes - 1.0
+
+    def build(jac_outer, outer, inner):
         eta, w = outer.nodes, outer.weights
         eta_h, w_h = inner.nodes, inner.weights
 
@@ -159,20 +192,24 @@ def _stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec, qua
                 acc += eta_h**k
             smooth = acc ** (-d)
 
-        # Inner pass: K[i, n-1] = sum_j w_h[j] smooth[j] J^{alpha+1,0}_{n-1}(2 eta_i eta_h_j - 1)
+        # Inner pass: K[n-1, i] = sum_j w_h[j] smooth[j] J^{alpha+1,0}_{n-1}(2 eta_i eta_h_j - 1),
+        # _INNER_ROWS degrees a product, each product the one a full table would take.
         args = 2.0 * np.outer(eta, eta_h) - 1.0
-        jac_inner = jacobi_table(JacobiIndex(alpha + 1.0, 0.0), n_modes - 1, args.ravel())
-        jac_inner = jac_inner.reshape(n_modes, eta.size, eta_h.size)
-        K = jac_inner @ (w_h * smooth)  # (n, i)
+        weighted = w_h * smooth
+        K = np.empty((n_modes, eta.size))
+        inner_family = JacobiIndex(alpha + 1.0, 0.0)
+        blocks = jacobi_blocks(inner_family, n_modes - 1, args.ravel(), _INNER_ROWS)
+        for start, block in zip(range(0, n_modes, _INNER_ROWS), blocks):
+            rows = block.reshape(-1, *args.shape)
+            np.matmul(rows, weighted, out=K[start : start + len(rows)])
 
-        jac_outer = jacobi_table(JacobiIndex(alpha, 1.0), n_modes - 1, 2.0 * eta - 1.0)  # (m, i)
         core = (jac_outer * w) @ K.T  # (m, n)
 
         n_idx = np.arange(1, n_modes + 1, dtype=float)
         pref = 4.0 * n_idx * T ** (1.0 - d) * r / math.gamma(1.0 - d)
         return core * pref[None, :]
 
-    return requests, build
+    return requests, points, build
 
 
 def assemble_stiffness(
@@ -187,34 +224,35 @@ def assemble_stiffness(
     roundoff for moderate r.  The entries are those of the basis on
     (0, T^gamma), so any other basis interval is refused.
     """
-    return _assemble(_stiffness(basis, delta, transform, quad_n))[0]
+    return _assemble(basis, _stiffness(basis, delta, transform, quad_n))[0]
 
 
 def _mass(basis: TimeBasis, transform: TransformSpec):
     """assemble_mass as a piece."""
     r = transform.r
 
-    def build(rule):
-        table = gjp_table(basis, rule.nodes)
+    def build(block, rule):
+        table = _basis_values(basis, block, rule)
         weighted = table * rule.weights
         m = r * (weighted @ table.T)
         upper = np.triu(m)
         return upper + np.triu(m, 1).T
 
-    return [_psi_request(basis, transform, (2 * basis.n_modes + r + 2 + 1) // 2)], build
+    request = _psi_request(basis, transform, (2 * basis.n_modes + r + 2 + 1) // 2)
+    return [request], functools.partial(_reference_points, basis), build
 
 
 def assemble_mass(basis: TimeBasis, transform: TransformSpec) -> np.ndarray:
     """Mass M_mn = (j_n, j_m) against psi'(t) dt; exact Gauss-Jacobi quadrature."""
-    return _assemble(_mass(basis, transform))[0]
+    return _assemble(basis, _mass(basis, transform))[0]
 
 
-def _load_matrix(basis: TimeBasis, transform: TransformSpec, f, rule) -> np.ndarray:
-    """The load of f on the (0, r-1) rule `rule`: see assemble_load."""
+def _load_matrix(basis: TimeBasis, transform: TransformSpec, f, block, rule) -> np.ndarray:
+    """The load of f on the (0, r-1) rule `rule`, from its J^{alpha,1} block: see assemble_load."""
     vals = np.asarray(f(rule.nodes), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("right-hand side returned NaN or inf at a quadrature node")
-    table = gjp_table(basis, rule.nodes)
+    table = _basis_values(basis, block, rule)
     wv = np.moveaxis(rule.weights * vals, -1, 0)
     quad_n = rule.nodes.size
     return transform.r * (table @ wv.reshape(quad_n, -1)).reshape(table.shape[:1] + wv.shape[1:])
@@ -226,8 +264,16 @@ def assemble_load(basis: TimeBasis, transform: TransformSpec, f, quad_n: int) ->
     f may return leading axes, with time last: values of shape (..., nodes)
     give a load of shape (N, ...), one time load per leading index.
     """
-    request = _psi_request(basis, transform, quad_n)
-    return _assemble(([request], lambda rule: _load_matrix(basis, transform, f, rule)))[0]
+    return _assemble(basis, _load(basis, transform, f, _psi_request(basis, transform, quad_n)))[0]
+
+
+def _load(basis: TimeBasis, transform: TransformSpec, f, request):
+    """assemble_load as a piece, on the rule of `request`."""
+
+    def build(block, rule):
+        return _load_matrix(basis, transform, f, block, rule)
+
+    return [request], functools.partial(_reference_points, basis), build
 
 
 def _load_powers(basis: TimeBasis, transform: TransformSpec, terms):
@@ -244,19 +290,16 @@ def _load_powers(basis: TimeBasis, transform: TransformSpec, terms):
             raise DomainError(f"power {p} is not integrable against the weight")
         requests.append((JacobiIndex(0.0, beta), n_quad, (0.0, b)))
 
-    def build(*rules):
+    def build(block, *rules):
         out = np.zeros(n_modes)
-        if not rules:
-            return out
-        tables = gjp_table(basis, np.concatenate([rule.nodes for rule in rules]))
-        tables = tables.reshape(n_modes, len(rules), n_quad)
+        tables = _basis_values(basis, block, *rules).reshape(n_modes, len(rules), n_quad)
         for k, ((c, _), rule) in enumerate(zip(terms, rules)):
             # A contiguous copy, so the product takes a lone table's BLAS path.
             table = np.ascontiguousarray(tables[:, k])
             out += c * r * (table @ rule.weights)
         return out
 
-    return requests, build
+    return requests, functools.partial(_reference_points, basis), build
 
 
 def assemble_load_powers(
@@ -268,14 +311,13 @@ def assemble_load_powers(
     including the endpoint-singular powers p in (-1, 0) produced by
     manufactured solutions with exponent below delta.
     """
-    return _assemble(_load_powers(basis, transform, terms))[0]
+    return _assemble(basis, _load_powers(basis, transform, terms))[0]
 
 
 def _time_load(basis: TimeBasis, transform: TransformSpec, source):
     """assemble_time_load as a piece."""
     if callable(source):
-        request = _sampled_request(basis, transform)
-        return [request], lambda rule: _load_matrix(basis, transform, source, rule)
+        return _load(basis, transform, source, _sampled_request(basis, transform))
     return _load_powers(basis, transform, source)
 
 
@@ -285,7 +327,7 @@ def assemble_time_load(basis: TimeBasis, transform: TransformSpec, source) -> np
     A callable is sampled on the (0, r-1) rule of N + 2*QUAD_GUARD points;
     monomials load exactly, one rule per power.
     """
-    return _assemble(_time_load(basis, transform, source))[0]
+    return _assemble(basis, _time_load(basis, transform, source))[0]
 
 
 def solve_linear(A: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -334,6 +376,7 @@ def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes):
     def blocks():
         try:
             S, M, F = _assemble(
+                basis,
                 _stiffness(basis, problem.delta, problem.transform, n_modes + QUAD_GUARD),
                 _mass(basis, problem.transform),
                 _time_load(basis, problem.transform, problem.time_source),

@@ -25,6 +25,7 @@ __all__ = [
     "QuadratureRule",
     "TimeBasis",
     "jacobi_table",
+    "jacobi_blocks",
     "jacobi_weight_integral",
     "gauss_jacobi_rule",
     "gauss_jacobi_rules",
@@ -60,28 +61,48 @@ def jacobi_table(idx: JacobiIndex, n_max: int, x) -> np.ndarray:
     """Values of J^{a,b}_0..J^{a,b}_{n_max} at x, shape (n_max+1, len(x)).
 
     Three-term recurrence; stable for the parameter ranges used here.  |x| > 1
-    is permitted but is extrapolation.
+    is permitted but is extrapolation.  The one-block case of jacobi_blocks.
+    """
+    return next(jacobi_blocks(idx, n_max, x, n_max + 1))
+
+
+def jacobi_blocks(idx: JacobiIndex, n_max: int, x, rows: int):
+    """The rows of jacobi_table(idx, n_max, x), `rows` degrees a block (the last may be shorter).
+
+    Each block is a view that the next one overwrites: only one block and
+    the two rows before it are held, so the working memory is
+    (rows + 2) * len(x) values whatever n_max is.  Every block has
+    jacobi_table's bits, because the operations and their order are those
+    of one recurrence over the whole table.
     """
     if n_max < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {n_max}")
     a, b = idx.alpha, idx.beta
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((n_max + 1, x.size))
-    out[0] = 1.0
-    if n_max == 0:
-        return out
-    out[1] = 0.5 * (a + b + 2) * x + 0.5 * (a - b)
     a1, a2, a3, a4 = _recurrence_coefficients(a, b, np.arange(1.0, n_max))
-    body = out[2:]
-    np.multiply(a3[:, None], x, out=body)
-    body += a2[:, None]
+    # buf[k + 2] holds the row of degree start + k; buf[0] and buf[1] hold
+    # the two rows before the block.
+    buf = np.empty((min(rows, n_max + 1) + 2, x.size))
     tmp = np.empty(x.size)
-    for n in range(1, n_max):
-        row = out[n + 1]
-        row *= out[n]
-        row -= np.multiply(a4[n - 1], out[n - 1], out=tmp)
-        row /= a1[n - 1]
-    return out
+    for start in range(0, n_max + 1, rows):
+        stop = min(start + rows, n_max + 1)
+        out = buf[: stop - start + 2]
+        if start == 0:
+            out[2] = 1.0
+        if start <= 1 < stop:
+            out[3 - start] = 0.5 * (a + b + 2) * x + 0.5 * (a - b)
+        first = max(start, 2)
+        body = out[first - start + 2 :]
+        degrees = slice(first - 2, first - 2 + len(body))
+        np.multiply(a3[degrees, None], x, out=body)
+        body += a2[degrees, None]
+        for n in range(first - 1, stop - 1):
+            row = out[n - start + 3]
+            row *= out[n - start + 2]
+            row -= np.multiply(a4[n - 1], out[n - start + 1], out=tmp)
+            row /= a1[n - 1]
+        yield out[2:]
+        buf[:2] = out[-2:]
 
 
 def _recurrence_coefficients(a, b, n: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -341,7 +362,8 @@ def gauss_jacobi_rules(requests) -> tuple[QuadratureRule, ...]:
         for (idx, n, (lo, hi)), (constant, scale), nodes_i, dp_i, residual_i in zip(
             built, constants, np.split(x, cuts), np.split(dp, cuts), residual
         ):
-            if residual_i > 1e-13:
+            # Written so that a NaN residual is refused too.
+            if not residual_i <= 1e-13:
                 raise NumericalFailureError(
                     f"{_rule_name(idx, n)}: Newton stalled, max node residual {residual_i:.3e}",
                     estimate=nodes_i,

@@ -24,6 +24,7 @@ from .ode_solver import (
     _assemble,
     _load_matrix,
     _mass,
+    _reference_points,
     _sampled_request,
     _stiffness,
     _time_load,
@@ -192,33 +193,41 @@ def _spacetime_load(problem: PDEProblem, time_basis: TimeBasis, space_basis: Spa
     if isinstance(rhs, SeparableRHS):
         if len(rhs.space_factors) != d:
             raise DomainError("separable source needs one spatial factor per dimension")
-        time_requests, time_load = _time_load(time_basis, transform, rhs.time_source)
+        time_requests, time_points, time_load = _time_load(time_basis, transform, rhs.time_source)
 
-        def build(rule, *time_rules):
+        def build(block, rule, *time_rules):
             wphi = weighted_phi(rule)
-            ft = time_load(*time_rules)
+            ft = time_load(block, *time_rules)
             vals = [np.asarray(Xf(rule.nodes), dtype=float) for Xf in rhs.space_factors]
             if not all(np.all(np.isfinite(v)) for v in vals):
                 raise ValueError("space factor returned NaN or inf at a quadrature node")
             vecs = [wphi @ v for v in vals]
             return functools.reduce(np.multiply.outer, vecs, ft)
 
-        return [space_request, *time_requests], build
+        def points(rule, *time_rules):
+            return time_points(*time_rules)
+
+        return [space_request, *time_requests], points, build
 
     # Generic callable f(x[, y], t): time load at every spatial node, then space.
-    def build(rule, time_rule):
+    def points(rule, time_rule):
+        return _reference_points(time_basis, time_rule)
+
+    def build(block, rule, time_rule):
         nodes = rule.nodes
-        ft = _load_matrix(time_basis, transform, lambda t: rhs(*np.ix_(*[nodes] * d, t)), time_rule)
+        ft = _load_matrix(
+            time_basis, transform, lambda t: rhs(*np.ix_(*[nodes] * d, t)), block, time_rule
+        )
         return _mode_product(ft, [weighted_phi(rule).T] * d)
 
-    return [space_request, _sampled_request(time_basis, transform)], build
+    return [space_request, _sampled_request(time_basis, transform)], points, build
 
 
 def assemble_spacetime_load(
     problem: PDEProblem, time_basis: TimeBasis, space_basis: SpatialBasis
 ) -> np.ndarray:
     """Load tensor f_{n,k[,l]} = (f, phi_k [phi_l] j_n) over the space-time cylinder."""
-    return _assemble(_spacetime_load(problem, time_basis, space_basis))[0]
+    return _assemble(time_basis, _spacetime_load(problem, time_basis, space_basis))[0]
 
 
 def _mode_table(lam: np.ndarray, d: int) -> np.ndarray:
@@ -388,6 +397,7 @@ def solve_spacetime(
     where = f"delta={problem.delta.delta}, r={problem.transform.r}, N={N}, M={space_basis.m_modes}"
     try:
         S, M, F = _assemble(
+            time_basis,
             _stiffness(time_basis, problem.delta, problem.transform, N + QUAD_GUARD),
             _mass(time_basis, problem.transform),
             _spacetime_load(problem, time_basis, space_basis),

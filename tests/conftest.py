@@ -97,3 +97,19 @@ def rule_batches(monkeypatch):
 
     monkeypatch.setattr(ode_mod, "gauss_jacobi_rules", counting)
     return calls
+
+
+@pytest.fixture
+def basis_tables(monkeypatch):
+    """The Jacobi family of each jacobi_table call that the solvers' assembly makes."""
+    import fracspec.ode_solver as ode_mod
+
+    real = ode_mod.jacobi_table
+    families = []
+
+    def counting(idx, n_max, x):
+        families.append(idx)
+        return real(idx, n_max, x)
+
+    monkeypatch.setattr(ode_mod, "jacobi_table", counting)
+    return families

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from fracspec.ode_solver import (
     solve_linear,
     solve_nested,
 )
-from fracspec.orthopoly import JacobiIndex, TimeBasis, gauss_jacobi_rule, gjp_eval, gjp_table
+from fracspec.orthopoly import (
+    JacobiIndex,
+    TimeBasis,
+    gauss_jacobi_rule,
+    gauss_jacobi_rules,
+    gjp_eval,
+    gjp_table,
+    jacobi_table,
+)
 
 
 def basis_for(spec, n, alpha=0.0):
@@ -74,6 +83,59 @@ def test_stiffness_symmetric_part_near_psd():
     sym = 0.5 * (S + S.T)
     eigs = np.linalg.eigvalsh(sym)
     assert eigs.min() >= -1e-10 * np.abs(S).max()
+
+
+def _full_table_stiffness(basis, delta, spec, quad_n):
+    """The stiffness from the whole (N, Q, Q) Jacobi table of its inner pass, in one product."""
+    d, r, n_modes = delta.delta, spec.r, basis.n_modes
+    outer, inner = gauss_jacobi_rules(
+        [
+            (JacobiIndex(0.0, (1.0 - d) * r + 1.0), quad_n, (0.0, 1.0)),
+            (JacobiIndex(-d, 0.0), quad_n, (0.0, 1.0)),
+        ]
+    )
+    eta, w = outer.nodes, outer.weights
+    eta_h, w_h = inner.nodes, inner.weights
+    smooth = np.ones_like(eta_h)
+    if r > 1:
+        acc = np.zeros_like(eta_h)
+        for k in range(r):
+            acc += eta_h**k
+        smooth = acc ** (-d)
+    args = 2.0 * np.outer(eta, eta_h) - 1.0
+    jac_inner = jacobi_table(JacobiIndex(basis.alpha + 1.0, 0.0), n_modes - 1, args.ravel())
+    K = jac_inner.reshape(n_modes, eta.size, eta_h.size) @ (w_h * smooth)
+    jac_outer = jacobi_table(JacobiIndex(basis.alpha, 1.0), n_modes - 1, 2.0 * eta - 1.0)
+    core = (jac_outer * w) @ K.T
+    n_idx = np.arange(1, n_modes + 1, dtype=float)
+    pref = 4.0 * n_idx * spec.horizon_T ** (1.0 - d) * r / math.gamma(1.0 - d)
+    return core * pref[None, :]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 80])
+@pytest.mark.parametrize("r", [1, 2, 5, 7])
+@pytest.mark.parametrize("dd", [0.1, 0.5, 0.9])
+def test_streamed_stiffness_has_the_full_table_bits(dd, r, n):
+    # The inner pass contracts a few degrees at a time and never holds the
+    # (N, Q, Q) table; every entry keeps the bits of the one-product build.
+    spec = TransformSpec(r, 2.0)
+    basis = basis_for(spec, n)
+    quad_n = n + ode_mod.QUAD_GUARD
+    S = assemble_stiffness(basis, FracOrder(dd), spec, quad_n)
+    assert np.array_equal(S, _full_table_stiffness(basis, FracOrder(dd), spec, quad_n))
+
+
+def test_stiffness_working_memory_does_not_grow_with_the_degree():
+    # The whole inner table would be N * (N + 8)^2 values: 67.7 MiB at N=200.
+    spec = TransformSpec(5, 2.0)
+    basis = basis_for(spec, 200)
+    tracemalloc.start()
+    try:
+        assemble_stiffness(basis, FracOrder(0.5), spec, 200 + ode_mod.QUAD_GUARD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_stiffness_quad_n_precondition():
@@ -353,7 +415,9 @@ def test_solve_with_non_default_horizon():
 
 
 @pytest.mark.parametrize(
-    "interval", [(0.0, 1.0), (0.0, 2.0), (0.1, 2.0 ** 0.2)], ids=["unit", "T", "shifted"]
+    "interval",
+    [(0.0, 1.0), (0.0, 2.0), (0.1, 2.0 ** 0.2), (0.0, math.inf), (-math.inf, 2.0 ** 0.2)],
+    ids=["unit", "T", "shifted", "unbounded", "unbounded-below"],
 )
 def test_solve_refuses_a_basis_on_another_interval(interval):
     # The stiffness is that of the basis on (0, T^gamma); mass, load and
@@ -623,14 +687,17 @@ _ONE_BATCH_PROBLEMS = [
 
 
 @pytest.mark.parametrize("prob", _ONE_BATCH_PROBLEMS, ids=["powers", "callable"])
-def test_a_solve_builds_every_rule_in_one_batch(rule_batches, prob):
+def test_a_solve_builds_every_rule_in_one_batch(rule_batches, basis_tables, prob):
     # Stiffness pair, mass rule and the load rules: one per power, or one
-    # sampling rule for a callable source.
+    # sampling rule for a callable source.  One J^{0,1} table serves the
+    # stiffness outer nodes, the mass and the load.
     loads = 1 if callable(prob.source) else len(prob.time_source)
     solve(prob, basis_for(prob.transform, 12))
     assert rule_batches == [3 + loads]
+    assert basis_tables == [JacobiIndex(0.0, 1.0)]
     list(solve_nested(prob, basis_for(prob.transform, 12), (4, 8, 12)))
     assert rule_batches == [3 + loads] * 2
+    assert basis_tables == [JacobiIndex(0.0, 1.0)] * 2
 
 
 @pytest.mark.parametrize("prob", _ONE_BATCH_PROBLEMS, ids=["powers", "callable"])

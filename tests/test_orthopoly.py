@@ -19,6 +19,7 @@ from fracspec.orthopoly import (
     gjp_deriv,
     gjp_eval,
     gjp_table,
+    jacobi_blocks,
     jacobi_table,
     jacobi_weight_integral,
     legendre_phi_table,
@@ -285,6 +286,16 @@ def test_jacobi_table_bits_match_row_loop(a, b, n_max):
     assert np.array_equal(jacobi_table(JacobiIndex(a, b), n_max, x), _oracle_jacobi_table(a, b, n_max, x))
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 8, 98])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 17, 97])
+def test_jacobi_blocks_have_the_table_bits(n_max, rows):
+    x = np.random.default_rng(n_max).uniform(-1.1, 1.1, 53)
+    for a, b in [(0.0, 0.0), (-0.9, 0.0), (1.0, 0.0), (1.5, -0.3)]:
+        blocks = [block.copy() for block in jacobi_blocks(JacobiIndex(a, b), n_max, x, rows)]
+        assert [len(block) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), _oracle_jacobi_table(a, b, n_max, x))
+
+
 def test_batched_jacobi_matrices_match_lone_matrices():
     # One broadcast builds every family's matrix; its leading n x n block is
     # the family's own matrix, bit for bit.
@@ -342,6 +353,24 @@ def test_rule_refuses_when_newton_stalls(monkeypatch):
     message = str(info.value)
     assert message.startswith("Gauss-Jacobi rule (alpha=-0.5, beta=0.0, n=12): Newton stalled")
     assert info.value.error_bound > 1e-13
+
+
+def test_rule_refuses_a_nan_node_as_a_newton_stall(monkeypatch):
+    # A NaN node makes its Newton residual NaN, which the stall check refuses
+    # at the Newton stage, naming the rule.
+    stevd = orthopoly._dstevd
+
+    def eigensolve(diag, off):
+        nodes, vectors, info = stevd(diag, off)
+        nodes[3] = math.nan
+        return nodes, vectors, info
+
+    monkeypatch.setattr(orthopoly, "_dstevd", eigensolve)
+    with pytest.raises(NumericalFailureError) as info:
+        gauss_jacobi_rule(JacobiIndex(0.0, 2.0), 8)
+    message = str(info.value)
+    assert message.startswith("Gauss-Jacobi rule (alpha=0.0, beta=2.0, n=8): Newton stalled")
+    assert math.isnan(info.value.error_bound)
 
 
 def _one_at_a_time(requests):

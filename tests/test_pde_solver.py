@@ -9,7 +9,7 @@ import fracspec.pde_solver as pde_mod
 from fracspec.errors import DomainError, NumericalFailureError
 from fracspec.frac_ops import FracOrder, PowerSum, TransformSpec, adaptive_quad
 from fracspec.ode_solver import TimeProblem, assemble_mass, assemble_stiffness, solve
-from fracspec.orthopoly import TimeBasis, gjp_eval, legendre_phi_table
+from fracspec.orthopoly import JacobiIndex, TimeBasis, gjp_eval, legendre_phi_table
 from fracspec.problems import build_problem, get_entry
 from fracspec.pde_solver import (
     PDEProblem,
@@ -280,7 +280,7 @@ def test_solve_pins_v_and_residual_to_the_public_assembly_and_the_full_products(
 
 
 @pytest.mark.parametrize("separable", [True, False], ids=["separable", "callable"])
-def test_a_spacetime_solve_builds_every_rule_in_one_batch(rule_batches, separable):
+def test_a_spacetime_solve_builds_every_rule_in_one_batch(rule_batches, basis_tables, separable):
     tb, sb = bases(6, 6)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
     if not separable:
@@ -289,6 +289,8 @@ def test_a_spacetime_solve_builds_every_rule_in_one_batch(rule_batches, separabl
     solve_spacetime(prob, tb, sb)
     # Stiffness pair, mass, spatial rule, then one rule per power or one sampling rule.
     assert rule_batches == [4 + (len(prob.rhs.time_source) if separable else 1)]
+    # One J^{0,1} table serves the stiffness outer nodes, the mass and the time load.
+    assert basis_tables == [JacobiIndex(0.0, 1.0)]
 
 
 @pytest.mark.parametrize(
