@@ -33,8 +33,10 @@ LINF_GRID = 1001
 PDE_GRID = 33
 L2_PANELS = 20
 L2_POINTS_PER_PANEL = 10
-# The panel rule depends on nothing but its size, so it is built once.
+PDE_L2_POINTS = 40
+# The Gauss-Legendre rules depend on nothing but their sizes, so each is built once.
 _L2_PANEL_RULE = np.polynomial.legendre.leggauss(L2_POINTS_PER_PANEL)
+_PDE_L2_RULE = np.polynomial.legendre.leggauss(PDE_L2_POINTS)
 
 
 @dataclass(frozen=True)
@@ -110,15 +112,21 @@ def _error_points(transform, weighted: bool = False):
 def _error_of(points, basis: TimeBasis, exact):
     """sol -> error of u_N against `exact` on points = (s, weights), for any leading block of basis.
 
-    The basis table and the exact values at the points are built at the first call and reused.
+    `exact` is a callable of s or a TimeSolution of basis itself, which is then
+    evaluated on the table of the rows.  The basis table and the exact values at
+    the points are built at the first call and reused.
     """
     s, weights = points
     built = []
 
     def error(sol: TimeSolution) -> float:
         if not built:
-            t = sol.transform.psi_inverse(s)
-            built.extend((gjp_table(basis, t), np.asarray(exact(s), dtype=float)))
+            table = gjp_table(basis, sol.transform.psi_inverse(s))
+            if isinstance(exact, TimeSolution):
+                values = evaluate_table(exact, table)
+            else:
+                values = np.asarray(exact(s), dtype=float)
+            built.extend((table, values))
         diff = evaluate_table(sol, built[0]) - built[1]
         if weights is None:
             return float(np.max(np.abs(diff)))
@@ -138,7 +146,11 @@ def error_l2(sol: TimeSolution, exact, *, weighted: bool = False) -> float:
 
 
 def self_convergence_reference(problem: TimeProblem, n_ref: int) -> TimeSolution:
-    """High-resolution solve used as a surrogate exact solution."""
+    """High-resolution solve used as a surrogate exact solution.
+
+    A reference study draws this same solve, bit for bit, as the first block of
+    its one assembly at n_ref (see run_convergence_study).
+    """
     return solve(problem, TimeBasis(0.0, n_ref, (0.0, problem.transform.b_psi)))
 
 
@@ -156,25 +168,23 @@ class StudyRequest:
     def __post_init__(self):
         if len(self.n_values) == 0:
             raise DomainError("need at least one resolution")
-        if (self.exact is None) and (self.ref_n is None):
-            raise DomainError("studies need an exact solution or a reference resolution")
-        if self.ref_n is not None and self.exact is None:
-            if self.ref_n < 2 * max(self.n_values):
-                raise DomainError(
-                    f"reference resolution {self.ref_n} must be at least twice the largest N"
-                )
+        if (self.exact is None) == (self.ref_n is None):
+            raise DomainError("exactly one of exact/ref_n must be given")
+        if self.ref_n is not None and self.ref_n < 2 * max(self.n_values):
+            raise DomainError(
+                f"reference resolution {self.ref_n} must be at least twice the largest N"
+            )
 
 
 def _run_study(problem_id: str, resolutions, solutions, errors_of) -> ConvergenceStudy:
     """Draw one solution per (N, M) in order, timing each draw alone, and collect error reports.
 
     `solutions` is an iterator that yields the solution at each resolution in
-    order, doing its work only when drawn.  The order of the resolutions is
-    checked before the first draw.  Any member failure aborts the study; the
+    order, doing its work only when drawn; the caller has checked the order of
+    the resolutions before any work.  Any member failure aborts the study; the
     completed reports travel on the raised StudyError so partial progress is
     never silently discarded.
     """
-    _require_increasing(resolutions)
     done: list[ErrorReport] = []
     try:
         for n, m in resolutions:
@@ -194,35 +204,42 @@ def _run_study(problem_id: str, resolutions, solutions, errors_of) -> Convergenc
 def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
     """Solve at every resolution and collect error reports, smallest N first.
 
-    One assembly at the largest N serves every row: each smaller N is solved
-    on the leading block of that system (solve_nested), so the finest row is
-    the lone solve at that N.  Each set of error points gets one basis table,
-    built at the largest N, and one evaluation of the exact or reference solution.
+    One assembly serves every row: at the largest N, or at ref_n for a study
+    with a reference.  Each N is solved on the leading block of that system
+    (solve_nested), so the top block is the lone solve at its size.  A
+    reference study draws its reference first, as the block at ref_n, which is
+    self_convergence_reference bit for bit; that draw carries the assembly,
+    and no row's runtime_ms includes it.  Each set of error points gets one
+    basis table, built at the assembly's size, and one evaluation of the
+    exact or reference solution.  The order of the resolutions is checked
+    before any work.
     """
     problem = request.problem
-    exact = request.exact
-    if exact is None:
-        exact = self_convergence_reference(problem, request.ref_n).evaluate
     n_values = sorted(request.n_values)
-    basis = TimeBasis(0.0, n_values[-1], (0.0, problem.transform.b_psi))
+    resolutions = [(n, None) for n in n_values]
+    _require_increasing(resolutions)
+    sizes = n_values if request.ref_n is None else [request.ref_n, *n_values]
+    basis = TimeBasis(0.0, max(sizes), (0.0, problem.transform.b_psi))
+    solutions = solve_nested(problem, basis, sizes)
+    exact = request.exact if request.ref_n is None else next(solutions)
     points = _error_points(problem.transform, weighted=request.weighted_l2)
     linf, l2 = (_error_of(p, basis, exact) for p in points)
     return _run_study(
-        request.problem_id,
-        [(n, None) for n in n_values],
-        solve_nested(problem, basis, n_values),
-        lambda sol: (linf(sol), l2(sol)),
+        request.problem_id, resolutions, solutions, lambda sol: (linf(sol), l2(sol))
     )
 
 
 def pde_errors_at_final_time(sol, exact) -> tuple[float, float]:
-    """Max error on the PDE_GRID-point grid per axis and spatial L2 error at s = T."""
+    """Max error on the PDE_GRID-point grid per axis and spatial L2 error at s = T.
+
+    The L2 error uses the PDE_L2_POINTS-point Gauss-Legendre rule per axis.
+    """
     T = sol.transform.horizon_T
     d = sol.space_basis.dimension
     xg = np.linspace(-1.0, 1.0, PDE_GRID)
     diff = sol.evaluate(*([xg] * d), [T]) - exact(*([xg] * d), [T])
     linf = float(np.max(np.abs(diff)))
-    xq, wq = np.polynomial.legendre.leggauss(40)
+    xq, wq = _PDE_L2_RULE
     dq = sol.evaluate(*([xq] * d), [T]) - exact(*([xq] * d), [T])
     weights = functools.reduce(np.multiply.outer, [wq] * d)
     l2 = float(np.sqrt(np.sum(weights * dq[..., 0] ** 2)))
@@ -243,6 +260,7 @@ def run_pde_convergence_study(
         raise DomainError("need matching N and M lists (equal length)")
     interval, d = (0.0, problem.transform.b_psi), problem.dimension
     resolutions = list(zip(n_values, m_values))
+    _require_increasing(resolutions)
     return _run_study(
         problem_id,
         resolutions,

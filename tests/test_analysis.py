@@ -15,7 +15,7 @@ from fracspec.analysis import (
     run_pde_convergence_study,
     self_convergence_reference,
 )
-from fracspec.errors import DomainError, StudyError
+from fracspec.errors import DomainError, NumericalFailureError, StudyError
 from fracspec.frac_ops import PowerSum, TransformSpec
 from fracspec.ode_solver import TimeProblem, TimeSolution, solve, solve_nested
 from fracspec.orthopoly import TimeBasis
@@ -36,9 +36,9 @@ def example2b_problem(delta=0.2):
     return TimeProblem.manufactured(PowerSum(((1.0, math.sqrt(2.0) / 2.0),)), delta, 1.0, spec)
 
 
-def example3_problem(r=6):
+def example3_problem(r=6, delta=0.5):
     spec = TransformSpec(r, 2.0)
-    return TimeProblem.from_source(np.sin, 0.5, 1.0, spec)
+    return TimeProblem.from_source(np.sin, delta, 1.0, spec)
 
 
 def solve_at(problem, n):
@@ -212,6 +212,9 @@ def test_study_validation():
         StudyRequest("x", example3_problem(), ())
     with pytest.raises(DomainError):
         StudyRequest("x", example3_problem(), (4,))  # no exact, no reference
+    for ref_n in (4, 60):  # both, whether or not ref_n would pass its own check
+        with pytest.raises(DomainError, match="exactly one of exact/ref_n"):
+            StudyRequest("x", example3_problem(), (4, 8), exact=np.sin, ref_n=ref_n)
 
 
 def test_study_member_failure_flags_partial_results(monkeypatch):
@@ -331,37 +334,59 @@ def test_reference_solution_errors_vanish_against_itself():
     assert error_linf(sol, ref.evaluate) <= 1e-13
 
 
-def test_study_evaluates_its_reference_once_per_point_set(monkeypatch):
+def test_reference_study_assembles_once_and_builds_one_table_per_point_set(
+    monkeypatch, rule_batches
+):
     import fracspec.analysis as analysis_mod
 
-    real_reference = analysis_mod.self_convergence_reference
-    refs, evaluations = [], []
+    real_gjp_table = analysis_mod.gjp_table
+    builds = []
 
-    class CountedReference:
-        def __init__(self, sol):
-            self.sol = sol
+    def counting_gjp_table(basis, t):
+        builds.append((basis.n_modes, len(t)))
+        return real_gjp_table(basis, t)
 
-        def evaluate(self, s):
-            evaluations.append(len(s))
-            return self.sol.evaluate(s)
+    monkeypatch.setattr(analysis_mod, "gjp_table", counting_gjp_table)
+    run_convergence_study(StudyRequest("example3", example3_problem(), (4, 8, 12), ref_n=24))
+    # The reference and the three rows come from one rule batch, and the
+    # reference values and every row are read from the same tables.
+    assert len(rule_batches) == 1
+    assert sorted(builds) == [(24, 200), (24, 1001)]
 
-    def counted_reference(*args):
-        refs.append(real_reference(*args))
-        return CountedReference(refs[-1])
 
-    monkeypatch.setattr(analysis_mod, "self_convergence_reference", counted_reference)
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain-l2", "weighted-l2"])
+def test_reference_study_rows_are_its_blocks_against_the_lone_reference(monkeypatch, weighted):
+    import fracspec.analysis as analysis_mod
+
+    real_solve_nested = analysis_mod.solve_nested
+    drawn = []
+
+    def recording_solve_nested(problem, basis, sizes):
+        for sol in real_solve_nested(problem, basis, sizes):
+            drawn.append(sol)
+            yield sol
+
+    monkeypatch.setattr(analysis_mod, "solve_nested", recording_solve_nested)
     prob = example3_problem()
-    request = StudyRequest("example3", prob, (4, 8, 12), ref_n=24)
+    n_values = (4, 8, 12)
+    request = StudyRequest("example3", prob, n_values, ref_n=24, weighted_l2=weighted)
     study = run_convergence_study(request)
-    # The uniform max-norm grid and the L2 nodes, once each for three members.
-    assert sorted(evaluations) == [200, 1001]
-    blocks = solve_nested(prob, TimeBasis(0.0, 12, (0.0, prob.transform.b_psi)), (4, 8, 12))
+    reference = self_convergence_reference(prob, 24)
+    # The first draw is the reference: the lone solve at ref_n, bit for bit.
+    assert drawn[0].basis == reference.basis
+    assert np.array_equal(drawn[0].coeffs, reference.coeffs)
+    blocks = solve_nested(prob, TimeBasis(0.0, 24, (0.0, prob.transform.b_psi)), n_values)
     for report, sol in zip(study.reports, blocks, strict=True):
-        assert report.linf_error == error_linf(sol, refs[0].evaluate)
-        assert report.l2_error == error_l2(sol, refs[0].evaluate)
-    # Nothing is kept across studies: a second study evaluates its own reference.
-    run_convergence_study(request)
-    assert len(evaluations) == 4
+        assert report.linf_error == error_linf(sol, reference.evaluate)
+        assert report.l2_error == error_l2(sol, reference.evaluate, weighted=weighted)
+
+
+def test_refused_reference_names_its_size_and_yields_no_rows():
+    # The r = 7, delta = 0.2 system is refused by the condition guard at N = 80.
+    # The refusal is the reference's own, not a StudyError, so no row exists.
+    request = StudyRequest("example3", example3_problem(7, 0.2), (4, 8), ref_n=80)
+    with pytest.raises(NumericalFailureError, match=r"linear solve failed \(delta=0\.2, r=7, N=80\)"):
+        run_convergence_study(request)
 
 
 def test_example3_reference_study_decays():
@@ -426,9 +451,12 @@ def test_pde_study_rejects_unordered_resolutions_before_solving(monkeypatch):
 
 
 def test_scalar_study_rejects_repeated_resolution_before_solving(rule_batches):
-    request = StudyRequest("x", example1_problem(), (4, 4), exact=PowerSum(((1.0, 2.0),)))
-    with pytest.raises(DomainError, match="resolutions must be strictly increasing"):
-        run_convergence_study(request)
+    exact_study = StudyRequest("x", example1_problem(), (4, 4), exact=PowerSum(((1.0, 2.0),)))
+    # The reference at N = 80 would be refused; the order is checked first.
+    reference_study = StudyRequest("x", example3_problem(7, 0.2), (4, 4), ref_n=80)
+    for request in (exact_study, reference_study):
+        with pytest.raises(DomainError, match="resolutions must be strictly increasing"):
+            run_convergence_study(request)
     assert rule_batches == []
 
 

@@ -384,6 +384,18 @@ def test_convergence_reference_study_gamma_comparison(tmp_path, capsys):
     assert finals["1/6"] <= 1e-3 * finals["1"]
 
 
+def test_reference_study_checks_its_resolutions_before_the_reference(capsys):
+    # The reference at N = 80 would be refused (exit 3); the repeated N is
+    # reported first, with no solve done.
+    code, stdout, stderr = run_cli(
+        capsys,
+        "convergence", "--problem", "example3", "--gamma", "1/7", "--delta", "0.2",
+        "--ref-N", "80", "--N", "4,4",
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "resolutions must be strictly increasing\n"
+
+
 def test_weighted_l2_flag_runs_and_matches_plain(capsys):
     outs = {}
     for extra in ((), ("--weighted-l2",)):
