@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StudyError
-from .ode_solver import TimeProblem, TimeSolution, evaluate_table, solve, solve_nested
+from .ode_solver import TimeProblem, TimeSolution, evaluate_table, solve_nested
 from .orthopoly import TimeBasis, gjp_table
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "StudyRequest",
     "error_linf",
     "error_l2",
-    "self_convergence_reference",
     "run_convergence_study",
     "run_pde_convergence_study",
     "pde_errors_at_final_time",
@@ -145,15 +144,6 @@ def error_l2(sol: TimeSolution, exact, *, weighted: bool = False) -> float:
     return _error_of(_error_points(sol.transform, weighted=weighted)[1], sol.basis, exact)(sol)
 
 
-def self_convergence_reference(problem: TimeProblem, n_ref: int) -> TimeSolution:
-    """High-resolution solve used as a surrogate exact solution.
-
-    A reference study draws this same solve, bit for bit, as the first block of
-    its one assembly at n_ref (see run_convergence_study).
-    """
-    return solve(problem, TimeBasis(0.0, n_ref, (0.0, problem.transform.b_psi)))
-
-
 @dataclass(frozen=True)
 class StudyRequest:
     """Specification of a resolution sweep for one time problem."""
@@ -208,7 +198,7 @@ def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
     with a reference.  Each N is solved on the leading block of that system
     (solve_nested), so the top block is the lone solve at its size.  A
     reference study draws its reference first, as the block at ref_n, which is
-    self_convergence_reference bit for bit; that draw carries the assembly,
+    the lone solve at ref_n bit for bit; that draw carries the assembly,
     and no row's runtime_ms includes it.  Each set of error points gets one
     basis table, built at the assembly's size, and one evaluation of the
     exact or reference solution.  The order of the resolutions is checked

@@ -33,8 +33,6 @@ __all__ = [
     "TimeSolution",
     "assemble_stiffness",
     "assemble_mass",
-    "assemble_load",
-    "assemble_load_powers",
     "assemble_time_load",
     "solve_nested",
     "solve",
@@ -43,9 +41,10 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e14
-# Points beyond the basis size for every rule above the assembly layer: the
-# stiffness rules get N + QUAD_GUARD, the spatial load rule M + QUAD_GUARD
-# and a sampled time load N + 2*QUAD_GUARD.
+# Points beyond the basis size in every rule that exactness does not size;
+# each assembly piece sizes its own rules from it: the stiffness rules get
+# N + QUAD_GUARD, the spatial load rule M + QUAD_GUARD and a sampled time
+# load N + 2*QUAD_GUARD.
 QUAD_GUARD = 8
 # Degrees of the stiffness inner pass contracted per product: bounds its
 # working memory at (_INNER_ROWS + 2) * (N + QUAD_GUARD)^2 values.
@@ -158,11 +157,10 @@ def _sampled_request(basis: TimeBasis, transform: TransformSpec) -> tuple:
     return _psi_request(basis, transform, basis.n_modes + 2 * QUAD_GUARD)
 
 
-def _stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec, quad_n: int):
+def _stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec):
     """assemble_stiffness as a piece: its checks, its rule requests, its matrix from those rules."""
     n_modes = basis.n_modes
-    if quad_n < n_modes + 2:
-        raise DomainError(f"quad_n must be at least N+2 = {n_modes + 2}, got {quad_n}")
+    quad_n = n_modes + QUAD_GUARD
     d = delta.delta
     r = transform.r
     T = transform.horizon_T
@@ -212,19 +210,17 @@ def _stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec, qua
     return requests, points, build
 
 
-def assemble_stiffness(
-    basis: TimeBasis, delta: FracOrder, transform: TransformSpec, quad_n: int
-) -> np.ndarray:
+def assemble_stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec) -> np.ndarray:
     """Stiffness S_mn = (D^{delta,psi} j_n, j_m) in the psi-weighted inner product.
 
     Unit-interval form: the outer rule absorbs the weight u^((1-delta)r + 1)
     at zero, the inner rule absorbs (1-tau)^(-delta) at one, and the smooth
-    factor (sum_k tau^k)^(-delta) is evaluated pointwise.  quad_n points per
-    direction keep the only non-exact ingredient (that smooth factor) below
-    roundoff for moderate r.  The entries are those of the basis on
-    (0, T^gamma), so any other basis interval is refused.
+    factor (sum_k tau^k)^(-delta) is evaluated pointwise.  N + QUAD_GUARD
+    points per direction keep the only non-exact ingredient (that smooth
+    factor) below roundoff for moderate r.  The entries are those of the
+    basis on (0, T^gamma), so any other basis interval is refused.
     """
-    return _assemble(basis, _stiffness(basis, delta, transform, quad_n))[0]
+    return _assemble(basis, _stiffness(basis, delta, transform))[0]
 
 
 def _mass(basis: TimeBasis, transform: TransformSpec):
@@ -248,7 +244,7 @@ def assemble_mass(basis: TimeBasis, transform: TransformSpec) -> np.ndarray:
 
 
 def _load_matrix(basis: TimeBasis, transform: TransformSpec, f, block, rule) -> np.ndarray:
-    """The load of f on the (0, r-1) rule `rule`, from its J^{alpha,1} block: see assemble_load."""
+    """The load of f on the (0, r-1) rule `rule`, from its J^{alpha,1} block."""
     vals = np.asarray(f(rule.nodes), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("right-hand side returned NaN or inf at a quadrature node")
@@ -258,26 +254,25 @@ def _load_matrix(basis: TimeBasis, transform: TransformSpec, f, block, rule) -> 
     return transform.r * (table @ wv.reshape(quad_n, -1)).reshape(table.shape[:1] + wv.shape[1:])
 
 
-def assemble_load(basis: TimeBasis, transform: TransformSpec, f, quad_n: int) -> np.ndarray:
-    """Load F_m = (f, j_m) against psi'(t) dt by the (0, r-1) Gauss-Jacobi rule.
+def _load(basis: TimeBasis, transform: TransformSpec, f):
+    """Load F_m = (f, j_m) against psi'(t) dt of a callable f of t, as a piece.
 
-    f may return leading axes, with time last: values of shape (..., nodes)
-    give a load of shape (N, ...), one time load per leading index.
+    f is sampled on the (0, r-1) Gauss-Jacobi rule of N + 2*QUAD_GUARD
+    points.  It may return leading axes, with time last: values of shape
+    (..., nodes) give a load of shape (N, ...), one time load per leading
+    index.
     """
-    return _assemble(basis, _load(basis, transform, f, _psi_request(basis, transform, quad_n)))[0]
-
-
-def _load(basis: TimeBasis, transform: TransformSpec, f, request):
-    """assemble_load as a piece, on the rule of `request`."""
-
-    def build(block, rule):
-        return _load_matrix(basis, transform, f, block, rule)
-
-    return [request], functools.partial(_reference_points, basis), build
+    build = functools.partial(_load_matrix, basis, transform, f)
+    return [_sampled_request(basis, transform)], functools.partial(_reference_points, basis), build
 
 
 def _load_powers(basis: TimeBasis, transform: TransformSpec, terms):
-    """assemble_load_powers as a piece."""
+    """Load for f(t) = sum c_q t^(p_q) as a piece, each power absorbed into its own rule.
+
+    Exact for every term (the remaining integrand is the basis polynomial),
+    including the endpoint-singular powers p in (-1, 0) produced by
+    manufactured solutions with exponent below delta.
+    """
     r = transform.r
     b = basis.interval[1]
     n_modes = basis.n_modes
@@ -302,30 +297,19 @@ def _load_powers(basis: TimeBasis, transform: TransformSpec, terms):
     return requests, functools.partial(_reference_points, basis), build
 
 
-def assemble_load_powers(
-    basis: TimeBasis, transform: TransformSpec, terms
-) -> np.ndarray:
-    """Load for f(t) = sum c_q t^(p_q), each power absorbed into its own rule.
-
-    Exact for every term (the remaining integrand is the basis polynomial),
-    including the endpoint-singular powers p in (-1, 0) produced by
-    manufactured solutions with exponent below delta.
-    """
-    return _assemble(basis, _load_powers(basis, transform, terms))[0]
-
-
 def _time_load(basis: TimeBasis, transform: TransformSpec, source):
     """assemble_time_load as a piece."""
     if callable(source):
-        return _load(basis, transform, source, _sampled_request(basis, transform))
+        return _load(basis, transform, source)
     return _load_powers(basis, transform, source)
 
 
 def assemble_time_load(basis: TimeBasis, transform: TransformSpec, source) -> np.ndarray:
     """Load of a t-side source: a callable of t, or a tuple of (coef, power) monomials.
 
-    A callable is sampled on the (0, r-1) rule of N + 2*QUAD_GUARD points;
-    monomials load exactly, one rule per power.
+    A callable is sampled on the (0, r-1) rule of N + 2*QUAD_GUARD points,
+    and may return leading axes (see _load); monomials load exactly, one
+    rule per power.
     """
     return _assemble(basis, _time_load(basis, transform, source))[0]
 
@@ -349,11 +333,24 @@ def solve_linear(A: np.ndarray, F: np.ndarray) -> np.ndarray:
     return lapack.dgetrs(lu, piv, F)[0]
 
 
-def require_finite(**matrices):
-    """Raise NumericalFailureError naming the first matrix with a NaN or inf entry."""
-    for name, matrix in matrices.items():
-        if not np.all(np.isfinite(matrix)):
-            raise NumericalFailureError(f"non-finite {name} matrix")
+def _assemble_system(basis: TimeBasis, delta: FracOrder, transform: TransformSpec, load, where):
+    """S, M and the matrix of the load piece of one solve, from one _assemble.
+
+    A stiffness or mass matrix with a NaN or inf entry is refused, and every
+    NumericalFailureError of the assembly is raised again as
+    "assembly failed (<where>): ...".
+    """
+    stiffness, mass = _stiffness(basis, delta, transform), _mass(basis, transform)
+    try:
+        S, M, F = _assemble(basis, stiffness, mass, load)
+        for name, matrix in (("stiffness", S), ("mass", M)):
+            if not np.all(np.isfinite(matrix)):
+                raise NumericalFailureError(f"non-finite {name} matrix")
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(
+            f"assembly failed ({where}): {exc}", estimate=exc.estimate
+        ) from exc
+    return S, M, F
 
 
 def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes):
@@ -374,18 +371,10 @@ def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes):
     where = f"delta={problem.delta.delta}, r={problem.transform.r}"
 
     def blocks():
-        try:
-            S, M, F = _assemble(
-                basis,
-                _stiffness(basis, problem.delta, problem.transform, n_modes + QUAD_GUARD),
-                _mass(basis, problem.transform),
-                _time_load(basis, problem.transform, problem.time_source),
-            )
-            require_finite(stiffness=S, mass=M)
-        except NumericalFailureError as exc:
-            raise NumericalFailureError(
-                f"assembly failed ({where}, N={n_modes}): {exc}", estimate=exc.estimate
-            ) from exc
+        load = _time_load(basis, problem.transform, problem.time_source)
+        S, M, F = _assemble_system(
+            basis, problem.delta, problem.transform, load, f"{where}, N={n_modes}"
+        )
         A = S + problem.lam * M
         for n in sizes:
             a, f = A[:n, :n], F[:n]

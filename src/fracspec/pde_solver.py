@@ -22,13 +22,11 @@ from .frac_ops import FracOrder, PowerSum, TransformSpec
 from .ode_solver import (
     QUAD_GUARD,
     _assemble,
+    _assemble_system,
     _load_matrix,
-    _mass,
     _reference_points,
     _sampled_request,
-    _stiffness,
     _time_load,
-    require_finite,
 )
 from .orthopoly import JacobiIndex, TimeBasis, gjp_table, legendre_phi_table
 
@@ -395,18 +393,8 @@ def solve_spacetime(
         raise DomainError("spatial basis dimension disagrees with the problem")
     N = time_basis.n_modes
     where = f"delta={problem.delta.delta}, r={problem.transform.r}, N={N}, M={space_basis.m_modes}"
-    try:
-        S, M, F = _assemble(
-            time_basis,
-            _stiffness(time_basis, problem.delta, problem.transform, N + QUAD_GUARD),
-            _mass(time_basis, problem.transform),
-            _spacetime_load(problem, time_basis, space_basis),
-        )
-        require_finite(stiffness=S, mass=M)
-    except NumericalFailureError as exc:
-        raise NumericalFailureError(
-            f"assembly failed ({where}): {exc}", estimate=exc.estimate
-        ) from exc
+    load = _spacetime_load(problem, time_basis, space_basis)
+    S, M, F = _assemble_system(time_basis, problem.delta, problem.transform, load, where)
     B = space_mass_matrix(space_basis.m_modes)
     try:
         lam, E = eigh(B)

@@ -83,20 +83,37 @@ def rng():
 
 
 @pytest.fixture
-def rule_batches(monkeypatch):
-    """The sizes of the gauss_jacobi_rules batches that the solvers build, one entry a call."""
+def rule_requests(monkeypatch):
+    """(batch sizes, rule sizes) of the gauss_jacobi_rules calls that the solvers make.
+
+    One entry a call in each list: the number of rules in the batch, and the
+    point count of each of its requests, in request order.
+    """
     import fracspec.ode_solver as ode_mod
 
     real = ode_mod.gauss_jacobi_rules
-    calls = []
+    batches, sizes = [], []
 
-    def counting(requests):
+    def recording(requests):
         requests = list(requests)
-        calls.append(len(requests))
+        batches.append(len(requests))
+        sizes.append(tuple(n for _, n, _ in requests))
         return real(requests)
 
-    monkeypatch.setattr(ode_mod, "gauss_jacobi_rules", counting)
-    return calls
+    monkeypatch.setattr(ode_mod, "gauss_jacobi_rules", recording)
+    return batches, sizes
+
+
+@pytest.fixture
+def rule_batches(rule_requests):
+    """The sizes of the gauss_jacobi_rules batches that the solvers build, one entry a call."""
+    return rule_requests[0]
+
+
+@pytest.fixture
+def rule_sizes(rule_requests):
+    """The point counts of the rules of each of those batches, one tuple a call."""
+    return rule_requests[1]
 
 
 @pytest.fixture

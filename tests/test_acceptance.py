@@ -27,10 +27,9 @@ from fracspec.frac_ops import (
 )
 from fracspec.ode_solver import (
     TimeProblem,
-    assemble_load,
-    assemble_load_powers,
     assemble_mass,
     assemble_stiffness,
+    assemble_time_load,
     solve,
 )
 from fracspec.orthopoly import (
@@ -203,7 +202,7 @@ def test_criterion_6_oracle_equivalence():
         for r in (1, 2, 5):
             spec = TransformSpec(r, 2.0)
             basis = basis_for(spec, 6)
-            S = assemble_stiffness(basis, FracOrder(delta), spec, 6 + 8)
+            S = assemble_stiffness(basis, FracOrder(delta), spec)
             S_oracle = oracle_stiffness_matrix(basis, FracOrder(delta), spec)
             scale = np.abs(S_oracle).max()
             rel = np.abs(S - S_oracle) / np.maximum(np.abs(S_oracle), 1e-3 * scale)
@@ -217,13 +216,13 @@ def test_criterion_6_oracle_equivalence():
         spec = TransformSpec(r, 2.0)
         basis = basis_for(spec, 6)
         f = lambda t: np.sin(np.asarray(t, dtype=float) ** r)
-        F = assemble_load(basis, spec, f, 6 + 16)
+        F = assemble_time_load(basis, spec, f)
         F_oracle = oracle_load_vector(basis, spec, f)
         fscale = max(np.abs(F_oracle).max(), 1.0)
         worst_f = max(worst_f, float(np.abs(F - F_oracle).max() / fscale))
         # the exact per-power path, including a sub-delta singular exponent
         terms = ((1.0, r * 0.2 - 0.9), (0.5, 2.0 * r))
-        Fp = assemble_load_powers(basis, spec, terms)
+        Fp = assemble_time_load(basis, spec, terms)
         fp = lambda t: sum(c * np.asarray(t, dtype=float) ** p for c, p in terms)
         Fp_oracle = oracle_load_vector(basis, spec, fp, tol=1e-12)
         worst_f = max(worst_f, float(np.abs(Fp - Fp_oracle).max() / max(np.abs(Fp_oracle).max(), 1.0)))
@@ -370,7 +369,7 @@ def _check_eigen_vs_dense():
     sb = SpatialBasis(m, 2)
     problem, _ = manufactured_sine_power(0.5, spec, 0.6, dimension=2)
     sol = solve_spacetime(problem, tb, sb)
-    S = assemble_stiffness(tb, problem.delta, spec, n + 8)
+    S = assemble_stiffness(tb, problem.delta, spec)
     M = assemble_mass(tb, spec)
     B = space_mass_matrix(m)
     K = sb.n_funcs

@@ -13,7 +13,6 @@ from fracspec.analysis import (
     pde_errors_at_final_time,
     run_convergence_study,
     run_pde_convergence_study,
-    self_convergence_reference,
 )
 from fracspec.errors import DomainError, NumericalFailureError, StudyError
 from fracspec.frac_ops import PowerSum, TransformSpec
@@ -329,7 +328,7 @@ def test_resolution_ordering_enforced():
 
 def test_reference_solution_errors_vanish_against_itself():
     prob = example3_problem()
-    ref = self_convergence_reference(prob, 24)
+    ref = solve_at(prob, 24)
     sol = solve_at(prob, 24)
     assert error_linf(sol, ref.evaluate) <= 1e-13
 
@@ -371,7 +370,7 @@ def test_reference_study_rows_are_its_blocks_against_the_lone_reference(monkeypa
     n_values = (4, 8, 12)
     request = StudyRequest("example3", prob, n_values, ref_n=24, weighted_l2=weighted)
     study = run_convergence_study(request)
-    reference = self_convergence_reference(prob, 24)
+    reference = solve_at(prob, 24)
     # The first draw is the reference: the lone solve at ref_n, bit for bit.
     assert drawn[0].basis == reference.basis
     assert np.array_equal(drawn[0].coeffs, reference.coeffs)

@@ -14,8 +14,11 @@ import pytest
 
 import fracspec
 import fracspec.cli as cli_mod
+from fracspec.analysis import error_linf
 from fracspec.cli import _build_parser, _effective, _read_config, main
+from fracspec.ode_solver import solve
 from fracspec.orthopoly import TimeBasis
+from fracspec.problems import build_problem, get_entry
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -55,6 +58,10 @@ def test_solve_ode_example1_summary_and_csv(tmp_path, capsys):
     assert len(summary) == 1
     linf = float(summary[0].split()[0].split("=")[1])
     assert linf <= 1e-13
+    # The printed maximum of the abs_error column is error_linf's value, bit for bit.
+    problem, exact = build_problem(get_entry("example1"))
+    sol = solve(problem, TimeBasis(0.0, 4, (0.0, problem.transform.b_psi)))
+    assert linf == error_linf(sol, exact)
     lines = read_lines(out)
     assert lines[0] == "s,u_numeric,u_exact,abs_error"
     assert len([l for l in lines if l]) == 1002  # header + 1001 rows

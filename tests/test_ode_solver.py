@@ -12,8 +12,6 @@ from fracspec.errors import DomainError, NumericalFailureError
 from fracspec.frac_ops import FracOrder, PowerSum, TransformSpec
 from fracspec.ode_solver import (
     TimeProblem,
-    assemble_load,
-    assemble_load_powers,
     assemble_mass,
     assemble_stiffness,
     assemble_time_load,
@@ -51,7 +49,7 @@ def test_stiffness_single_mode_analytic():
     # j_1(t) = t on (0,2); D^{1/2} t = 2 sqrt(t/pi), so the entry is
     # (2/sqrt(pi)) * int_0^2 t^{3/2} dt = 2^{3.5} / (2.5 sqrt(pi))
     spec = TransformSpec(1, 2.0)
-    S = assemble_stiffness(basis_for(spec, 1), FracOrder(0.5), spec, 9)
+    S = assemble_stiffness(basis_for(spec, 1), FracOrder(0.5), spec)
     want = 2.0**3.5 / (2.5 * math.sqrt(math.pi))
     assert S[0, 0] == pytest.approx(want, rel=1e-13)
     assert S[0, 0] == pytest.approx(2.553, abs=5e-4)
@@ -61,7 +59,7 @@ def test_stiffness_single_mode_analytic():
 def test_stiffness_matches_nested_oracle(dd, r):
     spec = TransformSpec(r, 2.0)
     basis = basis_for(spec, 3)
-    S = assemble_stiffness(basis, FracOrder(dd), spec, 3 + 8)
+    S = assemble_stiffness(basis, FracOrder(dd), spec)
     S_oracle = oracle_stiffness_matrix(basis, FracOrder(dd), spec)
     scale = np.abs(S_oracle).max()
     rel = np.abs(S - S_oracle) / np.maximum(np.abs(S_oracle), 1e-3 * scale)
@@ -71,7 +69,7 @@ def test_stiffness_matches_nested_oracle(dd, r):
 def test_stiffness_coercivity_sign(rng):
     for dd, r in [(0.2, 1), (0.5, 2), (0.8, 5)]:
         spec = TransformSpec(r, 2.0)
-        S = assemble_stiffness(basis_for(spec, 6), FracOrder(dd), spec, 14)
+        S = assemble_stiffness(basis_for(spec, 6), FracOrder(dd), spec)
         for _ in range(20):
             v = rng.standard_normal(6)
             assert v @ S @ v > 0.0
@@ -79,7 +77,7 @@ def test_stiffness_coercivity_sign(rng):
 
 def test_stiffness_symmetric_part_near_psd():
     spec = TransformSpec(2, 2.0)
-    S = assemble_stiffness(basis_for(spec, 10), FracOrder(0.5), spec, 18)
+    S = assemble_stiffness(basis_for(spec, 10), FracOrder(0.5), spec)
     sym = 0.5 * (S + S.T)
     eigs = np.linalg.eigvalsh(sym)
     assert eigs.min() >= -1e-10 * np.abs(S).max()
@@ -121,7 +119,7 @@ def test_streamed_stiffness_has_the_full_table_bits(dd, r, n):
     spec = TransformSpec(r, 2.0)
     basis = basis_for(spec, n)
     quad_n = n + ode_mod.QUAD_GUARD
-    S = assemble_stiffness(basis, FracOrder(dd), spec, quad_n)
+    S = assemble_stiffness(basis, FracOrder(dd), spec)
     assert np.array_equal(S, _full_table_stiffness(basis, FracOrder(dd), spec, quad_n))
 
 
@@ -131,17 +129,11 @@ def test_stiffness_working_memory_does_not_grow_with_the_degree():
     basis = basis_for(spec, 200)
     tracemalloc.start()
     try:
-        assemble_stiffness(basis, FracOrder(0.5), spec, 200 + ode_mod.QUAD_GUARD)
+        assemble_stiffness(basis, FracOrder(0.5), spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-
-
-def test_stiffness_quad_n_precondition():
-    spec = TransformSpec(1, 2.0)
-    with pytest.raises(DomainError):
-        assemble_stiffness(basis_for(spec, 5), FracOrder(0.5), spec, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +179,7 @@ def test_mass_matches_plain_gauss_oracle():
 
 def test_load_of_zero():
     spec = TransformSpec(3, 2.0)
-    F = assemble_load(basis_for(spec, 5), spec, lambda t: np.zeros_like(t), 12)
+    F = assemble_time_load(basis_for(spec, 5), spec, lambda t: np.zeros_like(t))
     assert np.all(F == 0.0)
 
 
@@ -196,7 +188,7 @@ def test_load_of_basis_function_gives_mass_column():
     basis = basis_for(spec, 6)
     M = assemble_mass(basis, spec)
     for k in (1, 4):
-        F = assemble_load(basis, spec, lambda t, k=k: gjp_eval(basis, k, t), 6 + 16)
+        F = assemble_time_load(basis, spec, lambda t, k=k: gjp_eval(basis, k, t))
         assert np.max(np.abs(F - M[:, k - 1])) <= 1e-12 * np.abs(M).max()
 
 
@@ -204,7 +196,7 @@ def test_load_sin_source_matches_oracle():
     spec = TransformSpec(5, 2.0)
     basis = basis_for(spec, 8)
     f = lambda t: np.sin(np.asarray(t, dtype=float) ** 5)
-    F = assemble_load(basis, spec, f, 8 + 16)
+    F = assemble_time_load(basis, spec, f)
     F_oracle = oracle_load_vector(basis, spec, f)
     assert np.max(np.abs(F - F_oracle)) <= 1e-10
 
@@ -214,7 +206,7 @@ def test_load_power_terms_match_oracle_including_singular():
     spec = TransformSpec(7, 2.0)
     basis = basis_for(spec, 6)
     terms = ((1.3, -0.8), (2.0, 3.0), (0.5, 4.95))
-    F = assemble_load_powers(basis, spec, terms)
+    F = assemble_time_load(basis, spec, terms)
 
     def f(t):
         t = np.asarray(t, dtype=float)
@@ -223,7 +215,7 @@ def test_load_power_terms_match_oracle_including_singular():
     F_oracle = oracle_load_vector(basis, spec, f, tol=1e-12)
     assert np.max(np.abs(F - F_oracle)) <= 1e-9 * max(1.0, np.abs(F_oracle).max())
     with pytest.raises(DomainError):
-        assemble_load_powers(basis, spec, ((1.0, -7.0),))
+        assemble_time_load(basis, spec, ((1.0, -7.0),))
 
 
 _POWER_TERMS = ((1.3, -0.8), (2.0, 3.0), (0.5, 4.95))
@@ -240,7 +232,7 @@ def test_load_powers_match_the_per_term_build(count, r, n):
     for c, p in terms:
         rule = gauss_jacobi_rule(JacobiIndex(0.0, p + r - 1.0), n // 2 + 2, (0.0, spec.b_psi))
         want += c * r * (gjp_table(basis, rule.nodes) @ rule.weights)
-    assert np.array_equal(assemble_load_powers(basis, spec, terms), want)
+    assert np.array_equal(assemble_time_load(basis, spec, terms), want)
 
 
 def test_load_power_terms_singular_weight_at_unit_r():
@@ -248,7 +240,7 @@ def test_load_power_terms_singular_weight_at_unit_r():
     spec = TransformSpec(1, 2.0)
     basis = basis_for(spec, 5)
     terms = ((0.7, -0.5),)
-    F = assemble_load_powers(basis, spec, terms)
+    F = assemble_time_load(basis, spec, terms)
     F_oracle = oracle_load_vector(
         basis, spec, lambda t: 0.7 * np.asarray(t, dtype=float) ** -0.5, tol=1e-11
     )
@@ -263,21 +255,21 @@ def test_load_with_leading_axes_stacks_the_scalar_loads():
     def stacked(t):
         return np.stack([f(t) for f in sources]).reshape(2, 2, -1)
 
-    F = assemble_load(basis, spec, stacked, 28)
+    F = assemble_time_load(basis, spec, stacked)
     assert F.shape == (12, 2, 2)
     for j, f in enumerate(sources):
-        one = assemble_load(basis, spec, f, 28)
+        one = assemble_time_load(basis, spec, f)
         # A matrix product and a matrix-vector product may round differently.
         assert np.max(np.abs(F.reshape(12, 4)[:, j] - one)) <= 8e-16 * np.max(np.abs(one))
     # One leading index of length one gives the scalar load bit for bit.
-    single = assemble_load(basis, spec, lambda t: np.sin(t)[None], 28)
-    assert np.array_equal(single[:, 0], assemble_load(basis, spec, np.sin, 28))
+    single = assemble_time_load(basis, spec, lambda t: np.sin(t)[None])
+    assert np.array_equal(single[:, 0], assemble_time_load(basis, spec, np.sin))
 
 
 def test_load_rejects_nan_source():
     spec = TransformSpec(1, 2.0)
     with pytest.raises(ValueError):
-        assemble_load(basis_for(spec, 3), spec, lambda t: np.full_like(t, np.nan), 10)
+        assemble_time_load(basis_for(spec, 3), spec, lambda t: np.full_like(t, np.nan))
 
 
 def test_solve_rejects_infinite_source():
@@ -687,16 +679,22 @@ _ONE_BATCH_PROBLEMS = [
 
 
 @pytest.mark.parametrize("prob", _ONE_BATCH_PROBLEMS, ids=["powers", "callable"])
-def test_a_solve_builds_every_rule_in_one_batch(rule_batches, basis_tables, prob):
+def test_a_solve_builds_every_rule_in_one_batch(rule_batches, rule_sizes, basis_tables, prob):
     # Stiffness pair, mass rule and the load rules: one per power, or one
     # sampling rule for a callable source.  One J^{0,1} table serves the
     # stiffness outer nodes, the mass and the load.
     loads = 1 if callable(prob.source) else len(prob.time_source)
     solve(prob, basis_for(prob.transform, 12))
     assert rule_batches == [3 + loads]
+    # N + 8 for the stiffness pair, (2N + r + 3) // 2 for the mass, and
+    # N + 16 for a sampled load or N // 2 + 2 for each power, at N = 12.
+    mass = (2 * 12 + prob.transform.r + 3) // 2
+    load = (28,) if callable(prob.source) else (8,) * loads
+    assert rule_sizes == [(20, 20, mass, *load)]
     assert basis_tables == [JacobiIndex(0.0, 1.0)]
     list(solve_nested(prob, basis_for(prob.transform, 12), (4, 8, 12)))
     assert rule_batches == [3 + loads] * 2
+    assert rule_sizes == [(20, 20, mass, *load)] * 2
     assert basis_tables == [JacobiIndex(0.0, 1.0)] * 2
 
 
@@ -714,7 +712,7 @@ def test_a_solve_assembles_the_public_matrices(monkeypatch, prob):
     basis = basis_for(spec, 14)
     solve(prob, basis)
     (S, M, F), = assembled
-    assert np.array_equal(S, assemble_stiffness(basis, prob.delta, spec, 14 + ode_mod.QUAD_GUARD))
+    assert np.array_equal(S, assemble_stiffness(basis, prob.delta, spec))
     assert np.array_equal(M, assemble_mass(basis, spec))
     assert np.array_equal(F, assemble_time_load(basis, spec, prob.time_source))
 

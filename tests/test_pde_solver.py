@@ -225,7 +225,7 @@ def test_eigen_solve_matches_dense_kronecker(d):
     prob, _ = manufactured_sine_power(0.5, spec, 0.6, dimension=d)
     sol = solve_spacetime(prob, tb, sb)
 
-    S = assemble_stiffness(tb, prob.delta, spec, n + 8)
+    S = assemble_stiffness(tb, prob.delta, spec)
     M = assemble_mass(tb, spec)
     B = space_mass_matrix(m)
     K = sb.n_funcs
@@ -260,7 +260,7 @@ def test_solve_pins_v_and_residual_to_the_public_assembly_and_the_full_products(
     tb, sb = bases(n, m, d)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=d)
     sol = solve_spacetime(prob, tb, sb)
-    S = assemble_stiffness(tb, prob.delta, SPEC5, n + 8)
+    S = assemble_stiffness(tb, prob.delta, SPEC5)
     M = assemble_mass(tb, SPEC5)
     F = assemble_spacetime_load(prob, tb, sb)
     B = space_mass_matrix(m)
@@ -280,7 +280,9 @@ def test_solve_pins_v_and_residual_to_the_public_assembly_and_the_full_products(
 
 
 @pytest.mark.parametrize("separable", [True, False], ids=["separable", "callable"])
-def test_a_spacetime_solve_builds_every_rule_in_one_batch(rule_batches, basis_tables, separable):
+def test_a_spacetime_solve_builds_every_rule_in_one_batch(
+    rule_batches, rule_sizes, basis_tables, separable
+):
     tb, sb = bases(6, 6)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
     if not separable:
@@ -288,7 +290,13 @@ def test_a_spacetime_solve_builds_every_rule_in_one_batch(rule_batches, basis_ta
         prob = PDEProblem(prob.delta, SPEC5, rhs, 2)
     solve_spacetime(prob, tb, sb)
     # Stiffness pair, mass, spatial rule, then one rule per power or one sampling rule.
-    assert rule_batches == [4 + (len(prob.rhs.time_source) if separable else 1)]
+    loads = len(prob.rhs.time_source) if separable else 1
+    assert rule_batches == [4 + loads]
+    # At N = M = 6 and r = 5: N + 8 for the stiffness pair, (2N + r + 3) // 2
+    # for the mass, M + 8 for the spatial rule, then N // 2 + 2 for each
+    # power or N + 16 for the sampling rule.
+    load = (5,) * loads if separable else (22,)
+    assert rule_sizes == [(14, 14, 10, 14, *load)]
     # One J^{0,1} table serves the stiffness outer nodes, the mass and the time load.
     assert basis_tables == [JacobiIndex(0.0, 1.0)]
 
@@ -397,7 +405,7 @@ def test_guard_failure_maps_a_later_mode(monkeypatch):
 def test_mode_guard_refuses_a_nan_coefficient(rng):
     # A NaN pivot is not above the bound, so it is refused, not solved.
     tb, _ = bases(6, 6, 1)
-    S = assemble_stiffness(tb, FracOrder(0.5), SPEC5, 6 + 8)
+    S = assemble_stiffness(tb, FracOrder(0.5), SPEC5)
     M = assemble_mass(tb, SPEC5)
     table = pde_mod._mode_table(eigh(space_mass_matrix(6))[0], 1)
     table[2, 1] = np.nan
@@ -412,7 +420,7 @@ def test_guard_names_a_refused_two_by_two_block(monkeypatch):
     # block of rows 0 and 1, refused by its determinant.
     tb, sb = bases(6, 6)
     T = pde_mod.qz(
-        assemble_stiffness(tb, FracOrder(0.9), SPEC5, 6 + 8), assemble_mass(tb, SPEC5), output="real"
+        assemble_stiffness(tb, FracOrder(0.9), SPEC5), assemble_mass(tb, SPEC5), output="real"
     )[0]
     assert pde_mod._schur_blocks(T) == [(0, 2), (2, 4), (4, 6)]
     refuse_modes(monkeypatch, REFUSED_MODES)
@@ -439,7 +447,7 @@ def test_guard_names_the_lowest_refused_row_of_the_first_refused_mode(monkeypatc
 
     monkeypatch.setattr(pde_mod, "qz", qz)
     tb, _ = bases(6, 6, 1)
-    S = assemble_stiffness(tb, FracOrder(0.5), SPEC5, 6 + 8)
+    S = assemble_stiffness(tb, FracOrder(0.5), SPEC5)
     M = assemble_mass(tb, SPEC5)
     table = pde_mod._mode_table(eigh(space_mass_matrix(6))[0], 1)
     with pytest.raises(NumericalFailureError, match=r"^pivot block 4\.\.5 \|det") as info:
@@ -458,7 +466,7 @@ def test_solve_modes_answers_every_mode_and_names_a_refused_one(rng, d, n, m):
     # its index tuple.  (40, 60) is the largest size the benchmark solves;
     # (80, 60) is example4's largest tested size.
     tb, _ = bases(n, m, d)
-    S = assemble_stiffness(tb, FracOrder(0.5), SPEC5, n + 8)
+    S = assemble_stiffness(tb, FracOrder(0.5), SPEC5)
     M = assemble_mass(tb, SPEC5)
     lam, _ = eigh(space_mass_matrix(m))
     K = lam.size
