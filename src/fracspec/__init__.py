@@ -28,7 +28,6 @@ from .orthopoly import (
     gauss_jacobi_rule,
     gauss_jacobi_rules,
     gjp_deriv,
-    gjp_eval,
 )
 from .pde_solver import (
     PDEProblem,
@@ -63,7 +62,6 @@ __all__ = [
     "gauss_jacobi_rule",
     "gauss_jacobi_rules",
     "gjp_deriv",
-    "gjp_eval",
     "PDEProblem",
     "SpatialBasis",
     "SpaceTimeSolution",

@@ -123,14 +123,6 @@ class PowerSum:
             out = out + c * s**e
         return float(out) if out.ndim == 0 else out
 
-    def caputo(self, delta: FracOrder, s):
-        """Caputo derivative term by term; the constant is annihilated."""
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape)
-        for c, e in self.terms:
-            out = out + c * caputo_coef(e, delta.delta) * s ** (e - delta.delta)
-        return float(out) if out.ndim == 0 else out
-
     def source_terms(self, delta: FracOrder, reaction: float, r: int) -> tuple:
         """(coef, power) t-monomials of D^delta u + reaction*u under s = t^r; no constant."""
         d = delta.delta

@@ -29,7 +29,6 @@ __all__ = [
     "jacobi_weight_integral",
     "gauss_jacobi_rule",
     "gauss_jacobi_rules",
-    "gjp_eval",
     "gjp_deriv",
     "gjp_table",
     "legendre_phi_table",
@@ -274,37 +273,11 @@ def _golub_welsch_nodes(idx: JacobiIndex, n: int, diag: np.ndarray, off: np.ndar
         return diag
     # The eigenvectors are discarded, but the values-only path (dsterf) gives
     # nodes that differ in their last bits, and the solvers' answers are
-    # sensitive to the rules at that level.
+    # sensitive to the rules at that level.  dstevd returns them ascending.
     nodes, _, info = _dstevd(diag, off)
     if info != 0:  # pragma: no cover - LAPACK failure is exotic
         raise NumericalFailureError(f"{_rule_name(idx, n)}: eigensolve failed: dstevd info={info}")
-    return np.sort(nodes)
-
-
-def _golub_welsch(requests) -> tuple[list, list, NumericalFailureError | None]:
-    """Each request's starting nodes and (weight constant, weight scale), in order.
-
-    Stops at the first request that fails and returns that failure too.  The
-    constants come first, so no Jacobi matrix is built past a request whose
-    weights overflow a float, however many points it asks for.
-    """
-    constants, nodes, failure = [], [], None
-    try:
-        for idx, n, interval in requests:
-            constants.append((_gauss_constant(idx, n), _weight_scale(idx, n, interval)))
-    except NumericalFailureError as exc:
-        failure = exc
-    ready = requests[: len(constants)]
-    if ready:
-        sizes = [n for _, n, _ in ready]
-        diags, offs = _jacobi_matrices([idx for idx, _, _ in ready], max(sizes))
-        for (idx, n, _), diag, off in zip(ready, diags, offs):
-            try:
-                nodes.append(_golub_welsch_nodes(idx, n, diag[:n], off[: n - 1]))
-            except NumericalFailureError as exc:
-                failure = exc
-                break
-    return nodes, constants, failure
+    return nodes
 
 
 def _newton_polish(indices, ns: list[int], x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -341,39 +314,49 @@ def gauss_jacobi_rules(requests) -> tuple[QuadratureRule, ...]:
     The sizes may differ.  Nodes come from the Golub-Welsch eigenproblem of
     each three-term recurrence, then all are polished together by one Newton
     pass on J^{a,b}_n, each rule stopping on its own residual.  Every rule
-    has the bits of its own build.  Every request's n and interval are
-    checked first; past that, a refused batch raises what building the rules
-    one at a time would: the first failure in request order.
+    has the bits of its own build.  The build is a pipeline of stages, each
+    run over every request in order; the first failure raises at once:
+    1. each n and interval (DomainError);
+    2. each weight constant and scale, before any Jacobi matrix is built;
+    3. the Jacobi matrices, in one broadcast, and each eigensolve;
+    4. the Newton pass;
+    5. each rule's Newton residual, its weights and QuadratureRule's checks.
     """
     requests = tuple(requests)
+    if not requests:
+        return ()
     for _, n, interval in requests:
         if n < 1:
             raise DomainError(f"rule size must be >= 1, got {n}")
         lo, hi = interval
         if not hi > lo:
             raise DomainError(f"empty interval {interval}")
-    nodes, constants, failure = _golub_welsch(requests)
-    built = requests[: len(nodes)]
+    constants = [
+        (_gauss_constant(idx, n), _weight_scale(idx, n, interval)) for idx, n, interval in requests
+    ]
+    indices = [idx for idx, _, _ in requests]
+    ns = [n for _, n, _ in requests]
+    diags, offs = _jacobi_matrices(indices, max(ns))
+    nodes = [
+        _golub_welsch_nodes(idx, n, diag[:n], off[: n - 1])
+        for idx, n, diag, off in zip(indices, ns, diags, offs)
+    ]
+    x, dp, residual = _newton_polish(indices, ns, np.concatenate(nodes))
+    cuts = np.cumsum(ns[:-1])
     rules = []
-    if built:
-        ns = [n for _, n, _ in built]
-        x, dp, residual = _newton_polish([idx for idx, _, _ in built], ns, np.concatenate(nodes))
-        cuts = np.cumsum(ns[:-1])
-        for (idx, n, (lo, hi)), (constant, scale), nodes_i, dp_i, residual_i in zip(
-            built, constants, np.split(x, cuts), np.split(dp, cuts), residual
-        ):
-            # Written so that a NaN residual is refused too.
-            if not residual_i <= 1e-13:
-                raise NumericalFailureError(
-                    f"{_rule_name(idx, n)}: Newton stalled, max node residual {residual_i:.3e}",
-                    estimate=nodes_i,
-                    error_bound=float(residual_i),
-                )
-            weights = constant / ((1.0 - nodes_i * nodes_i) * dp_i * dp_i)
-            mapped = lo + 0.5 * (hi - lo) * (nodes_i + 1.0)
-            rules.append(QuadratureRule(mapped, weights * scale, (lo, hi), idx))
-    if failure is not None:
-        raise failure
+    for (idx, n, (lo, hi)), (constant, scale), nodes_i, dp_i, residual_i in zip(
+        requests, constants, np.split(x, cuts), np.split(dp, cuts), residual
+    ):
+        # Written so that a NaN residual is refused too.
+        if not residual_i <= 1e-13:
+            raise NumericalFailureError(
+                f"{_rule_name(idx, n)}: Newton stalled, max node residual {residual_i:.3e}",
+                estimate=nodes_i,
+                error_bound=float(residual_i),
+            )
+        weights = constant / ((1.0 - nodes_i * nodes_i) * dp_i * dp_i)
+        mapped = lo + 0.5 * (hi - lo) * (nodes_i + 1.0)
+        rules.append(QuadratureRule(mapped, weights * scale, (lo, hi), idx))
     return tuple(rules)
 
 
@@ -415,11 +398,6 @@ class TimeBasis:
         return (2.0 * t - (lo + hi)) / (hi - lo)
 
 
-def _check_mode(basis: TimeBasis, n: int):
-    if not 1 <= n <= basis.n_modes:
-        raise DomainError(f"mode index must lie in 1..{basis.n_modes}, got {n}")
-
-
 def gjp_table(basis: TimeBasis, t) -> np.ndarray:
     """Values of j_1..j_N at t, shape (N, len(t))."""
     x = np.atleast_1d(basis.to_reference(t))
@@ -427,18 +405,10 @@ def gjp_table(basis: TimeBasis, t) -> np.ndarray:
     return (1.0 + x) * jac
 
 
-def gjp_eval(basis: TimeBasis, n: int, t):
-    """j_n(t) = (1 + x(t)) J^{alpha,1}_{n-1}(x(t))."""
-    _check_mode(basis, n)
-    x = basis.to_reference(t)
-    jac = jacobi_table(JacobiIndex(basis.alpha, 1.0), n - 1, x)[n - 1].reshape(np.shape(x))
-    val = (1.0 + x) * jac
-    return float(val) if np.isscalar(t) else val
-
-
 def gjp_deriv(basis: TimeBasis, n: int, t):
     """j_n'(t) = 2n/(hi-lo) * J^{alpha+1,0}_{n-1}(x(t))."""
-    _check_mode(basis, n)
+    if not 1 <= n <= basis.n_modes:
+        raise DomainError(f"mode index must lie in 1..{basis.n_modes}, got {n}")
     lo, hi = basis.interval
     x = basis.to_reference(t)
     jac = jacobi_table(JacobiIndex(basis.alpha + 1.0, 0.0), n - 1, x)[n - 1].reshape(np.shape(x))

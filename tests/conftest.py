@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fracspec.frac_ops import adaptive_quad, psi_caputo_numeric
-from fracspec.orthopoly import gjp_deriv, gjp_eval
+from fracspec.orthopoly import gjp_deriv, gjp_table
 
 
 def oracle_stiffness_matrix(basis, delta, spec, outer_tol=1e-11, inner_tol=1e-11):
@@ -34,7 +34,9 @@ def oracle_stiffness_matrix(basis, delta, spec, outer_tol=1e-11, inner_tol=1e-11
                 ts = np.atleast_1d(ts)
                 return np.array(
                     [
-                        deriv_at(float(t)) * gjp_eval(basis, m, float(t)) * spec.psi_prime(float(t))
+                        deriv_at(float(t))
+                        * gjp_table(basis, float(t))[m - 1, 0]
+                        * spec.psi_prime(float(t))
                         for t in ts
                     ]
                 )
@@ -52,7 +54,7 @@ def oracle_load_vector(basis, spec, f, tol=1e-12):
     for m in range(1, n_modes + 1):
         def integrand(ts, m=m):
             ts = np.atleast_1d(ts)
-            return f(ts) * gjp_eval(basis, m, ts) * spec.psi_prime(ts)
+            return f(ts) * gjp_table(basis, ts)[m - 1] * spec.psi_prime(ts)
 
         val, _ = adaptive_quad(integrand, 0.0, b, tol)
         out[m - 1] = val
@@ -68,11 +70,12 @@ def oracle_mass_matrix(basis, spec):
     x, w = np.polynomial.legendre.leggauss(deg // 2 + 2)
     t = 0.5 * b * (x + 1.0)
     wt = 0.5 * b * w
+    table = gjp_table(basis, t)
     out = np.zeros((n_modes, n_modes))
     for m in range(1, n_modes + 1):
-        jm = gjp_eval(basis, m, t)
+        jm = table[m - 1]
         for n in range(m, n_modes + 1):
-            val = np.sum(wt * jm * gjp_eval(basis, n, t) * spec.psi_prime(t))
+            val = np.sum(wt * jm * table[n - 1] * spec.psi_prime(t))
             out[m - 1, n - 1] = out[n - 1, m - 1] = val
     return out
 

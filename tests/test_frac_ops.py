@@ -149,7 +149,9 @@ def test_power_sum_evaluation_and_caputo():
     d = FracOrder(0.4)
     s = 0.7
     want = 2.0 * caputo_power(d, 2.0, s) + 1.0 * caputo_power(d, 0.5, s)
-    assert u.caputo(d, s) == pytest.approx(want, rel=1e-14)  # constant annihilated
+    # The Caputo monomials of source_terms (r = 1, no reaction); the constant is annihilated.
+    got = sum(c * s**p for c, p in u.source_terms(d, 0.0, 1))
+    assert got == pytest.approx(want, rel=1e-14)
     with pytest.raises(DomainError):
         PowerSum(((1.0, 0.0),))
 

@@ -25,7 +25,6 @@ from fracspec.orthopoly import (
     TimeBasis,
     gauss_jacobi_rule,
     gauss_jacobi_rules,
-    gjp_eval,
     gjp_table,
     jacobi_table,
 )
@@ -188,7 +187,7 @@ def test_load_of_basis_function_gives_mass_column():
     basis = basis_for(spec, 6)
     M = assemble_mass(basis, spec)
     for k in (1, 4):
-        F = assemble_time_load(basis, spec, lambda t, k=k: gjp_eval(basis, k, t))
+        F = assemble_time_load(basis, spec, lambda t, k=k: gjp_table(basis, t)[k - 1])
         assert np.max(np.abs(F - M[:, k - 1])) <= 1e-12 * np.abs(M).max()
 
 

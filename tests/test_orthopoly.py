@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -17,7 +18,6 @@ from fracspec.orthopoly import (
     gauss_jacobi_rule,
     gauss_jacobi_rules,
     gjp_deriv,
-    gjp_eval,
     gjp_table,
     jacobi_blocks,
     jacobi_table,
@@ -434,6 +434,8 @@ def test_batch_checks_every_request_before_building(monkeypatch):
 
 
 def test_batch_refusal_names_the_first_failing_member(monkeypatch):
+    # Each stage runs over the whole batch in request order, and the first
+    # failure of the first failing stage is raised.
     stall = JacobiIndex(-0.5, 0.0)
     diag0 = _oracle_jacobi_matrix(stall.alpha, stall.beta, 12)[0][0]
     monkeypatch.setattr(orthopoly, "_dstevd", _shifted_eigensolve(diag0))
@@ -444,19 +446,31 @@ def test_batch_refusal_names_the_first_failing_member(monkeypatch):
         with pytest.raises(NumericalFailureError, match=name):
             gauss_jacobi_rules(batch)
     assert len(gauss_jacobi_rules([good, (JacobiIndex(0.0, 3.0), 5, (0.0, 2.0))])) == 2
-    # A member whose weights or Jacobi matrix overflow is refused before any
-    # node is built, but the members before it are still built and checked.
+    # A member whose weights or Jacobi matrix overflow is refused before the
+    # Newton stage, so before a stalled member earlier in the batch.
     huge = (JacobiIndex(1e154, 0.0), 7, (0.0, 1.0))
     unbounded = (JacobiIndex(math.inf, 0.0), 7, (0.0, 1.0))
     overflow = r"rule \(alpha=1e\+154, beta=0\.0, n=7\): the weights' constant overflows"
     non_finite = r"rule \(alpha=inf, beta=0\.0, n=7\): eigensolve failed: non-finite matrix"
     with np.errstate(all="ignore"):
         for member, message in ((huge, overflow), (unbounded, non_finite)):
-            for batch in ([member, good], [good, member]):
+            for batch in ([member, good], [good, member], [stalled, member]):
                 with pytest.raises(NumericalFailureError, match=message):
                     gauss_jacobi_rules(batch)
-            with pytest.raises(NumericalFailureError, match="Newton stalled"):
-                gauss_jacobi_rules([stalled, member])
+        # Every weight constant is checked before any Jacobi matrix is built.
+        with pytest.raises(NumericalFailureError, match=overflow):
+            gauss_jacobi_rules([unbounded, huge])
+        # Two failures in one stage raise in request order.
+        pairs = [
+            (huge, (JacobiIndex(2e154, 0.0), 7, (0.0, 1.0))),
+            (unbounded, (JacobiIndex(0.0, math.inf), 7, (0.0, 1.0))),
+            (stalled, (stall, 13, (0.0, 1.0))),
+        ]
+        for first, second in pairs:
+            for a, b in ((first, second), (second, first)):
+                name = re.escape(orthopoly._rule_name(a[0], a[1]))
+                with pytest.raises(NumericalFailureError, match=name):
+                    gauss_jacobi_rules([good, a, b])
 
 
 def test_overflowing_exponent_is_refused_naming_its_rule():
@@ -532,26 +546,25 @@ def test_rule_on_an_overflowing_interval_is_refused():
 
 def test_gjp_vanishes_at_left_endpoint_exactly():
     basis = TimeBasis(0.3, 12, (0.0, 2.0 ** (1 / 5)))
-    for n in range(1, 13):
-        assert gjp_eval(basis, n, 0.0) == 0.0
+    assert np.all(gjp_table(basis, 0.0) == 0.0)
 
 
 def test_gjp_right_endpoint_value_two():
     for alpha in (0.0, 0.7, -0.4):
         basis = TimeBasis(alpha, 3, (0.0, 1.3))
-        assert gjp_eval(basis, 1, 1.3) == pytest.approx(2.0, abs=1e-14)
+        assert gjp_table(basis, 1.3)[0, 0] == pytest.approx(2.0, abs=1e-14)
 
 
 def test_gjp_midpoint_second_mode():
     basis = TimeBasis(0.0, 2, (0.0, 2.0))
     # (1 + 0) * J^{0,1}_1(0), and J^{0,1}_1(x) = (3x - 1)/2
-    assert gjp_eval(basis, 2, 1.0) == pytest.approx(-0.5, abs=1e-15)
+    assert gjp_table(basis, 1.0)[1, 0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_gjp_mode_zero_rejected():
     basis = TimeBasis(0.0, 4, (0.0, 1.0))
     with pytest.raises(DomainError):
-        gjp_eval(basis, 0, 0.5)
+        gjp_deriv(basis, 0, 0.5)
     with pytest.raises(DomainError):
         gjp_deriv(basis, 5, 0.5)
 
@@ -571,7 +584,7 @@ def test_gjp_deriv_matches_finite_difference(alpha):
     h = 1e-6
     for n in range(1, 11):
         for t in (0.21, 0.9, 1.5):
-            fd = (gjp_eval(basis, n, t + h) - gjp_eval(basis, n, t - h)) / (2 * h)
+            fd = (gjp_table(basis, t + h)[n - 1, 0] - gjp_table(basis, t - h)[n - 1, 0]) / (2 * h)
             exact = gjp_deriv(basis, n, t)
             assert fd == pytest.approx(exact, rel=1e-6, abs=1e-8)
 
@@ -595,7 +608,7 @@ def test_gjp_orthogonality(alpha):
 @given(alpha=st.floats(-0.9, 2.0), n=st.integers(1, 9), b=st.floats(0.5, 3.0))
 def test_gjp_boundary_zero_property(alpha, n, b):
     basis = TimeBasis(alpha, n, (0.0, b))
-    assert gjp_eval(basis, n, 0.0) == 0.0
+    assert gjp_table(basis, 0.0)[n - 1, 0] == 0.0
 
 
 def test_gjp_spans_polynomials_vanishing_at_origin():

@@ -9,7 +9,7 @@ import fracspec.pde_solver as pde_mod
 from fracspec.errors import DomainError, NumericalFailureError
 from fracspec.frac_ops import FracOrder, PowerSum, TransformSpec, adaptive_quad
 from fracspec.ode_solver import TimeProblem, assemble_mass, assemble_stiffness, solve
-from fracspec.orthopoly import JacobiIndex, TimeBasis, gjp_eval, legendre_phi_table
+from fracspec.orthopoly import JacobiIndex, TimeBasis, gjp_table, legendre_phi_table
 from fracspec.problems import build_problem, get_entry
 from fracspec.pde_solver import (
     PDEProblem,
@@ -159,7 +159,7 @@ def test_manufactured_load_matches_nested_adaptive_oracle():
     time_int = np.empty(tb.n_modes)
     for n in range(1, tb.n_modes + 1):
         val, _ = adaptive_quad(
-            lambda t, n=n: time_integrand(t) * gjp_eval(tb, n, t) * SPEC5.psi_prime(t),
+            lambda t, n=n: time_integrand(t) * gjp_table(tb, t)[n - 1] * SPEC5.psi_prime(t),
             0.0,
             SPEC5.b_psi,
             1e-12,
