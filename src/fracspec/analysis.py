@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DomainError, StudyError
 from .ode_solver import TimeProblem, TimeSolution, evaluate_table, solve_nested
 from .orthopoly import TimeBasis, gjp_table
+from .pde_solver import SpatialBasis, solve_spacetime
 
 __all__ = [
     "ErrorReport",
@@ -244,8 +245,6 @@ def run_pde_convergence_study(
     m_values: tuple[int, ...],
 ) -> ConvergenceStudy:
     """Sweep (N, M) pairs of a space-time problem; lists must have equal length."""
-    from .pde_solver import SpatialBasis, solve_spacetime
-
     if len(n_values) != len(m_values):
         raise DomainError("need matching N and M lists (equal length)")
     interval, d = (0.0, problem.transform.b_psi), problem.dimension

@@ -116,35 +116,34 @@ class TimeSolution:
 def _assemble(basis: TimeBasis, *pieces) -> list:
     """Build the rules of every piece in one batch, then each piece's matrix from its own rules.
 
-    A piece is (requests, points, build): its Gauss-Jacobi rule requests,
-    checked when the piece is made; the function of those rules, in request
-    order, that gives the reference points where the piece needs
-    J^{alpha,1}_0..J^{alpha,1}_{N-1} of the basis; and the function of that
-    block of the table and the rules that makes its matrix.  One
-    jacobi_table over every piece's points serves them all.
+    A piece is (requests, build): its Gauss-Jacobi rule requests, checked
+    when the piece is made, and the function that makes its matrix.  One
+    jacobi_table of J^{alpha,1}_0..J^{alpha,1}_{N-1} over every node of the
+    batch, each rule's nodes mapped from its own interval onto (-1, 1),
+    serves them all: each build takes one (rule, block) pair per request,
+    in request order, with block that rule's columns of the table.
     """
-    batch = iter(gauss_jacobi_rules([request for requests, _, _ in pieces for request in requests]))
-    rules = [tuple(itertools.islice(batch, len(requests))) for requests, _, _ in pieces]
-    points = [piece_points(*own) for (_, piece_points, _), own in zip(pieces, rules)]
-    table = jacobi_table(JacobiIndex(basis.alpha, 1.0), basis.n_modes - 1, np.concatenate(points))
-    blocks = np.split(table, np.cumsum([p.size for p in points[:-1]]), axis=1)
+    rules = gauss_jacobi_rules([request for requests, _ in pieces for request in requests])
+    points = [_reference_points(rule) for rule in rules]
+    # The leading empty array keeps an empty batch (no load terms) valid.
+    table = jacobi_table(
+        JacobiIndex(basis.alpha, 1.0), basis.n_modes - 1, np.concatenate([np.empty(0), *points])
+    )
+    blocks = np.split(table, np.cumsum([p.size for p in points[:-1]], dtype=int), axis=1)
     # Contiguous copies, so each product takes a lone table's BLAS path.
-    return [
-        build(np.ascontiguousarray(block), *own)
-        for (_, _, build), block, own in zip(pieces, blocks, rules)
-    ]
+    pairs = zip(rules, map(np.ascontiguousarray, blocks))
+    return [build(*itertools.islice(pairs, len(requests))) for requests, build in pieces]
 
 
-def _reference_points(basis: TimeBasis, *rules) -> np.ndarray:
-    """The rules' nodes, in order, mapped onto the basis's reference interval (-1, 1)."""
-    if not rules:
-        return np.empty(0)
-    return basis.to_reference(np.concatenate([rule.nodes for rule in rules]))
+def _reference_points(rule) -> np.ndarray:
+    """The rule's nodes mapped from its own interval onto (-1, 1)."""
+    lo, hi = rule.interval
+    return (2.0 * rule.nodes - (lo + hi)) / (hi - lo)
 
 
-def _basis_values(basis: TimeBasis, block: np.ndarray, *rules) -> np.ndarray:
-    """gjp_table of the rules' nodes from their block of the J^{alpha,1} table: (1 + x) times it."""
-    return (1.0 + _reference_points(basis, *rules)) * block
+def _basis_values(rule, block: np.ndarray) -> np.ndarray:
+    """gjp_table of the rule's nodes from its block of the J^{alpha,1} table: (1 + x) times it."""
+    return (1.0 + _reference_points(rule)) * block
 
 
 def _psi_request(basis: TimeBasis, transform: TransformSpec, n: int) -> tuple:
@@ -175,10 +174,8 @@ def _stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec):
         (JacobiIndex(-d, 0.0), quad_n, (0.0, 1.0)),
     ]
 
-    def points(outer, inner):
-        return 2.0 * outer.nodes - 1.0
-
-    def build(jac_outer, outer, inner):
+    def build(*samples):
+        (outer, jac_outer), (inner, _) = samples
         eta, w = outer.nodes, outer.weights
         eta_h, w_h = inner.nodes, inner.weights
 
@@ -207,7 +204,7 @@ def _stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec):
         pref = 4.0 * n_idx * T ** (1.0 - d) * r / math.gamma(1.0 - d)
         return core * pref[None, :]
 
-    return requests, points, build
+    return requests, build
 
 
 def assemble_stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec) -> np.ndarray:
@@ -227,43 +224,36 @@ def _mass(basis: TimeBasis, transform: TransformSpec):
     """assemble_mass as a piece."""
     r = transform.r
 
-    def build(block, rule):
-        table = _basis_values(basis, block, rule)
+    def build(sample):
+        rule, block = sample
+        table = _basis_values(rule, block)
         weighted = table * rule.weights
         m = r * (weighted @ table.T)
         upper = np.triu(m)
         return upper + np.triu(m, 1).T
 
     request = _psi_request(basis, transform, (2 * basis.n_modes + r + 2 + 1) // 2)
-    return [request], functools.partial(_reference_points, basis), build
+    return [request], build
 
 
 def assemble_mass(basis: TimeBasis, transform: TransformSpec) -> np.ndarray:
-    """Mass M_mn = (j_n, j_m) against psi'(t) dt; exact Gauss-Jacobi quadrature."""
+    """Mass M_mn = (j_n, j_m) against psi'(t) dt; exact Gauss-Jacobi quadrature.
+
+    Its entries are those of the basis on (0, b), b the basis's right end.
+    """
     return _assemble(basis, _mass(basis, transform))[0]
 
 
-def _load_matrix(basis: TimeBasis, transform: TransformSpec, f, block, rule) -> np.ndarray:
-    """The load of f on the (0, r-1) rule `rule`, from its J^{alpha,1} block."""
+def _load_matrix(transform: TransformSpec, f, sample) -> np.ndarray:
+    """The load of f on a (0, r-1) rule, from its (rule, J^{alpha,1} block) pair."""
+    rule, block = sample
     vals = np.asarray(f(rule.nodes), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("right-hand side returned NaN or inf at a quadrature node")
-    table = _basis_values(basis, block, rule)
+    table = _basis_values(rule, block)
     wv = np.moveaxis(rule.weights * vals, -1, 0)
     quad_n = rule.nodes.size
     return transform.r * (table @ wv.reshape(quad_n, -1)).reshape(table.shape[:1] + wv.shape[1:])
-
-
-def _load(basis: TimeBasis, transform: TransformSpec, f):
-    """Load F_m = (f, j_m) against psi'(t) dt of a callable f of t, as a piece.
-
-    f is sampled on the (0, r-1) Gauss-Jacobi rule of N + 2*QUAD_GUARD
-    points.  It may return leading axes, with time last: values of shape
-    (..., nodes) give a load of shape (N, ...), one time load per leading
-    index.
-    """
-    build = functools.partial(_load_matrix, basis, transform, f)
-    return [_sampled_request(basis, transform)], functools.partial(_reference_points, basis), build
 
 
 def _load_powers(basis: TimeBasis, transform: TransformSpec, terms):
@@ -285,22 +275,26 @@ def _load_powers(basis: TimeBasis, transform: TransformSpec, terms):
             raise DomainError(f"power {p} is not integrable against the weight")
         requests.append((JacobiIndex(0.0, beta), n_quad, (0.0, b)))
 
-    def build(block, *rules):
+    def build(*samples):
         out = np.zeros(n_modes)
-        tables = _basis_values(basis, block, *rules).reshape(n_modes, len(rules), n_quad)
-        for k, ((c, _), rule) in enumerate(zip(terms, rules)):
-            # A contiguous copy, so the product takes a lone table's BLAS path.
-            table = np.ascontiguousarray(tables[:, k])
-            out += c * r * (table @ rule.weights)
+        for (c, _), (rule, block) in zip(terms, samples):
+            out += c * r * (_basis_values(rule, block) @ rule.weights)
         return out
 
-    return requests, functools.partial(_reference_points, basis), build
+    return requests, build
 
 
 def _time_load(basis: TimeBasis, transform: TransformSpec, source):
-    """assemble_time_load as a piece."""
+    """assemble_time_load as a piece.
+
+    A callable f of t is sampled on the (0, r-1) Gauss-Jacobi rule of
+    N + 2*QUAD_GUARD points.  It may return leading axes, with time last:
+    values of shape (..., nodes) give a load of shape (N, ...), one time
+    load per leading index.
+    """
     if callable(source):
-        return _load(basis, transform, source)
+        build = functools.partial(_load_matrix, transform, source)
+        return [_sampled_request(basis, transform)], build
     return _load_powers(basis, transform, source)
 
 
@@ -308,8 +302,9 @@ def assemble_time_load(basis: TimeBasis, transform: TransformSpec, source) -> np
     """Load of a t-side source: a callable of t, or a tuple of (coef, power) monomials.
 
     A callable is sampled on the (0, r-1) rule of N + 2*QUAD_GUARD points,
-    and may return leading axes (see _load); monomials load exactly, one
-    rule per power.
+    and may return leading axes (see _time_load); monomials load exactly, one
+    rule per power.  Its entries are those of the basis on (0, b), b the
+    basis's right end.
     """
     return _assemble(basis, _time_load(basis, transform, source))[0]
 

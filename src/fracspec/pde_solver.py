@@ -24,7 +24,6 @@ from .ode_solver import (
     _assemble,
     _assemble_system,
     _load_matrix,
-    _reference_points,
     _sampled_request,
     _time_load,
 )
@@ -191,34 +190,28 @@ def _spacetime_load(problem: PDEProblem, time_basis: TimeBasis, space_basis: Spa
     if isinstance(rhs, SeparableRHS):
         if len(rhs.space_factors) != d:
             raise DomainError("separable source needs one spatial factor per dimension")
-        time_requests, time_points, time_load = _time_load(time_basis, transform, rhs.time_source)
+        time_requests, time_load = _time_load(time_basis, transform, rhs.time_source)
 
-        def build(block, rule, *time_rules):
+        def build(space, *time_samples):
+            rule, _ = space
             wphi = weighted_phi(rule)
-            ft = time_load(block, *time_rules)
+            ft = time_load(*time_samples)
             vals = [np.asarray(Xf(rule.nodes), dtype=float) for Xf in rhs.space_factors]
             if not all(np.all(np.isfinite(v)) for v in vals):
                 raise ValueError("space factor returned NaN or inf at a quadrature node")
             vecs = [wphi @ v for v in vals]
             return functools.reduce(np.multiply.outer, vecs, ft)
 
-        def points(rule, *time_rules):
-            return time_points(*time_rules)
-
-        return [space_request, *time_requests], points, build
+        return [space_request, *time_requests], build
 
     # Generic callable f(x[, y], t): time load at every spatial node, then space.
-    def points(rule, time_rule):
-        return _reference_points(time_basis, time_rule)
-
-    def build(block, rule, time_rule):
+    def build(space, time_sample):
+        rule, _ = space
         nodes = rule.nodes
-        ft = _load_matrix(
-            time_basis, transform, lambda t: rhs(*np.ix_(*[nodes] * d, t)), block, time_rule
-        )
+        ft = _load_matrix(transform, lambda t: rhs(*np.ix_(*[nodes] * d, t)), time_sample)
         return _mode_product(ft, [weighted_phi(rule).T] * d)
 
-    return [space_request, _sampled_request(time_basis, transform)], points, build
+    return [space_request, _sampled_request(time_basis, transform)], build
 
 
 def assemble_spacetime_load(

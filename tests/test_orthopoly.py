@@ -163,7 +163,7 @@ def _solver_families():
     return sorted(pairs)
 
 
-_REFUSED = pytest.mark.xfail(raises=NumericalFailureError, strict=True)
+_REFUSED = pytest.mark.xfail(raises=NumericalFailureError)
 
 
 def _envelope_cases():
