@@ -164,9 +164,8 @@ def _stiffness(basis: TimeBasis, delta: FracOrder, transform: TransformSpec):
     r = transform.r
     T = transform.horizon_T
     b = transform.b_psi
-    lo, hi = basis.interval
     # Written so that a NaN end is refused too.
-    if not (abs(lo) <= 1e-12 * b and abs(hi - b) <= 1e-12 * b):
+    if not abs(basis.interval[1] - b) <= 1e-12 * b:
         raise DomainError(f"time basis interval {basis.interval} must be (0, T^gamma) = (0, {b!r})")
     alpha = basis.alpha
     requests = [
@@ -237,10 +236,7 @@ def _mass(basis: TimeBasis, transform: TransformSpec):
 
 
 def assemble_mass(basis: TimeBasis, transform: TransformSpec) -> np.ndarray:
-    """Mass M_mn = (j_n, j_m) against psi'(t) dt; exact Gauss-Jacobi quadrature.
-
-    Its entries are those of the basis on (0, b), b the basis's right end.
-    """
+    """Mass M_mn = (j_n, j_m) against psi'(t) dt; exact Gauss-Jacobi quadrature."""
     return _assemble(basis, _mass(basis, transform))[0]
 
 
@@ -303,8 +299,7 @@ def assemble_time_load(basis: TimeBasis, transform: TransformSpec, source) -> np
 
     A callable is sampled on the (0, r-1) rule of N + 2*QUAD_GUARD points,
     and may return leading axes (see _time_load); monomials load exactly, one
-    rule per power.  Its entries are those of the basis on (0, b), b the
-    basis's right end.
+    rule per power.
     """
     return _assemble(basis, _time_load(basis, transform, source))[0]
 

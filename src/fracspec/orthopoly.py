@@ -376,7 +376,9 @@ class TimeBasis:
 
     Functions are j_n(t) = (1 + x(t)) J^{alpha,1}_{n-1}(x(t)), n = 1..N,
     with x(t) the affine map of the interval onto (-1, 1).  Their span is
-    every polynomial of degree <= N vanishing at the left endpoint.
+    every polynomial of degree <= N vanishing at the left endpoint.  An
+    interval that does not start at 0 is refused: the assembly maps every
+    rule's nodes from the rule's own interval, which starts at 0.
     """
 
     alpha: float
@@ -389,6 +391,9 @@ class TimeBasis:
         if self.n_modes < 1:
             raise DomainError(f"need at least one mode, got {self.n_modes}")
         lo, hi = self.interval
+        # Written so that a NaN start is refused too.
+        if lo != 0.0:
+            raise DomainError(f"time basis interval {self.interval} must start at 0")
         if not hi > lo:
             raise DomainError(f"empty interval {self.interval}")
 

@@ -481,16 +481,18 @@ def test_pde_study_rows_and_errors():
 
 
 def test_pde_study_rejects_unordered_resolutions_before_solving(monkeypatch):
+    import fracspec.analysis as analysis_mod
     import fracspec.pde_solver as pde_mod
 
-    real_solve_spacetime = pde_mod.solve_spacetime
+    real_solve_spacetime = analysis_mod.solve_spacetime
     calls = []
 
     def counting_solve_spacetime(*args, **kwargs):
         calls.append(args)
         return real_solve_spacetime(*args, **kwargs)
 
-    monkeypatch.setattr(pde_mod, "solve_spacetime", counting_solve_spacetime)
+    # The study calls the name that analysis binds at import.
+    monkeypatch.setattr(analysis_mod, "solve_spacetime", counting_solve_spacetime)
     prob, exact = pde_mod.manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
     with pytest.raises(DomainError, match="resolutions must be strictly increasing"):
         run_pde_convergence_study("example4", prob, exact, (10, 6), (10, 6))

@@ -406,21 +406,39 @@ def test_solve_with_non_default_horizon():
 
 
 @pytest.mark.parametrize(
-    "interval",
-    [(0.0, 1.0), (0.0, 2.0), (0.1, 2.0 ** 0.2), (0.0, math.inf), (-math.inf, 2.0 ** 0.2)],
+    "interval, refusal",
+    [
+        ((0.0, 1.0), r"must be \(0, T\^gamma\)"),
+        ((0.0, 2.0), r"must be \(0, T\^gamma\)"),
+        ((0.1, 2.0 ** 0.2), "must start at 0"),
+        ((0.0, math.inf), r"must be \(0, T\^gamma\)"),
+        ((-math.inf, 2.0 ** 0.2), "must start at 0"),
+    ],
     ids=["unit", "T", "shifted", "unbounded", "unbounded-below"],
 )
-def test_solve_refuses_a_basis_on_another_interval(interval):
+def test_solve_refuses_a_basis_on_another_interval(interval, refusal):
     # The stiffness is that of the basis on (0, T^gamma); mass, load and
-    # evaluation use the basis's own interval.  On (0, 1) the solve used to
-    # return a roundoff residual and a max error of 0.27.
+    # evaluation use the basis's own interval, and every rule maps its nodes
+    # as if the basis started at 0, so TimeBasis refuses any other start.
+    # On (0, 1) the solve used to return a roundoff residual and a max error of 0.27.
     spec = TransformSpec(5, 2.0)
     prob = TimeProblem.manufactured(PowerSum(((1.0, 0.6),)), 0.2, 1.0, spec)
-    with pytest.raises(DomainError, match=r"time basis interval .* must be \(0, T\^gamma\)"):
+    with pytest.raises(DomainError, match=r"time basis interval .* " + refusal):
         solve(prob, TimeBasis(0.0, 12, interval))
     # An end within 1e-12 relative of T^gamma is the same interval.
     sol = solve(prob, TimeBasis(0.0, 12, (0.0, spec.b_psi * (1 + 1e-13))))
     assert linf_against(sol, PowerSum(((1.0, 0.6),))) <= 1e-12
+
+
+@pytest.mark.parametrize("start", [0.3, 1e-300, -0.3, math.nan])
+def test_standalone_assembly_refuses_a_basis_that_does_not_start_at_zero(start):
+    # Every rule maps its nodes as if the basis started at 0; such a basis
+    # used to give the mass of the basis on (0, b) without a word.
+    spec = TransformSpec(5, 2.0)
+    with pytest.raises(DomainError, match="must start at 0"):
+        assemble_mass(TimeBasis(0.0, 6, (start, spec.b_psi)), spec)
+    with pytest.raises(DomainError, match="must start at 0"):
+        assemble_time_load(TimeBasis(0.0, 6, (start, spec.b_psi)), spec, ((1.0, 0.5),))
 
 
 def test_evaluate_round_trip_points():
