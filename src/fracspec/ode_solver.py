@@ -74,6 +74,8 @@ class TimeProblem:
             raise DomainError(f"lam must be positive and finite, got {self.lam}")
         if (self.source is None) == (self.exact is None):
             raise DomainError("exactly one of source/exact must be given")
+        if self.source is not None and not callable(self.source):
+            raise DomainError("source must be a callable of s")
         if self.exact is not None and self.exact.constant != self.phi:
             raise DomainError("manufactured solution must satisfy u(0) = phi")
 

@@ -44,8 +44,12 @@ __all__ = [
 # A mode is refused when cancellation leaves a pivot (or a 2 x 2 block's
 # determinant) of its block-triangular system at most this fraction of its terms.
 PIVOT_TOL = 1e-12
-# Mode columns per back-substitution pass: bounds the stage's temporaries.
-_CHUNK = 4096
+# Mode columns per back-substitution pass.  It bounds the back end's scratch:
+# the mode stage works in N x _CHUNK blocks, and the stages over time rows in
+# blocks of as many entries (_row_blocks).  1536 is about the fewest that keep
+# all 39^2 modes of M = 40 in one chunk; at (N, M) = (40, 60) a warm solve
+# then peaks at 3.7 N x K^2 tensors, against 4.1 at 2048, at about the same speed.
+_CHUNK = 1536
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,8 @@ class PDEProblem:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise DomainError(f"dimension must be 1 or 2, got {self.dimension}")
+        if not (isinstance(self.rhs, SeparableRHS) or callable(self.rhs)):
+            raise DomainError("rhs must be a SeparableRHS or a callable f(x[, y], t)")
 
 
 def manufactured_sine_power(delta, transform: TransformSpec, sigma: float, dimension: int = 2):
@@ -158,23 +164,39 @@ class SpaceTimeSolution:
         return evaluate_spacetime(self, *grids)
 
 
-def _mode_product(T: np.ndarray, mats) -> np.ndarray:
+def _mode_product(T: np.ndarray, mats, out: np.ndarray | None = None) -> np.ndarray:
     """Contract spatial axis i of T (axis i + 1) with the first index of mats[i].
 
     None leaves that axis alone.  Axis 0 of T is time and is never touched.
     Each contraction is one matmul over T viewed as (before, axis, after), so
-    the result stays C-contiguous and no axis is moved.
+    the result stays C-contiguous and no axis is moved.  The last contraction
+    writes into out, a C-contiguous array of the result's shape, when one is
+    given; out may be T itself.
     """
+    last = max((i for i, mat in enumerate(mats) if mat is not None), default=None)
     for i, mat in enumerate(mats):
         if mat is not None:
             shape = T.shape
             before, after = shape[: i + 1], shape[i + 2:]
             if after:
-                T = mat.T @ T.reshape(math.prod(before), shape[i + 1], -1)
+                operands = mat.T, T.reshape(math.prod(before), shape[i + 1], -1)
+                flat = (math.prod(before), mat.shape[1], -1)
             else:
-                T = T.reshape(-1, shape[i + 1]) @ mat
-            T = T.reshape(before + mat.shape[1:] + after)
+                operands = T.reshape(-1, shape[i + 1]), mat
+                flat = (-1, mat.shape[1])
+            dest = out.reshape(flat) if out is not None and i == last else None
+            T = np.matmul(*operands, out=dest).reshape(before + mat.shape[1:] + after)
     return T
+
+
+def _row_blocks(T: np.ndarray) -> list[slice]:
+    """Slices of at most max(1, N * _CHUNK // K^d) consecutive time rows (axis 0) of T.
+
+    A block of them holds about as many entries as one N x _CHUNK mode block.
+    """
+    n = T.shape[0]
+    step = max(1, n * _CHUNK // math.prod(T.shape[1:]))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def _spacetime_load(problem: PDEProblem, time_basis: TimeBasis, space_basis: SpatialBasis):
@@ -273,8 +295,10 @@ def _pivot_forms(T: np.ndarray, R: np.ndarray, blocks) -> tuple[np.ndarray, np.n
 
 
 def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """Solve (mu S + c M) w = fhat[:, mode] for every eigenmode; w has fhat's (N, K, ...) shape.
+    """Solve (mu S + c M) w = fhat[:, mode] for every eigenmode, writing w over fhat.
 
+    w is written over fhat, an (N, K, ...) array (over a copy of it if fhat
+    is not C-contiguous), and returned in fhat's shape.
     Row m of table is the (mu, c) of the mode with flat index m.  One real
     QZ of the time pencil, S = Q T Z^T and M = Q R Z^T with T
     quasi-upper-triangular and R upper-triangular, makes every mode
@@ -283,18 +307,20 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
     back-substitution runs bottom-up over T's 1 x 1 and 2 x 2 diagonal
     blocks, each solved in closed form (Cramer's rule for 2 x 2) and
     vectorised across _CHUNK mode columns at a time, followed by one
-    refinement step on fhat - mu S w - c M w.
+    refinement step on fhat - mu S w - c M w.  A chunk works in two
+    N x _CHUNK scratch blocks, and its residual and then its answer are
+    written over its columns of fhat.
 
     A mode is refused when a 1 x 1 pivot |mu T_ii + c R_ii| is not above
     PIVOT_TOL (|mu||T_ii| + |c||R_ii|), or a 2 x 2 block's determinant
     |det(mu T_b + c R_b)| is not above PIVOT_TOL (t_11 t_22 + t_12 t_21) with
     t_jk = |mu||T_jk| + |c||R_jk|; the zero matrix and a NaN are refused.
     The first refused mode in flat order raises NumericalFailureError naming
-    its lowest refused block, with index set to the mode's tuple.
+    its lowest refused block, with index set to the mode's tuple; the chunks
+    before it already hold their answers.
     """
     shape = fhat.shape[1:]
     f = fhat.reshape(fhat.shape[0], -1)
-    w = np.empty_like(f)
     T, R, Q, Z = qz(S, M, output="real")
     blocks = _schur_blocks(T)
     P, Pabs = _pivot_forms(T, R, blocks)
@@ -311,10 +337,10 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
             )
         steps.append((i, end, np.concatenate([T[i:end, end:], R[i:end, end:]]), adjugate))
 
-    def back_substitute(b, coefs, pivots, out):
+    def back_substitute(b, coefs, pivots, y, out):
         """Write Z y into out for (mu T + c R) y = Q^T b, y written over Q^T b block by block."""
         mu, c = coefs
-        y = Q.T @ b
+        np.matmul(Q.T, b, out=y)
         for (i, end, coupling, adjugate), pivot in zip(steps, pivots[::-1]):
             below = coupling @ y[end:]
             rhs = y[i:end]
@@ -327,15 +353,20 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
                 rhs[0], rhs[1] = a[0] * r1 + a[1] * r2, a[2] * r1 + a[3] * r2
         np.matmul(Z, y, out=out)
 
+    scratch = np.empty((2, f.shape[0], min(_CHUNK, f.shape[1])))
     for lo in range(0, f.shape[1], _CHUNK):
-        cols = slice(lo, lo + _CHUNK)
-        coefs = np.ascontiguousarray(table[cols].T)
+        fc = f[:, lo:lo + _CHUNK]
+        y, w = scratch[:, :, : fc.shape[1]]
+        coefs = np.ascontiguousarray(table[lo:lo + _CHUNK].T)
         mu, c = coefs
         monomials = np.stack([mu, c, mu * mu, mu * c, c * c])
         pivots = P @ monomials
-        bounds = PIVOT_TOL * (Pabs @ np.abs(monomials))
-        # Written so that a NaN pivot is refused too.
-        refused = ~(np.abs(pivots) > bounds)
+        # The guard's bounds and pivot sizes are taken in the scratch blocks,
+        # which the solve overwrites; it is written so that a NaN pivot is
+        # refused too.
+        bounds = np.matmul(Pabs, np.abs(monomials), out=y[: len(blocks)])
+        bounds *= PIVOT_TOL
+        refused = ~(np.abs(pivots, out=w[: len(blocks)]) > bounds)
         if refused.any():
             m = int(np.argmax(refused.any(axis=0)))
             k = int(np.argmax(refused[:, m]))
@@ -355,20 +386,18 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
             raise NumericalFailureError(
                 message, index=tuple(int(j) for j in np.unravel_index(lo + m, shape))
             )
-        del bounds, refused  # freed before the solve's temporaries
-        wc = w[:, cols]
-        back_substitute(f[:, cols], coefs, pivots, out=wc)
-        # fhat - mu S w - c M w, accumulated in place; its correction then
-        # overwrites it.
-        residual, term = S @ wc, M @ wc
-        residual *= mu
-        term *= c
-        residual += term
-        del term
-        np.subtract(f[:, cols], residual, out=residual)
-        back_substitute(residual, coefs, pivots, out=residual)
-        wc += residual
-    return w.reshape(fhat.shape)
+        back_substitute(fc, coefs, pivots, y, out=w)
+        # fhat - mu S w - c M w, taken in place over fhat's columns; its
+        # correction then overwrites them, and w is added.
+        np.matmul(S, w, out=y)
+        y *= mu
+        fc -= y
+        np.matmul(M, w, out=y)
+        y *= c
+        fc -= y
+        back_substitute(fc, coefs, pivots, y, out=fc)
+        fc += w
+    return f.reshape(fhat.shape)
 
 
 def solve_spacetime(
@@ -399,33 +428,44 @@ def solve_spacetime(
     if lam.min() <= 0:
         raise NumericalFailureError(f"spatial mass matrix lost positive definiteness ({where})")
 
-    fhat = _mode_product(F, [E] * d)
+    f_scale = np.max(np.abs(F))  # before the coefficient tensor exists: |F| is no third tensor
+    # One coefficient tensor beside F: fhat, then w written over it by the
+    # mode stage, then V over w, each stage over blocks of time rows or of
+    # mode columns.
+    fhat = np.empty_like(F)
+    blocks = _row_blocks(F)
+    for rows in blocks:
+        _mode_product(F[rows], [E] * d, out=fhat[rows])
     try:
-        vhat = _solve_modes(S, M, _mode_table(lam, d), fhat)
+        V = _solve_modes(S, M, _mode_table(lam, d), fhat)
     except NumericalFailureError as exc:
         raise NumericalFailureError(
             f"eigenmode solve failed at mode {exc.index} ({where}): {exc}",
             estimate=exc.estimate,
             index=exc.index,
         ) from exc
-    V = _mode_product(vhat, [E.T] * d)
-    del fhat, vhat  # dead from here on; freed before the residual's temporaries
-    # Operator: S x B^d + M x (sum_i B^d with identity on axis i) + M x B^d.
-    # Accumulated in place, in the order of S VB + M ((lap_0 + lap_1 + ...) + VB) - F.
-    # lap_i has B on every axis but i, so lap_{d-1} times B on the last axis
-    # is VB, by the very products that B on every axis in turn would take.
-    lap = np.zeros_like(V)
-    for i in range(d):
-        term = _mode_product(V, [None if j == i else B for j in range(d)])
-        lap += term
-    VB = _mode_product(term, [None] * (d - 1) + [B])
-    del term
-    lap += VB
-    resid_tensor = np.tensordot(S, VB, axes=1)
-    resid_tensor += np.tensordot(M, lap, axes=1)
-    resid_tensor -= F
-    f_scale = np.max(np.abs(F))
-    residual = float(np.max(np.abs(resid_tensor)))
+    for rows in blocks:
+        _mode_product(V[rows], [E.T] * d, out=V[rows])
+    # Operator: S x B^d + M x (sum_i B^d with identity on axis i) + M x B^d,
+    # over blocks of time rows.  With X = S[rows] V, Y = M[rows] V and B_i
+    # for B on spatial axis i, it is nested from the last axis out:
+    # G_d = X + Y and G_i = B_i G_{i+1} + B_{i+1} ... B_{d-1} Y, so in 2-d
+    # B((X + Y) B + Y) + Y B.  The running max is np.maximum, so a NaN in
+    # any block is kept and refused.
+    flat = V.reshape(N, -1)
+    residual = 0.0
+    for rows in blocks:
+        G = (S[rows] @ flat).reshape(F[rows].shape)
+        Y = (M[rows] @ flat).reshape(G.shape)
+        G += Y
+        for i in reversed(range(d)):
+            G = _mode_product(G, [None] * i + [B] + [None] * (d - 1 - i))
+            if i < d - 1:
+                Y = _mode_product(Y, [None] * (i + 1) + [B] + [None] * (d - 2 - i))
+            G += Y
+        G -= F[rows]
+        residual = np.maximum(residual, np.max(np.abs(G, out=G)))
+    residual = float(residual)
     # Written so that a NaN residual or load is refused too.
     if not residual <= 1e-10 * f_scale:
         raise NumericalFailureError(

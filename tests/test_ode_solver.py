@@ -300,6 +300,12 @@ def test_problem_validation():
             TimeProblem(FracOrder(0.5), lam, spec, exact=u)
 
 
+def test_a_source_that_cannot_be_evaluated_is_refused_at_construction():
+    # Not later, as a bare TypeError from inside the assembly.
+    with pytest.raises(DomainError, match="source must be a callable of s"):
+        TimeProblem.from_source(3.0, 0.5, 1.0, TransformSpec(2, 2.0))
+
+
 @pytest.mark.parametrize(
     "terms, delta, lam, r, expected",
     [
