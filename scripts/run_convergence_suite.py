@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run every convergence experiment and write the CSVs under results/.
 
-Covers: the rational power solution at gamma in {1/5, 1/8}, the irrational
+Covers: the smooth solution s^2 at gamma = 1 for delta in {1/10, 1/2, 9/10},
+the rational power solution at gamma in {1/5, 1/8}, the irrational
 power at gamma = 1/7 for both fractional orders, the unknown-solution
 sin source comparing gamma = 1/6 against gamma = 1, and the 2-d subdiffusion
 sweeps in M and in N.  Each experiment is one `fracspec convergence` run on
@@ -17,6 +18,9 @@ OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 # (CSV name, flags of one `fracspec convergence` run), in run order.
 STUDIES = (
+    ("power2_gamma1_delta1_10.csv", "--problem example1 --delta 0.1 --N 2,4"),
+    ("power2_gamma1_delta1_2.csv", "--problem example1 --N 2,4"),
+    ("power2_gamma1_delta9_10.csv", "--problem example1 --delta 0.9 --N 2,4"),
     ("power3_5_gamma1_5_delta1_5.csv", "--problem example2a --N 2:20:2"),
     ("power3_5_gamma1_8_delta9_10.csv", "--problem example2a --gamma 1/8 --delta 0.9 --N 2:20:2"),
     ("power_irr_gamma1_7_delta1_5.csv", "--problem example2b --N 4:40:2"),

@@ -19,6 +19,12 @@ class NumericalFailureError(RuntimeError):
         self.error_bound = error_bound
         self.index = index
 
+    def prefixed(self, context):
+        """This refusal as "<context>: <message>", keeping its estimate, error bound and index."""
+        return NumericalFailureError(
+            f"{context}: {self}", self.estimate, self.error_bound, self.index
+        )
+
 
 class StudyError(RuntimeError):
     """A convergence study aborted; partial results are attached."""

@@ -299,18 +299,13 @@ def _fd_derivative(g, t: float, h: float) -> float:
 
 
 def _kernel_ratio(spec: TransformSpec, t: float, z: np.ndarray) -> np.ndarray:
-    """(t^r - z^r)/(t - z) = sum_{k<r} z^k t^(r-1-k), evaluated stably."""
+    """(t^r - z^r)/(t - z) = sum_{k<r} z^k t^(r-1-k), evaluated stably.
+
+    The ratio is symmetric in t and z, so it serves the right-sided kernels too.
+    """
     out = np.zeros_like(z)
     for k in range(spec.r):
         out += z**k * t ** (spec.r - 1 - k)
-    return out
-
-
-def _kernel_ratio_right(spec: TransformSpec, t: float, z: np.ndarray) -> np.ndarray:
-    """(z^r - t^r)/(z - t) = sum_{k<r} z^(r-1-k) t^k."""
-    out = np.zeros_like(z)
-    for k in range(spec.r):
-        out += z ** (spec.r - 1 - k) * t**k
     return out
 
 
@@ -407,7 +402,7 @@ def _right_caputo_numeric(spec, delta: FracOrder, w_prime, t: float, tol: float)
 
     def g(u):
         z = t + u ** (1.0 / p)
-        return _kernel_ratio_right(spec, t, z) ** (-d) * w_prime(z)
+        return _kernel_ratio(spec, t, z) ** (-d) * w_prime(z)
 
     val, _ = adaptive_quad(g, 0.0, (b - t) ** p, tol * p * math.gamma(1.0 - d))
     return -val / (p * math.gamma(1.0 - d))
@@ -423,7 +418,7 @@ def _right_rl_numeric(spec, delta: FracOrder, w, t: float, tol: float):
     def big_g(tt):
         def g(u):
             z = tt + u ** (1.0 / p)
-            return spec.psi_prime(z) * _kernel_ratio_right(spec, tt, z) ** (-d) * w(z)
+            return spec.psi_prime(z) * _kernel_ratio(spec, tt, z) ** (-d) * w(z)
 
         val, _ = adaptive_quad(g, 0.0, (b - tt) ** p, 1e-3 * tol * p * math.gamma(p))
         return val / (p * math.gamma(p))

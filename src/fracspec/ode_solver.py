@@ -330,7 +330,7 @@ def _assemble_system(basis: TimeBasis, delta: FracOrder, transform: TransformSpe
 
     A stiffness or mass matrix with a NaN or inf entry is refused, and every
     NumericalFailureError of the assembly is raised again as
-    "assembly failed (<where>): ...".
+    "assembly failed (<where>): ...", with its estimate and error bound.
     """
     stiffness, mass = _stiffness(basis, delta, transform), _mass(basis, transform)
     try:
@@ -339,9 +339,7 @@ def _assemble_system(basis: TimeBasis, delta: FracOrder, transform: TransformSpe
             if not np.all(np.isfinite(matrix)):
                 raise NumericalFailureError(f"non-finite {name} matrix")
     except NumericalFailureError as exc:
-        raise NumericalFailureError(
-            f"assembly failed ({where}): {exc}", estimate=exc.estimate
-        ) from exc
+        raise exc.prefixed(f"assembly failed ({where})") from exc
     return S, M, F
 
 
@@ -378,9 +376,7 @@ def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes):
                 if not math.isfinite(residual):
                     raise NumericalFailureError("non-finite solution or residual")
             except NumericalFailureError as exc:
-                raise NumericalFailureError(
-                    f"linear solve failed ({where}, N={n}): {exc}", estimate=exc.estimate
-                ) from exc
+                raise exc.prefixed(f"linear solve failed ({where}, N={n})") from exc
             yield TimeSolution(
                 coeffs=coeffs,
                 basis=replace(basis, n_modes=n),

@@ -439,11 +439,7 @@ def solve_spacetime(
     try:
         V = _solve_modes(S, M, _mode_table(lam, d), fhat)
     except NumericalFailureError as exc:
-        raise NumericalFailureError(
-            f"eigenmode solve failed at mode {exc.index} ({where}): {exc}",
-            estimate=exc.estimate,
-            index=exc.index,
-        ) from exc
+        raise exc.prefixed(f"eigenmode solve failed at mode {exc.index} ({where})") from exc
     for rows in blocks:
         _mode_product(V[rows], [E.T] * d, out=V[rows])
     # Operator: S x B^d + M x (sum_i B^d with identity on axis i) + M x B^d,

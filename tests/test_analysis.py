@@ -111,6 +111,16 @@ def test_l2_weighted_variant_agrees_analytically():
     assert weighted == pytest.approx(plain, rel=1e-6, abs=1e-13)
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_l2_rules_agree_bit_for_bit_at_r_1(delta, n):
+    # At r = 1, psi is the identity, so the weighted rule samples the same
+    # points with the same weights as the plain one.
+    sol = solve_at(example1_problem(delta), n)
+    exact = PowerSum(((1.0, 2.0),))
+    assert error_l2(sol, exact, weighted=True) == error_l2(sol, exact)
+
+
 def _adaptive_l2(sol, exact):
     """L2(0, T) error by adaptive quadrature of the squared error in t against psi'(t) dt."""
     transform = sol.transform

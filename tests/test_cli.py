@@ -502,16 +502,12 @@ def test_every_table_cell_has_its_column_format(capsys, argv):
         assert all(p.fullmatch(cell) for p, cell in zip(patterns, row)), row
 
 
-def test_error_table_script_prints_both_rows_at_roundoff(capsys):
-    # u = s^2 lies in the N = 2 space, so every error is roundoff.
-    load_script("run_error_table").main()
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.startswith("N ")
-    assert [row.split()[0] for row in rows] == ["2", "4"]
-    for row in rows:
-        errors = [float(cell) for cell in row.replace("|", " ").split()[1:]]
-        assert len(errors) == 6
-        assert max(errors) <= 1e-12
+def test_every_results_csv_has_exactly_one_suite_row():
+    # A CSV no row writes is never regenerated, and two rows writing one CSV
+    # leave only the later run's table.
+    names = [name for name, _ in suite.STUDIES]
+    assert len(set(names)) == len(names)
+    assert sorted(path.name for path in (ROOT / "results").glob("*.csv")) == sorted(names)
 
 
 def test_suite_results_are_not_git_ignored():

@@ -745,7 +745,7 @@ def test_refused_block_names_its_own_size(monkeypatch):
 
     def refusing_solve_linear(A, F):
         if A.shape == (6, 6):
-            raise NumericalFailureError("synthetic refusal", estimate=1e20)
+            raise NumericalFailureError("synthetic refusal", estimate=1e20, error_bound=0.5)
         return real_solve_linear(A, F)
 
     monkeypatch.setattr(ode_mod, "solve_linear", refusing_solve_linear)
@@ -756,5 +756,5 @@ def test_refused_block_names_its_own_size(monkeypatch):
     with pytest.raises(NumericalFailureError) as info:
         next(blocks)
     assert str(info.value) == "linear solve failed (delta=0.5, r=1, N=6): synthetic refusal"
-    assert info.value.estimate == 1e20
+    assert (info.value.estimate, info.value.error_bound) == (1e20, 0.5)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+import fracspec.orthopoly as orthopoly
 import fracspec.pde_solver as pde_mod
 from fracspec.errors import DomainError, NumericalFailureError
 from fracspec.frac_ops import FracOrder, PowerSum, TransformSpec, adaptive_quad
@@ -369,6 +370,45 @@ def test_tensor_residual_guard_refuses_nan(monkeypatch):
         prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=d)
         with pytest.raises(NumericalFailureError, match="tensor residual nan exceeds"):
             solve_spacetime(prob, tb, sb)
+
+
+@pytest.mark.parametrize("solver", ["solve", "solve_spacetime"])
+def test_a_newton_stall_keeps_its_residual_through_the_solver(monkeypatch, solver):
+    # Nodes shifted 2 to the right stall every rule's Newton pass.  The
+    # solver names the stage and keeps the rule's residual as the error bound.
+    stevd = orthopoly._dstevd
+
+    def shifted(diag, off):
+        nodes, vectors, info = stevd(diag, off)
+        return nodes + 2.0, vectors, info
+
+    monkeypatch.setattr(orthopoly, "_dstevd", shifted)
+    tb, sb = bases(6, 6)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    with pytest.raises(NumericalFailureError, match=r"^assembly failed .*: Newton stalled") as info:
+        if solver == "solve":
+            solve(TimeProblem.manufactured(PowerSum(((1.0, 2.0),)), 0.5, 1.0, SPEC5), tb)
+        else:
+            solve_spacetime(prob, tb, sb)
+    residual = info.value.__cause__.error_bound
+    assert residual > 1e-13
+    assert info.value.error_bound == residual
+    assert str(info.value).endswith(f"max node residual {residual:.3e}")
+
+
+def test_a_mode_refusal_keeps_its_record_through_the_solver(monkeypatch):
+    def refusing_solve_modes(S, M, table, fhat):
+        raise NumericalFailureError("synthetic", estimate=1e20, error_bound=0.5, index=(1, 2))
+
+    monkeypatch.setattr(pde_mod, "_solve_modes", refusing_solve_modes)
+    tb, sb = bases(6, 6)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    with pytest.raises(NumericalFailureError) as info:
+        solve_spacetime(prob, tb, sb)
+    assert str(info.value) == (
+        "eigenmode solve failed at mode (1, 2) (delta=0.5, r=5, N=6, M=6): synthetic"
+    )
+    assert (info.value.estimate, info.value.error_bound, info.value.index) == (1e20, 0.5, (1, 2))
 
 
 REFUSED_MODES = ((2, 3), (3, 2), (4, 1))  # flat indices 13, 17 and 21 of the 5 x 5 modes
