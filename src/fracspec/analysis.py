@@ -2,7 +2,13 @@
 
 Produces the machine-readable error tables behind the reported experiments:
 uniform-grid maximum errors, quadrature-based L2 errors, and resolution
-sweeps with optional self-reference when no exact solution is known.
+sweeps with optional self-reference when no exact solution is known.  The
+two study runners take plain arguments and check them before any solve:
+
+    run_convergence_study(problem, exact, n_values, *, ref_n=None, weighted_l2=False)
+    run_pde_convergence_study(problem, exact, n_values, m_values)
+
+Each returns a ConvergenceStudy(reports), smallest resolution first.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .pde_solver import SpatialBasis, solve_spacetime
 __all__ = [
     "ErrorReport",
     "ConvergenceStudy",
-    "StudyRequest",
     "error_linf",
     "error_l2",
     "run_convergence_study",
@@ -56,7 +61,9 @@ class ErrorReport:
 
 
 def _require_increasing(resolutions):
-    """Each (N, M) must grow in one entry and shrink in none; M is None for scalar studies."""
+    """At least one (N, M), each growing in one entry and shrinking in none; M is None if scalar."""
+    if not resolutions:
+        raise DomainError("need at least one resolution")
     pairs = [(n, m if m is not None else 0) for n, m in resolutions]
     for (n0, m0), (n1, m1) in zip(pairs, pairs[1:]):
         increasing = (n1 > n0 and m1 >= m0) or (m1 > m0 and n1 >= n0)
@@ -68,11 +75,12 @@ def _require_increasing(resolutions):
 class ConvergenceStudy:
     """Ordered error reports for one problem and parameter set."""
 
-    problem_id: str
     reports: tuple[ErrorReport, ...]
 
     def __post_init__(self):
-        _require_increasing([(r.n_modes, r.m_modes) for r in self.reports])
+        # The partial study of a run that failed at its first row has no reports.
+        if self.reports:
+            _require_increasing([(r.n_modes, r.m_modes) for r in self.reports])
 
     def columns(self) -> dict[str, list]:
         """The error table by column: N, M (space-time studies only), both errors, runtime_ms."""
@@ -145,34 +153,12 @@ def error_l2(sol: TimeSolution, exact, *, weighted: bool = False) -> float:
     return _error_of(_error_points(sol.transform, weighted=weighted)[1], sol.basis, exact)(sol)
 
 
-@dataclass(frozen=True)
-class StudyRequest:
-    """Specification of a resolution sweep for one time problem."""
-
-    problem_id: str
-    problem: TimeProblem
-    n_values: tuple[int, ...]
-    exact: object = None
-    ref_n: int | None = None
-    weighted_l2: bool = False
-
-    def __post_init__(self):
-        if len(self.n_values) == 0:
-            raise DomainError("need at least one resolution")
-        if (self.exact is None) == (self.ref_n is None):
-            raise DomainError("exactly one of exact/ref_n must be given")
-        if self.ref_n is not None and self.ref_n < 2 * max(self.n_values):
-            raise DomainError(
-                f"reference resolution {self.ref_n} must be at least twice the largest N"
-            )
-
-
-def _run_study(problem_id: str, resolutions, solutions, errors_of) -> ConvergenceStudy:
+def _run_study(resolutions, solutions, errors_of) -> ConvergenceStudy:
     """Draw one solution per (N, M) in order, timing each draw alone, and collect error reports.
 
     `solutions` is an iterator that yields the solution at each resolution in
-    order, doing its work only when drawn; the caller has checked the order of
-    the resolutions before any work.  Any member failure aborts the study; the
+    order, doing its work only when drawn; the caller has checked the
+    resolutions before any work.  Any member failure aborts the study; the
     completed reports travel on the raised StudyError so partial progress is
     never silently discarded.
     """
@@ -187,13 +173,20 @@ def _run_study(problem_id: str, resolutions, solutions, errors_of) -> Convergenc
                 ErrorReport(n_modes=n, m_modes=m, linf_error=linf, l2_error=l2, runtime_ms=runtime)
             )
     except Exception as exc:
-        partial = ConvergenceStudy(problem_id, tuple(done))
+        partial = ConvergenceStudy(tuple(done))
         raise StudyError(f"study member failed: {exc}", partial=partial) from exc
-    return ConvergenceStudy(problem_id, tuple(done))
+    return ConvergenceStudy(tuple(done))
 
 
-def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
-    """Solve at every resolution and collect error reports, smallest N first.
+def run_convergence_study(
+    problem: TimeProblem, exact, n_values, *, ref_n: int | None = None, weighted_l2: bool = False
+) -> ConvergenceStudy:
+    """Solve at every N of n_values and collect error reports, smallest N first.
+
+    `exact` is a callable of s, or None for a study against the solve at
+    ref_n, which must then be at least twice the largest N.  weighted_l2
+    measures the L2 error in t against psi'(t) dt.  The arguments are checked
+    before any rule is built.
 
     One assembly serves every row: at the largest N, or at ref_n for a study
     with a reference.  Each N is solved on the leading block of that system
@@ -202,22 +195,23 @@ def run_convergence_study(request: StudyRequest) -> ConvergenceStudy:
     the lone solve at ref_n bit for bit; that draw carries the assembly,
     and no row's runtime_ms includes it.  Each set of error points gets one
     basis table, built at the assembly's size, and one evaluation of the
-    exact or reference solution.  The order of the resolutions is checked
-    before any work.
+    exact or reference solution.
     """
-    problem = request.problem
-    n_values = sorted(request.n_values)
+    n_values = sorted(n_values)
     resolutions = [(n, None) for n in n_values]
     _require_increasing(resolutions)
-    sizes = n_values if request.ref_n is None else [request.ref_n, *n_values]
+    if (exact is None) == (ref_n is None):
+        raise DomainError("exactly one of exact/ref_n must be given")
+    if ref_n is not None and ref_n < 2 * n_values[-1]:
+        raise DomainError(f"reference resolution {ref_n} must be at least twice the largest N")
+    sizes = n_values if ref_n is None else [ref_n, *n_values]
     basis = TimeBasis(0.0, max(sizes), (0.0, problem.transform.b_psi))
     solutions = solve_nested(problem, basis, sizes)
-    exact = request.exact if request.ref_n is None else next(solutions)
-    points = _error_points(problem.transform, weighted=request.weighted_l2)
+    if exact is None:
+        exact = next(solutions)
+    points = _error_points(problem.transform, weighted=weighted_l2)
     linf, l2 = (_error_of(p, basis, exact) for p in points)
-    return _run_study(
-        request.problem_id, resolutions, solutions, lambda sol: (linf(sol), l2(sol))
-    )
+    return _run_study(resolutions, solutions, lambda sol: (linf(sol), l2(sol)))
 
 
 def pde_errors_at_final_time(sol, exact) -> tuple[float, float]:
@@ -237,25 +231,23 @@ def pde_errors_at_final_time(sol, exact) -> tuple[float, float]:
     return linf, l2
 
 
-def run_pde_convergence_study(
-    problem_id: str,
-    problem,
-    exact,
-    n_values: tuple[int, ...],
-    m_values: tuple[int, ...],
-) -> ConvergenceStudy:
-    """Sweep (N, M) pairs of a space-time problem; lists must have equal length."""
+def run_pde_convergence_study(problem, exact, n_values, m_values) -> ConvergenceStudy:
+    """Sweep the (N, M) pairs of a space-time problem against its exact solution.
+
+    The lists have equal length, and each pair grows in one entry and shrinks
+    in none.  These, the exact solution and every pair's time and space bases
+    are checked before any solve.
+    """
+    if exact is None:
+        raise DomainError("a space-time study needs the exact solution")
     if len(n_values) != len(m_values):
         raise DomainError("need matching N and M lists (equal length)")
-    interval, d = (0.0, problem.transform.b_psi), problem.dimension
     resolutions = list(zip(n_values, m_values))
     _require_increasing(resolutions)
+    interval, d = (0.0, problem.transform.b_psi), problem.dimension
+    bases = [(TimeBasis(0.0, n, interval), SpatialBasis(m, d)) for n, m in resolutions]
     return _run_study(
-        problem_id,
         resolutions,
-        (
-            solve_spacetime(problem, TimeBasis(0.0, n, interval), SpatialBasis(m, d))
-            for n, m in resolutions
-        ),
+        (solve_spacetime(problem, tb, sb) for tb, sb in bases),
         lambda sol: pde_errors_at_final_time(sol, exact),
     )

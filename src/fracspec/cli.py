@@ -18,7 +18,6 @@ import numpy as np
 from .analysis import (
     LINF_GRID,
     PDE_GRID,
-    StudyRequest,
     error_l2,
     pde_errors_at_final_time,
     run_convergence_study,
@@ -293,19 +292,13 @@ def _cmd_convergence(eff) -> int:
         # A single N or M is paired with every entry of the other list.
         size = max(len(n_values), len(m_values))
         n_values, m_values = (v * size if len(v) == 1 else v for v in (n_values, m_values))
-        study = run_pde_convergence_study(entry.problem_id, problem, exact, n_values, m_values)
+        study = run_pde_convergence_study(problem, exact, n_values, m_values)
         extras = {}
     else:
         ref_n = eff["ref_n"] if eff["ref_n"] is not None else (None if exact else entry.default_ref_n)
-        request = StudyRequest(
-            problem_id=entry.problem_id,
-            problem=problem,
-            n_values=eff["N"] or (2, 4, 8, 16),
-            exact=exact,
-            ref_n=ref_n,
-            weighted_l2=eff["weighted_l2"],
+        study = run_convergence_study(
+            problem, exact, eff["N"] or (2, 4, 8, 16), ref_n=ref_n, weighted_l2=eff["weighted_l2"]
         )
-        study = run_convergence_study(request)
         extras = {"ref_N": ref_n}
     columns = study.columns()
     resolutions = {key: columns[key] for key in ("N", "M") if key in columns}

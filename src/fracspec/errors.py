@@ -8,9 +8,13 @@ class DomainError(ValueError):
 class NumericalFailureError(RuntimeError):
     """A numerical procedure failed to converge.
 
-    Carries the best available estimate and its error bound so callers can
-    inspect how close the computation got before giving up.  A refused
-    eigenmode of the space-time solve also carries the mode's index tuple.
+    Carries what the refusing stage measured, so callers can inspect how
+    close the computation got before giving up; each is None where the stage
+    has none.  `estimate` is the refused linear solve's condition estimate,
+    or the adaptive quadrature's running integral when its budget runs out.
+    `error_bound` is that quadrature's error estimate, or the max node
+    residual of a Gauss-Jacobi rule whose Newton pass stalled.  `index` is
+    the index tuple of a refused eigenmode of the space-time solve.
     """
 
     def __init__(self, message, estimate=None, error_bound=None, index=None):

@@ -351,7 +351,6 @@ def gauss_jacobi_rules(requests) -> tuple[QuadratureRule, ...]:
         if not residual_i <= 1e-13:
             raise NumericalFailureError(
                 f"{_rule_name(idx, n)}: Newton stalled, max node residual {residual_i:.3e}",
-                estimate=nodes_i,
                 error_bound=float(residual_i),
             )
         weights = constant / ((1.0 - nodes_i * nodes_i) * dp_i * dp_i)

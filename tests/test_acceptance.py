@@ -14,7 +14,7 @@ import pytest
 from conftest import oracle_load_vector, oracle_mass_matrix, oracle_stiffness_matrix
 from test_orthopoly import _moment, _solver_indices
 
-from fracspec.analysis import StudyRequest, error_l2, error_linf, run_convergence_study
+from fracspec.analysis import error_l2, error_linf, run_convergence_study
 from fracspec.frac_ops import (
     FracOrder,
     PowerSum,
@@ -156,9 +156,7 @@ def test_criterion_4_rescaling_benefit():
     results = {}
     for r in (6, 1):
         problem = TimeProblem.from_source(np.sin, 0.5, 1.0, TransformSpec(r, 2.0))
-        study = run_convergence_study(
-            StudyRequest("example3", problem, ns, ref_n=60)
-        )
+        study = run_convergence_study(problem, None, ns, ref_n=60)
         results[r] = study.reports[-1].linf_error
     elapsed = time.perf_counter() - start
     ratio = results[6] / results[1]

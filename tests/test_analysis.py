@@ -8,7 +8,6 @@ from fracspec.analysis import (
     LINF_GRID,
     ConvergenceStudy,
     ErrorReport,
-    StudyRequest,
     error_l2,
     error_linf,
     pde_errors_at_final_time,
@@ -170,9 +169,7 @@ def test_linf_sees_the_error_near_the_origin():
 
 def test_error_report_sanity_bound():
     # L2 <= sqrt(measure) * Linf on every study row
-    study = run_convergence_study(
-        StudyRequest("example1", example1_problem(), (2, 4, 8), exact=PowerSum(((1.0, 2.0),)))
-    )
+    study = run_convergence_study(example1_problem(), PowerSum(((1.0, 2.0),)), (2, 4, 8))
     for row in study.reports:
         assert row.l2_error <= math.sqrt(2.0) * row.linf_error + 1e-15
     with pytest.raises(DomainError):
@@ -186,9 +183,11 @@ def test_error_report_refuses_nan(linf, l2):
 
 
 def test_study_with_nan_exact_solution_is_refused():
-    request = StudyRequest("x", example1_problem(), (2, 4), exact=lambda s: np.full_like(s, np.nan))
+    def nan_exact(s):
+        return np.full_like(s, np.nan)
+
     with pytest.raises(StudyError, match="errors must be nonnegative, got nan, nan") as info:
-        run_convergence_study(request)
+        run_convergence_study(example1_problem(), nan_exact, (2, 4))
     assert isinstance(info.value.__cause__, DomainError)
     assert info.value.partial.reports == ()
 
@@ -199,9 +198,7 @@ def test_study_with_nan_exact_solution_is_refused():
 
 
 def test_study_example1_rows_at_machine_accuracy():
-    study = run_convergence_study(
-        StudyRequest("example1", example1_problem(), (2, 4), exact=PowerSum(((1.0, 2.0),)))
-    )
+    study = run_convergence_study(example1_problem(), PowerSum(((1.0, 2.0),)), (2, 4))
     assert len(study.reports) == 2
     for row in study.reports:
         assert row.linf_error <= 1e-13
@@ -210,9 +207,7 @@ def test_study_example1_rows_at_machine_accuracy():
 
 def test_study_example2a_monotone_to_floor():
     ns = tuple(range(2, 21, 2))
-    study = run_convergence_study(
-        StudyRequest("example2a", example2a_problem(), ns, exact=PowerSum(((1.0, 0.6),)))
-    )
+    study = run_convergence_study(example2a_problem(), PowerSum(((1.0, 0.6),)), ns)
     errs = [r.l2_error for r in study.reports]
     for a, b in zip(errs, errs[1:]):
         assert b <= max(1.5 * a, 1e-12)
@@ -223,12 +218,7 @@ def test_study_example2b_order_floor():
     # the observed order in N must clear the rate-one floor by a wide margin
     ns = (8, 16, 24)
     study = run_convergence_study(
-        StudyRequest(
-            "example2b",
-            example2b_problem(0.9),
-            ns,
-            exact=PowerSum(((1.0, math.sqrt(2.0) / 2.0),)),
-        )
+        example2b_problem(0.9), PowerSum(((1.0, math.sqrt(2.0) / 2.0),)), ns
     )
     errs = [max(r.l2_error, 1e-15) for r in study.reports]
     order = math.log(errs[0] / errs[-1]) / math.log(ns[-1] / ns[0])
@@ -237,7 +227,7 @@ def test_study_example2b_order_floor():
 
 def test_study_rows_strictly_ordered_and_csv_shape():
     study = run_convergence_study(
-        StudyRequest("example2b", example2b_problem(), (4, 8, 12), exact=PowerSum(((1.0, math.sqrt(2.0) / 2.0),)))
+        example2b_problem(), PowerSum(((1.0, math.sqrt(2.0) / 2.0),)), (4, 8, 12)
     )
     ns = [r.n_modes for r in study.reports]
     assert ns == sorted(ns) and len(set(ns)) == len(ns)
@@ -248,11 +238,8 @@ def test_study_rows_strictly_ordered_and_csv_shape():
 
 
 def test_study_determinism_modulo_runtime():
-    request = StudyRequest(
-        "example2a", example2a_problem(), (2, 4, 6), exact=PowerSum(((1.0, 0.6),))
-    )
-    a = run_convergence_study(request)
-    b = run_convergence_study(request)
+    a = run_convergence_study(example2a_problem(), PowerSum(((1.0, 0.6),)), (2, 4, 6))
+    b = run_convergence_study(example2a_problem(), PowerSum(((1.0, 0.6),)), (2, 4, 6))
 
     def strip_runtime(study):
         columns = study.columns()
@@ -262,16 +249,21 @@ def test_study_determinism_modulo_runtime():
     assert strip_runtime(a) == strip_runtime(b)
 
 
-def test_study_validation():
-    with pytest.raises(DomainError):
-        StudyRequest("x", example3_problem(), (4, 8), ref_n=10)  # < 2 * max(N)
-    with pytest.raises(DomainError):
-        StudyRequest("x", example3_problem(), ())
-    with pytest.raises(DomainError):
-        StudyRequest("x", example3_problem(), (4,))  # no exact, no reference
+def test_study_validation(rule_batches):
+    prob = example3_problem()
+    with pytest.raises(DomainError, match="reference resolution 10 must be at least twice"):
+        run_convergence_study(prob, None, (4, 8), ref_n=10)
+    with pytest.raises(DomainError, match="need at least one resolution"):
+        run_convergence_study(prob, None, (), ref_n=60)
+    with pytest.raises(DomainError, match="exactly one of exact/ref_n"):
+        run_convergence_study(prob, None, (4,))  # no exact, no reference
     for ref_n in (4, 60):  # both, whether or not ref_n would pass its own check
         with pytest.raises(DomainError, match="exactly one of exact/ref_n"):
-            StudyRequest("x", example3_problem(), (4, 8), exact=np.sin, ref_n=ref_n)
+            run_convergence_study(prob, np.sin, (4, 8), ref_n=ref_n)
+    with pytest.raises(DomainError, match=r"block sizes must lie in 1\.\.8, got \[0\]"):
+        run_convergence_study(prob, np.sin, (0, 8))
+    # Every refusal comes before any rule is built.
+    assert rule_batches == []
 
 
 def test_study_member_failure_flags_partial_results(monkeypatch):
@@ -286,11 +278,8 @@ def test_study_member_failure_flags_partial_results(monkeypatch):
             yield sol
 
     monkeypatch.setattr(analysis_mod, "solve_nested", failing_solve_nested)
-    request = StudyRequest(
-        "bad", example1_problem(), (2, 4, 8), exact=PowerSum(((1.0, 2.0),))
-    )
     with pytest.raises(StudyError) as info:
-        run_convergence_study(request)
+        run_convergence_study(example1_problem(), PowerSum(((1.0, 2.0),)), (2, 4, 8))
     assert info.value.partial is not None
     assert [r.n_modes for r in info.value.partial.reports] == [2, 4]
 
@@ -300,7 +289,7 @@ def test_study_finest_row_is_the_lone_solve():
     # finest row is the lone solve at that N, bit for bit.
     prob = example2b_problem()
     exact = PowerSum(((1.0, math.sqrt(2.0) / 2.0),))
-    study = run_convergence_study(StudyRequest("x", prob, (8, 24, 16), exact=exact))
+    study = run_convergence_study(prob, exact, (8, 24, 16))
     assert [r.n_modes for r in study.reports] == [8, 16, 24]
     finest = solve_at(prob, 24)
     assert study.reports[-1].linf_error == error_linf(finest, exact)
@@ -320,8 +309,7 @@ def test_every_study_row_is_the_error_of_its_block(exact, weighted):
     # errors of its own solve_nested block, measured alone, bit for bit.
     prob = TimeProblem.manufactured(exact, 0.2, 1.0, TransformSpec(7, 2.0))
     n_values = (4, 8, 16, 24)
-    request = StudyRequest("x", prob, n_values, exact=exact, weighted_l2=weighted)
-    study = run_convergence_study(request)
+    study = run_convergence_study(prob, exact, n_values, weighted_l2=weighted)
     blocks = solve_nested(prob, TimeBasis(0.0, 24, (0.0, prob.transform.b_psi)), n_values)
     for report, sol in zip(study.reports, blocks, strict=True):
         assert report.linf_error == error_linf(sol, exact)
@@ -343,7 +331,7 @@ def test_study_builds_its_tables_once_whatever_its_row_count(monkeypatch):
     per_study = []
     for n_values in ((8, 16, 24), tuple(range(2, 25, 2))):
         builds.clear()
-        run_convergence_study(StudyRequest("x", example1_problem(), n_values, exact=exact))
+        run_convergence_study(example1_problem(), exact, n_values)
         per_study.append(sorted(builds))
     # One table per set of error points, at the largest N, for 3 rows as for 12.
     assert per_study == [[(24, 200), (24, 1001)]] * 2
@@ -352,11 +340,9 @@ def test_study_builds_its_tables_once_whatever_its_row_count(monkeypatch):
 def test_study_refused_block_names_its_size_and_keeps_earlier_rows():
     # example2b's r = 7 system is refused by the condition guard at N = 80
     # (estimate near 7e16); the block at N = 40 answers first.
-    request = StudyRequest(
-        "x", example2b_problem(), (40, 80), exact=PowerSum(((1.0, math.sqrt(2.0) / 2.0),))
-    )
+    exact = PowerSum(((1.0, math.sqrt(2.0) / 2.0),))
     with pytest.raises(StudyError, match=r"linear solve failed \(delta=0\.2, r=7, N=80\)") as info:
-        run_convergence_study(request)
+        run_convergence_study(example2b_problem(), exact, (40, 80))
     assert [r.n_modes for r in info.value.partial.reports] == [40]
 
 
@@ -364,9 +350,8 @@ def test_study_failing_at_its_assembly_has_no_partial_rows():
     prob = TimeProblem.manufactured(
         PowerSum(((1.0, 2.0),)), 0.5, 1.0, TransformSpec(1, 1e200)
     )
-    request = StudyRequest("x", prob, (2, 4), exact=PowerSum(((1.0, 2.0),)))
     with pytest.raises(StudyError, match=r"assembly failed \(delta=0\.5, r=1, N=4\)") as info:
-        run_convergence_study(request)
+        run_convergence_study(prob, PowerSum(((1.0, 2.0),)), (2, 4))
     assert info.value.partial.reports == ()
 
 
@@ -376,7 +361,7 @@ def test_resolution_ordering_enforced():
         ErrorReport(4, 1e-4, 1e-4, 1.0),
     )
     with pytest.raises(DomainError):
-        ConvergenceStudy("x", rows)
+        ConvergenceStudy(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +389,7 @@ def test_reference_study_assembles_once_and_builds_one_table_per_point_set(
         return real_gjp_table(basis, t)
 
     monkeypatch.setattr(analysis_mod, "gjp_table", counting_gjp_table)
-    run_convergence_study(StudyRequest("example3", example3_problem(), (4, 8, 12), ref_n=24))
+    run_convergence_study(example3_problem(), None, (4, 8, 12), ref_n=24)
     # The reference and the three rows come from one rule batch, and the
     # reference values and every row are read from the same tables.
     assert len(rule_batches) == 1
@@ -426,8 +411,7 @@ def test_reference_study_rows_are_its_blocks_against_the_lone_reference(monkeypa
     monkeypatch.setattr(analysis_mod, "solve_nested", recording_solve_nested)
     prob = example3_problem()
     n_values = (4, 8, 12)
-    request = StudyRequest("example3", prob, n_values, ref_n=24, weighted_l2=weighted)
-    study = run_convergence_study(request)
+    study = run_convergence_study(prob, None, n_values, ref_n=24, weighted_l2=weighted)
     reference = solve_at(prob, 24)
     # The first draw is the reference: the lone solve at ref_n, bit for bit.
     assert drawn[0].basis == reference.basis
@@ -441,16 +425,13 @@ def test_reference_study_rows_are_its_blocks_against_the_lone_reference(monkeypa
 def test_refused_reference_names_its_size_and_yields_no_rows():
     # The r = 7, delta = 0.2 system is refused by the condition guard at N = 80.
     # The refusal is the reference's own, not a StudyError, so no row exists.
-    request = StudyRequest("example3", example3_problem(7, 0.2), (4, 8), ref_n=80)
     with pytest.raises(NumericalFailureError, match=r"linear solve failed \(delta=0\.2, r=7, N=80\)"):
-        run_convergence_study(request)
+        run_convergence_study(example3_problem(7, 0.2), None, (4, 8), ref_n=80)
 
 
 def test_example3_reference_study_decays():
     prob = example3_problem(6)
-    study = run_convergence_study(
-        StudyRequest("example3", prob, tuple(range(4, 25, 4)), ref_n=60)
-    )
+    study = run_convergence_study(prob, None, tuple(range(4, 25, 4)), ref_n=60)
     errs = [r.linf_error for r in study.reports]
     for a, b in zip(errs, errs[1:]):
         assert b <= max(1.5 * a, 1e-12)
@@ -459,12 +440,8 @@ def test_example3_reference_study_decays():
 
 def test_example3_rescaling_beats_identity_transform():
     ns = tuple(range(4, 25, 4))
-    smooth = run_convergence_study(
-        StudyRequest("example3", example3_problem(6), ns, ref_n=60)
-    )
-    classical = run_convergence_study(
-        StudyRequest("example3", example3_problem(1), ns, ref_n=60)
-    )
+    smooth = run_convergence_study(example3_problem(6), None, ns, ref_n=60)
+    classical = run_convergence_study(example3_problem(1), None, ns, ref_n=60)
     assert smooth.reports[-1].linf_error <= 1e-3 * classical.reports[-1].linf_error
 
 
@@ -478,19 +455,30 @@ def test_pde_study_rows_and_errors():
 
     spec = TransformSpec(5, 2.0)
     prob, exact = manufactured_sine_power(0.5, spec, 0.6, dimension=2)
-    study = run_pde_convergence_study(
-        "example4", prob, exact, (12, 12, 12), (6, 8, 10)
-    )
+    study = run_pde_convergence_study(prob, exact, (12, 12, 12), (6, 8, 10))
     columns = study.columns()
     assert list(columns) == ["N", "M", "linf_error", "l2_error", "runtime_ms"]
     assert (columns["N"], columns["M"]) == ([12, 12, 12], [6, 8, 10])
     errs = columns["linf_error"]
     assert errs[2] < errs[1] < errs[0]
     with pytest.raises(DomainError):
-        run_pde_convergence_study("example4", prob, exact, (12,), (6, 8))
+        run_pde_convergence_study(prob, exact, (12,), (6, 8))
 
 
-def test_pde_study_rejects_unordered_resolutions_before_solving(monkeypatch):
+@pytest.mark.parametrize(
+    "n_values, m_values, with_exact, message",
+    [
+        ((), (), True, "need at least one resolution"),
+        ((0, 4), (4, 6), True, "need at least one mode, got 0"),
+        ((4, 6), (1, 6), True, "need polynomial degree >= 2, got 1"),
+        ((4, 6), (4, 6), False, "a space-time study needs the exact solution"),
+        ((10, 6), (10, 6), True, "resolutions must be strictly increasing"),
+    ],
+    ids=["empty", "zero-N", "degree-one-M", "no-exact", "unordered"],
+)
+def test_pde_study_rejects_unordered_resolutions_before_solving(
+    monkeypatch, n_values, m_values, with_exact, message
+):
     import fracspec.analysis as analysis_mod
     import fracspec.pde_solver as pde_mod
 
@@ -504,18 +492,40 @@ def test_pde_study_rejects_unordered_resolutions_before_solving(monkeypatch):
     # The study calls the name that analysis binds at import.
     monkeypatch.setattr(analysis_mod, "solve_spacetime", counting_solve_spacetime)
     prob, exact = pde_mod.manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
-    with pytest.raises(DomainError, match="resolutions must be strictly increasing"):
-        run_pde_convergence_study("example4", prob, exact, (10, 6), (10, 6))
+    with pytest.raises(DomainError, match=message):
+        run_pde_convergence_study(prob, exact if with_exact else None, n_values, m_values)
     assert calls == []
 
 
+def test_pde_study_member_failure_keeps_its_first_row(monkeypatch):
+    import fracspec.analysis as analysis_mod
+    import fracspec.pde_solver as pde_mod
+
+    real_solve_spacetime = analysis_mod.solve_spacetime
+    calls = []
+
+    def failing_second_solve(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("injected member failure")
+        return real_solve_spacetime(*args)
+
+    monkeypatch.setattr(analysis_mod, "solve_spacetime", failing_second_solve)
+    prob, exact = pde_mod.manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
+    with pytest.raises(StudyError, match="injected member failure") as info:
+        run_pde_convergence_study(prob, exact, (6, 8, 10), (4, 6, 8))
+    assert len(calls) == 2
+    [row] = info.value.partial.reports
+    assert (row.n_modes, row.m_modes) == (6, 4)
+    assert row.linf_error > 0.0
+
+
 def test_scalar_study_rejects_repeated_resolution_before_solving(rule_batches):
-    exact_study = StudyRequest("x", example1_problem(), (4, 4), exact=PowerSum(((1.0, 2.0),)))
+    with pytest.raises(DomainError, match="resolutions must be strictly increasing"):
+        run_convergence_study(example1_problem(), PowerSum(((1.0, 2.0),)), (4, 4))
     # The reference at N = 80 would be refused; the order is checked first.
-    reference_study = StudyRequest("x", example3_problem(7, 0.2), (4, 4), ref_n=80)
-    for request in (exact_study, reference_study):
-        with pytest.raises(DomainError, match="resolutions must be strictly increasing"):
-            run_convergence_study(request)
+    with pytest.raises(DomainError, match="resolutions must be strictly increasing"):
+        run_convergence_study(example3_problem(7, 0.2), None, (4, 4), ref_n=80)
     assert rule_batches == []
 
 
@@ -524,7 +534,7 @@ def test_pde_study_in_one_dimension():
 
     spec = TransformSpec(5, 2.0)
     prob, exact = manufactured_sine_power(0.5, spec, 0.6, dimension=1)
-    study = run_pde_convergence_study("sine1d", prob, exact, (12, 12, 12), (6, 8, 10))
+    study = run_pde_convergence_study(prob, exact, (12, 12, 12), (6, 8, 10))
     errs = [r.linf_error for r in study.reports]
     assert errs[2] < errs[1] < errs[0]
     sol = solve_spacetime(prob, TimeBasis(0.0, 12, (0.0, spec.b_psi)), SpatialBasis(10, 1))

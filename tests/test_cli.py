@@ -672,11 +672,11 @@ def test_emit_writes_array_columns_as_numpy_scalars_format(capsys):
         (["solve-ode", "--problem", "example2a", "--N", "6", "--lambda", "2.5"],
          "solve", lambda problem, basis: problem, 2.5),
         (["convergence", "--problem", "example2a", "--N", "4,6", "--lambda", "2.5"],
-         "run_convergence_study", lambda request: request.problem, 2.5),
+         "run_convergence_study", lambda problem, *rest, **settings: problem, 2.5),
         (["solve-pde", "--problem", "example4", "--N", "4", "--M", "4"],
          "solve_spacetime", lambda problem, tb, sb: problem, 1.0),
         (["convergence", "--problem", "example4", "--N", "4", "--M", "4"],
-         "run_pde_convergence_study", lambda pid, problem, *rest: problem, 1.0),
+         "run_pde_convergence_study", lambda problem, *rest: problem, 1.0),
     ],
     ids=["solve-ode", "convergence", "solve-pde", "convergence-pde"],
 )
@@ -686,9 +686,9 @@ def test_problem_overrides_reach_header_and_solved_problem(
     real_stage = getattr(cli_mod, stage)
     solved = []
 
-    def recording_stage(*args):
-        solved.append(problem_of(*args))
-        return real_stage(*args)
+    def recording_stage(*args, **kwargs):
+        solved.append(problem_of(*args, **kwargs))
+        return real_stage(*args, **kwargs)
 
     monkeypatch.setattr(cli_mod, stage, recording_stage)
     code, stdout, stderr = run_cli(

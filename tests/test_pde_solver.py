@@ -375,7 +375,8 @@ def test_tensor_residual_guard_refuses_nan(monkeypatch):
 @pytest.mark.parametrize("solver", ["solve", "solve_spacetime"])
 def test_a_newton_stall_keeps_its_residual_through_the_solver(monkeypatch, solver):
     # Nodes shifted 2 to the right stall every rule's Newton pass.  The
-    # solver names the stage and keeps the rule's residual as the error bound.
+    # solver names the stage and keeps the rule's residual as the error bound;
+    # a stalled rule has no estimate.
     stevd = orthopoly._dstevd
 
     def shifted(diag, off):
@@ -393,6 +394,7 @@ def test_a_newton_stall_keeps_its_residual_through_the_solver(monkeypatch, solve
     residual = info.value.__cause__.error_bound
     assert residual > 1e-13
     assert info.value.error_bound == residual
+    assert info.value.estimate is None and info.value.__cause__.estimate is None
     assert str(info.value).endswith(f"max node residual {residual:.3e}")
 
 
