@@ -37,6 +37,7 @@ def main():
     for name, flags in STUDIES:
         code = cli.main(["convergence", *flags.split(), "--out", str(OUT / name)])
         if code != 0:
+            print(f"run_convergence_suite: {name} failed with exit code {code}", file=sys.stderr)
             return code
     return 0
 

@@ -36,6 +36,7 @@ from .pde_solver import (
     evaluate_spacetime,
     manufactured_sine_power,
     solve_spacetime,
+    solve_spacetime_nested,
     space_mass_matrix,
 )
 
@@ -68,6 +69,7 @@ __all__ = [
     "evaluate_spacetime",
     "manufactured_sine_power",
     "solve_spacetime",
+    "solve_spacetime_nested",
     "space_mass_matrix",
     "__version__",
 ]

@@ -8,7 +8,8 @@ two study runners take plain arguments and check them before any solve:
     run_convergence_study(problem, exact, n_values, *, ref_n=None, weighted_l2=False)
     run_pde_convergence_study(problem, exact, n_values, m_values)
 
-Each returns a ConvergenceStudy(reports), smallest resolution first.
+Each solves every row on a leading block of one assembly at its largest size
+and returns a ConvergenceStudy(reports, spacetime), smallest resolution first.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import DomainError, StudyError
 from .ode_solver import TimeProblem, TimeSolution, evaluate_table, solve_nested
 from .orthopoly import TimeBasis, gjp_table
-from .pde_solver import SpatialBasis, solve_spacetime
+from .pde_solver import SpatialBasis, solve_spacetime_nested
 
 __all__ = [
     "ErrorReport",
@@ -73,9 +74,10 @@ def _require_increasing(resolutions):
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Ordered error reports for one problem and parameter set."""
+    """Ordered error reports of one study; a space-time study's table has an M column."""
 
     reports: tuple[ErrorReport, ...]
+    spacetime: bool = False
 
     def __post_init__(self):
         # The partial study of a run that failed at its first row has no reports.
@@ -84,9 +86,9 @@ class ConvergenceStudy:
 
     def columns(self) -> dict[str, list]:
         """The error table by column: N, M (space-time studies only), both errors, runtime_ms."""
-        columns = {"N": [r.n_modes for r in self.reports], "M": [r.m_modes for r in self.reports]}
-        if all(m is None for m in columns["M"]):
-            del columns["M"]
+        columns = {"N": [r.n_modes for r in self.reports]}
+        if self.spacetime:
+            columns["M"] = [r.m_modes for r in self.reports]
         for name in ("linf_error", "l2_error", "runtime_ms"):
             columns[name] = [getattr(r, name) for r in self.reports]
         return columns
@@ -158,10 +160,11 @@ def _run_study(resolutions, solutions, errors_of) -> ConvergenceStudy:
 
     `solutions` is an iterator that yields the solution at each resolution in
     order, doing its work only when drawn; the caller has checked the
-    resolutions before any work.  Any member failure aborts the study; the
-    completed reports travel on the raised StudyError so partial progress is
-    never silently discarded.
+    resolutions, whose M and not the rows done makes a study space-time, before
+    any work.  Any member failure aborts the study; the completed reports
+    travel on the raised StudyError so partial progress is never discarded.
     """
+    spacetime = resolutions[0][1] is not None
     done: list[ErrorReport] = []
     try:
         for n, m in resolutions:
@@ -173,9 +176,9 @@ def _run_study(resolutions, solutions, errors_of) -> ConvergenceStudy:
                 ErrorReport(n_modes=n, m_modes=m, linf_error=linf, l2_error=l2, runtime_ms=runtime)
             )
     except Exception as exc:
-        partial = ConvergenceStudy(tuple(done))
+        partial = ConvergenceStudy(tuple(done), spacetime)
         raise StudyError(f"study member failed: {exc}", partial=partial) from exc
-    return ConvergenceStudy(tuple(done))
+    return ConvergenceStudy(tuple(done), spacetime)
 
 
 def run_convergence_study(
@@ -235,8 +238,9 @@ def run_pde_convergence_study(problem, exact, n_values, m_values) -> Convergence
     """Sweep the (N, M) pairs of a space-time problem against its exact solution.
 
     The lists have equal length, and each pair grows in one entry and shrinks
-    in none.  These, the exact solution and every pair's time and space bases
-    are checked before any solve.
+    in none.  These and the exact solution are checked before any rule is
+    built.  Every row is a leading block of one assembly at the last pair, the
+    largest (solve_spacetime_nested), so the last row is the lone solve there.
     """
     if exact is None:
         raise DomainError("a space-time study needs the exact solution")
@@ -244,10 +248,10 @@ def run_pde_convergence_study(problem, exact, n_values, m_values) -> Convergence
         raise DomainError("need matching N and M lists (equal length)")
     resolutions = list(zip(n_values, m_values))
     _require_increasing(resolutions)
-    interval, d = (0.0, problem.transform.b_psi), problem.dimension
-    bases = [(TimeBasis(0.0, n, interval), SpatialBasis(m, d)) for n, m in resolutions]
+    (n_max, m_max), interval = resolutions[-1], (0.0, problem.transform.b_psi)
+    bases = TimeBasis(0.0, n_max, interval), SpatialBasis(m_max, problem.dimension)
     return _run_study(
         resolutions,
-        (solve_spacetime(problem, tb, sb) for tb, sb in bases),
+        solve_spacetime_nested(problem, *bases, resolutions),
         lambda sol: pde_errors_at_final_time(sol, exact),
     )

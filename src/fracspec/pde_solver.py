@@ -3,16 +3,16 @@
 Spatial discretization uses the Dirichlet Legendre combinations
 phi_k = c_k (L_k - L_{k+2}) on (-1, 1)^d, whose stiffness matrix is the
 identity and whose mass matrix B is pentadiagonal with closed-form entries.
-The coupled tensor system is decoupled by the symmetric eigendecomposition
-of B into independent N x N time solves, one per spatial eigenmode, which
-one real QZ of the time pencil makes block-triangular.
+The eigendecomposition of B splits the tensor system into N x N time solves,
+one per spatial eigenmode, made block-triangular by one real QZ of the time
+pencil; one assembly serves every (N, M) up to its sizes (solve_spacetime_nested).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh, qz
@@ -36,6 +36,7 @@ __all__ = [
     "SeparableRHS",
     "space_mass_matrix",
     "assemble_spacetime_load",
+    "solve_spacetime_nested",
     "solve_spacetime",
     "evaluate_spacetime",
     "manufactured_sine_power",
@@ -400,74 +401,97 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
     return f.reshape(fhat.shape)
 
 
-def solve_spacetime(
-    problem: PDEProblem, time_basis: TimeBasis, space_basis: SpatialBasis
-) -> SpaceTimeSolution:
-    """Decoupled eigenmode solve of the coupled space-time Galerkin system.
+def solve_spacetime_nested(
+    problem: PDEProblem, time_basis: TimeBasis, space_basis: SpatialBasis, pairs
+):
+    """Solutions at every (N, M) in `pairs`, in order, from one assembly at the bases' sizes.
 
-    With B = E Lam E^T, the transformed load column for spatial mode(s) with
-    eigenvalue product mu and Laplacian factor nu satisfies the N x N system
-    (mu S + (nu + mu) M) w = fhat; back-transforming recovers the tensor V.
-    S, M and the load tensor are assembled from one batch of rules.
+    The system at (n, m) is the leading block S[:n, :n], M[:n, :n], F[:n, :m-1, ...],
+    B[:m-1, :m-1].  With B = E Lam E^T, a spatial mode with eigenvalue product mu and
+    Laplacian factor nu solves (mu S + (nu + mu) M) w = fhat; back-transforming gives V.
+    A refused block names its own (N, M).  Pairs outside 1..N x 2..M raise DomainError
+    here, before any rule is built.
     """
-    d = problem.dimension
-    if space_basis.dimension != d:
+    if space_basis.dimension != problem.dimension:
         raise DomainError("spatial basis dimension disagrees with the problem")
-    N = time_basis.n_modes
-    where = f"delta={problem.delta.delta}, r={problem.transform.r}, N={N}, M={space_basis.m_modes}"
-    load = _spacetime_load(problem, time_basis, space_basis)
-    S, M, F = _assemble_system(time_basis, problem.delta, problem.transform, load, where)
-    B = space_mass_matrix(space_basis.m_modes)
-    try:
-        lam, E = eigh(B)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NumericalFailureError(f"eigendecomposition of B failed ({where}): {exc}") from exc
-    defect = np.max(np.abs(E.T @ E - np.eye(E.shape[0])))
-    if defect > 1e-12:
-        raise NumericalFailureError(f"eigenvector orthonormality defect {defect:.3e} ({where})")
-    if lam.min() <= 0:
-        raise NumericalFailureError(f"spatial mass matrix lost positive definiteness ({where})")
+    n_max, m_max = time_basis.n_modes, space_basis.m_modes
+    pairs = tuple(pairs)
+    outside = [(n, m) for n, m in pairs if not (1 <= n <= n_max and 2 <= m <= m_max)]
+    if outside:
+        raise DomainError(f"(N, M) pairs must lie in 1..{n_max} x 2..{m_max}, got {outside}")
+    return _spacetime_blocks(problem, time_basis, space_basis, pairs)
 
-    f_scale = np.max(np.abs(F))  # before the coefficient tensor exists: |F| is no third tensor
-    # One coefficient tensor beside F: fhat, then w written over it by the
-    # mode stage, then V over w, each stage over blocks of time rows or of
-    # mode columns.
-    fhat = np.empty_like(F)
-    blocks = _row_blocks(F)
-    for rows in blocks:
-        _mode_product(F[rows], [E] * d, out=fhat[rows])
-    try:
-        V = _solve_modes(S, M, _mode_table(lam, d), fhat)
-    except NumericalFailureError as exc:
-        raise exc.prefixed(f"eigenmode solve failed at mode {exc.index} ({where})") from exc
-    for rows in blocks:
-        _mode_product(V[rows], [E.T] * d, out=V[rows])
-    # Operator: S x B^d + M x (sum_i B^d with identity on axis i) + M x B^d,
-    # over blocks of time rows.  With X = S[rows] V, Y = M[rows] V and B_i
-    # for B on spatial axis i, it is nested from the last axis out:
-    # G_d = X + Y and G_i = B_i G_{i+1} + B_{i+1} ... B_{d-1} Y, so in 2-d
-    # B((X + Y) B + Y) + Y B.  The running max is np.maximum, so a NaN in
-    # any block is kept and refused.
-    flat = V.reshape(N, -1)
-    residual = 0.0
-    for rows in blocks:
-        G = (S[rows] @ flat).reshape(F[rows].shape)
-        Y = (M[rows] @ flat).reshape(G.shape)
-        G += Y
-        for i in reversed(range(d)):
-            G = _mode_product(G, [None] * i + [B] + [None] * (d - 1 - i))
-            if i < d - 1:
-                Y = _mode_product(Y, [None] * (i + 1) + [B] + [None] * (d - 2 - i))
+
+def _spacetime_blocks(problem, time_basis, space_basis, pairs):
+    """solve_spacetime_nested's generator, its arguments checked."""
+    d, setting = problem.dimension, f"delta={problem.delta.delta}, r={problem.transform.r}"
+    load = _spacetime_load(problem, time_basis, space_basis)
+    where = f"{setting}, N={time_basis.n_modes}, M={space_basis.m_modes}"
+    system = _assemble_system(time_basis, problem.delta, problem.transform, load, where)
+    for n, m in pairs:
+        where = f"{setting}, N={n}, M={m}"
+        S, M = system[0][:n, :n], system[1][:n, :n]
+        # At the bases' sizes this block is F itself, not a copy.
+        F = np.ascontiguousarray(system[2][(slice(n),) + (slice(m - 1),) * d])
+        B = space_mass_matrix(m)
+        try:
+            lam, E = eigh(B)
+        except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
+            raise NumericalFailureError(f"eigendecomposition of B failed ({where}): {exc}") from exc
+        defect = np.max(np.abs(E.T @ E - np.eye(E.shape[0])))
+        if defect > 1e-12:
+            raise NumericalFailureError(f"eigenvector orthonormality defect {defect:.3e} ({where})")
+        if lam.min() <= 0:
+            raise NumericalFailureError(f"spatial mass matrix lost positive definiteness ({where})")
+
+        f_scale = np.max(np.abs(F))  # before the coefficient tensor exists: |F| is no third tensor
+        # One coefficient tensor beside F: fhat, then w written over it by the
+        # mode stage, then V over w, each stage over blocks of time rows or of
+        # mode columns.
+        fhat = np.empty_like(F)
+        blocks = _row_blocks(F)
+        for rows in blocks:
+            _mode_product(F[rows], [E] * d, out=fhat[rows])
+        try:
+            V = _solve_modes(S, M, _mode_table(lam, d), fhat)
+        except NumericalFailureError as exc:
+            raise exc.prefixed(f"eigenmode solve failed at mode {exc.index} ({where})") from exc
+        for rows in blocks:
+            _mode_product(V[rows], [E.T] * d, out=V[rows])
+        # Operator: S x B^d + M x (sum_i B^d with identity on axis i) + M x B^d,
+        # over blocks of time rows.  With X = S[rows] V, Y = M[rows] V and B_i
+        # for B on spatial axis i, it is nested from the last axis out:
+        # G_d = X + Y and G_i = B_i G_{i+1} + B_{i+1} ... B_{d-1} Y, so in 2-d
+        # B((X + Y) B + Y) + Y B.  The running max is np.maximum, so a NaN in
+        # any block is kept and refused.
+        flat = V.reshape(n, -1)
+        residual = 0.0
+        for rows in blocks:
+            G = (S[rows] @ flat).reshape(F[rows].shape)
+            Y = (M[rows] @ flat).reshape(G.shape)
             G += Y
-        G -= F[rows]
-        residual = np.maximum(residual, np.max(np.abs(G, out=G)))
-    residual = float(residual)
-    # Written so that a NaN residual or load is refused too.
-    if not residual <= 1e-10 * f_scale:
-        raise NumericalFailureError(
-            f"tensor residual {residual:.3e} exceeds 1e-10 * |F| = {1e-10 * f_scale:.3e} ({where})"
-        )
-    return SpaceTimeSolution(V, time_basis, space_basis, problem.transform, residual)
+            for i in reversed(range(d)):
+                G = _mode_product(G, [None] * i + [B] + [None] * (d - 1 - i))
+                if i < d - 1:
+                    Y = _mode_product(Y, [None] * (i + 1) + [B] + [None] * (d - 2 - i))
+                G += Y
+            G -= F[rows]
+            residual = np.maximum(residual, np.max(np.abs(G, out=G)))
+        residual = float(residual)
+        # Written so that a NaN residual or load is refused too.
+        if not residual <= 1e-10 * f_scale:
+            raise NumericalFailureError(
+                f"tensor residual {residual:.3e} exceeds 1e-10 * |F| = "
+                f"{1e-10 * f_scale:.3e} ({where})"
+            )
+        bases = replace(time_basis, n_modes=n), replace(space_basis, m_modes=m)
+        yield SpaceTimeSolution(V, *bases, problem.transform, residual)
+
+
+def solve_spacetime(problem: PDEProblem, time_basis: TimeBasis, space_basis: SpatialBasis):
+    """The eigenmode solve of the space-time system: solve_spacetime_nested's one-pair case."""
+    pair = (time_basis.n_modes, space_basis.m_modes)
+    return next(solve_spacetime_nested(problem, time_basis, space_basis, (pair,)))
 
 
 def evaluate_spacetime(sol: SpaceTimeSolution, *grids) -> np.ndarray:

@@ -469,55 +469,125 @@ def test_pde_study_rows_and_errors():
     "n_values, m_values, with_exact, message",
     [
         ((), (), True, "need at least one resolution"),
-        ((0, 4), (4, 6), True, "need at least one mode, got 0"),
-        ((4, 6), (1, 6), True, "need polynomial degree >= 2, got 1"),
+        ((0, 4), (4, 6), True, r"pairs must lie in 1\.\.4 x 2\.\.6, got \[\(0, 4\)\]"),
+        ((4, 6), (1, 6), True, r"pairs must lie in 1\.\.6 x 2\.\.6, got \[\(4, 1\)\]"),
         ((4, 6), (4, 6), False, "a space-time study needs the exact solution"),
         ((10, 6), (10, 6), True, "resolutions must be strictly increasing"),
+        ((0, 0), (4, 6), True, "need at least one mode, got 0"),
+        ((4, 6), (1, 1), True, "need polynomial degree >= 2, got 1"),
     ],
-    ids=["empty", "zero-N", "degree-one-M", "no-exact", "unordered"],
+    ids=[
+        "empty", "zero-N", "degree-one-M", "no-exact", "unordered", "zero-last-N",
+        "degree-one-last-M",
+    ],
 )
 def test_pde_study_rejects_unordered_resolutions_before_solving(
-    monkeypatch, n_values, m_values, with_exact, message
+    rule_batches, n_values, m_values, with_exact, message
 ):
-    import fracspec.analysis as analysis_mod
-    import fracspec.pde_solver as pde_mod
+    from fracspec.pde_solver import manufactured_sine_power
 
-    real_solve_spacetime = analysis_mod.solve_spacetime
-    calls = []
-
-    def counting_solve_spacetime(*args, **kwargs):
-        calls.append(args)
-        return real_solve_spacetime(*args, **kwargs)
-
-    # The study calls the name that analysis binds at import.
-    monkeypatch.setattr(analysis_mod, "solve_spacetime", counting_solve_spacetime)
-    prob, exact = pde_mod.manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
+    prob, exact = manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
     with pytest.raises(DomainError, match=message):
         run_pde_convergence_study(prob, exact if with_exact else None, n_values, m_values)
-    assert calls == []
+    assert rule_batches == []
+
+
+def failing_mode_solve(monkeypatch, call, exc):
+    """Make the call-th mode stage of the space-time solver raise exc; returns the call list."""
+    import fracspec.pde_solver as pde_mod
+
+    real_solve_modes = pde_mod._solve_modes
+    calls = []
+
+    def solve_modes(*args):
+        calls.append(args[3].shape)
+        if len(calls) == call:
+            raise exc
+        return real_solve_modes(*args)
+
+    monkeypatch.setattr(pde_mod, "_solve_modes", solve_modes)
+    return calls
 
 
 def test_pde_study_member_failure_keeps_its_first_row(monkeypatch):
-    import fracspec.analysis as analysis_mod
-    import fracspec.pde_solver as pde_mod
+    from fracspec.pde_solver import manufactured_sine_power
 
-    real_solve_spacetime = analysis_mod.solve_spacetime
-    calls = []
-
-    def failing_second_solve(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise RuntimeError("injected member failure")
-        return real_solve_spacetime(*args)
-
-    monkeypatch.setattr(analysis_mod, "solve_spacetime", failing_second_solve)
-    prob, exact = pde_mod.manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
+    calls = failing_mode_solve(monkeypatch, 2, RuntimeError("injected member failure"))
+    prob, exact = manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
     with pytest.raises(StudyError, match="injected member failure") as info:
         run_pde_convergence_study(prob, exact, (6, 8, 10), (4, 6, 8))
-    assert len(calls) == 2
+    # Each row's mode stage works on its own leading block of the load.
+    assert calls == [(6, 3, 3), (8, 5, 5)]
     [row] = info.value.partial.reports
     assert (row.n_modes, row.m_modes) == (6, 4)
     assert row.linf_error > 0.0
+    assert list(info.value.partial.columns())[:2] == ["N", "M"]
+
+
+def test_pde_study_refused_at_its_first_pair_is_still_space_time(monkeypatch):
+    from fracspec.pde_solver import manufactured_sine_power
+
+    failing_mode_solve(monkeypatch, 1, NumericalFailureError("synthetic", index=(0, 0)))
+    prob, exact = manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
+    message = r"eigenmode solve failed at mode \(0, 0\) \(delta=0\.5, r=5, N=6, M=4\): synthetic"
+    with pytest.raises(StudyError, match=message) as info:
+        run_pde_convergence_study(prob, exact, (6, 8, 10), (4, 6, 8))
+    # The table is space-time because the study is, not because a row says so.
+    assert info.value.partial.columns() == {
+        "N": [], "M": [], "linf_error": [], "l2_error": [], "runtime_ms": []
+    }
+
+
+def test_pde_study_finest_row_is_the_lone_solve_bit_for_bit(monkeypatch):
+    import fracspec.analysis as analysis_mod
+    from fracspec.pde_solver import SpatialBasis, manufactured_sine_power, solve_spacetime
+
+    real_nested = analysis_mod.solve_spacetime_nested
+    drawn = []
+
+    def recording_nested(*args):
+        for sol in real_nested(*args):
+            drawn.append(sol)
+            yield sol
+
+    monkeypatch.setattr(analysis_mod, "solve_spacetime_nested", recording_nested)
+    spec = TransformSpec(5, 2.0)
+    prob, exact = manufactured_sine_power(0.5, spec, 0.6, dimension=2)
+    study = run_pde_convergence_study(prob, exact, (6, 10, 12), (6, 8, 12))
+    lone = solve_spacetime(prob, TimeBasis(0.0, 12, (0.0, spec.b_psi)), SpatialBasis(12, 2))
+    assert [sol.V.shape for sol in drawn] == [(6, 5, 5), (10, 7, 7), (12, 11, 11)]
+    assert (drawn[-1].time_basis, drawn[-1].space_basis) == (lone.time_basis, lone.space_basis)
+    assert np.array_equal(drawn[-1].V, lone.V)
+    finest = study.reports[-1]
+    assert (finest.linf_error, finest.l2_error) == pde_errors_at_final_time(lone, exact)
+
+
+def test_pde_study_rows_stay_near_the_lone_solves():
+    # A row is a block of the system at the largest pair, so its stiffness and
+    # load are integrated with more points than a lone solve's.  Over this
+    # sweep (results/subdiffusion2d_sweepN.csv) and example4's sweep in M the
+    # errors of a row and of the lone solve at its pair differed by at most
+    # 7.9e-14, at N = 14.
+    from fracspec.pde_solver import SpatialBasis, solve_spacetime
+    from fracspec.problems import build_problem, get_entry
+
+    prob, exact = build_problem(get_entry("example4"))
+    n_values = tuple(range(2, 21, 2))
+    study = run_pde_convergence_study(prob, exact, n_values, (20,) * len(n_values))
+    for row in study.reports:
+        tb = TimeBasis(0.0, row.n_modes, (0.0, prob.transform.b_psi))
+        lone = pde_errors_at_final_time(solve_spacetime(prob, tb, SpatialBasis(20, 2)), exact)
+        assert abs(row.linf_error - lone[0]) <= 2e-13
+        assert abs(row.l2_error - lone[1]) <= 2e-13
+
+
+def test_a_pde_study_builds_one_rule_batch(rule_batches):
+    from fracspec.pde_solver import manufactured_sine_power
+
+    prob, exact = manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
+    run_pde_convergence_study(prob, exact, (6, 8, 10), (4, 6, 8))
+    # Stiffness pair, mass, spatial rule and one rule per time power, once.
+    assert rule_batches == [4 + len(prob.rhs.time_source)]
 
 
 def test_scalar_study_rejects_repeated_resolution_before_solving(rule_batches):

@@ -502,6 +502,23 @@ def test_every_table_cell_has_its_column_format(capsys, argv):
         assert all(p.fullmatch(cell) for p, cell in zip(patterns, row)), row
 
 
+def test_suite_names_the_study_that_failed(tmp_path, capsys, monkeypatch):
+    # The suite stops at the first failed study, returns its exit code and
+    # names its CSV; the studies before it ran, the ones after did not.
+    failing = suite.STUDIES[3][0]
+    ran = []
+
+    def main(argv):
+        ran.append(pathlib.Path(argv[-1]).name)
+        return 3 if ran[-1] == failing else 0
+
+    monkeypatch.setattr(suite, "OUT", tmp_path)
+    monkeypatch.setattr(suite.cli, "main", main)
+    assert suite.main() == 3
+    assert ran == [name for name, _ in suite.STUDIES[:4]]
+    assert capsys.readouterr().err == f"run_convergence_suite: {failing} failed with exit code 3\n"
+
+
 def test_every_results_csv_has_exactly_one_suite_row():
     # A CSV no row writes is never regenerated, and two rows writing one CSV
     # leave only the later run's table.

@@ -321,6 +321,21 @@ def test_source_is_refused_before_any_rule_is_built(rule_batches, factors, time_
     assert rule_batches == []
 
 
+@pytest.mark.parametrize(
+    "pairs, outside",
+    [(((7, 6),), "[(7, 6)]"), (((6, 7),), "[(6, 7)]"), (((0, 6), (6, 1)), "[(0, 6), (6, 1)]")],
+    ids=["N-above", "M-above", "below"],
+)
+def test_a_pair_outside_the_bases_is_refused_before_any_rule_batch(rule_batches, pairs, outside):
+    # Refused at the call, not at the first next().
+    tb, sb = bases(6, 6)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    with pytest.raises(DomainError) as info:
+        pde_mod.solve_spacetime_nested(prob, tb, sb, ((4, 4), *pairs))
+    assert str(info.value) == f"(N, M) pairs must lie in 1..6 x 2..6, got {outside}"
+    assert rule_batches == []
+
+
 def test_solve_spacetime_refuses_a_time_basis_on_another_interval():
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=1)
     with pytest.raises(DomainError, match=r"time basis interval \(0\.0, 1\.0\) must be"):
