@@ -1,10 +1,11 @@
 """Galerkin spectral solver for the rescaled scalar fractional problem.
 
 Solves D^{delta,psi} v + lam * v = f on (0, T^gamma) with zero value at the
-origin, using the boundary-adapted Jacobi basis in time.  Stiffness entries
-are assembled by the double Gauss-Jacobi quadrature in which both singular
-kernel factors are absorbed into rule weights; only the smooth non-polynomial
-factor ((1-tau^r)/(1-tau))^(-delta) is sampled pointwise.
+origin, using the boundary-adapted Jacobi basis in time; a problem holds that
+t-side source f and the initial value phi, which evaluation adds back.
+Stiffness entries are assembled by the double Gauss-Jacobi quadrature in
+which both singular kernel factors are absorbed into rule weights; only the
+smooth non-polynomial factor ((1-tau^r)/(1-tau))^(-delta) is sampled pointwise.
 """
 
 from __future__ import annotations
@@ -53,52 +54,42 @@ _INNER_ROWS = 8
 
 @dataclass(frozen=True)
 class TimeProblem:
-    """Scalar fractional initial value problem in physical time s.
+    """Scalar fractional initial value problem in physical time s, as its solve reads it.
 
-    Either `source` g(s) is given directly, or `exact` prescribes a
-    manufactured power-sum solution u(s) from which g = D^delta u + lam*u is
-    derived in closed form.  A nonzero initial value phi is homogenized
-    internally (the derivative annihilates constants), so the solve works on
-    u - phi with source g - lam*phi and adds phi back on evaluation.
+    It holds the homogenized t-side source f of D^{delta,psi} v + lam*v = f,
+    in the format of assemble_time_load, and the initial value phi: the
+    derivative annihilates constants, so the solve works on v = u - phi and
+    adds phi back on evaluation.  from_source(g) stores t -> g(t^r) - lam*phi;
+    manufactured(u) stores the monomials of D^delta u + lam*u, with phi = u(0).
     """
 
     delta: FracOrder
     lam: float
     transform: TransformSpec
-    source: object = None
-    exact: PowerSum | None = None
+    time_source: object
     phi: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
             raise DomainError(f"lam must be positive and finite, got {self.lam}")
-        if (self.source is None) == (self.exact is None):
-            raise DomainError("exactly one of source/exact must be given")
-        if self.source is not None and not callable(self.source):
-            raise DomainError("source must be a callable of s")
-        if self.exact is not None and self.exact.constant != self.phi:
-            raise DomainError("manufactured solution must satisfy u(0) = phi")
+        if not math.isfinite(self.phi):
+            raise DomainError(f"phi must be finite, got {self.phi}")
+        _check_time_source(self.time_source)
 
     @classmethod
     def manufactured(cls, exact: PowerSum, delta, lam, transform) -> "TimeProblem":
         delta = delta if isinstance(delta, FracOrder) else FracOrder(delta)
-        return cls(delta, lam, transform, exact=exact, phi=exact.constant)
+        terms = exact.source_terms(delta, lam, transform.r)
+        return cls(delta, lam, transform, terms, exact.constant)
 
     @classmethod
     def from_source(cls, g, delta, lam, transform, phi: float = 0.0) -> "TimeProblem":
+        if not callable(g):
+            raise DomainError("source must be a callable of s")
         delta = delta if isinstance(delta, FracOrder) else FracOrder(delta)
-        return cls(delta, lam, transform, source=g, phi=phi)
-
-    @property
-    def time_source(self):
-        """Homogenized t-side source, in the format of assemble_time_load.
-
-        Monomials of D^delta u + lam*u if `exact` is given, else t -> g(t^r) - lam*phi.
-        """
-        if self.exact is not None:
-            return self.exact.source_terms(self.delta, self.lam, self.transform.r)
-        g, psi, lam, phi = self.source, self.transform.psi, self.lam, self.phi
-        return lambda t: np.asarray(g(psi(t)), dtype=float) - lam * phi
+        psi = transform.psi
+        source = lambda t: np.asarray(g(psi(t)), dtype=float) - lam * phi  # noqa: E731
+        return cls(delta, lam, transform, source, phi)
 
 
 @dataclass(frozen=True)
@@ -280,6 +271,13 @@ def _load_powers(basis: TimeBasis, transform: TransformSpec, terms):
         return out
 
     return requests, build
+
+
+def _check_time_source(source) -> None:
+    """Refuse a t-side source that is neither a callable of t nor a tuple of (coef, power) pairs."""
+    pairs = isinstance(source, tuple) and all(isinstance(t, tuple) and len(t) == 2 for t in source)
+    if not (callable(source) or pairs):
+        raise DomainError("time_source must be a callable or a tuple of (coef, power) pairs")
 
 
 def _time_load(basis: TimeBasis, transform: TransformSpec, source):

@@ -23,6 +23,7 @@ from .ode_solver import (
     QUAD_GUARD,
     _assemble,
     _assemble_system,
+    _check_time_source,
     _load_matrix,
     _sampled_request,
     _time_load,
@@ -100,10 +101,7 @@ class SeparableRHS:
     time_source: object
 
     def __post_init__(self):
-        src = self.time_source
-        pairs = isinstance(src, tuple) and all(isinstance(t, tuple) and len(t) == 2 for t in src)
-        if not (callable(src) or pairs):
-            raise DomainError("time_source must be a callable or a tuple of (coef, power) pairs")
+        _check_time_source(self.time_source)
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,8 @@ class PDEProblem:
             raise DomainError(f"dimension must be 1 or 2, got {self.dimension}")
         if not (isinstance(self.rhs, SeparableRHS) or callable(self.rhs)):
             raise DomainError("rhs must be a SeparableRHS or a callable f(x[, y], t)")
+        if isinstance(self.rhs, SeparableRHS) and len(self.rhs.space_factors) != self.dimension:
+            raise DomainError("separable source needs one spatial factor per dimension")
 
 
 def manufactured_sine_power(delta, transform: TransformSpec, sigma: float, dimension: int = 2):
@@ -133,8 +133,6 @@ def manufactured_sine_power(delta, transform: TransformSpec, sigma: float, dimen
     expressed in t-monomials so the load integrates exactly in time.
     """
     delta = delta if isinstance(delta, FracOrder) else FracOrder(delta)
-    if not sigma > 0:
-        raise DomainError(f"power exponent must be positive, got {sigma}")
     reaction = dimension * math.pi**2 + 1.0
     time_source = PowerSum(((1.0, sigma),)).source_terms(delta, reaction, transform.r)
     factors = tuple(lambda x: np.sin(math.pi * np.asarray(x, dtype=float)) for _ in range(dimension))
@@ -211,8 +209,6 @@ def _spacetime_load(problem: PDEProblem, time_basis: TimeBasis, space_basis: Spa
         return legendre_phi_table(space_basis.m_modes, rule.nodes) * rule.weights
 
     if isinstance(rhs, SeparableRHS):
-        if len(rhs.space_factors) != d:
-            raise DomainError("separable source needs one spatial factor per dimension")
         time_requests, time_load = _time_load(time_basis, transform, rhs.time_source)
 
         def build(space, *time_samples):

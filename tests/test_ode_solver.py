@@ -287,17 +287,38 @@ def test_problem_validation():
     spec = TransformSpec(1, 2.0)
     u = PowerSum(((1.0, 2.0),))
     with pytest.raises(DomainError):
-        TimeProblem(FracOrder(0.5), 0.0, spec, exact=u)
-    with pytest.raises(DomainError):
-        TimeProblem(FracOrder(0.5), 1.0, spec)
-    with pytest.raises(DomainError):
-        TimeProblem(FracOrder(0.5), 1.0, spec, source=np.sin, exact=u)
-    with pytest.raises(DomainError):
-        TimeProblem(FracOrder(0.5), 1.0, spec, exact=u, phi=1.0)
+        TimeProblem.manufactured(u, 0.5, 0.0, spec)
     # A non-finite lam is refused here, not at the linear solve.
     for lam in (math.inf, math.nan):
         with pytest.raises(DomainError, match="lam must be positive and finite"):
-            TimeProblem(FracOrder(0.5), lam, spec, exact=u)
+            TimeProblem.manufactured(u, 0.5, lam, spec)
+
+
+@pytest.mark.parametrize("phi", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("kind", ["manufactured", "from-source"])
+def test_a_non_finite_initial_value_is_refused_at_construction(kind, phi):
+    # Not solved into an inf answer, nor refused later for another reason.
+    spec = TransformSpec(2, 2.0)
+    with pytest.raises(DomainError, match="phi must be finite"):
+        if kind == "manufactured":
+            TimeProblem.manufactured(PowerSum(((1.0, 0.5),), constant=phi), 0.5, 1.0, spec)
+        else:
+            TimeProblem.from_source(np.sin, 0.5, 1.0, spec, phi=phi)
+
+
+def test_a_manufactured_problem_holds_the_source_terms_and_initial_value():
+    u = PowerSum(((2.0, 2.0), (0.5, 0.7)), constant=1.5)
+    spec = TransformSpec(4, 2.0)
+    prob = TimeProblem.manufactured(u, 0.2, 3.0, spec)
+    assert prob.time_source == u.source_terms(FracOrder(0.2), 3.0, spec.r)
+    assert prob.phi == u.constant
+
+
+def test_a_source_problem_holds_its_homogenized_t_side_source():
+    spec = TransformSpec(3, 2.0)
+    prob = TimeProblem.from_source(np.sin, 0.5, 2.5, spec, phi=0.75)
+    t = np.linspace(0.0, spec.b_psi, 101)
+    assert np.array_equal(prob.time_source(t), np.sin(t**3) - 2.5 * 0.75)
 
 
 def test_a_source_that_cannot_be_evaluated_is_refused_at_construction():
@@ -706,13 +727,13 @@ def test_a_solve_builds_every_rule_in_one_batch(rule_batches, rule_sizes, basis_
     # Stiffness pair, mass rule and the load rules: one per power, or one
     # sampling rule for a callable source.  One J^{0,1} table serves the
     # stiffness outer nodes, the mass and the load.
-    loads = 1 if callable(prob.source) else len(prob.time_source)
+    loads = 1 if callable(prob.time_source) else len(prob.time_source)
     solve(prob, basis_for(prob.transform, 12))
     assert rule_batches == [3 + loads]
     # N + 8 for the stiffness pair, (2N + r + 3) // 2 for the mass, and
     # N + 16 for a sampled load or N // 2 + 2 for each power, at N = 12.
     mass = (2 * 12 + prob.transform.r + 3) // 2
-    load = (28,) if callable(prob.source) else (8,) * loads
+    load = (28,) if callable(prob.time_source) else (8,) * loads
     assert rule_sizes == [(20, 20, mass, *load)]
     assert basis_tables == [JacobiIndex(0.0, 1.0)]
     list(solve_nested(prob, basis_for(prob.transform, 12), (4, 8, 12)))

@@ -315,9 +315,20 @@ def test_a_spacetime_solve_builds_every_rule_in_one_batch(
 )
 def test_source_is_refused_before_any_rule_is_built(rule_batches, factors, time_source, message):
     tb, sb = bases(6, 6)
-    prob = PDEProblem(FracOrder(0.5), SPEC5, SeparableRHS(factors, time_source), 2)
     with pytest.raises(DomainError, match=message):
+        prob = PDEProblem(FracOrder(0.5), SPEC5, SeparableRHS(factors, time_source), 2)
         solve_spacetime(prob, tb, sb)
+    assert rule_batches == []
+
+
+@pytest.mark.parametrize("factors, dimension", [((np.cos,), 2), ((np.cos, np.cos), 1)])
+def test_a_separable_source_with_the_wrong_factor_count_is_refused_at_construction(
+    rule_batches, factors, dimension
+):
+    # A usage error, not a failure at the first draw of a solve or a study.
+    rhs = SeparableRHS(factors, ((1.0, 1.0),))
+    with pytest.raises(DomainError, match="separable source needs one spatial factor per dimension"):
+        PDEProblem(FracOrder(0.5), SPEC5, rhs, dimension)
     assert rule_batches == []
 
 
@@ -356,6 +367,14 @@ def test_separable_space_factor_with_nan_is_refused():
 def test_separable_rhs_refuses_a_time_source_of_neither_format(time_source):
     with pytest.raises(DomainError, match="time_source"):
         SeparableRHS((np.cos,), time_source)
+
+
+def test_both_problem_types_refuse_a_time_source_with_one_message():
+    with pytest.raises(DomainError) as scalar:
+        TimeProblem(FracOrder(0.5), 1.0, SPEC5, 3.0)
+    with pytest.raises(DomainError) as separable:
+        SeparableRHS((np.sin,), 3.0)
+    assert str(scalar.value) == str(separable.value)
 
 
 @pytest.mark.parametrize("rhs", [3.0, ((1.0, 1.0),)], ids=["number", "time-monomials"])
