@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, StudyError
 from .ode_solver import TimeProblem, TimeSolution, evaluate_table, solve_nested
 from .orthopoly import TimeBasis, gjp_table
-from .pde_solver import SpatialBasis, solve_spacetime_nested
+from .pde_solver import SpatialBasis, _evaluate_tables, _spacetime_tables, solve_spacetime_nested
 
 __all__ = [
     "ErrorReport",
@@ -106,38 +106,47 @@ def _composite_gl(lo: float, hi: float):
 
 
 def _error_points(transform, weighted: bool = False):
-    """(s, weights) of the max norm (the LINF_GRID-point uniform s-grid, no weights) and of L2.
+    """(grids, weights) of the max norm (the LINF_GRID-point uniform s-grid, no weights) and of L2.
 
     L2 uses the 200-point composite Gauss-Legendre rule, plain in s on (0, T) or, weighted, in
     t against psi'(t) dt; the two agree analytically and differ only in sampling.
     """
     if weighted:
         t, w = _composite_gl(0.0, transform.b_psi)
-        l2 = transform.psi(t), w * transform.psi_prime(t)
+        s, w = transform.psi(t), w * transform.psi_prime(t)
     else:
-        l2 = _composite_gl(0.0, transform.horizon_T)
-    return (np.linspace(0.0, transform.horizon_T, LINF_GRID), None), l2
+        s, w = _composite_gl(0.0, transform.horizon_T)
+    return ((np.linspace(0.0, transform.horizon_T, LINF_GRID),), None), ((s,), w)
 
 
-def _error_of(points, basis: TimeBasis, exact):
-    """sol -> error of u_N against `exact` on points = (s, weights), for any leading block of basis.
+def _pde_error_points(dimension: int, horizon_T: float):
+    """(grids, weights) at s = T of the max norm and, by Gauss-Legendre per axis, of spatial L2."""
+    xq, wq = _PDE_L2_RULE
+    weights = functools.reduce(np.multiply.outer, [wq] * dimension)[..., None]
+    xg, s = np.linspace(-1.0, 1.0, PDE_GRID), [horizon_T]
+    return ((xg,) * dimension + (s,), None), ((xq,) * dimension + (s,), weights)
 
-    `exact` is a callable of s or a TimeSolution of basis itself, which is then
-    evaluated on the table of the rows.  The basis table and the exact values at
-    the points are built at the first call and reused.
+
+def _error_of(points, bases, exact):
+    """sol -> its error against `exact` at points (grids, weights), for any leading block of bases.
+
+    bases is (TimeBasis,) with grids (s,), or (TimeBasis, SpatialBasis) with grids (x[, y], s).
+    `exact` is a callable of the grids or a TimeSolution of the time basis itself.  The tables
+    and the exact values at the points are built at the first call and reused.
     """
-    s, weights = points
+    grids, weights = points
+    at = evaluate_table if len(bases) == 1 else _evaluate_tables
     built = []
 
-    def error(sol: TimeSolution) -> float:
+    def error(sol) -> float:
         if not built:
-            table = gjp_table(basis, sol.transform.psi_inverse(s))
-            if isinstance(exact, TimeSolution):
-                values = evaluate_table(exact, table)
+            if len(bases) == 1:
+                table = gjp_table(*bases, sol.transform.psi_inverse(*grids))
             else:
-                values = np.asarray(exact(s), dtype=float)
-            built.extend((table, values))
-        diff = evaluate_table(sol, built[0]) - built[1]
+                table = _spacetime_tables(*bases, sol.transform, grids)
+            values = at(exact, table) if isinstance(exact, TimeSolution) else exact(*grids)
+            built.extend((table, np.asarray(values, dtype=float)))
+        diff = at(sol, built[0]) - built[1]
         if weights is None:
             return float(np.max(np.abs(diff)))
         return float(np.sqrt(np.sum(weights * diff * diff)))
@@ -147,22 +156,23 @@ def _error_of(points, basis: TimeBasis, exact):
 
 def error_linf(sol: TimeSolution, exact) -> float:
     """Max |u_N - u| over the LINF_GRID-point uniform s-grid, both endpoints included."""
-    return _error_of(_error_points(sol.transform)[0], sol.basis, exact)(sol)
+    return _error_of(_error_points(sol.transform)[0], (sol.basis,), exact)(sol)
 
 
 def error_l2(sol: TimeSolution, exact, *, weighted: bool = False) -> float:
     """L2 error by the composite rule of _error_points, in s or, if weighted, in t."""
-    return _error_of(_error_points(sol.transform, weighted=weighted)[1], sol.basis, exact)(sol)
+    return _error_of(_error_points(sol.transform, weighted=weighted)[1], (sol.basis,), exact)(sol)
 
 
-def _run_study(resolutions, solutions, errors_of) -> ConvergenceStudy:
+def _run_study(resolutions, solutions, errors) -> ConvergenceStudy:
     """Draw one solution per (N, M) in order, timing each draw alone, and collect error reports.
 
     `solutions` is an iterator that yields the solution at each resolution in
     order, doing its work only when drawn; the caller has checked the
     resolutions, whose M and not the rows done makes a study space-time, before
-    any work.  Any member failure aborts the study; the completed reports
-    travel on the raised StudyError so partial progress is never discarded.
+    any work.  `errors` are the max-norm and L2 error functions of a solution.
+    Any member failure aborts the study; the completed reports travel on the
+    raised StudyError so partial progress is never discarded.
     """
     spacetime = resolutions[0][1] is not None
     done: list[ErrorReport] = []
@@ -171,7 +181,7 @@ def _run_study(resolutions, solutions, errors_of) -> ConvergenceStudy:
             start = time.perf_counter()
             sol = next(solutions)
             runtime = (time.perf_counter() - start) * 1e3
-            linf, l2 = errors_of(sol)
+            linf, l2 = (error(sol) for error in errors)
             done.append(
                 ErrorReport(n_modes=n, m_modes=m, linf_error=linf, l2_error=l2, runtime_ms=runtime)
             )
@@ -213,25 +223,13 @@ def run_convergence_study(
     if exact is None:
         exact = next(solutions)
     points = _error_points(problem.transform, weighted=weighted_l2)
-    linf, l2 = (_error_of(p, basis, exact) for p in points)
-    return _run_study(resolutions, solutions, lambda sol: (linf(sol), l2(sol)))
+    return _run_study(resolutions, solutions, [_error_of(p, (basis,), exact) for p in points])
 
 
 def pde_errors_at_final_time(sol, exact) -> tuple[float, float]:
-    """Max error on the PDE_GRID-point grid per axis and spatial L2 error at s = T.
-
-    The L2 error uses the PDE_L2_POINTS-point Gauss-Legendre rule per axis.
-    """
-    T = sol.transform.horizon_T
-    d = sol.space_basis.dimension
-    xg = np.linspace(-1.0, 1.0, PDE_GRID)
-    diff = sol.evaluate(*([xg] * d), [T]) - exact(*([xg] * d), [T])
-    linf = float(np.max(np.abs(diff)))
-    xq, wq = _PDE_L2_RULE
-    dq = sol.evaluate(*([xq] * d), [T]) - exact(*([xq] * d), [T])
-    weights = functools.reduce(np.multiply.outer, [wq] * d)
-    l2 = float(np.sqrt(np.sum(weights * dq[..., 0] ** 2)))
-    return linf, l2
+    """Max error on the PDE_GRID-point grid per axis and spatial L2 error at s = T, as a study's."""
+    points = _pde_error_points(sol.space_basis.dimension, sol.transform.horizon_T)
+    return tuple(_error_of(p, (sol.time_basis, sol.space_basis), exact)(sol) for p in points)
 
 
 def run_pde_convergence_study(problem, exact, n_values, m_values) -> ConvergenceStudy:
@@ -250,8 +248,6 @@ def run_pde_convergence_study(problem, exact, n_values, m_values) -> Convergence
     _require_increasing(resolutions)
     (n_max, m_max), interval = resolutions[-1], (0.0, problem.transform.b_psi)
     bases = TimeBasis(0.0, n_max, interval), SpatialBasis(m_max, problem.dimension)
-    return _run_study(
-        resolutions,
-        solve_spacetime_nested(problem, *bases, resolutions),
-        lambda sol: pde_errors_at_final_time(sol, exact),
-    )
+    points = _pde_error_points(problem.dimension, problem.transform.horizon_T)
+    errors = [_error_of(p, bases, exact) for p in points]
+    return _run_study(resolutions, solve_spacetime_nested(problem, *bases, resolutions), errors)

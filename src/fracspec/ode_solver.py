@@ -61,6 +61,8 @@ class TimeProblem:
     derivative annihilates constants, so the solve works on v = u - phi and
     adds phi back on evaluation.  from_source(g) stores t -> g(t^r) - lam*phi;
     manufactured(u) stores the monomials of D^delta u + lam*u, with phi = u(0).
+    Each builds the source once, so dataclasses.replace of delta, lam,
+    transform or phi keeps the old one: call manufactured or from_source anew.
     """
 
     delta: FracOrder

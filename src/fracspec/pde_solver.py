@@ -50,7 +50,7 @@ PIVOT_TOL = 1e-12
 # the mode stage works in N x _CHUNK blocks, and the stages over time rows in
 # blocks of as many entries (_row_blocks).  1536 is about the fewest that keep
 # all 39^2 modes of M = 40 in one chunk; at (N, M) = (40, 60) a warm solve
-# then peaks at 3.7 N x K^2 tensors, against 4.1 at 2048, at about the same speed.
+# then peaks at 4.3 N x K^2 tensors, against 5.0 at 2048, at about the same speed.
 _CHUNK = 1536
 
 
@@ -109,7 +109,9 @@ class PDEProblem:
     """Rescaled subdiffusion problem on (-1,1)^d with homogeneous data.
 
     The reaction coefficient is fixed at one: the operator is
-    D^{delta,psi} v - Lap(v) + v = f.
+    D^{delta,psi} v - Lap(v) + v = f.  A problem holds the source its solve
+    reads, so dataclasses.replace of delta or transform keeps the old rhs:
+    change them through manufactured_sine_power or a new rhs.
     """
 
     delta: FracOrder
@@ -267,30 +269,6 @@ def _schur_blocks(T: np.ndarray) -> list[tuple[int, int]]:
     return blocks
 
 
-def _pivot_forms(T: np.ndarray, R: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Each block's pivot of mu T + c R, and its guard terms, as forms in (mu, c).
-
-    Row b of P and of Pabs holds block b's coefficients of the monomials
-    (mu, c, mu^2, mu c, c^2).  Against them P gives mu T_ii + c R_ii for a
-    1 x 1 block and det(mu T_b + c R_b) for a 2 x 2 one, and Pabs, against
-    the monomials' absolute values, |mu||T_ii| + |c||R_ii| or
-    t_11 t_22 + t_12 t_21 with t_jk = |mu||T_jk| + |c||R_jk|.  R is
-    upper-triangular, so R_21 = 0.
-    """
-    P, Pabs = np.zeros((len(blocks), 5)), np.zeros((len(blocks), 5))
-    for b, (i, end) in enumerate(blocks):
-        if end - i == 1:
-            P[b, :2] = T[i, i], R[i, i]
-            Pabs[b, :2] = abs(T[i, i]), abs(R[i, i])
-            continue
-        t11, t12, t21, t22 = T[i, i], T[i, i + 1], T[i + 1, i], T[i + 1, i + 1]
-        r11, r12, r22 = R[i, i], R[i, i + 1], R[i + 1, i + 1]
-        P[b, 2:] = t11 * t22 - t12 * t21, t11 * r22 + r11 * t22 - r12 * t21, r11 * r22
-        t11, t12, t21, t22, r11, r12, r22 = map(abs, (t11, t12, t21, t22, r11, r12, r22))
-        Pabs[b, 2:] = t11 * t22 + t12 * t21, t11 * r22 + r11 * t22 + r12 * t21, r11 * r22
-    return P, Pabs
-
-
 def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarray) -> np.ndarray:
     """Solve (mu S + c M) w = fhat[:, mode] for every eigenmode, writing w over fhat.
 
@@ -320,32 +298,35 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
     f = fhat.reshape(fhat.shape[0], -1)
     T, R, Q, Z = qz(S, M, output="real")
     blocks = _schur_blocks(T)
-    P, Pabs = _pivot_forms(T, R, blocks)
-    # Per block, bottom up: the rows of T and R that couple it to the rows
-    # below, stacked, and for a 2 x 2 block the (mu, c) coefficients of its
-    # adjugate's entries (a_22, -a_12, -a_21, a_11).
-    steps = []
-    for i, end in reversed(blocks):
+    # One bottom-up pass gives block b its rows of T and R coupling it to the
+    # rows below, stacked; rows b of P and Pabs, its pivot and guard terms
+    # above as forms in (mu, c, mu^2, mu c, c^2), Pabs against their absolute
+    # values; and, if 2 x 2, its adjugate (a_22, -a_12, -a_21, a_11) in (mu, c).
+    P, Pabs, steps = np.zeros((len(blocks), 5)), np.zeros((len(blocks), 5)), []
+    for b, (i, end) in reversed(list(enumerate(blocks))):
         adjugate = None
-        if end - i == 2:
-            j = i + 1
-            adjugate = np.array(
-                [[T[j, j], R[j, j]], [-T[i, j], -R[i, j]], [-T[j, i], 0.0], [T[i, i], R[i, i]]]
-            )
-        steps.append((i, end, np.concatenate([T[i:end, end:], R[i:end, end:]]), adjugate))
+        if end - i == 1:
+            P[b, :2] = T[i, i], R[i, i]
+            Pabs[b, :2] = abs(T[i, i]), abs(R[i, i])
+        else:
+            t11, t12, t21, t22 = T[i, i], T[i, i + 1], T[i + 1, i], T[i + 1, i + 1]
+            r11, r12, r22 = R[i, i], R[i, i + 1], R[i + 1, i + 1]
+            adjugate = np.array([[t22, r22], [-t12, -r12], [-t21, 0.0], [t11, r11]])
+            P[b, 2:] = t11 * t22 - t12 * t21, t11 * r22 + r11 * t22 - r12 * t21, r11 * r22
+            t11, t12, t21, t22, r11, r12, r22 = map(abs, (t11, t12, t21, t22, r11, r12, r22))
+            Pabs[b, 2:] = t11 * t22 + t12 * t21, t11 * r22 + r11 * t22 + r12 * t21, r11 * r22
+        steps.append((b, i, end, np.concatenate([T[i:end, end:], R[i:end, end:]]), adjugate))
 
-    def back_substitute(b, coefs, pivots, y, out):
+    def back_substitute(b, mu, c, solvers, y, out):
         """Write Z y into out for (mu T + c R) y = Q^T b, y written over Q^T b block by block."""
-        mu, c = coefs
         np.matmul(Q.T, b, out=y)
-        for (i, end, coupling, adjugate), pivot in zip(steps, pivots[::-1]):
+        for i, end, coupling, pivot, a in solvers:
             below = coupling @ y[end:]
             rhs = y[i:end]
             rhs -= mu * below[: end - i] + c * below[end - i:]
-            if adjugate is None:
+            if a is None:
                 rhs /= pivot
             else:
-                a = adjugate @ coefs
                 r1, r2 = rhs / pivot
                 rhs[0], rhs[1] = a[0] * r1 + a[1] * r2, a[2] * r1 + a[3] * r2
         np.matmul(Z, y, out=out)
@@ -383,7 +364,12 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
             raise NumericalFailureError(
                 message, index=tuple(int(j) for j in np.unravel_index(lo + m, shape))
             )
-        back_substitute(fc, coefs, pivots, y, out=w)
+        # Each block's pivot and adjugate entries, for both back-substitutions.
+        solvers = [
+            (i, end, coupling, pivots[b], None if adjugate is None else adjugate @ coefs)
+            for b, i, end, coupling, adjugate in steps
+        ]
+        back_substitute(fc, mu, c, solvers, y, out=w)
         # fhat - mu S w - c M w, taken in place over fhat's columns; its
         # correction then overwrites them, and w is added.
         np.matmul(S, w, out=y)
@@ -392,8 +378,9 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
         np.matmul(M, w, out=y)
         y *= c
         fc -= y
-        back_substitute(fc, coefs, pivots, y, out=fc)
+        back_substitute(fc, mu, c, solvers, y, out=fc)
         fc += w
+        del solvers  # up to 2 N x _CHUNK entries, so freed before the next chunk's
     return f.reshape(fhat.shape)
 
 
@@ -496,7 +483,13 @@ def evaluate_spacetime(sol: SpaceTimeSolution, *grids) -> np.ndarray:
     Initial and boundary values vanish structurally: the basis factors are
     exactly zero there in floating point.
     """
-    d = sol.space_basis.dimension
+    tables = _spacetime_tables(sol.time_basis, sol.space_basis, sol.transform, grids)
+    return _evaluate_tables(sol, tables)
+
+
+def _spacetime_tables(time_basis, space_basis, transform, grids):
+    """evaluate_spacetime's checks and tables: the time table, then one spatial table per axis."""
+    d = space_basis.dimension
     if len(grids) != d + 1:
         raise DomainError(f"expected {d + 1} point arrays, got {len(grids)}")
     *xs, s = [np.atleast_1d(np.asarray(g, dtype=float)) for g in grids]
@@ -504,8 +497,14 @@ def evaluate_spacetime(sol: SpaceTimeSolution, *grids) -> np.ndarray:
         # Written so that a NaN point is refused too.
         if not np.all(np.abs(x) <= 1.0 + 1e-12):
             raise DomainError("spatial points must lie in [-1, 1]")
-    jt = gjp_table(sol.time_basis, sol.transform.psi_inverse(s))
-    tables = [legendre_phi_table(sol.space_basis.m_modes, x) for x in xs]
+    jt = gjp_table(time_basis, transform.psi_inverse(s))
+    return [jt] + [legendre_phi_table(space_basis.m_modes, x) for x in xs]
+
+
+def _evaluate_tables(sol: SpaceTimeSolution, tables) -> np.ndarray:
+    """sol on the grid of _spacetime_tables of its bases, or of larger ones: their leading rows."""
+    n, k = sol.V.shape[:2]
+    jt, *space = tables
     # Time first: the few evaluation times shrink V before the spatial products.
-    values = _mode_product(np.tensordot(jt, sol.V, axes=(0, 0)), tables)
+    values = _mode_product(np.tensordot(jt[:n], sol.V, axes=(0, 0)), [x[:k] for x in space])
     return np.moveaxis(values, 0, -1)

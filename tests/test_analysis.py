@@ -524,6 +524,44 @@ def test_pde_study_member_failure_keeps_its_first_row(monkeypatch):
     assert list(info.value.partial.columns())[:2] == ["N", "M"]
 
 
+def test_pde_study_builds_its_tables_and_exact_values_once_whatever_its_row_count(monkeypatch):
+    import fracspec.pde_solver as pde_mod
+    from fracspec.analysis import PDE_GRID, PDE_L2_POINTS
+    from fracspec.pde_solver import manufactured_sine_power
+
+    real_gjp_table, real_phi_table = pde_mod.gjp_table, pde_mod.legendre_phi_table
+    builds, exact_calls = [], []
+
+    def counting_gjp_table(basis, t):
+        builds.append(("time", basis.n_modes, len(t)))
+        return real_gjp_table(basis, t)
+
+    def counting_phi_table(m_modes, x):
+        # The load's spatial rule is built once per assembly; only evaluation tables count.
+        if len(x) in (PDE_GRID, PDE_L2_POINTS):
+            builds.append(("space", m_modes, len(x)))
+        return real_phi_table(m_modes, x)
+
+    monkeypatch.setattr(pde_mod, "gjp_table", counting_gjp_table)
+    monkeypatch.setattr(pde_mod, "legendre_phi_table", counting_phi_table)
+    prob, exact = manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
+
+    def counting_exact(*grids):
+        exact_calls.append(len(grids[0]))
+        return exact(*grids)
+
+    per_study = []
+    for n_values in ((8, 10, 12), tuple(range(4, 13))):
+        builds.clear()
+        exact_calls.clear()
+        run_pde_convergence_study(prob, counting_exact, n_values, (10,) * len(n_values))
+        per_study.append((sorted(builds), sorted(exact_calls)))
+    # One set of tables per set of error points, at the largest (N, M), and one
+    # evaluation of the exact solution each, for 3 rows as for 9.
+    tables = [("space", 10, 33)] * 2 + [("space", 10, 40)] * 2 + [("time", 12, 1)] * 2
+    assert per_study == [(tables, [33, 40])] * 2
+
+
 def test_pde_study_refused_at_its_first_pair_is_still_space_time(monkeypatch):
     from fracspec.pde_solver import manufactured_sine_power
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,6 +320,18 @@ def test_a_source_problem_holds_its_homogenized_t_side_source():
     prob = TimeProblem.from_source(np.sin, 0.5, 2.5, spec, phi=0.75)
     t = np.linspace(0.0, spec.b_psi, 101)
     assert np.array_equal(prob.time_source(t), np.sin(t**3) - 2.5 * 0.75)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("delta", FracOrder(0.3)), ("lam", 2.0), ("transform", TransformSpec(3, 2.0)), ("phi", 1.0)],
+)
+def test_replacing_a_field_keeps_the_source_the_problem_holds(field, value):
+    # The source is built from the fields once; a new one comes from manufactured.
+    u = PowerSum(((1.0, 2.0),))
+    prob = TimeProblem.manufactured(u, 0.5, 1.0, TransformSpec(1, 2.0))
+    assert replace(prob, **{field: value}).time_source is prob.time_source
+    assert TimeProblem.manufactured(u, 0.5, 2.0, prob.transform).time_source != prob.time_source
 
 
 def test_a_source_that_cannot_be_evaluated_is_refused_at_construction():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -377,6 +378,15 @@ def test_both_problem_types_refuse_a_time_source_with_one_message():
     assert str(scalar.value) == str(separable.value)
 
 
+@pytest.mark.parametrize("field, value", [("delta", FracOrder(0.3)), ("transform", TransformSpec(3, 2.0))])
+def test_replacing_a_field_keeps_the_source_the_problem_holds(field, value):
+    # The source is built once; a new one comes from manufactured_sine_power.
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    assert replace(prob, **{field: value}).rhs is prob.rhs
+    rebuilt, _ = manufactured_sine_power(0.3, SPEC5, 0.6, dimension=2)
+    assert rebuilt.rhs.time_source != prob.rhs.time_source
+
+
 @pytest.mark.parametrize("rhs", [3.0, ((1.0, 1.0),)], ids=["number", "time-monomials"])
 def test_a_source_that_cannot_be_evaluated_is_refused_at_construction(rhs):
     # Not later, as a bare TypeError from inside the assembly.
@@ -587,12 +597,32 @@ def test_solve_modes_answers_every_mode_and_names_a_refused_one(rng, d, n, m):
     assert "of the stack" not in str(info.value)
 
 
+@pytest.mark.parametrize("n, m", [(20, 20), (40, 60)])
+def test_mode_answers_depend_on_the_chunk_width_only_at_roundoff(monkeypatch, n, m):
+    # Not bit for bit: BLAS products over 7 or 100 columns need not round as
+    # one over every mode does.  Here, on the benchmark's problem, the widths
+    # differed by at most 6.2e-16 max|w|, at (40, 60) and 100 columns.
+    tb, sb = bases(n, m)
+    prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
+    S = assemble_stiffness(tb, prob.delta, SPEC5)
+    M = assemble_mass(tb, SPEC5)
+    lam, E = eigh(space_mass_matrix(m))
+    table = pde_mod._mode_table(lam, 2)
+    fhat = pde_mod._mode_product(assemble_spacetime_load(prob, tb, sb), [E, E])
+    monkeypatch.setattr(pde_mod, "_CHUNK", len(table))
+    whole = pde_mod._solve_modes(S, M, table, fhat.copy())
+    for chunk in (7, 100):
+        monkeypatch.setattr(pde_mod, "_CHUNK", chunk)
+        w = pde_mod._solve_modes(S, M, table, fhat.copy())
+        assert np.max(np.abs(w - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
 def test_mode_solves_never_hold_the_full_stack():
     # All K^2 mode matrices at once would take K^2 N^2 8 bytes.  The mode
     # stage holds no matrix per mode, only a few N-row blocks of at most
     # _CHUNK real columns at a time.  Here all K^2 = 1521 modes fit in one
-    # chunk, and the whole solve peaks near 1.5 MB, 0.31 of that size and
-    # about six N K^2 tensors.
+    # chunk, and the whole solve peaks near 1.8 MB, 0.37 of that size and
+    # about seven N K^2 tensors.
     tb, sb = bases(20, 40)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
     solve_spacetime(prob, tb, sb)  # warm caches outside the measurement
