@@ -2,7 +2,8 @@
 
 Conventions: Jacobi polynomials J^{a,b}_n are orthogonal on (-1, 1) against
 the weight (1-x)^a (1+x)^b with a, b > -1.  Rules on a general interval
-(lo, hi) absorb the affinely mapped weight (hi-x)^a (x-lo)^b.
+(lo, hi) absorb the affinely mapped weight (hi-x)^a (x-lo)^b.  One
+recurrence serves the tables, the stiffness inner pass and the rule build.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .errors import DomainError, NumericalFailureError
 # eigh_tridiagonal picks for a full spectrum with vectors.  It is called
 # directly, so rule bits do not follow a change of scipy's default.
 _dstevd = lapack.dstevd
+
+_NEWTON_ROWS = 32  # rows a block of the Newton pass's recurrence, which keeps the last two
 
 __all__ = [
     "JacobiIndex",
@@ -68,56 +71,72 @@ def jacobi_table(idx: JacobiIndex, n_max: int, x) -> np.ndarray:
 def jacobi_blocks(idx: JacobiIndex, n_max: int, x, rows: int):
     """The rows of jacobi_table(idx, n_max, x), `rows` degrees a block (the last may be shorter).
 
-    Each block is a view that the next one overwrites: only one block and
-    the two rows before it are held, so the working memory is
-    (rows + 2) * len(x) values whatever n_max is.  Every block has
-    jacobi_table's bits, because the operations and their order are those
-    of one recurrence over the whole table.
+    Each block is a view that the next one overwrites, so the working memory
+    is (rows + 2) * len(x) values whatever n_max is.  The tables, the stiffness
+    inner pass and the rule build's Newton pass all run one recurrence, so every
+    block has jacobi_table's bits.  n_max < 0 or rows < 1 is refused at the call.
     """
     if n_max < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {n_max}")
-    a, b = idx.alpha, idx.beta
+    if rows < 1:
+        raise DomainError(f"block size must be >= 1, got {rows}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    a1, a2, a3, a4 = _recurrence_coefficients(a, b, np.arange(1.0, n_max))
-    # buf[k + 2] holds the row of degree start + k; buf[0] and buf[1] hold
-    # the two rows before the block.
-    buf = np.empty((min(rows, n_max + 1) + 2, x.size))
-    tmp = np.empty(x.size)
-    for start in range(0, n_max + 1, rows):
-        stop = min(start + rows, n_max + 1)
-        out = buf[: stop - start + 2]
-        if start == 0:
-            out[2] = 1.0
-        if start <= 1 < stop:
-            out[3 - start] = 0.5 * (a + b + 2) * x + 0.5 * (a - b)
-        first = max(start, 2)
-        body = out[first - start + 2 :]
-        degrees = slice(first - 2, first - 2 + len(body))
-        np.multiply(a3[degrees, None], x, out=body)
-        body += a2[degrees, None]
-        for n in range(first - 1, stop - 1):
-            row = out[n - start + 3]
-            row *= out[n - start + 2]
-            row -= np.multiply(a4[n - 1], out[n - start + 1], out=tmp)
-            row /= a1[n - 1]
-        yield out[2:]
-        buf[:2] = out[-2:]
+    table = _step_table(idx.alpha, idx.beta, n_max)
+    return (block[2:] for block in _recurrence_blocks(table, x, rows))
 
 
-def _recurrence_coefficients(a, b, n: np.ndarray) -> tuple[np.ndarray, ...]:
-    """a1..a4 of J_{n+1} = ((a2 + a3 x) J_n - a4 J_{n-1}) / a1, one entry per degree in n.
+def _step_table(a, b, steps: int) -> tuple[np.ndarray, ...]:
+    """a1..a4, each (steps, families), of the steps that run J^{a,b}_0..J^{a,b}_steps from (1, 1).
 
-    a and b may be arrays of families, broadcast against n.
-
-    Every Jacobi evaluation here uses these, in this operation order, so the
-    table rows and the rule kernel agree bit for bit.
+    A step is J_{k+1} = ((a2 + a3 x) J_k - a4 J_{k-1}) / a1; the first has a1 = 1,
+    a4 = 0 and a3 x + a2 the degree-1 row.  a, b: floats, or arrays of families.
     """
-    c = 2 * n + a + b
-    a1 = 2 * (n + 1) * (n + a + b + 1) * c
-    a2 = (c + 1) * (a * a - b * b)
-    a3 = c * (c + 1) * (c + 2)
-    a4 = 2 * (n + a) * (n + b) * (c + 2)
+    k = np.arange(steps, dtype=float)[:, None]
+    c = 2 * k + a + b
+    c1, c2, ka = c + 1, c + 2, k + a
+    a1 = 2 * (k + 1) * (ka + b + 1) * c
+    a2 = c1 * (a * a - b * b)
+    a3 = c * c1 * c2
+    a4 = 2 * ka * (k + b) * c2
+    a1[:1], a2[:1], a3[:1], a4[:1] = 1.0, 0.5 * (a - b), 0.5 * (a + b + 2), 0.0
     return a1, a2, a3, a4
+
+
+def _recurrence_blocks(table, x: np.ndarray, rows: int):
+    """The rows of degrees 0..steps of the recurrence that table describes, at x, `rows` a block.
+
+    table holds a1..a4 of each step from the state (1, 1), each (steps, 1) for
+    one family at every point or (steps, len(x)) for a family per point.  A
+    block is a view that the next overwrites, headed by the two rows before it.
+    """
+    a1, a2, a3, a4 = table
+    steps, width = a1.shape
+    if width == 1:  # one family: scalars, which numpy applies faster
+        a1, a4 = a1[:, 0], a4[:, 0]
+    # out[i] holds the row of degree start + i - 2, and a row of degree d >= 1 is step d - 1's.
+    buf = np.empty((min(rows, steps + 1) + 2, x.size))
+    buf[:3] = 1.0  # the state (1, 1), then degree 0
+    tmp = np.empty(x.size)
+    for start in range(0, steps + 1, rows):
+        if start:  # the rows before this block end the full one before it
+            buf[:2] = buf[-2:]
+        out = buf[: min(rows, steps + 1 - start) + 2]
+        i = 3 if start == 0 else 2  # degree 0 is the state's, not a step's
+        now = slice(start + i - 3, start + len(out) - 3)
+        body = out[i:]
+        if width == 1:
+            np.multiply(a3[now], x, out=body)
+        else:  # broadcasting x would cost a temporary the size of body
+            body[...] = x
+            body *= a3[now]
+        body += a2[now]
+        prev2, prev = out[i - 2], out[i - 1]
+        for row, c1, c4 in zip(body, a1[now], a4[now]):
+            row *= prev
+            row -= np.multiply(c4, prev2, out=tmp)
+            row /= c1
+            prev2, prev = prev, row
+        yield out
 
 
 @dataclass(frozen=True)
@@ -158,12 +177,19 @@ def _rule_name(idx: JacobiIndex, n: int) -> str:
 
 
 def _weight_scale(idx: JacobiIndex, n: int, interval: tuple[float, float]) -> float:
-    """(half the interval's length)^(alpha+beta+1): the weight's mass on it over that on (-1, 1)."""
+    """(half the interval's length)^(alpha+beta+1): the weight's mass on it over that on (-1, 1).
+
+    Refused where it overflows or underflows to 0; an infinite exponent's 0
+    is exact, and the Jacobi matrix's check refuses it.
+    """
     try:
-        return (0.5 * (interval[1] - interval[0])) ** (idx.alpha + idx.beta + 1)
-    except OverflowError:
-        message = f"{_rule_name(idx, n)} on {interval}: the weight's scale overflows"
-        raise NumericalFailureError(message) from None
+        scale = (0.5 * (interval[1] - interval[0])) ** (idx.alpha + idx.beta + 1)
+    except (OverflowError, ZeroDivisionError):  # 0 to a negative power overflows too
+        scale = math.inf
+    if not 0.0 < scale < math.inf and math.isfinite(idx.alpha + idx.beta):
+        how = "overflows" if scale else "underflows"
+        raise NumericalFailureError(f"{_rule_name(idx, n)} on {interval}: the weight's scale {how}")
+    return scale
 
 
 def _gauss_constant(idx: JacobiIndex, n: int) -> float:
@@ -217,54 +243,6 @@ def _jacobi_matrices(indices, size: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
-def _rule_recurrence(indices, ns) -> np.ndarray:
-    """Per-point coefficients that run every J^{a,b}_n and J^{a+1,b+1}_n of a batch side by side.
-
-    The points are laid out flat, n per family: first the families (a, b)
-    of indices in order, then the families (a+1, b+1).  Returns a1..a4 of
-    the batch's max(ns) steps, shape (4, max(ns), 2 * sum(ns)).  From the
-    state (1, 1) a family of degree n first takes max(ns) - n steps that
-    change nothing (a1 = a2 = 1, a3 = a4 = 0), then one to its degree-1 row
-    (a1 = 1, a4 = 0, a3 x + a2 that row), then those to degrees 2..n, so it
-    reaches its own degree at the last step.
-    """
-    ab = np.array([(idx.alpha, idx.beta) for idx in indices])
-    a, b = np.concatenate([ab, ab + 1.0]).T
-    ns = np.concatenate([ns, ns])
-    steps = ns.max()
-    # Step j takes a family of degree n to degree j - (steps - n) + 1; below 1 it is padding.
-    k = np.arange(steps, dtype=float)[:, None] - (steps - ns)
-    a1, a2, a3, a4 = _recurrence_coefficients(a, b, k)
-    pad, first = k < 0, k == 0
-    a1 = np.where(pad | first, 1.0, a1)
-    a2 = np.where(pad, 1.0, np.where(first, 0.5 * (a - b), a2))
-    a3 = np.where(pad, 0.0, np.where(first, 0.5 * (a + b + 2), a3))
-    a4 = np.where(pad | first, 0.0, a4)
-    return np.repeat(np.stack([a1, a2, a3, a4]), ns, axis=2)
-
-
-def _last_rows(rec: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The last two rows of the recurrence that rec describes, at x, from the state (1, 1).
-
-    Only two rows are kept.  Elementwise these are jacobi_table's IEEE
-    operations, and a padding step copies its row exactly, so the rows have
-    jacobi_table's bits.
-    """
-    a1s, a2s, a3s, a4s = rec
-    lin = a3s * x
-    lin += a2s
-    p0 = np.ones(x.size)
-    p1 = np.ones(x.size)
-    tmp = np.empty(x.size)
-    for a1, a2_a3x, a4 in zip(a1s, lin, a4s):
-        np.multiply(a4, p0, out=tmp)
-        np.multiply(a2_a3x, p1, out=p0)
-        p0 -= tmp
-        p0 /= a1
-        p0, p1 = p1, p0
-    return p0, p1
-
-
 def _golub_welsch_nodes(idx: JacobiIndex, n: int, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Zeros of J^{a,b}_n, ascending: the eigenvalues of its n x n Jacobi matrix (diag, off)."""
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
@@ -280,6 +258,24 @@ def _golub_welsch_nodes(idx: JacobiIndex, n: int, diag: np.ndarray, off: np.ndar
     return nodes
 
 
+def _newton_steps(indices, ns: list[int]) -> np.ndarray:
+    """Per-point a1..a4 that run every J^{a,b}_n and J^{a+1,b+1}_n of a batch side by side.
+
+    Laid out flat, n points per family: the families (a, b) of indices, then
+    (a+1, b+1).  A family of degree n first takes max(ns) - n steps that keep
+    the state (1, 1) (a1 = a2 = 1, a3 = a4 = 0), so it ends at its degree.
+    """
+    ab = np.array([(idx.alpha, idx.beta) for idx in indices])
+    a, b = np.concatenate([ab, ab + 1.0]).T
+    degrees, steps = np.array(ns + ns), max(ns)
+    # steps rows of padding, then each family's own steps; degree n takes rows n..n + steps - 1.
+    table = np.zeros((4, 2 * steps, degrees.size))
+    table[:2, :steps] = 1.0
+    table[:, steps:] = _step_table(a, b, steps)
+    table = table[:, np.arange(steps)[:, None] + degrees, np.arange(degrees.size)]
+    return np.repeat(table, degrees, axis=2)
+
+
 def _newton_polish(indices, ns: list[int], x: np.ndarray) -> tuple[np.ndarray, ...]:
     """Newton iteration on each J^{a,b}_n from the zeros guessed in x, n per family, laid out flat.
 
@@ -289,7 +285,7 @@ def _newton_polish(indices, ns: list[int], x: np.ndarray) -> tuple[np.ndarray, .
     build.
     """
     total = x.size
-    rec = _rule_recurrence(indices, np.array(ns))
+    table = _newton_steps(indices, ns)
     # J^{a,b}_n' = (n+a+b+1)/2 * J^{a+1,b+1}_{n-1}
     scale = np.repeat([0.5 * (n + idx.alpha + idx.beta + 1) for idx, n in zip(indices, ns)], ns)
     starts = np.cumsum([0] + ns[:-1])
@@ -297,15 +293,18 @@ def _newton_polish(indices, ns: list[int], x: np.ndarray) -> tuple[np.ndarray, .
     active = np.ones(len(ns), dtype=bool)
     # A couple of steps reach the attainable floor.
     for _ in range(4):
-        prev, last = _last_rows(rec, np.concatenate([x, x]))
+        # The last block ends with the rows of degrees n - 1 and n, copied to free its buffer.
+        blocks = _recurrence_blocks(table, np.concatenate([x, x]), _NEWTON_ROWS)
+        prev, last = list(blocks)[-1][-2:].copy()
         step = last[:total] / (scale * prev[total:])
         x = np.where(np.repeat(active, ns), x - step, x)
         residual = np.where(active, np.maximum.reduceat(np.abs(step), starts), residual)
         active &= ~(residual < 1e-15)
         if not active.any():
             break
-    dp = scale * _last_rows(rec[:, :, total:], x)[0]
-    return x, dp, residual
+    # The derivative pass runs the shifted half alone.
+    block = list(_recurrence_blocks(table[:, :, total:], x, _NEWTON_ROWS))[-1]
+    return x, scale * block[-2], residual
 
 
 def gauss_jacobi_rules(requests) -> tuple[QuadratureRule, ...]:

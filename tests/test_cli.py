@@ -219,6 +219,30 @@ def test_overflowing_horizon_exits_3(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (
+            ["solve-ode", "--T", "1e-120", "--N", "6"],
+            "numerical failure: assembly failed (delta=0.5, r=1, N=6): Gauss-Jacobi rule "
+            "(alpha=0.0, beta=2.0, n=5) on (0.0, 1e-120): the weight's scale underflows\n",
+        ),
+        (
+            ["solve-pde", "--problem", "example4", "--T", "1e-300", "--N", "3", "--M", "3"],
+            "numerical failure: assembly failed (delta=0.5, r=5, N=3, M=3): Gauss-Jacobi rule "
+            "(alpha=0.0, beta=4.5, n=3) on (0.0, 9.999999999999924e-61): the weight's scale underflows\n",
+        ),
+    ],
+    ids=["solve-ode", "solve-pde"],
+)
+def test_underflowing_weight_scale_exits_3_in_one_line(capsys, argv, stderr):
+    # A tiny horizon makes the basis interval's weight scale underflow to 0:
+    # refused by name, not as weights that are not all positive.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(capsys, *argv) == (3, "", stderr)
+
+
+@pytest.mark.parametrize(
     "argv, solve",
     [
         (["solve-ode", "--problem", "example1"], "(delta=0.5, r=1, N=4)"),

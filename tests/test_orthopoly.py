@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -313,23 +314,56 @@ def test_batched_jacobi_matrices_match_lone_matrices():
 @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.5, 0.0), (0.0, 6.6000000000000005), (1.5, -0.3)])
 @pytest.mark.parametrize("n", [1, 2, 3, 30])
 def test_fused_rule_rows_match_table_rows(a, b, n):
-    # A batch of two, laid out flat: J^{a,b} on n points, J^{0,2} on m, then
-    # J^{a+1,b+1} on n and J^{1,3} on m.  Each block reaches its own degree.
+    # A batch of two, laid out flat as the Newton pass lays it out: J^{a,b}
+    # on n points, J^{0,2} on m, then J^{a+1,b+1} on n and J^{1,3} on m.
+    # Each block reaches its own degree, whatever the block size.
     m = 31 - n
     sizes = [n, m, n, m]
     x = np.random.default_rng(n + m).uniform(-1.0, 1.0, sum(sizes))
-    rec = orthopoly._rule_recurrence([JacobiIndex(a, b), JacobiIndex(0.0, 2.0)], np.array([n, m]))
-    prev, last = orthopoly._last_rows(rec, x)
-    cuts = np.cumsum(sizes[:-1])
+    table = orthopoly._newton_steps([JacobiIndex(a, b), JacobiIndex(0.0, 2.0)], [n, m])
     families = [(a, b), (0.0, 2.0), (a + 1, b + 1), (1.0, 3.0)]
-    blocks = np.split(np.stack([x, prev, last]), cuts, axis=1)
-    for (fa, fb), size, (xs, prev_i, last_i) in zip(families, sizes, blocks):
-        table = jacobi_table(JacobiIndex(fa, fb), size, xs)
-        assert np.array_equal(prev_i, table[size - 1]), (fa, fb)
-        assert np.array_equal(last_i, table[size]), (fa, fb)
-    # The derivative pass runs the shifted half alone.
-    slope_prev, _ = orthopoly._last_rows(rec[:, :, n + m :], x[n + m :])
-    assert np.array_equal(slope_prev, prev[n + m :])
+    cuts = np.cumsum(sizes[:-1])
+    for rows in (1, 8, orthopoly._NEWTON_ROWS):
+        block = list(orthopoly._recurrence_blocks(table, x, rows))[-1]
+        prev, last = block[-2].copy(), block[-1].copy()
+        blocks = np.split(np.stack([x, prev, last]), cuts, axis=1)
+        for (fa, fb), size, (xs, prev_i, last_i) in zip(families, sizes, blocks):
+            want = jacobi_table(JacobiIndex(fa, fb), size, xs)
+            assert np.array_equal(prev_i, want[size - 1]), (fa, fb, rows)
+            assert np.array_equal(last_i, want[size]), (fa, fb, rows)
+        # The derivative pass runs the shifted half alone.
+        shifted = list(orthopoly._recurrence_blocks(table[:, :, n + m :], x[n + m :], rows))[-1]
+        assert np.array_equal(shifted[-2], prev[n + m :]), rows
+
+
+def test_newton_pass_holds_its_step_table_and_one_block_of_rows():
+    # The sizes of a solve's five-rule batch at N=80.  Beside the per-point
+    # step table, 4 * max(ns) rows, the pass holds one block of
+    # _NEWTON_ROWS + 2 rows at a time: not a row per step.
+    requests = [
+        (JacobiIndex(0.0, 4.0), 88, (0.0, 1.0)),
+        (JacobiIndex(-0.5, 0.0), 88, (0.0, 1.0)),
+        (JacobiIndex(0.0, 4.0), 82, (0.0, 2.0)),
+        (JacobiIndex(0.0, 4.0), 42, (0.0, 2.0)),
+        (JacobiIndex(0.0, 4.0), 42, (0.0, 2.0)),
+    ]
+    gauss_jacobi_rules(requests)
+    row = 2 * sum(n for _, n, _ in requests) * 8
+    tracemalloc.start()
+    try:
+        gauss_jacobi_rules(requests)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 * 88 + 2 * (orthopoly._NEWTON_ROWS + 2)) * row
+
+
+@pytest.mark.parametrize("rows", [0, -1])
+def test_jacobi_blocks_refuse_a_block_size_below_one(rows):
+    # Refused at the call, before any row is made: not a silent empty
+    # iteration, nor range()'s ValueError.
+    with pytest.raises(DomainError, match=f"block size must be >= 1, got {rows}"):
+        jacobi_blocks(JacobiIndex(0, 0), 5, np.linspace(-1.0, 1.0, 7), rows=rows)
 
 
 def _shifted_eigensolve(shift_diag0=None):
@@ -525,6 +559,20 @@ def test_quadrature_rule_invariants_enforced():
         QuadratureRule(good.nodes, -good.weights, (-1.0, 1.0), good.index)
     with pytest.raises(NumericalFailureError):
         QuadratureRule(good.nodes, 2.0 * good.weights, (-1.0, 1.0), good.index)
+
+
+def test_rule_whose_weight_scale_underflows_is_refused_by_name():
+    # (half the length)^(a+b+1) underflows to 0: refused in the weight-scale
+    # stage, not later as weights that are not all positive.
+    name = r"Gauss-Jacobi rule \(alpha=0\.0, beta=2\.0, n=5\) on \(0\.0, 1e-120\)"
+    with pytest.raises(NumericalFailureError, match=name + ": the weight's scale underflows$"):
+        gauss_jacobi_rule(JacobiIndex(0.0, 2.0), 5, (0.0, 1e-120))
+    # A half-length of 0 to a negative power is an overflow, not a ZeroDivisionError.
+    name = r"Gauss-Jacobi rule \(alpha=-0\.9, beta=-0\.9, n=3\) on \(0\.0, 5e-324\)"
+    with pytest.raises(NumericalFailureError, match=name + ": the weight's scale overflows$"):
+        gauss_jacobi_rule(JacobiIndex(-0.9, -0.9), 3, (0.0, 5e-324))
+    # A tiny scale that stays positive still builds.
+    assert gauss_jacobi_rule(JacobiIndex(0.0, 2.0), 5, (0.0, 1e-100)).weights.sum() > 0
 
 
 def test_rule_on_an_overflowing_interval_is_refused():
