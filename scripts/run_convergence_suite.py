@@ -4,8 +4,9 @@
 Covers: the smooth solution s^2 at gamma = 1 for delta in {1/10, 1/2, 9/10},
 the rational power solution at gamma in {1/5, 1/8}, the irrational
 power at gamma = 1/7 for both fractional orders, the unknown-solution
-sin source comparing gamma = 1/6 against gamma = 1, and the 2-d subdiffusion
-sweeps in M and in N.  Each experiment is one `fracspec convergence` run on
+sin source comparing gamma = 1/6 against gamma = 1, the 2-d subdiffusion
+sweeps in M and in N, and the 2-d irrational power's sweeps in N at
+gamma = 1/7 and gamma = 1.  Each experiment is one `fracspec convergence` run on
 a catalog problem, and each CSV is directly plottable on a semi-log axis.
 """
 
@@ -29,6 +30,8 @@ STUDIES = (
     ("sin_source_gamma1.csv", "--problem example3 --gamma 1 --ref-N 60 --N 4:30:2"),
     ("subdiffusion2d_sweepM.csv", "--problem example4 --N 20 --M 4:20:2"),
     ("subdiffusion2d_sweepN.csv", "--problem example4 --N 2:20:2 --M 20"),
+    ("subdiffusion2d_irr_gamma1_7_sweepN.csv", "--problem example5 --N 4:40:4 --M 20"),
+    ("subdiffusion2d_irr_gamma1_sweepN.csv", "--problem example5 --gamma 1 --N 4:40:4 --M 20"),
 )
 
 

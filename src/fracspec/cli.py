@@ -264,7 +264,7 @@ def _one(eff, key: str, default: int) -> int:
 def _cmd_solve_ode(eff) -> int:
     entry = eff["entry"]
     if entry.kind == "pde-power":
-        raise CliError("solve-ode needs a scalar problem; use solve-pde for example4")
+        raise CliError("solve-ode needs a scalar problem; use solve-pde for example4 or example5")
     problem, exact = build_problem(entry)
     n = _one(eff, "N", entry.default_n)
     sol = solve(problem, TimeBasis(0.0, n, (0.0, problem.transform.b_psi)))
@@ -309,7 +309,7 @@ def _cmd_convergence(eff) -> int:
 def _cmd_solve_pde(eff) -> int:
     entry = eff["entry"]
     if entry.kind != "pde-power":
-        raise CliError("solve-pde needs a space-time problem (example4)")
+        raise CliError("solve-pde needs a space-time problem (example4 or example5)")
     problem, exact = build_problem(entry)
     n = _one(eff, "N", entry.default_n)
     m = _one(eff, "M", entry.default_m)
@@ -327,6 +327,7 @@ def _cmd_solve_pde(eff) -> int:
         "u_exact": u_ex,
         "abs_error": np.abs(u_num - u_ex),
     }
+    # The max of abs_error is this linf bit for bit: the same grid, tables and exact values.
     linf, l2 = pde_errors_at_final_time(sol, exact)
     console = _header_lines(eff, {"N": n, "M": m})
     console.append(f"grid_linf_error={linf:.16e} grid_l2_error={l2:.16e}")

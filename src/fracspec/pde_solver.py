@@ -3,9 +3,10 @@
 Spatial discretization uses the Dirichlet Legendre combinations
 phi_k = c_k (L_k - L_{k+2}) on (-1, 1)^d, whose stiffness matrix is the
 identity and whose mass matrix B is pentadiagonal with closed-form entries.
-The eigendecomposition of B splits the tensor system into N x N time solves,
-one per spatial eigenmode, made block-triangular by one real QZ of the time
-pencil; one assembly serves every (N, M) up to its sizes (solve_spacetime_nested).
+The eigendecomposition of B splits the tensor system into one scalar time
+problem of rate sigma per spatial eigenmode, all made block-triangular by one
+real QZ of the time pencil; one assembly serves every (N, M) up to its sizes
+(solve_spacetime_nested).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ PIVOT_TOL = 1e-12
 # the mode stage works in N x _CHUNK blocks, and the stages over time rows in
 # blocks of as many entries (_row_blocks).  1536 is about the fewest that keep
 # all 39^2 modes of M = 40 in one chunk; at (N, M) = (40, 60) a warm solve
-# then peaks at 4.3 N x K^2 tensors, against 5.0 at 2048, at about the same speed.
+# then peaks at 4.2 N x K^2 tensors, against 4.9 at 2048, at about the same speed.
 _CHUNK = 1536
 
 
@@ -243,16 +244,8 @@ def assemble_spacetime_load(
 
 
 def _mode_table(lam: np.ndarray, d: int) -> np.ndarray:
-    """The (K^d, 2) mode-coefficient table of every eigenmode.
-
-    Eigenmode (i_1, ..., i_d) has mu = prod_i lam_i and nu = sum_i prod_{j != i} lam_j;
-    row m of the table is (mu, nu + mu) of the mode with flat index m.
-    """
-    lams = np.meshgrid(*[lam] * d, indexing="ij")
-    ones = np.ones_like(lams[0])
-    mu = math.prod(lams, start=ones)
-    nu = sum(math.prod(lams[:i] + lams[i + 1:], start=ones) for i in range(d))
-    return np.stack([mu.ravel(), (nu + mu).ravel()], axis=-1)
+    """The rate sigma = 1 + sum_i 1/lam_i of every eigenmode (i_1, ..., i_d), in flat order."""
+    return 1.0 + functools.reduce(np.add.outer, [1.0 / lam] * d).ravel()
 
 
 def _schur_blocks(T: np.ndarray) -> list[tuple[int, int]]:
@@ -269,40 +262,39 @@ def _schur_blocks(T: np.ndarray) -> list[tuple[int, int]]:
     return blocks
 
 
-def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """Solve (mu S + c M) w = fhat[:, mode] for every eigenmode, writing w over fhat.
+def _solve_modes(S: np.ndarray, M: np.ndarray, rates: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Solve (S + sigma M) w = f[:, mode] for every eigenmode, writing w over f.
 
-    w is written over fhat, an (N, K, ...) array (over a copy of it if fhat
-    is not C-contiguous), and returned in fhat's shape.
-    Row m of table is the (mu, c) of the mode with flat index m.  One real
-    QZ of the time pencil, S = Q T Z^T and M = Q R Z^T with T
-    quasi-upper-triangular and R upper-triangular, makes every mode
-    block-triangular: (mu T + c R) y = Q^T fhat and w = Z y (the generalized
-    Schur method of Gardiner, Laub, Amato & Moler, ACM TOMS 1992).  The
-    back-substitution runs bottom-up over T's 1 x 1 and 2 x 2 diagonal
+    w is written over f, an (N, K, ...) array (over a copy of it if f is not
+    C-contiguous), and returned in f's shape.  rates[m] is the sigma of the
+    mode with flat index m.  One real QZ of the time pencil, S = Q T Z^T and
+    M = Q R Z^T with T quasi-upper-triangular and R upper-triangular, makes
+    every mode block-triangular: (T + sigma R) y = Q^T f and w = Z y (the
+    generalized Schur method of Gardiner, Laub, Amato & Moler, ACM TOMS 1992).
+    The back-substitution runs bottom-up over T's 1 x 1 and 2 x 2 diagonal
     blocks, each solved in closed form (Cramer's rule for 2 x 2) and
     vectorised across _CHUNK mode columns at a time, followed by one
-    refinement step on fhat - mu S w - c M w.  A chunk works in two
-    N x _CHUNK scratch blocks, and its residual and then its answer are
-    written over its columns of fhat.
+    refinement step on f - S w - sigma M w.  A chunk works in two N x _CHUNK
+    scratch blocks, and its residual and then its answer are written over
+    its columns of f.
 
-    A mode is refused when a 1 x 1 pivot |mu T_ii + c R_ii| is not above
-    PIVOT_TOL (|mu||T_ii| + |c||R_ii|), or a 2 x 2 block's determinant
-    |det(mu T_b + c R_b)| is not above PIVOT_TOL (t_11 t_22 + t_12 t_21) with
-    t_jk = |mu||T_jk| + |c||R_jk|; the zero matrix and a NaN are refused.
-    The first refused mode in flat order raises NumericalFailureError naming
-    its lowest refused block, with index set to the mode's tuple; the chunks
-    before it already hold their answers.
+    A mode is refused when a 1 x 1 pivot |T_ii + sigma R_ii| is not above
+    PIVOT_TOL (|T_ii| + |sigma||R_ii|), or a 2 x 2 block's determinant
+    |det(T_b + sigma R_b)| is not above PIVOT_TOL (t_11 t_22 + t_12 t_21) with
+    t_jk = |T_jk| + |sigma||R_jk|; a NaN is refused.  The first refused mode
+    in flat order raises NumericalFailureError naming its lowest refused
+    block, with index set to the mode's tuple; the chunks before it already
+    hold their answers.
     """
-    shape = fhat.shape[1:]
-    f = fhat.reshape(fhat.shape[0], -1)
+    shape = f.shape[1:]
+    flat = f.reshape(f.shape[0], -1)
     T, R, Q, Z = qz(S, M, output="real")
     blocks = _schur_blocks(T)
     # One bottom-up pass gives block b its rows of T and R coupling it to the
     # rows below, stacked; rows b of P and Pabs, its pivot and guard terms
-    # above as forms in (mu, c, mu^2, mu c, c^2), Pabs against their absolute
-    # values; and, if 2 x 2, its adjugate (a_22, -a_12, -a_21, a_11) in (mu, c).
-    P, Pabs, steps = np.zeros((len(blocks), 5)), np.zeros((len(blocks), 5)), []
+    # above as forms in (1, sigma, sigma^2), Pabs against their absolute
+    # values; and, if 2 x 2, its adjugate (a_22, -a_12, -a_21, a_11) in (1, sigma).
+    P, Pabs, steps = np.zeros((len(blocks), 3)), np.zeros((len(blocks), 3)), []
     for b, (i, end) in reversed(list(enumerate(blocks))):
         adjugate = None
         if end - i == 1:
@@ -312,18 +304,18 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
             t11, t12, t21, t22 = T[i, i], T[i, i + 1], T[i + 1, i], T[i + 1, i + 1]
             r11, r12, r22 = R[i, i], R[i, i + 1], R[i + 1, i + 1]
             adjugate = np.array([[t22, r22], [-t12, -r12], [-t21, 0.0], [t11, r11]])
-            P[b, 2:] = t11 * t22 - t12 * t21, t11 * r22 + r11 * t22 - r12 * t21, r11 * r22
+            P[b] = t11 * t22 - t12 * t21, t11 * r22 + r11 * t22 - r12 * t21, r11 * r22
             t11, t12, t21, t22, r11, r12, r22 = map(abs, (t11, t12, t21, t22, r11, r12, r22))
-            Pabs[b, 2:] = t11 * t22 + t12 * t21, t11 * r22 + r11 * t22 + r12 * t21, r11 * r22
+            Pabs[b] = t11 * t22 + t12 * t21, t11 * r22 + r11 * t22 + r12 * t21, r11 * r22
         steps.append((b, i, end, np.concatenate([T[i:end, end:], R[i:end, end:]]), adjugate))
 
-    def back_substitute(b, mu, c, solvers, y, out):
-        """Write Z y into out for (mu T + c R) y = Q^T b, y written over Q^T b block by block."""
+    def back_substitute(b, sigma, solvers, y, out):
+        """Write Z y into out for (T + sigma R) y = Q^T b, y written over Q^T b block by block."""
         np.matmul(Q.T, b, out=y)
         for i, end, coupling, pivot, a in solvers:
             below = coupling @ y[end:]
             rhs = y[i:end]
-            rhs -= mu * below[: end - i] + c * below[end - i:]
+            rhs -= below[: end - i] + sigma * below[end - i:]
             if a is None:
                 rhs /= pivot
             else:
@@ -331,13 +323,12 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
                 rhs[0], rhs[1] = a[0] * r1 + a[1] * r2, a[2] * r1 + a[3] * r2
         np.matmul(Z, y, out=out)
 
-    scratch = np.empty((2, f.shape[0], min(_CHUNK, f.shape[1])))
-    for lo in range(0, f.shape[1], _CHUNK):
-        fc = f[:, lo:lo + _CHUNK]
+    scratch = np.empty((2, flat.shape[0], min(_CHUNK, flat.shape[1])))
+    for lo in range(0, flat.shape[1], _CHUNK):
+        fc = flat[:, lo:lo + _CHUNK]
         y, w = scratch[:, :, : fc.shape[1]]
-        coefs = np.ascontiguousarray(table[lo:lo + _CHUNK].T)
-        mu, c = coefs
-        monomials = np.stack([mu, c, mu * mu, mu * c, c * c])
+        sigma = rates[lo:lo + _CHUNK]
+        monomials = np.stack([np.ones_like(sigma), sigma, sigma * sigma])
         pivots = P @ monomials
         # The guard's bounds and pivot sizes are taken in the scratch blocks,
         # which the solve overwrites; it is written so that a NaN pivot is
@@ -352,36 +343,34 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, table: np.ndarray, fhat: np.ndarr
             size, bound = abs(pivots[k, m]), bounds[k, m]
             if end - i == 1:
                 message = (
-                    f"pivot {i} |mu T_ii + c R_ii| = {size:.3e} is at most "
-                    f"{PIVOT_TOL:.0e} * (|mu||T_ii| + |c||R_ii|) = {bound:.3e}"
+                    f"pivot {i} |T_ii + sigma R_ii| = {size:.3e} is at most "
+                    f"{PIVOT_TOL:.0e} * (|T_ii| + |sigma||R_ii|) = {bound:.3e}"
                 )
             else:
                 message = (
-                    f"pivot block {i}..{end - 1} |det(mu T_b + c R_b)| = {size:.3e} is at most "
+                    f"pivot block {i}..{end - 1} |det(T_b + sigma R_b)| = {size:.3e} is at most "
                     f"{PIVOT_TOL:.0e} * (t_11 t_22 + t_12 t_21) = {bound:.3e} "
-                    "with t_jk = |mu||T_jk| + |c||R_jk|"
+                    "with t_jk = |T_jk| + |sigma||R_jk|"
                 )
             raise NumericalFailureError(
                 message, index=tuple(int(j) for j in np.unravel_index(lo + m, shape))
             )
         # Each block's pivot and adjugate entries, for both back-substitutions.
         solvers = [
-            (i, end, coupling, pivots[b], None if adjugate is None else adjugate @ coefs)
+            (i, end, coupling, pivots[b], None if adjugate is None else adjugate @ monomials[:2])
             for b, i, end, coupling, adjugate in steps
         ]
-        back_substitute(fc, mu, c, solvers, y, out=w)
-        # fhat - mu S w - c M w, taken in place over fhat's columns; its
+        back_substitute(fc, sigma, solvers, y, out=w)
+        # f - S w - sigma M w, taken in place over f's columns; its
         # correction then overwrites them, and w is added.
-        np.matmul(S, w, out=y)
-        y *= mu
-        fc -= y
+        fc -= np.matmul(S, w, out=y)
         np.matmul(M, w, out=y)
-        y *= c
+        y *= sigma
         fc -= y
-        back_substitute(fc, mu, c, solvers, y, out=fc)
+        back_substitute(fc, sigma, solvers, y, out=fc)
         fc += w
         del solvers  # up to 2 N x _CHUNK entries, so freed before the next chunk's
-    return f.reshape(fhat.shape)
+    return flat.reshape(f.shape)
 
 
 def solve_spacetime_nested(
@@ -390,10 +379,8 @@ def solve_spacetime_nested(
     """Solutions at every (N, M) in `pairs`, in order, from one assembly at the bases' sizes.
 
     The system at (n, m) is the leading block S[:n, :n], M[:n, :n], F[:n, :m-1, ...],
-    B[:m-1, :m-1].  With B = E Lam E^T, a spatial mode with eigenvalue product mu and
-    Laplacian factor nu solves (mu S + (nu + mu) M) w = fhat; back-transforming gives V.
-    A refused block names its own (N, M).  Pairs outside 1..N x 2..M raise DomainError
-    here, before any rule is built.
+    B[:m-1, :m-1], solved as _spacetime_blocks says.  A refused block names its own
+    (N, M).  Pairs outside 1..N x 2..M raise DomainError here, before any rule is built.
     """
     if space_basis.dimension != problem.dimension:
         raise DomainError("spatial basis dimension disagrees with the problem")
@@ -406,7 +393,13 @@ def solve_spacetime_nested(
 
 
 def _spacetime_blocks(problem, time_basis, space_basis, pairs):
-    """solve_spacetime_nested's generator, its arguments checked."""
+    """solve_spacetime_nested's generator, its arguments checked.
+
+    With B = E Lam E^T, eigenmode (i_1, ..., i_d) solves (S + sigma M) w = ftilde,
+    of rate sigma = 1 + sum_i 1/lam_i, with ftilde = F transformed by Lam^{-1} E^T
+    on each spatial axis: its equation in E's basis divided by prod_i lam_i > 0.
+    E on each axis takes w back to V.
+    """
     d, setting = problem.dimension, f"delta={problem.delta.delta}, r={problem.transform.r}"
     load = _spacetime_load(problem, time_basis, space_basis)
     where = f"{setting}, N={time_basis.n_modes}, M={space_basis.m_modes}"
@@ -428,15 +421,15 @@ def _spacetime_blocks(problem, time_basis, space_basis, pairs):
             raise NumericalFailureError(f"spatial mass matrix lost positive definiteness ({where})")
 
         f_scale = np.max(np.abs(F))  # before the coefficient tensor exists: |F| is no third tensor
-        # One coefficient tensor beside F: fhat, then w written over it by the
-        # mode stage, then V over w, each stage over blocks of time rows or of
-        # mode columns.
-        fhat = np.empty_like(F)
-        blocks = _row_blocks(F)
+        # One coefficient tensor beside F: ftilde, then w written over it by
+        # the mode stage, then V over w, each stage over blocks of time rows or
+        # of mode columns.
+        ftilde = np.empty_like(F)
+        blocks, forward = _row_blocks(F), E / lam
         for rows in blocks:
-            _mode_product(F[rows], [E] * d, out=fhat[rows])
+            _mode_product(F[rows], [forward] * d, out=ftilde[rows])
         try:
-            V = _solve_modes(S, M, _mode_table(lam, d), fhat)
+            V = _solve_modes(S, M, _mode_table(lam, d), ftilde)
         except NumericalFailureError as exc:
             raise exc.prefixed(f"eigenmode solve failed at mode {exc.index} ({where})") from exc
         for rows in blocks:

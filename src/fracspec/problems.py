@@ -92,6 +92,16 @@ CATALOG: dict[str, ProblemCatalogEntry] = {
         default_n=20,
         default_m=20,
     ),
+    "example5": ProblemCatalogEntry(
+        "example5",
+        "2-d subdiffusion, u = sin(pi x) sin(pi y) s^(sqrt(2)/2); gamma = 1/7",
+        "pde-power",
+        delta=0.2,
+        r=7,
+        sigma=math.sqrt(2.0) / 2.0,
+        default_n=16,
+        default_m=20,
+    ),
 }
 
 

@@ -584,6 +584,9 @@ def test_solve_pde_small_smoke(tmp_path, capsys):
     summary = [l for l in stdout.splitlines() if l.startswith("grid_linf_error=")]
     err = float(summary[0].split()[0].split("=")[1])
     assert np.isfinite(err)
+    # The printed maximum of the abs_error column, bit for bit: both come from
+    # the same grid, basis tables and exact values, and %.16e round-trips.
+    assert err == max(float(l.split(",")[4]) for l in lines[1:])
 
 
 def test_solve_pde_on_scalar_problem_exits_2(capsys):
@@ -777,8 +780,9 @@ VALUE_SETTINGS = [
     ("ref-N", "40", "50", lambda eff: eff["ref_n"], 40, 50),
     ("out", "a.csv", "b.csv", lambda eff: eff["out"], "a.csv", "b.csv"),
 ]
-# A problem whose convergence run reads the setting: M is read by example4 alone,
-# and ref-N only by a problem without an exact solution.
+# A problem whose convergence run reads the setting: M is read only by the
+# space-time problems (example4, example5), and ref-N only by a problem without
+# an exact solution.
 READ_BY = {"M": "example4", "ref-N": "example3"}
 
 
@@ -870,8 +874,13 @@ def test_readme_flags_line_lists_every_setting():
 def test_list_problems(capsys):
     code, stdout, _ = run_cli(capsys, "list-problems")
     assert code == 0
-    for pid in ("example1", "example2a", "example2b", "example3", "example4"):
-        assert pid in stdout
+    lines = stdout.splitlines()
+    pids = ("example1", "example2a", "example2b", "example3", "example4", "example5")
+    assert [line.split(":", 1)[0] for line in lines[: len(pids)]] == list(pids)
+    assert lines[5] == (
+        "example5: 2-d subdiffusion, u = sin(pi x) sin(pi y) s^(sqrt(2)/2); gamma = 1/7 "
+        "[kind=pde-power delta=0.2 gamma=1/7 lambda=1.0 T=2.0 N=16 M=20; exact known]"
+    )
     assert "gamma" in stdout
 
 
@@ -883,7 +892,7 @@ def test_module_runs_as_a_script():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0
-    assert "example4" in done.stdout
+    assert "example4" in done.stdout and "example5" in done.stdout
     done = subprocess.run(
         [sys.executable, "-m", "fracspec.cli", "solve-ode", "--problem", "nonexistent"],
         capture_output=True, text=True, env=env, timeout=120,

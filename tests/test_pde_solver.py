@@ -186,34 +186,40 @@ def test_zero_source_gives_exact_zero():
     assert np.all(sol.V == 0.0)
 
 
-def test_single_spatial_mode_reduces_to_scalar_solve():
-    # with M-1 = 1 the tensor system is (b00 S + (1 + b00) M) w = fhat, i.e.
-    # a scalar problem with lambda = (1 + b00)/b00 and source scaled by 1/b00
+def test_single_spatial_mode_reduces_to_scalar_solve(monkeypatch):
+    # Every eigenmode k of the space-time solve is the scalar problem of rate
+    # sigma_k = 1 + sum_i 1/lam_{k_i} whose source is the time factor scaled by
+    # the spatial factors' projections, transformed by Lam^{-1} E^T per axis.
+    # The mode stage's w, column by column, against ode_solver.solve of that
+    # problem: over these two cases they differed by at most 1.4e-14 max|w|.
     spec = TransformSpec(2, 2.0)
-    tb = TimeBasis(0.0, 6, (0.0, spec.b_psi))
-    sb = SpatialBasis(2, 1)
-    b00 = space_mass_matrix(2)[0, 0]
+    tb = TimeBasis(0.0, 8, (0.0, spec.b_psi))
+    time_source = ((1.0, 2.0), (0.5, 0.4))
+    factors = (np.exp, lambda x: np.cos(2.0 * x + 0.3))
+    real_solve_modes = pde_mod._solve_modes
+    solved = []
 
-    def tfun(t):
-        return np.asarray(t, dtype=float) ** 2
+    def recording_solve_modes(S, M, rates, ftilde):
+        w = real_solve_modes(S, M, rates, ftilde)
+        solved.append(w.copy())  # V is written over w
+        return w
 
-    prob = PDEProblem(FracOrder(0.5), spec, SeparableRHS((np.cos,), time_source=tfun), 1)
-    sol = solve_spacetime(prob, tb, sb)
-
-    xq, wq = np.polynomial.legendre.leggauss(10)
-    proj = float(np.sum(wq * np.cos(xq) * legendre_phi_table(2, xq)[0]))
-    lam_eff = (1.0 + b00) / b00
-
-    scalar = TimeProblem.from_source(
-        lambda s: proj / b00 * np.asarray(s, dtype=float) ** (2.0 / spec.r),
-        0.5,
-        lam_eff,
-        spec,
-    )
-    sol_scalar = solve(scalar, tb)
-    assert np.max(np.abs(sol.V[:, 0] - sol_scalar.coeffs)) <= 1e-12 * max(
-        1.0, np.abs(sol_scalar.coeffs).max()
-    )
+    monkeypatch.setattr(pde_mod, "_solve_modes", recording_solve_modes)
+    for d, m in ((1, 6), (2, 5)):
+        prob = PDEProblem(FracOrder(0.5), spec, SeparableRHS(factors[:d], time_source), d)
+        solve_spacetime(prob, tb, SpatialBasis(m, d))
+        w = solved[-1]
+        lam, E = eigh(space_mass_matrix(m))
+        xq, wq = np.polynomial.legendre.leggauss(m + 20)
+        weighted_phi = legendre_phi_table(m, xq) * wq
+        projections = [E.T @ (weighted_phi @ X(xq)) / lam for X in factors[:d]]
+        for mode in np.ndindex(w.shape[1:]):
+            sigma = 1.0 + sum(1.0 / lam[i] for i in mode)
+            scale = math.prod(p[i] for p, i in zip(projections, mode))
+            source = tuple((scale * coef, power) for coef, power in time_source)
+            coeffs = solve(TimeProblem(FracOrder(0.5), sigma, spec, source), tb).coeffs
+            col = w[(slice(None),) + mode]
+            assert np.max(np.abs(col - coeffs)) <= 5e-14 * np.max(np.abs(w)), (d, mode)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -268,7 +274,8 @@ def test_solve_pins_v_and_residual_to_the_public_assembly_and_the_full_products(
     F = assemble_spacetime_load(prob, tb, sb)
     B = space_mass_matrix(m)
     lam, E = eigh(B)
-    vhat = pde_mod._solve_modes(S, M, pde_mod._mode_table(lam, d), pde_mod._mode_product(F, [E] * d))
+    ftilde = pde_mod._mode_product(F, [E / lam] * d)
+    vhat = pde_mod._solve_modes(S, M, pde_mod._mode_table(lam, d), ftilde)
     V = pde_mod._mode_product(vhat, [E.T] * d)
     assert np.max(np.abs(sol.V - V)) <= 1e-13 * np.max(np.abs(V))
     VB = pde_mod._mode_product(sol.V, [B] * d)
@@ -281,7 +288,7 @@ def test_solve_pins_v_and_residual_to_the_public_assembly_and_the_full_products(
     resid -= F
     # The solve nests the same products per block of time rows.  Over d in
     # {1, 2}, N <= 40, M <= 60 and delta in {0.3, 0.5, 0.9} the two maxima
-    # differed by at most 4.4e-16 max|F|.
+    # differed by at most 3.0e-16 max|F|.
     assert abs(sol.residual - float(np.max(np.abs(resid)))) <= 2e-15 * np.max(np.abs(F))
 
 
@@ -403,8 +410,8 @@ def test_tensor_residual_guard_refuses_nan(monkeypatch):
     monkeypatch.setattr(pde_mod, "_CHUNK", 4)
     for d, n_blocks in ((1, 2), (2, 6)):
 
-        def nan_solve_modes(S, M, table, fhat):
-            w = real_solve_modes(S, M, table, fhat)
+        def nan_solve_modes(S, M, rates, ftilde):
+            w = real_solve_modes(S, M, rates, ftilde)
             w[(2,) + (1,) * d] = np.nan
             return w
 
@@ -443,7 +450,7 @@ def test_a_newton_stall_keeps_its_residual_through_the_solver(monkeypatch, solve
 
 
 def test_a_mode_refusal_keeps_its_record_through_the_solver(monkeypatch):
-    def refusing_solve_modes(S, M, table, fhat):
+    def refusing_solve_modes(S, M, rates, ftilde):
         raise NumericalFailureError("synthetic", estimate=1e20, error_bound=0.5, index=(1, 2))
 
     monkeypatch.setattr(pde_mod, "_solve_modes", refusing_solve_modes)
@@ -462,13 +469,13 @@ REAL_MODE_TABLE = pde_mod._mode_table
 
 
 def refuse_modes(monkeypatch, modes):
-    """Zero the (mu, c) rows of `modes` in every mode table: each becomes the zero matrix."""
+    """Set the rate of `modes` to NaN in every mode table: each of their pivots is NaN."""
 
     def mode_table(lam, d):
-        table = REAL_MODE_TABLE(lam, d)
+        rates = REAL_MODE_TABLE(lam, d)
         for mode in modes:
-            table[np.ravel_multi_index(mode, (lam.size,) * d)] = 0.0
-        return table
+            rates[np.ravel_multi_index(mode, (lam.size,) * d)] = np.nan
+        return rates
 
     monkeypatch.setattr(pde_mod, "_mode_table", mode_table)
 
@@ -503,8 +510,8 @@ def test_guard_failure_maps_a_later_mode(monkeypatch):
             solve_spacetime(prob, tb, sb)
         assert str(info.value) == (
             f"eigenmode solve failed at mode {first} (delta=0.5, r=5, N=6, M=6): "
-            "pivot 0 |mu T_ii + c R_ii| = 0.000e+00 is at most "
-            "1e-12 * (|mu||T_ii| + |c||R_ii|) = 0.000e+00"
+            "pivot 0 |T_ii + sigma R_ii| = nan is at most "
+            "1e-12 * (|T_ii| + |sigma||R_ii|) = nan"
         )
         assert info.value.index == first
 
@@ -514,17 +521,17 @@ def test_mode_guard_refuses_a_nan_coefficient(rng):
     tb, _ = bases(6, 6, 1)
     S = assemble_stiffness(tb, FracOrder(0.5), SPEC5)
     M = assemble_mass(tb, SPEC5)
-    table = pde_mod._mode_table(eigh(space_mass_matrix(6))[0], 1)
-    table[2, 1] = np.nan
-    with pytest.raises(NumericalFailureError, match=r"pivot 0 \|mu T_ii \+ c R_ii\| = nan") as info:
-        pde_mod._solve_modes(S, M, table, rng.standard_normal((6, 5)))
+    rates = pde_mod._mode_table(eigh(space_mass_matrix(6))[0], 1)
+    rates[2] = np.nan
+    with pytest.raises(NumericalFailureError, match=r"pivot 0 \|T_ii \+ sigma R_ii\| = nan") as info:
+        pde_mod._solve_modes(S, M, rates, rng.standard_normal((6, 5)))
     assert info.value.index == (2,)
 
 
 def test_guard_names_a_refused_two_by_two_block(monkeypatch):
     # At delta=0.9 and N=6 the real Schur form of the time pencil is three
-    # 2 x 2 blocks, so the lowest refused row of a zeroed mode lies in the
-    # block of rows 0 and 1, refused by its determinant.
+    # 2 x 2 blocks, so the lowest refused row of a mode of NaN rate lies in
+    # the block of rows 0 and 1, refused by its determinant.
     tb, sb = bases(6, 6)
     T = pde_mod.qz(
         assemble_stiffness(tb, FracOrder(0.9), SPEC5), assemble_mass(tb, SPEC5), output="real"
@@ -536,8 +543,8 @@ def test_guard_names_a_refused_two_by_two_block(monkeypatch):
         solve_spacetime(prob, tb, sb)
     assert str(info.value) == (
         "eigenmode solve failed at mode (2, 3) (delta=0.9, r=5, N=6, M=6): "
-        "pivot block 0..1 |det(mu T_b + c R_b)| = 0.000e+00 is at most "
-        "1e-12 * (t_11 t_22 + t_12 t_21) = 0.000e+00 with t_jk = |mu||T_jk| + |c||R_jk|"
+        "pivot block 0..1 |det(T_b + sigma R_b)| = nan is at most "
+        "1e-12 * (t_11 t_22 + t_12 t_21) = nan with t_jk = |T_jk| + |sigma||R_jk|"
     )
     assert info.value.index == (2, 3)
 
@@ -549,16 +556,16 @@ def test_guard_names_the_lowest_refused_row_of_the_first_refused_mode(monkeypatc
 
     def qz(S, M, output):
         T, R, Q, Z = real_qz(S, M, output=output)
-        T[4:6, 4:6], R[4:6, 4:6] = 1.0, 0.0  # det(mu T_b + c R_b) = 0 for every mode
+        T[4:6, 4:6], R[4:6, 4:6] = 1.0, 0.0  # det(T_b + sigma R_b) = 0 for every mode
         return T, R, Q, Z
 
     monkeypatch.setattr(pde_mod, "qz", qz)
     tb, _ = bases(6, 6, 1)
     S = assemble_stiffness(tb, FracOrder(0.5), SPEC5)
     M = assemble_mass(tb, SPEC5)
-    table = pde_mod._mode_table(eigh(space_mass_matrix(6))[0], 1)
+    rates = pde_mod._mode_table(eigh(space_mass_matrix(6))[0], 1)
     with pytest.raises(NumericalFailureError, match=r"^pivot block 4\.\.5 \|det") as info:
-        pde_mod._solve_modes(S, M, table, rng.standard_normal((6, 5)))
+        pde_mod._solve_modes(S, M, rates, rng.standard_normal((6, 5)))
     assert info.value.index == (0,)
 
 
@@ -568,31 +575,32 @@ def test_guard_names_the_lowest_refused_row_of_the_first_refused_mode(monkeypatc
     ids=["1", "2", "2-N40-M60", "2-N80-M60"],
 )
 def test_solve_modes_answers_every_mode_and_names_a_refused_one(rng, d, n, m):
-    # The contract of the mode stage, whatever solves it: (mu S + c M) w = fhat
-    # to roundoff for every mode, in fhat's shape, and a refused mode named by
-    # its index tuple.  (40, 60) is the largest size the benchmark solves;
-    # (80, 60) is example4's largest tested size.
+    # The contract of the mode stage, whatever solves it: (S + sigma M) w =
+    # ftilde to roundoff for every mode, in ftilde's shape, and a refused mode
+    # named by its index tuple.  (40, 60) is the largest size the benchmark
+    # solves; (80, 60) is example4's largest tested size.
     tb, _ = bases(n, m, d)
     S = assemble_stiffness(tb, FracOrder(0.5), SPEC5)
     M = assemble_mass(tb, SPEC5)
     lam, _ = eigh(space_mass_matrix(m))
     K = lam.size
-    table = pde_mod._mode_table(lam, d)
-    fhat = rng.standard_normal((n,) + (K,) * d)
-    arg = fhat.copy()
-    w = pde_mod._solve_modes(S, M, table, arg)
-    assert w.shape == fhat.shape
+    rates = pde_mod._mode_table(lam, d)
+    assert rates.shape == (K**d,)
+    ftilde = rng.standard_normal((n,) + (K,) * d)
+    arg = ftilde.copy()
+    w = pde_mod._solve_modes(S, M, rates, arg)
+    assert w.shape == ftilde.shape
     assert np.shares_memory(w, arg)  # written over its argument
-    for m, (mu, c) in enumerate(table):
+    for m, sigma in enumerate(rates):
         col = (slice(None),) + np.unravel_index(m, (K,) * d)
-        A = mu * S + c * M
+        A = S + sigma * M
         scale = np.max(np.sum(np.abs(A), axis=1)) * np.max(np.abs(w[col]))
-        assert np.max(np.abs(A @ w[col] - fhat[col])) <= 1e-14 * scale
+        assert np.max(np.abs(A @ w[col] - ftilde[col])) <= 1e-14 * scale
 
     mode = (3,) if d == 1 else (2, 5)
-    table[np.ravel_multi_index(mode, (K,) * d)] = 0.0  # mu = c = 0: the zero matrix
+    rates[np.ravel_multi_index(mode, (K,) * d)] = np.nan  # every pivot of the mode is NaN
     with pytest.raises(NumericalFailureError) as info:
-        pde_mod._solve_modes(S, M, table, fhat.copy())
+        pde_mod._solve_modes(S, M, rates, ftilde.copy())
     assert info.value.index == mode
     assert "of the stack" not in str(info.value)
 
@@ -601,19 +609,19 @@ def test_solve_modes_answers_every_mode_and_names_a_refused_one(rng, d, n, m):
 def test_mode_answers_depend_on_the_chunk_width_only_at_roundoff(monkeypatch, n, m):
     # Not bit for bit: BLAS products over 7 or 100 columns need not round as
     # one over every mode does.  Here, on the benchmark's problem, the widths
-    # differed by at most 6.2e-16 max|w|, at (40, 60) and 100 columns.
+    # differed by at most 1.3e-15 max|w|, at (40, 60) and 100 columns.
     tb, sb = bases(n, m)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
     S = assemble_stiffness(tb, prob.delta, SPEC5)
     M = assemble_mass(tb, SPEC5)
     lam, E = eigh(space_mass_matrix(m))
-    table = pde_mod._mode_table(lam, 2)
-    fhat = pde_mod._mode_product(assemble_spacetime_load(prob, tb, sb), [E, E])
-    monkeypatch.setattr(pde_mod, "_CHUNK", len(table))
-    whole = pde_mod._solve_modes(S, M, table, fhat.copy())
+    rates = pde_mod._mode_table(lam, 2)
+    ftilde = pde_mod._mode_product(assemble_spacetime_load(prob, tb, sb), [E / lam] * 2)
+    monkeypatch.setattr(pde_mod, "_CHUNK", len(rates))
+    whole = pde_mod._solve_modes(S, M, rates, ftilde.copy())
     for chunk in (7, 100):
         monkeypatch.setattr(pde_mod, "_CHUNK", chunk)
-        w = pde_mod._solve_modes(S, M, table, fhat.copy())
+        w = pde_mod._solve_modes(S, M, rates, ftilde.copy())
         assert np.max(np.abs(w - whole)) <= 1e-14 * np.max(np.abs(whole))
 
 
@@ -621,7 +629,7 @@ def test_mode_solves_never_hold_the_full_stack():
     # All K^2 mode matrices at once would take K^2 N^2 8 bytes.  The mode
     # stage holds no matrix per mode, only a few N-row blocks of at most
     # _CHUNK real columns at a time.  Here all K^2 = 1521 modes fit in one
-    # chunk, and the whole solve peaks near 1.8 MB, 0.37 of that size and
+    # chunk, and the whole solve peaks near 1.7 MB, 0.36 of that size and
     # about seven N K^2 tensors.
     tb, sb = bases(20, 40)
     prob, _ = manufactured_sine_power(0.5, SPEC5, 0.6, dimension=2)
@@ -665,7 +673,7 @@ def test_manufactured_2d_paper_size():
 
 
 def test_example4_answers_at_n80_m60():
-    # The smallest-mu mode matrix has an LU condition estimate near 6e14
+    # The largest-sigma mode matrix has an LU condition estimate near 6e14
     # here, above the scalar solver's 1e14 limit.  The mode stage guards its
     # pivots instead, which are far from cancelling, and the answer is right
     # to roundoff.
