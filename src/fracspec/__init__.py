@@ -9,6 +9,12 @@ TransformSpec.psi and TransformSpec.psi_inverse), the scalar solver
 (ode_solver), the space-time subdiffusion solver (pde_solver), error and
 convergence tooling (analysis), the benchmark catalog (problems) and the
 command line (cli).
+
+The scalar problem is the space-time problem with no spatial axis (d = 0).
+Both solvers return one Solution: coefficients V of shape (N,) + (K,) * d
+over the time basis and, for d >= 1, the spatial basis.  One evaluate(sol,
+*grids) reads it on d + 1 point arrays, one error path measures it, and one
+run_convergence_study sweeps either kind of problem.
 """
 
 from .errors import DomainError, NumericalFailureError, StudyError
@@ -20,7 +26,7 @@ from .frac_ops import (
     psi_caputo_numeric,
     psi_integral_numeric,
 )
-from .ode_solver import TimeProblem, TimeSolution, evaluate, solve, solve_nested
+from .ode_solver import Solution, TimeProblem, evaluate, solve, solve_nested
 from .orthopoly import (
     JacobiIndex,
     QuadratureRule,
@@ -32,8 +38,6 @@ from .orthopoly import (
 from .pde_solver import (
     PDEProblem,
     SpatialBasis,
-    SpaceTimeSolution,
-    evaluate_spacetime,
     manufactured_sine_power,
     solve_spacetime,
     solve_spacetime_nested,
@@ -52,8 +56,8 @@ __all__ = [
     "caputo_power",
     "psi_caputo_numeric",
     "psi_integral_numeric",
+    "Solution",
     "TimeProblem",
-    "TimeSolution",
     "evaluate",
     "solve",
     "solve_nested",
@@ -65,8 +69,6 @@ __all__ = [
     "gjp_deriv",
     "PDEProblem",
     "SpatialBasis",
-    "SpaceTimeSolution",
-    "evaluate_spacetime",
     "manufactured_sine_power",
     "solve_spacetime",
     "solve_spacetime_nested",

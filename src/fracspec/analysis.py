@@ -2,13 +2,14 @@
 
 Produces the machine-readable error tables behind the reported experiments:
 uniform-grid maximum errors, quadrature-based L2 errors, and resolution
-sweeps with optional self-reference when no exact solution is known.  The
-two study runners take plain arguments and check them before any solve:
+sweeps with optional self-reference when no exact solution is known.  Every
+error goes through one path, _error_of, over ode_solver's one evaluation, and
+one study runner serves scalar and space-time problems; it takes plain
+arguments and checks them before any solve:
 
-    run_convergence_study(problem, exact, n_values, *, ref_n=None, weighted_l2=False)
-    run_pde_convergence_study(problem, exact, n_values, m_values)
+    run_convergence_study(problem, exact, n_values, m_values=None, *, ref_n=None, weighted_l2=False)
 
-Each solves every row on a leading block of one assembly at its largest size
+It solves every row on a leading block of one assembly at its largest size
 and returns a ConvergenceStudy(reports, spacetime), smallest resolution first.
 """
 
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StudyError
-from .ode_solver import TimeProblem, TimeSolution, evaluate_table, solve_nested
-from .orthopoly import TimeBasis, gjp_table
-from .pde_solver import SpatialBasis, _evaluate_tables, _spacetime_tables, solve_spacetime_nested
+from .ode_solver import Solution, _evaluate_tables, _tables, solve_nested
+from .orthopoly import TimeBasis
+from .pde_solver import PDEProblem, SpatialBasis, solve_spacetime_nested
 
 __all__ = [
     "ErrorReport",
@@ -31,7 +32,6 @@ __all__ = [
     "error_linf",
     "error_l2",
     "run_convergence_study",
-    "run_pde_convergence_study",
     "pde_errors_at_final_time",
 ]
 
@@ -130,23 +130,19 @@ def _pde_error_points(dimension: int, horizon_T: float):
 def _error_of(points, bases, exact):
     """sol -> its error against `exact` at points (grids, weights), for any leading block of bases.
 
-    bases is (TimeBasis,) with grids (s,), or (TimeBasis, SpatialBasis) with grids (x[, y], s).
-    `exact` is a callable of the grids or a TimeSolution of the time basis itself.  The tables
-    and the exact values at the points are built at the first call and reused.
+    bases is (TimeBasis, SpatialBasis or None), and grids are the d + 1 arrays (x[, y], s).
+    `exact` is a callable of the grids or a Solution of the bases themselves.  The tables and
+    the exact values at the points are built at the first call and reused.
     """
     grids, weights = points
-    at = evaluate_table if len(bases) == 1 else _evaluate_tables
     built = []
 
     def error(sol) -> float:
         if not built:
-            if len(bases) == 1:
-                table = gjp_table(*bases, sol.transform.psi_inverse(*grids))
-            else:
-                table = _spacetime_tables(*bases, sol.transform, grids)
-            values = at(exact, table) if isinstance(exact, TimeSolution) else exact(*grids)
+            table = _tables(*bases, sol.transform, grids)
+            values = exact(*grids) if callable(exact) else _evaluate_tables(exact, table)
             built.extend((table, np.asarray(values, dtype=float)))
-        diff = at(sol, built[0]) - built[1]
+        diff = _evaluate_tables(sol, built[0]) - built[1]
         if weights is None:
             return float(np.max(np.abs(diff)))
         return float(np.sqrt(np.sum(weights * diff * diff)))
@@ -154,27 +150,80 @@ def _error_of(points, bases, exact):
     return error
 
 
-def error_linf(sol: TimeSolution, exact) -> float:
+def error_linf(sol: Solution, exact) -> float:
     """Max |u_N - u| over the LINF_GRID-point uniform s-grid, both endpoints included."""
-    return _error_of(_error_points(sol.transform)[0], (sol.basis,), exact)(sol)
+    points = _error_points(sol.transform)[0]
+    return _error_of(points, (sol.time_basis, sol.space_basis), exact)(sol)
 
 
-def error_l2(sol: TimeSolution, exact, *, weighted: bool = False) -> float:
+def error_l2(sol: Solution, exact, *, weighted: bool = False) -> float:
     """L2 error by the composite rule of _error_points, in s or, if weighted, in t."""
-    return _error_of(_error_points(sol.transform, weighted=weighted)[1], (sol.basis,), exact)(sol)
+    points = _error_points(sol.transform, weighted)[1]
+    return _error_of(points, (sol.time_basis, sol.space_basis), exact)(sol)
 
 
-def _run_study(resolutions, solutions, errors) -> ConvergenceStudy:
-    """Draw one solution per (N, M) in order, timing each draw alone, and collect error reports.
+def pde_errors_at_final_time(sol: Solution, exact) -> tuple[float, float]:
+    """Max error on the PDE_GRID-point grid per axis and spatial L2 error at s = T, as a study's."""
+    points = _pde_error_points(sol.space_basis.dimension, sol.transform.horizon_T)
+    return tuple(_error_of(p, (sol.time_basis, sol.space_basis), exact)(sol) for p in points)
 
-    `solutions` is an iterator that yields the solution at each resolution in
-    order, doing its work only when drawn; the caller has checked the
-    resolutions, whose M and not the rows done makes a study space-time, before
-    any work.  `errors` are the max-norm and L2 error functions of a solution.
-    Any member failure aborts the study; the completed reports travel on the
-    raised StudyError so partial progress is never discarded.
+
+def run_convergence_study(
+    problem, exact, n_values, m_values=None, *, ref_n: int | None = None, weighted_l2: bool = False
+) -> ConvergenceStudy:
+    """Solve at every resolution and collect error reports, smallest first.
+
+    A scalar study (a TimeProblem) solves at every N of n_values.  Its `exact`
+    is a callable of s, or None for a study against the solve at ref_n, which
+    must then be at least twice the largest N; weighted_l2 measures its L2
+    error in t against psi'(t) dt.  A space-time study (a PDEProblem) solves at
+    the (N, M) pairs of n_values and m_values, lists of equal length, each
+    pair growing in one entry and shrinking in none, and measures against its
+    exact solution at s = T.  The arguments are checked before any rule is built.
+
+    One assembly serves every row: at the largest resolution, or at ref_n for
+    a study with a reference.  Each row is solved on the leading block of that
+    system (solve_nested, solve_spacetime_nested), so the top block is the
+    lone solve at its size.  A reference study draws its reference first, as
+    the block at ref_n, which is the lone solve at ref_n bit for bit; that draw
+    carries the assembly, and no row's runtime_ms includes it.  Each set of
+    error points gets one set of tables, built at the assembly's sizes, and
+    one evaluation of the exact or reference solution.  Each row's draw is
+    timed alone.  Any row's failure aborts the study; the completed reports
+    travel on the raised StudyError so partial progress is never discarded.
     """
-    spacetime = resolutions[0][1] is not None
+    spacetime = isinstance(problem, PDEProblem)
+    if spacetime:
+        if exact is None:
+            raise DomainError("a space-time study needs the exact solution")
+        if m_values is None or len(n_values) != len(m_values):
+            raise DomainError("need matching N and M lists (equal length)")
+        if weighted_l2:
+            raise DomainError("a space-time study has no weighted L2 error")
+        resolutions = list(zip(n_values, m_values))
+    elif m_values is not None:
+        raise DomainError("a scalar study takes no M list")
+    else:
+        resolutions = [(n, None) for n in sorted(n_values)]
+    _require_increasing(resolutions)
+    if (exact is None) == (ref_n is None):
+        raise DomainError("exactly one of exact/ref_n must be given")
+    (n_max, m_max), interval = resolutions[-1], (0.0, problem.transform.b_psi)
+    if ref_n is not None and ref_n < 2 * n_max:
+        raise DomainError(f"reference resolution {ref_n} must be at least twice the largest N")
+    if spacetime:
+        bases = TimeBasis(0.0, n_max, interval), SpatialBasis(m_max, problem.dimension)
+        solutions = solve_spacetime_nested(problem, *bases, resolutions)
+        points = _pde_error_points(problem.dimension, problem.transform.horizon_T)
+    else:
+        sizes = [n for n, _ in resolutions]
+        sizes = sizes if ref_n is None else [ref_n, *sizes]
+        bases = TimeBasis(0.0, max(sizes), interval), None
+        solutions = solve_nested(problem, bases[0], sizes)
+        points = _error_points(problem.transform, weighted=weighted_l2)
+    if exact is None:
+        exact = next(solutions)
+    errors = [_error_of(p, bases, exact) for p in points]
     done: list[ErrorReport] = []
     try:
         for n, m in resolutions:
@@ -189,65 +238,3 @@ def _run_study(resolutions, solutions, errors) -> ConvergenceStudy:
         partial = ConvergenceStudy(tuple(done), spacetime)
         raise StudyError(f"study member failed: {exc}", partial=partial) from exc
     return ConvergenceStudy(tuple(done), spacetime)
-
-
-def run_convergence_study(
-    problem: TimeProblem, exact, n_values, *, ref_n: int | None = None, weighted_l2: bool = False
-) -> ConvergenceStudy:
-    """Solve at every N of n_values and collect error reports, smallest N first.
-
-    `exact` is a callable of s, or None for a study against the solve at
-    ref_n, which must then be at least twice the largest N.  weighted_l2
-    measures the L2 error in t against psi'(t) dt.  The arguments are checked
-    before any rule is built.
-
-    One assembly serves every row: at the largest N, or at ref_n for a study
-    with a reference.  Each N is solved on the leading block of that system
-    (solve_nested), so the top block is the lone solve at its size.  A
-    reference study draws its reference first, as the block at ref_n, which is
-    the lone solve at ref_n bit for bit; that draw carries the assembly,
-    and no row's runtime_ms includes it.  Each set of error points gets one
-    basis table, built at the assembly's size, and one evaluation of the
-    exact or reference solution.
-    """
-    n_values = sorted(n_values)
-    resolutions = [(n, None) for n in n_values]
-    _require_increasing(resolutions)
-    if (exact is None) == (ref_n is None):
-        raise DomainError("exactly one of exact/ref_n must be given")
-    if ref_n is not None and ref_n < 2 * n_values[-1]:
-        raise DomainError(f"reference resolution {ref_n} must be at least twice the largest N")
-    sizes = n_values if ref_n is None else [ref_n, *n_values]
-    basis = TimeBasis(0.0, max(sizes), (0.0, problem.transform.b_psi))
-    solutions = solve_nested(problem, basis, sizes)
-    if exact is None:
-        exact = next(solutions)
-    points = _error_points(problem.transform, weighted=weighted_l2)
-    return _run_study(resolutions, solutions, [_error_of(p, (basis,), exact) for p in points])
-
-
-def pde_errors_at_final_time(sol, exact) -> tuple[float, float]:
-    """Max error on the PDE_GRID-point grid per axis and spatial L2 error at s = T, as a study's."""
-    points = _pde_error_points(sol.space_basis.dimension, sol.transform.horizon_T)
-    return tuple(_error_of(p, (sol.time_basis, sol.space_basis), exact)(sol) for p in points)
-
-
-def run_pde_convergence_study(problem, exact, n_values, m_values) -> ConvergenceStudy:
-    """Sweep the (N, M) pairs of a space-time problem against its exact solution.
-
-    The lists have equal length, and each pair grows in one entry and shrinks
-    in none.  These and the exact solution are checked before any rule is
-    built.  Every row is a leading block of one assembly at the last pair, the
-    largest (solve_spacetime_nested), so the last row is the lone solve there.
-    """
-    if exact is None:
-        raise DomainError("a space-time study needs the exact solution")
-    if len(n_values) != len(m_values):
-        raise DomainError("need matching N and M lists (equal length)")
-    resolutions = list(zip(n_values, m_values))
-    _require_increasing(resolutions)
-    (n_max, m_max), interval = resolutions[-1], (0.0, problem.transform.b_psi)
-    bases = TimeBasis(0.0, n_max, interval), SpatialBasis(m_max, problem.dimension)
-    points = _pde_error_points(problem.dimension, problem.transform.horizon_T)
-    errors = [_error_of(p, bases, exact) for p in points]
-    return _run_study(resolutions, solve_spacetime_nested(problem, *bases, resolutions), errors)

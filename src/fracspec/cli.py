@@ -21,7 +21,6 @@ from .analysis import (
     error_l2,
     pde_errors_at_final_time,
     run_convergence_study,
-    run_pde_convergence_study,
 )
 from .errors import DomainError, NumericalFailureError, StudyError
 from .ode_solver import solve
@@ -286,22 +285,20 @@ def _cmd_solve_ode(eff) -> int:
 def _cmd_convergence(eff) -> int:
     entry = eff["entry"]
     problem, exact = build_problem(entry)
+    n_values, m_values = eff["N"], eff["M"]
     if entry.kind == "pde-power":
-        n_values = eff["N"] or (entry.default_n,)
-        m_values = eff["M"] or (entry.default_m,)
+        n_values, m_values = n_values or (entry.default_n,), m_values or (entry.default_m,)
         # A single N or M is paired with every entry of the other list.
         size = max(len(n_values), len(m_values))
         n_values, m_values = (v * size if len(v) == 1 else v for v in (n_values, m_values))
-        study = run_pde_convergence_study(problem, exact, n_values, m_values)
-        extras = {}
-    else:
-        ref_n = eff["ref_n"] if eff["ref_n"] is not None else (None if exact else entry.default_ref_n)
-        study = run_convergence_study(
-            problem, exact, eff["N"] or (2, 4, 8, 16), ref_n=ref_n, weighted_l2=eff["weighted_l2"]
-        )
-        extras = {"ref_N": ref_n}
+    ref_n = eff["ref_n"] if eff["ref_n"] is not None else (None if exact else entry.default_ref_n)
+    study = run_convergence_study(
+        problem, exact, n_values or (2, 4, 8, 16), m_values, ref_n=ref_n,
+        weighted_l2=eff["weighted_l2"],
+    )
     columns = study.columns()
     resolutions = {key: columns[key] for key in ("N", "M") if key in columns}
+    extras = {} if study.spacetime else {"ref_N": ref_n}
     _emit(columns, eff["out"], _header_lines(eff, {**resolutions, **extras}))
     return EXIT_OK
 

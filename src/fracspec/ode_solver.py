@@ -1,4 +1,4 @@
-"""Galerkin spectral solver for the rescaled scalar fractional problem.
+"""Galerkin spectral solver for the rescaled scalar fractional problem, and its one solution type.
 
 Solves D^{delta,psi} v + lam * v = f on (0, T^gamma) with zero value at the
 origin, using the boundary-adapted Jacobi basis in time; a problem holds that
@@ -6,6 +6,8 @@ t-side source f and the initial value phi, which evaluation adds back.
 Stiffness entries are assembled by the double Gauss-Jacobi quadrature in
 which both singular kernel factors are absorbed into rule weights; only the
 smooth non-polynomial factor ((1-tau^r)/(1-tau))^(-delta) is sampled pointwise.
+A Solution holds coefficients over time modes and d spatial axes, d = 0 here
+and 1 or 2 for pde_solver's space-time problem; evaluate reads every one.
 """
 
 from __future__ import annotations
@@ -27,18 +29,18 @@ from .orthopoly import (
     gjp_table,
     jacobi_blocks,
     jacobi_table,
+    legendre_phi_table,
 )
 
 __all__ = [
     "TimeProblem",
-    "TimeSolution",
+    "Solution",
     "assemble_stiffness",
     "assemble_mass",
     "assemble_time_load",
     "solve_nested",
     "solve",
     "evaluate",
-    "evaluate_table",
 ]
 
 COND_LIMIT = 1e14
@@ -95,17 +97,25 @@ class TimeProblem:
 
 
 @dataclass(frozen=True)
-class TimeSolution:
-    """Galerkin coefficients plus the bookkeeping needed to evaluate u_N(s)."""
+class Solution:
+    """Galerkin coefficients over time modes and d spatial axes, and what evaluating them needs.
 
-    coeffs: np.ndarray
-    basis: TimeBasis
+    V has shape (N,) + (K,) * d, K = M - 1 functions per spatial axis; d = 0 is
+    the scalar problem, whose space_basis is None.  offset is added to every
+    value: the scalar problem's phi, which its solve takes out.  The default,
+    the space-time problem's zero data, is -0.0, which adds nothing: x + -0.0
+    is x for every x, -0.0 included.
+    """
+
+    V: np.ndarray
+    time_basis: TimeBasis
+    space_basis: object  # a pde_solver.SpatialBasis, or None at d = 0
     transform: TransformSpec
-    phi_offset: float = 0.0
+    offset: float = -0.0
     residual: float = 0.0
 
-    def evaluate(self, s_points):
-        return evaluate(self, s_points)
+    def evaluate(self, *grids):
+        return evaluate(self, *grids)
 
 
 def _assemble(basis: TimeBasis, *pieces) -> list:
@@ -377,28 +387,75 @@ def solve_nested(problem: TimeProblem, basis: TimeBasis, sizes):
                     raise NumericalFailureError("non-finite solution or residual")
             except NumericalFailureError as exc:
                 raise exc.prefixed(f"linear solve failed ({where}, N={n})") from exc
-            yield TimeSolution(
-                coeffs=coeffs,
-                basis=replace(basis, n_modes=n),
-                transform=problem.transform,
-                phi_offset=problem.phi,
-                residual=residual,
-            )
+            sized = replace(basis, n_modes=n)
+            yield Solution(coeffs, sized, None, problem.transform, problem.phi, residual)
 
     return blocks()
 
 
-def solve(problem: TimeProblem, basis: TimeBasis) -> TimeSolution:
+def solve(problem: TimeProblem, basis: TimeBasis) -> Solution:
     """Solve (S + lam*M) v = F and package the coefficients: solve_nested's one-size case."""
     return next(solve_nested(problem, basis, (basis.n_modes,)))
 
 
-def evaluate(sol: TimeSolution, s_points) -> np.ndarray:
-    """Evaluate u_N(s) = phi + sum_n v_n j_n(s^gamma) on points in [0, T]."""
-    t = sol.transform.psi_inverse(np.atleast_1d(s_points))
-    return evaluate_table(sol, gjp_table(sol.basis, t))
+def evaluate(sol: Solution, *grids) -> np.ndarray:
+    """u_N on the tensor grid of its d + 1 point arrays (x[, y], s), in that axis order.
+
+    Times lie in [0, T] and spatial points in [-1, 1].  Space-time initial and
+    boundary values vanish structurally: the basis factors are exactly zero
+    there in floating point.
+    """
+    return _evaluate_tables(sol, _tables(sol.time_basis, sol.space_basis, sol.transform, grids))
 
 
-def evaluate_table(sol: TimeSolution, table) -> np.ndarray:
-    """u_N = phi + v @ table[:N] at the points of a gjp_table of sol's basis, or of a larger one."""
-    return sol.phi_offset + sol.coeffs @ table[: sol.coeffs.size]
+def _tables(time_basis: TimeBasis, space_basis, transform: TransformSpec, grids) -> list:
+    """evaluate's checks and tables: the time table, then one spatial table per axis."""
+    d = 0 if space_basis is None else space_basis.dimension
+    if len(grids) != d + 1:
+        raise DomainError(f"expected {d + 1} point arrays, got {len(grids)}")
+    *xs, s = [np.atleast_1d(np.asarray(g, dtype=float)) for g in grids]
+    for x in xs:
+        # Written so that a NaN point is refused too.
+        if not np.all(np.abs(x) <= 1.0 + 1e-12):
+            raise DomainError("spatial points must lie in [-1, 1]")
+    jt = gjp_table(time_basis, transform.psi_inverse(s))
+    return [jt] + [legendre_phi_table(space_basis.m_modes, x) for x in xs]
+
+
+def _evaluate_tables(sol: Solution, tables) -> np.ndarray:
+    """sol on the grid of _tables of its bases, or of larger ones: their leading rows.
+
+    Time first: the few evaluation times shrink V before the spatial products.
+    That contraction is np.tensordot(jt[:N], V, axes=(0, 0)) as tensordot
+    computes it, one dot, which at d = 0 is the gemv of V @ jt[:N] bit for bit.
+    """
+    jt, *space = tables
+    n, *k = sol.V.shape
+    values = np.dot(jt[:n].T, sol.V.reshape(n, -1)).reshape(-1, *k)
+    values = _mode_product(values, [x[:size] for x, size in zip(space, k)])
+    return sol.offset + values.transpose(*range(1, values.ndim), 0)
+
+
+def _mode_product(T: np.ndarray, mats, out: np.ndarray | None = None) -> np.ndarray:
+    """Contract spatial axis i of T (axis i + 1) with the first index of mats[i].
+
+    None leaves that axis alone.  Axis 0 of T is time and is never touched.
+    Each contraction is one matmul over T viewed as (before, axis, after), so
+    the result stays C-contiguous and no axis is moved.  The last contraction
+    writes into out, a C-contiguous array of the result's shape, when one is
+    given; out may be T itself.
+    """
+    last = max((i for i, mat in enumerate(mats) if mat is not None), default=None)
+    for i, mat in enumerate(mats):
+        if mat is not None:
+            shape = T.shape
+            before, after = shape[: i + 1], shape[i + 2:]
+            if after:
+                operands = mat.T, T.reshape(math.prod(before), shape[i + 1], -1)
+                flat = (math.prod(before), mat.shape[1], -1)
+            else:
+                operands = T.reshape(-1, shape[i + 1]), mat
+                flat = (-1, mat.shape[1])
+            dest = out.reshape(flat) if out is not None and i == last else None
+            T = np.matmul(*operands, out=dest).reshape(before + mat.shape[1:] + after)
+    return T

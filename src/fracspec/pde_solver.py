@@ -6,7 +6,8 @@ identity and whose mass matrix B is pentadiagonal with closed-form entries.
 The eigendecomposition of B splits the tensor system into one scalar time
 problem of rate sigma per spatial eigenmode, all made block-triangular by one
 real QZ of the time pencil; one assembly serves every (N, M) up to its sizes
-(solve_spacetime_nested).
+(solve_spacetime_nested).  A solution is ode_solver's Solution with d spatial
+axes, evaluated by ode_solver.evaluate.
 """
 
 from __future__ import annotations
@@ -18,31 +19,38 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh, qz
 
+from . import orthopoly
 from .errors import DomainError, NumericalFailureError
 from .frac_ops import FracOrder, PowerSum, TransformSpec
 from .ode_solver import (
     QUAD_GUARD,
+    Solution,
     _assemble,
     _assemble_system,
     _check_time_source,
     _load_matrix,
+    _mode_product,
     _sampled_request,
     _time_load,
+    evaluate,
 )
-from .orthopoly import JacobiIndex, TimeBasis, gjp_table, legendre_phi_table
+from .orthopoly import JacobiIndex, TimeBasis, legendre_phi_table
 
 __all__ = [
     "SpatialBasis",
-    "SpaceTimeSolution",
     "PDEProblem",
     "SeparableRHS",
     "space_mass_matrix",
     "assemble_spacetime_load",
     "solve_spacetime_nested",
     "solve_spacetime",
-    "evaluate_spacetime",
     "manufactured_sine_power",
 ]
+
+# No caller: 2-d solutions evaluate through ode_solver.evaluate.  Kept for perfbench/spans.py.
+evaluate_spacetime = evaluate
+# No caller: ode_solver builds the evaluation tables.  Kept for perfbench/spans.py.
+gjp_table = orthopoly.gjp_table
 
 # A mode is refused when cancellation leaves a pivot (or a 2 x 2 block's
 # determinant) of its block-triangular system at most this fraction of its terms.
@@ -152,45 +160,6 @@ def manufactured_sine_power(delta, transform: TransformSpec, sigma: float, dimen
     return problem, exact
 
 
-@dataclass(frozen=True)
-class SpaceTimeSolution:
-    """Coefficient tensor over (time modes) x (space modes per direction)."""
-
-    V: np.ndarray
-    time_basis: TimeBasis
-    space_basis: SpatialBasis
-    transform: TransformSpec
-    residual: float = 0.0
-
-    def evaluate(self, *grids):
-        return evaluate_spacetime(self, *grids)
-
-
-def _mode_product(T: np.ndarray, mats, out: np.ndarray | None = None) -> np.ndarray:
-    """Contract spatial axis i of T (axis i + 1) with the first index of mats[i].
-
-    None leaves that axis alone.  Axis 0 of T is time and is never touched.
-    Each contraction is one matmul over T viewed as (before, axis, after), so
-    the result stays C-contiguous and no axis is moved.  The last contraction
-    writes into out, a C-contiguous array of the result's shape, when one is
-    given; out may be T itself.
-    """
-    last = max((i for i, mat in enumerate(mats) if mat is not None), default=None)
-    for i, mat in enumerate(mats):
-        if mat is not None:
-            shape = T.shape
-            before, after = shape[: i + 1], shape[i + 2:]
-            if after:
-                operands = mat.T, T.reshape(math.prod(before), shape[i + 1], -1)
-                flat = (math.prod(before), mat.shape[1], -1)
-            else:
-                operands = T.reshape(-1, shape[i + 1]), mat
-                flat = (-1, mat.shape[1])
-            dest = out.reshape(flat) if out is not None and i == last else None
-            T = np.matmul(*operands, out=dest).reshape(before + mat.shape[1:] + after)
-    return T
-
-
 def _row_blocks(T: np.ndarray) -> list[slice]:
     """Slices of at most max(1, N * _CHUNK // K^d) consecutive time rows (axis 0) of T.
 
@@ -281,7 +250,8 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, rates: np.ndarray, f: np.ndarray)
     A mode is refused when a 1 x 1 pivot |T_ii + sigma R_ii| is not above
     PIVOT_TOL (|T_ii| + |sigma||R_ii|), or a 2 x 2 block's determinant
     |det(T_b + sigma R_b)| is not above PIVOT_TOL (t_11 t_22 + t_12 t_21) with
-    t_jk = |T_jk| + |sigma||R_jk|; a NaN is refused.  The first refused mode
+    t_jk = |T_jk| + |sigma||R_jk|; a pivot, determinant or bound that is NaN or
+    infinite is refused as not finite.  The first refused mode
     in flat order raises NumericalFailureError naming its lowest refused
     block, with index set to the mode's tuple; the chunks before it already
     hold their answers.
@@ -341,17 +311,17 @@ def _solve_modes(S: np.ndarray, M: np.ndarray, rates: np.ndarray, f: np.ndarray)
             k = int(np.argmax(refused[:, m]))
             i, end = blocks[k]
             size, bound = abs(pivots[k, m]), bounds[k, m]
-            if end - i == 1:
-                message = (
-                    f"pivot {i} |T_ii + sigma R_ii| = {size:.3e} is at most "
-                    f"{PIVOT_TOL:.0e} * (|T_ii| + |sigma||R_ii|) = {bound:.3e}"
-                )
+            pivot, terms, suffix = f"pivot {i} |T_ii + sigma R_ii|", "(|T_ii| + |sigma||R_ii|)", ""
+            if end - i == 2:
+                pivot = f"pivot block {i}..{end - 1} |det(T_b + sigma R_b)|"
+                terms, suffix = "(t_11 t_22 + t_12 t_21)", " with t_jk = |T_jk| + |sigma||R_jk|"
+            bound_text = f"{PIVOT_TOL:.0e} * {terms} = {bound:.3e}{suffix}"
+            if not math.isfinite(size):
+                message = f"{pivot} = {size:.3e} is not finite"
+            elif not math.isfinite(bound):
+                message = f"the bound of {pivot}, {bound_text}, is not finite"
             else:
-                message = (
-                    f"pivot block {i}..{end - 1} |det(T_b + sigma R_b)| = {size:.3e} is at most "
-                    f"{PIVOT_TOL:.0e} * (t_11 t_22 + t_12 t_21) = {bound:.3e} "
-                    "with t_jk = |T_jk| + |sigma||R_jk|"
-                )
+                message = f"{pivot} = {size:.3e} is at most {bound_text}"
             raise NumericalFailureError(
                 message, index=tuple(int(j) for j in np.unravel_index(lo + m, shape))
             )
@@ -461,43 +431,10 @@ def _spacetime_blocks(problem, time_basis, space_basis, pairs):
                 f"{1e-10 * f_scale:.3e} ({where})"
             )
         bases = replace(time_basis, n_modes=n), replace(space_basis, m_modes=m)
-        yield SpaceTimeSolution(V, *bases, problem.transform, residual)
+        yield Solution(V, *bases, problem.transform, residual=residual)
 
 
 def solve_spacetime(problem: PDEProblem, time_basis: TimeBasis, space_basis: SpatialBasis):
     """The eigenmode solve of the space-time system: solve_spacetime_nested's one-pair case."""
     pair = (time_basis.n_modes, space_basis.m_modes)
     return next(solve_spacetime_nested(problem, time_basis, space_basis, (pair,)))
-
-
-def evaluate_spacetime(sol: SpaceTimeSolution, *grids) -> np.ndarray:
-    """Evaluate on a tensor grid: (x_points[, y_points], s_points) -> value grid.
-
-    Initial and boundary values vanish structurally: the basis factors are
-    exactly zero there in floating point.
-    """
-    tables = _spacetime_tables(sol.time_basis, sol.space_basis, sol.transform, grids)
-    return _evaluate_tables(sol, tables)
-
-
-def _spacetime_tables(time_basis, space_basis, transform, grids):
-    """evaluate_spacetime's checks and tables: the time table, then one spatial table per axis."""
-    d = space_basis.dimension
-    if len(grids) != d + 1:
-        raise DomainError(f"expected {d + 1} point arrays, got {len(grids)}")
-    *xs, s = [np.atleast_1d(np.asarray(g, dtype=float)) for g in grids]
-    for x in xs:
-        # Written so that a NaN point is refused too.
-        if not np.all(np.abs(x) <= 1.0 + 1e-12):
-            raise DomainError("spatial points must lie in [-1, 1]")
-    jt = gjp_table(time_basis, transform.psi_inverse(s))
-    return [jt] + [legendre_phi_table(space_basis.m_modes, x) for x in xs]
-
-
-def _evaluate_tables(sol: SpaceTimeSolution, tables) -> np.ndarray:
-    """sol on the grid of _spacetime_tables of its bases, or of larger ones: their leading rows."""
-    n, k = sol.V.shape[:2]
-    jt, *space = tables
-    # Time first: the few evaluation times shrink V before the spatial products.
-    values = _mode_product(np.tensordot(jt[:n], sol.V, axes=(0, 0)), [x[:k] for x in space])
-    return np.moveaxis(values, 0, -1)

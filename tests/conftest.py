@@ -32,12 +32,13 @@ def oracle_stiffness_matrix(basis, delta, spec, outer_tol=1e-11, inner_tol=1e-11
         for m in range(1, n_modes + 1):
             def integrand(ts, m=m):
                 ts = np.atleast_1d(ts)
+                # One table per panel; the derivative and psi' stay per point,
+                # where a vectorised power could move a bit.
+                row = gjp_table(basis, ts)[m - 1]
                 return np.array(
                     [
-                        deriv_at(float(t))
-                        * gjp_table(basis, float(t))[m - 1, 0]
-                        * spec.psi_prime(float(t))
-                        for t in ts
+                        deriv_at(float(t)) * row[i] * spec.psi_prime(float(t))
+                        for i, t in enumerate(ts)
                     ]
                 )
 

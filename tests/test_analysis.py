@@ -12,11 +12,10 @@ from fracspec.analysis import (
     error_linf,
     pde_errors_at_final_time,
     run_convergence_study,
-    run_pde_convergence_study,
 )
 from fracspec.errors import DomainError, NumericalFailureError, StudyError
 from fracspec.frac_ops import PowerSum, TransformSpec
-from fracspec.ode_solver import TimeProblem, TimeSolution, solve, solve_nested
+from fracspec.ode_solver import TimeProblem, solve, solve_nested
 from fracspec.orthopoly import TimeBasis
 
 
@@ -262,6 +261,8 @@ def test_study_validation(rule_batches):
             run_convergence_study(prob, np.sin, (4, 8), ref_n=ref_n)
     with pytest.raises(DomainError, match=r"block sizes must lie in 1\.\.8, got \[0\]"):
         run_convergence_study(prob, np.sin, (0, 8))
+    with pytest.raises(DomainError, match="a scalar study takes no M list"):
+        run_convergence_study(prob, None, (4, 8), (4, 6), ref_n=60)
     # Every refusal comes before any rule is built.
     assert rule_batches == []
 
@@ -273,7 +274,7 @@ def test_study_member_failure_flags_partial_results(monkeypatch):
 
     def failing_solve_nested(problem, basis, sizes):
         for sol in real_solve_nested(problem, basis, sizes):
-            if sol.basis.n_modes == 8:
+            if sol.time_basis.n_modes == 8:
                 raise RuntimeError("injected member failure")
             yield sol
 
@@ -317,16 +318,16 @@ def test_every_study_row_is_the_error_of_its_block(exact, weighted):
 
 
 def test_study_builds_its_tables_once_whatever_its_row_count(monkeypatch):
-    import fracspec.analysis as analysis_mod
+    import fracspec.ode_solver as ode_mod
 
-    real_gjp_table = analysis_mod.gjp_table
+    real_gjp_table = ode_mod.gjp_table
     builds = []
 
     def counting_gjp_table(basis, t):
         builds.append((basis.n_modes, len(t)))
         return real_gjp_table(basis, t)
 
-    monkeypatch.setattr(analysis_mod, "gjp_table", counting_gjp_table)
+    monkeypatch.setattr(ode_mod, "gjp_table", counting_gjp_table)
     exact = PowerSum(((1.0, 2.0),))
     per_study = []
     for n_values in ((8, 16, 24), tuple(range(2, 25, 2))):
@@ -379,16 +380,16 @@ def test_reference_solution_errors_vanish_against_itself():
 def test_reference_study_assembles_once_and_builds_one_table_per_point_set(
     monkeypatch, rule_batches
 ):
-    import fracspec.analysis as analysis_mod
+    import fracspec.ode_solver as ode_mod
 
-    real_gjp_table = analysis_mod.gjp_table
+    real_gjp_table = ode_mod.gjp_table
     builds = []
 
     def counting_gjp_table(basis, t):
         builds.append((basis.n_modes, len(t)))
         return real_gjp_table(basis, t)
 
-    monkeypatch.setattr(analysis_mod, "gjp_table", counting_gjp_table)
+    monkeypatch.setattr(ode_mod, "gjp_table", counting_gjp_table)
     run_convergence_study(example3_problem(), None, (4, 8, 12), ref_n=24)
     # The reference and the three rows come from one rule batch, and the
     # reference values and every row are read from the same tables.
@@ -414,8 +415,8 @@ def test_reference_study_rows_are_its_blocks_against_the_lone_reference(monkeypa
     study = run_convergence_study(prob, None, n_values, ref_n=24, weighted_l2=weighted)
     reference = solve_at(prob, 24)
     # The first draw is the reference: the lone solve at ref_n, bit for bit.
-    assert drawn[0].basis == reference.basis
-    assert np.array_equal(drawn[0].coeffs, reference.coeffs)
+    assert drawn[0].time_basis == reference.time_basis
+    assert np.array_equal(drawn[0].V, reference.V)
     blocks = solve_nested(prob, TimeBasis(0.0, 24, (0.0, prob.transform.b_psi)), n_values)
     for report, sol in zip(study.reports, blocks, strict=True):
         assert report.linf_error == error_linf(sol, reference.evaluate)
@@ -455,14 +456,16 @@ def test_pde_study_rows_and_errors():
 
     spec = TransformSpec(5, 2.0)
     prob, exact = manufactured_sine_power(0.5, spec, 0.6, dimension=2)
-    study = run_pde_convergence_study(prob, exact, (12, 12, 12), (6, 8, 10))
+    study = run_convergence_study(prob, exact, (12, 12, 12), (6, 8, 10))
     columns = study.columns()
     assert list(columns) == ["N", "M", "linf_error", "l2_error", "runtime_ms"]
     assert (columns["N"], columns["M"]) == ([12, 12, 12], [6, 8, 10])
     errs = columns["linf_error"]
     assert errs[2] < errs[1] < errs[0]
     with pytest.raises(DomainError):
-        run_pde_convergence_study(prob, exact, (12,), (6, 8))
+        run_convergence_study(prob, exact, (12,), (6, 8))
+    with pytest.raises(DomainError, match="a space-time study has no weighted L2 error"):
+        run_convergence_study(prob, exact, (12,), (6,), weighted_l2=True)
 
 
 @pytest.mark.parametrize(
@@ -488,7 +491,7 @@ def test_pde_study_rejects_unordered_resolutions_before_solving(
 
     prob, exact = manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
     with pytest.raises(DomainError, match=message):
-        run_pde_convergence_study(prob, exact if with_exact else None, n_values, m_values)
+        run_convergence_study(prob, exact if with_exact else None, n_values, m_values)
     assert rule_batches == []
 
 
@@ -515,7 +518,7 @@ def test_pde_study_member_failure_keeps_its_first_row(monkeypatch):
     calls = failing_mode_solve(monkeypatch, 2, RuntimeError("injected member failure"))
     prob, exact = manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
     with pytest.raises(StudyError, match="injected member failure") as info:
-        run_pde_convergence_study(prob, exact, (6, 8, 10), (4, 6, 8))
+        run_convergence_study(prob, exact, (6, 8, 10), (4, 6, 8))
     # Each row's mode stage works on its own leading block of the load.
     assert calls == [(6, 3, 3), (8, 5, 5)]
     [row] = info.value.partial.reports
@@ -525,11 +528,10 @@ def test_pde_study_member_failure_keeps_its_first_row(monkeypatch):
 
 
 def test_pde_study_builds_its_tables_and_exact_values_once_whatever_its_row_count(monkeypatch):
-    import fracspec.pde_solver as pde_mod
-    from fracspec.analysis import PDE_GRID, PDE_L2_POINTS
+    import fracspec.ode_solver as ode_mod
     from fracspec.pde_solver import manufactured_sine_power
 
-    real_gjp_table, real_phi_table = pde_mod.gjp_table, pde_mod.legendre_phi_table
+    real_gjp_table, real_phi_table = ode_mod.gjp_table, ode_mod.legendre_phi_table
     builds, exact_calls = [], []
 
     def counting_gjp_table(basis, t):
@@ -537,13 +539,12 @@ def test_pde_study_builds_its_tables_and_exact_values_once_whatever_its_row_coun
         return real_gjp_table(basis, t)
 
     def counting_phi_table(m_modes, x):
-        # The load's spatial rule is built once per assembly; only evaluation tables count.
-        if len(x) in (PDE_GRID, PDE_L2_POINTS):
-            builds.append(("space", m_modes, len(x)))
+        # Only evaluation tables are built here; the load's spatial rule is pde_solver's.
+        builds.append(("space", m_modes, len(x)))
         return real_phi_table(m_modes, x)
 
-    monkeypatch.setattr(pde_mod, "gjp_table", counting_gjp_table)
-    monkeypatch.setattr(pde_mod, "legendre_phi_table", counting_phi_table)
+    monkeypatch.setattr(ode_mod, "gjp_table", counting_gjp_table)
+    monkeypatch.setattr(ode_mod, "legendre_phi_table", counting_phi_table)
     prob, exact = manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
 
     def counting_exact(*grids):
@@ -554,7 +555,7 @@ def test_pde_study_builds_its_tables_and_exact_values_once_whatever_its_row_coun
     for n_values in ((8, 10, 12), tuple(range(4, 13))):
         builds.clear()
         exact_calls.clear()
-        run_pde_convergence_study(prob, counting_exact, n_values, (10,) * len(n_values))
+        run_convergence_study(prob, counting_exact, n_values, (10,) * len(n_values))
         per_study.append((sorted(builds), sorted(exact_calls)))
     # One set of tables per set of error points, at the largest (N, M), and one
     # evaluation of the exact solution each, for 3 rows as for 9.
@@ -569,7 +570,7 @@ def test_pde_study_refused_at_its_first_pair_is_still_space_time(monkeypatch):
     prob, exact = manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
     message = r"eigenmode solve failed at mode \(0, 0\) \(delta=0\.5, r=5, N=6, M=4\): synthetic"
     with pytest.raises(StudyError, match=message) as info:
-        run_pde_convergence_study(prob, exact, (6, 8, 10), (4, 6, 8))
+        run_convergence_study(prob, exact, (6, 8, 10), (4, 6, 8))
     # The table is space-time because the study is, not because a row says so.
     assert info.value.partial.columns() == {
         "N": [], "M": [], "linf_error": [], "l2_error": [], "runtime_ms": []
@@ -591,7 +592,7 @@ def test_pde_study_finest_row_is_the_lone_solve_bit_for_bit(monkeypatch):
     monkeypatch.setattr(analysis_mod, "solve_spacetime_nested", recording_nested)
     spec = TransformSpec(5, 2.0)
     prob, exact = manufactured_sine_power(0.5, spec, 0.6, dimension=2)
-    study = run_pde_convergence_study(prob, exact, (6, 10, 12), (6, 8, 12))
+    study = run_convergence_study(prob, exact, (6, 10, 12), (6, 8, 12))
     lone = solve_spacetime(prob, TimeBasis(0.0, 12, (0.0, spec.b_psi)), SpatialBasis(12, 2))
     assert [sol.V.shape for sol in drawn] == [(6, 5, 5), (10, 7, 7), (12, 11, 11)]
     assert (drawn[-1].time_basis, drawn[-1].space_basis) == (lone.time_basis, lone.space_basis)
@@ -611,7 +612,7 @@ def test_pde_study_rows_stay_near_the_lone_solves():
 
     prob, exact = build_problem(get_entry("example4"))
     n_values = tuple(range(2, 21, 2))
-    study = run_pde_convergence_study(prob, exact, n_values, (20,) * len(n_values))
+    study = run_convergence_study(prob, exact, n_values, (20,) * len(n_values))
     for row in study.reports:
         tb = TimeBasis(0.0, row.n_modes, (0.0, prob.transform.b_psi))
         lone = pde_errors_at_final_time(solve_spacetime(prob, tb, SpatialBasis(20, 2)), exact)
@@ -623,7 +624,7 @@ def test_a_pde_study_builds_one_rule_batch(rule_batches):
     from fracspec.pde_solver import manufactured_sine_power
 
     prob, exact = manufactured_sine_power(0.5, TransformSpec(5, 2.0), 0.6, dimension=2)
-    run_pde_convergence_study(prob, exact, (6, 8, 10), (4, 6, 8))
+    run_convergence_study(prob, exact, (6, 8, 10), (4, 6, 8))
     # Stiffness pair, mass, spatial rule and one rule per time power, once.
     assert rule_batches == [4 + len(prob.rhs.time_source)]
 
@@ -642,7 +643,7 @@ def test_pde_study_in_one_dimension():
 
     spec = TransformSpec(5, 2.0)
     prob, exact = manufactured_sine_power(0.5, spec, 0.6, dimension=1)
-    study = run_pde_convergence_study(prob, exact, (12, 12, 12), (6, 8, 10))
+    study = run_convergence_study(prob, exact, (12, 12, 12), (6, 8, 10))
     errs = [r.linf_error for r in study.reports]
     assert errs[2] < errs[1] < errs[0]
     sol = solve_spacetime(prob, TimeBasis(0.0, 12, (0.0, spec.b_psi)), SpatialBasis(10, 1))

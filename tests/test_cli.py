@@ -720,7 +720,7 @@ def test_emit_writes_array_columns_as_numpy_scalars_format(capsys):
         (["solve-pde", "--problem", "example4", "--N", "4", "--M", "4"],
          "solve_spacetime", lambda problem, tb, sb: problem, 1.0),
         (["convergence", "--problem", "example4", "--N", "4", "--M", "4"],
-         "run_pde_convergence_study", lambda problem, *rest: problem, 1.0),
+         "run_convergence_study", lambda problem, *rest, **settings: problem, 1.0),
     ],
     ids=["solve-ode", "convergence", "solve-pde", "convergence-pde"],
 )

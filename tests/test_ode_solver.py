@@ -501,9 +501,9 @@ def test_evaluate_at_origin_returns_phi_exactly():
 def test_evaluate_single_mode_endpoint():
     spec = TransformSpec(1, 2.0)
     basis = basis_for(spec, 3)
-    from fracspec.ode_solver import TimeSolution
+    from fracspec.ode_solver import Solution
 
-    sol = TimeSolution(np.array([0.7, 0.0, 0.0]), basis, spec, phi_offset=0.25)
+    sol = Solution(np.array([0.7, 0.0, 0.0]), basis, None, spec, offset=0.25)
     assert sol.evaluate([2.0])[0] == pytest.approx(0.25 + 0.7 * 2.0, rel=1e-14)
 
 
@@ -542,8 +542,8 @@ def test_solve_linearity_in_source():
     prob1 = TimeProblem.from_source(g, 0.5, 1.0, spec)
     prob3 = TimeProblem.from_source(lambda s: 3.0 * g(s), 0.5, 1.0, spec)
     basis = basis_for(spec, 8)
-    c1 = solve(prob1, basis).coeffs
-    c3 = solve(prob3, basis).coeffs
+    c1 = solve(prob1, basis).V
+    c3 = solve(prob3, basis).V
     assert np.max(np.abs(c3 - 3.0 * c1)) <= 1e-13 * np.max(np.abs(c3))
 
 
@@ -712,12 +712,12 @@ def test_nested_blocks_match_fresh_solves(prob):
     spec = prob.transform
     sizes = tuple(range(1, 31))
     nested = list(solve_nested(prob, basis_for(spec, 30), sizes))
-    assert [sol.basis.n_modes for sol in nested] == list(sizes)
+    assert [sol.time_basis.n_modes for sol in nested] == list(sizes)
     for n, sol in zip(sizes, nested):
         fresh = solve(prob, basis_for(spec, n))
-        assert sol.basis == fresh.basis
-        scale = np.max(np.abs(fresh.coeffs))
-        assert np.max(np.abs(sol.coeffs - fresh.coeffs)) <= 1e-12 * scale, n
+        assert sol.time_basis == fresh.time_basis
+        scale = np.max(np.abs(fresh.V))
+        assert np.max(np.abs(sol.V - fresh.V)) <= 1e-12 * scale, n
 
 
 @pytest.mark.parametrize("sizes", [(0,), (2, 9), (-1, 4)])
@@ -786,7 +786,7 @@ def test_refused_block_names_its_own_size(monkeypatch):
     spec = TransformSpec(1, 2.0)
     prob = TimeProblem.manufactured(PowerSum(((1.0, 2.0),)), 0.5, 1.0, spec)
     blocks = solve_nested(prob, basis_for(spec, 8), (4, 6, 8))
-    assert next(blocks).basis.n_modes == 4
+    assert next(blocks).time_basis.n_modes == 4
     with pytest.raises(NumericalFailureError) as info:
         next(blocks)
     assert str(info.value) == "linear solve failed (delta=0.5, r=1, N=6): synthetic refusal"
